@@ -46,6 +46,7 @@ def compute_subtree_weights(td, root=None, ops=None):
     seen = [False] * (td.graph_n + 1)
     csize = {}
     overlap = {}
+    work = 0
     for i in order:
         c = 0
         k = 0
@@ -57,8 +58,7 @@ def compute_subtree_weights(td, root=None, ops=None):
                 seen[x] = True
         csize[i] = k
         overlap[i] = c
-        if ops is not None:
-            ops.add(k + 1)
+        work += k + 1
     kids = {i: [] for i in order}
     for i in order:
         if parent[i] is not None:
@@ -68,8 +68,9 @@ def compute_subtree_weights(td, root=None, ops=None):
     for i in reversed(order):
         total[i] = csize[i] + sum(reduced[j] for j in kids[i])
         reduced[i] = total[i] - overlap[i]
-        if ops is not None:
-            ops.add(len(kids[i]) + 1)
+        work += len(kids[i]) + 1
+    if ops is not None:
+        ops.add(work)
     top = total[root]
     buckets = [[] for _ in range(top + 1)]
     for i in order:

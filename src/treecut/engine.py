@@ -266,10 +266,13 @@ def _finish(g, td, m, b_total, steps, r0, impl, ops, t_start):
     width = cut_width(g, [b_total, rest]) if 0 < m < g.n else 0
     t = td.width() + 1
     delta = max_degree(g)
-    return CutReport(g.n, m, t, delta, r0, width,
-                     bound_value(t, delta, r0), legible_bound(t, delta, r0),
-                     impl, steps, ops.total, time.perf_counter() - t_start,
-                     sorted(b_total))
+    bound = bound_value(t, delta, r0)
+    if width > bound:
+        raise InternalInvariant("cut width %d exceeds the bound %.2f"
+                                % (width, bound))
+    return CutReport(g.n, m, t, delta, r0, width, bound,
+                     legible_bound(t, delta, r0), impl, steps, ops.total,
+                     time.perf_counter() - t_start, sorted(b_total))
 
 
 def exact_size_cut_linear(g, td0, m, keep_sets=False):

@@ -20,23 +20,24 @@ def parse_graph(text):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
-        if line.startswith("p"):
-            parts = line.split()
-            n, m = int(parts[-2]), int(parts[-1])
-            continue
-        if line.startswith("e"):
-            _, u, v = line.split()
-            edges.append((int(u), int(v)))
-            continue
         parts = line.split()
-        if n is None:
-            if len(parts) != 2:
-                raise GraphFormatError("bad header line %r" % raw)
-            n, m = int(parts[0]), int(parts[1])
+        if line.startswith("p"):
+            kind, ok = "header", len(parts) >= 3
+        elif line.startswith("e"):
+            kind, ok = "edge", len(parts) == 3
         else:
-            if len(parts) != 2:
-                raise GraphFormatError("bad edge line %r" % raw)
-            edges.append((int(parts[0]), int(parts[1])))
+            kind, ok = "header" if n is None else "edge", len(parts) == 2
+        if not ok:
+            raise GraphFormatError("bad %s line %r" % (kind, raw))
+        try:
+            a, b = int(parts[-2]), int(parts[-1])
+        except ValueError:
+            raise GraphFormatError("non-integer field in %s line %r"
+                                   % (kind, raw)) from None
+        if kind == "edge":
+            edges.append((a, b))
+        else:
+            n, m = a, b
     if n is None:
         raise GraphFormatError("missing graph header")
     if m is not None and m != len(edges):

@@ -171,6 +171,7 @@ def build_plabeling(td, path_nodes=None, ops=None):
     path_node_of = [0] * (n0 + 1)
     vertex_of = [0]
     counted = 0
+    work = 0
     for i in path:
         # hanging vertices first (deepest nodes first), then fresh cluster
         # vertices, so cluster vertices close the block
@@ -190,8 +191,9 @@ def build_plabeling(td, path_nodes=None, ops=None):
         if fresh == 0:
             raise RedundantPath("path node %r adds no cluster vertex" % i)
         counted += fresh
-        if ops is not None:
-            ops.add(len(td.clusters[i]) + len(hang[i]) + 1)
+        work += len(td.clusters[i]) + len(hang[i]) + 1
+    if ops is not None:
+        ops.add(work)
     pl = PLabeling(td, len(vertex_of) - 1, label_of, vertex_of, is_pv,
                    path_node_of, path, hang)
     return pl

@@ -59,9 +59,10 @@ class TreeDecomposition:
             if len(set(c)) != len(c):
                 raise DecompositionFormatError("duplicate vertex in cluster %r" % i)
             for x in c:
-                if not (1 <= x <= graph_n):
+                if type(x) is not int or not 1 <= x <= graph_n:
                     raise DecompositionFormatError(
-                        "vertex %r out of range in cluster %r" % (x, i))
+                        "vertex %r in cluster %r is not an int in 1..%r"
+                        % (x, i, graph_n))
             cl[i] = c
         self.nodes = nodes
         self.neighbors = neighbors
@@ -110,11 +111,12 @@ class TreeDecomposition:
             clusters = {rec["id"]: rec["cluster"] for rec in obj["nodes"]}
             edges = [tuple(e) for e in obj["edges"]]
             graph_n = obj.get("graph_n")
+            if graph_n is None:
+                graph_n = max((x for c in clusters.values() for x in c),
+                              default=0)
+            return cls(nodes, edges, clusters, graph_n)
         except (KeyError, TypeError, ValueError) as exc:
             raise DecompositionFormatError("bad decomposition JSON: %s" % exc)
-        if graph_n is None:
-            graph_n = max((x for c in clusters.values() for x in c), default=0)
-        return cls(nodes, edges, clusters, graph_n)
 
 
 @dataclass
@@ -191,7 +193,7 @@ def validate(g, td, vertices=None):
 
 
 def make_nonredundant(td, ops=None):
-    """Contract away nested adjacent clusters; returns a new decomposition.
+    """Contract away nested adjacent clusters.
 
     One depth-first pass from the smallest node id. When a cluster is
     contained in its (current) parent cluster the node is merged upward;
@@ -199,6 +201,10 @@ def make_nonredundant(td, ops=None):
     class adopts the node's cluster. Width never grows and any tree path of
     the input maps onto a tree path of the output covering at least the
     same vertices.
+
+    When nothing contracts, `td` itself is returned, not a copy; callers
+    must not mutate the result. Otherwise the result is a new decomposition
+    with dense node ids 1..k in discovery order.
     """
     if all(not td.clusters[i] for i in td.nodes):
         raise EmptyDecomposition("every cluster is empty")
@@ -215,14 +221,15 @@ def make_nonredundant(td, ops=None):
     csize = {}
     seen = [False] * (td.graph_n + 1)
     class_order = []
+    contracted = False
+    work = 0
     stack = [(root, None)]
     while stack:
         i, tree_parent = stack.pop()
         x = td.clusters[i]
         n_i = len(x)
         c_i = sum(1 for v in x if seen[v])
-        if ops is not None:
-            ops.add(n_i + 1)
+        work += n_i + 1
         if tree_parent is None:
             cluster_of[i] = x
             csize[i] = n_i
@@ -233,9 +240,11 @@ def make_nonredundant(td, ops=None):
             p = find(tree_parent)
             if c_i == n_i:
                 rep[i] = p  # cluster nested in parent: fold node upward
+                contracted = True
             elif c_i == csize[p]:
                 # parent cluster nested here: parent class adopts this cluster
                 rep[p] = i
+                contracted = True
                 cluster_of[i] = x
                 csize[i] = n_i
                 for v in x:
@@ -249,6 +258,10 @@ def make_nonredundant(td, ops=None):
         for j in td.neighbors[i]:
             if j != tree_parent:
                 stack.append((j, i))
+    if ops is not None:
+        ops.add(work)
+    if not contracted:
+        return td
     # class_order lists creation-time roots; adoption may have moved a class
     # to a new root, so compress to final representatives keeping first seen
     final = []
@@ -319,16 +332,17 @@ def _weight_sweep(td, start, ops=None):
     weight = {}
     parent = {start: None}
     order = []
+    work = 0
     stack = [(start, None, 0)]
     while stack:
         i, p, wp = stack.pop()
+        cl = td.clusters[i]
         fresh = 0
-        for x in td.clusters[i]:
+        for x in cl:
             if not seen[x]:
                 seen[x] = True
                 fresh += 1
-        if ops is not None:
-            ops.add(len(td.clusters[i]) + 1)
+        work += len(cl) + 1
         w = wp + fresh
         weight[i] = w
         order.append(i)
@@ -336,7 +350,10 @@ def _weight_sweep(td, start, ops=None):
             if j != p:
                 parent[j] = i
                 stack.append((j, i, w))
+    if ops is not None:
+        ops.add(work)
     return weight, parent, order
+
 
 def _argmax(weight, order):
     best = order[0]

@@ -1,9 +1,18 @@
 import json
 
+import pytest
 from click.testing import CliRunner
 
+from treecut import engine
 from treecut.cli import main
-from treecut.fileio import load_graph, load_td, save_graph, save_td
+from treecut.errors import GraphFormatError
+from treecut.fileio import (
+    load_graph,
+    load_td,
+    parse_graph,
+    save_graph,
+    save_td,
+)
 from treecut.generators import path_graph, random_graph_with_td
 from treecut.treedec import tree_to_width1_td
 
@@ -68,6 +77,15 @@ def test_bisect_report(tmp_path):
     assert d["width"] <= d["bound"]
 
 
+def test_bisect_width_above_bound_exits_2(tmp_path, monkeypatch):
+    monkeypatch.setattr(engine, "bound_value", lambda t, delta, r: 0)
+    g = path_graph(10)
+    gp, tp = _write_instance(tmp_path, g, tree_to_width1_td(g))
+    res = CliRunner().invoke(main, ["bisect", "--graph", gp, "--td", tp])
+    assert res.exit_code == 2, res.output
+    assert "exceeds the bound" in res.output
+
+
 def test_cut_exact_size(tmp_path):
     runner = CliRunner()
     g, td = random_graph_with_td(15, 2, 3)
@@ -129,6 +147,28 @@ def test_dimacs_input(tmp_path):
                  + "".join("e %d %d\n" % (v, v + 1) for v in range(1, 7)))
     g2 = load_graph(gp)
     assert g2.n == 7 and sorted(g2.edges()) == sorted(path_graph(7).edges())
+
+
+MALFORMED_GRAPHS = ["1 x\n", "p 3\n", "3 1\ne 1\n"]
+
+
+@pytest.mark.parametrize("text", MALFORMED_GRAPHS)
+def test_parse_graph_rejects_malformed_lines(text):
+    with pytest.raises(GraphFormatError):
+        parse_graph(text)
+
+
+@pytest.mark.parametrize("text", MALFORMED_GRAPHS)
+def test_bisect_malformed_graph_exits_2(tmp_path, text):
+    gp = str(tmp_path / "g.edges")
+    with open(gp, "w") as fh:
+        fh.write(text)
+    _, tp = _write_instance(tmp_path, path_graph(3),
+                            tree_to_width1_td(path_graph(3)))
+    res = CliRunner().invoke(main, ["bisect", "--graph", gp, "--td", tp])
+    assert res.exit_code == 2, res.output
+    assert "error:" in res.output
+    assert "Traceback" not in res.output
 
 
 def test_graph_json_roundtrip(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import p6_td, run_checked, spider_fixture
+from treecut import engine
 from treecut.engine import (
     bound_value,
     exact_size_cut,
@@ -14,6 +15,7 @@ from treecut.engine import (
     minimum_bisection,
     tricut_width,
 )
+from treecut.errors import InternalInvariant
 from treecut.generators import (
     grid_graph,
     grid_td,
@@ -147,3 +149,13 @@ def test_exact_cut_property(n, width, seed):
     assert rep.width <= rep.bound + 1e-9
     naive = sum(1 for u, v in g.edges() if (u in b) != (v in b))
     assert naive == rep.width
+
+
+def test_width_above_bound_is_an_internal_error(monkeypatch):
+    g = path_graph(10)
+    td = tree_to_width1_td(g)
+    monkeypatch.setattr(engine, "bound_value", lambda t, delta, r: 0)
+    with pytest.raises(InternalInvariant):
+        exact_size_cut_linear(g, td, 5)
+    # the trivial sizes cut nothing, so a zero bound still holds
+    assert exact_size_cut_linear(g, td, 0)[1].width == 0

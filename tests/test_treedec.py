@@ -1,10 +1,15 @@
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import p6_td, y_shaped_td
-from treecut.errors import EmptyDecomposition, RedundantPath
+from treecut.errors import (
+    DecompositionFormatError,
+    EmptyDecomposition,
+    RedundantPath,
+)
 from treecut.generators import (
     make_instance,
     path_graph,
@@ -66,6 +71,18 @@ def test_json_round_trip():
     assert back.nodes == td.nodes
     assert back.clusters == td.clusters
     assert sorted(back.edges()) == sorted(td.edges())
+
+
+@pytest.mark.parametrize("entry", ["a", 1.5, True])
+@pytest.mark.parametrize("graph_n", [3, None])
+def test_from_json_rejects_non_int_cluster_entries(entry, graph_n):
+    obj = {"nodes": [{"id": 1, "cluster": [2, entry]},
+                     {"id": 2, "cluster": [2, 3]}],
+           "edges": [[1, 2]]}
+    if graph_n is not None:
+        obj["graph_n"] = graph_n
+    with pytest.raises(DecompositionFormatError):
+        TreeDecomposition.from_json(json.dumps(obj))
 
 
 def test_make_nonredundant_duplicate_pair():
