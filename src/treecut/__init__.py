@@ -5,11 +5,9 @@ from .engine import (
     CutReport,
     bound_value,
     doubling_step,
-    exact_size_cut,
     exact_size_cut_linear,
     legible_bound,
     minimum_bisection,
-    tricut_width,
 )
 from .graph import (
     Graph,
@@ -19,13 +17,7 @@ from .graph import (
     max_degree,
     relative_diameter,
 )
-from .labeling import (
-    CircularIndex,
-    PLabeling,
-    build_plabeling,
-    cluster_boundary_edges,
-    decompose_by_node,
-)
+from .labeling import CircularIndex, PLabeling, build_plabeling
 from .treedec import (
     TreeDecomposition,
     ValidityReport,
@@ -34,9 +26,17 @@ from .treedec import (
     is_nonredundant_path,
     make_nonredundant,
     path_weight,
-    restrict,
     tree_to_width1_td,
     validate,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "ApproxCutResult", "CircularIndex", "CutReport", "Graph", "PLabeling",
+    "Partition", "TreeDecomposition", "ValidityReport", "WeightReport",
+    "approximate_cut", "bound_value", "build_plabeling",
+    "compute_subtree_weights", "cut_width", "doubling_step",
+    "exact_size_cut_linear", "heaviest_path", "is_nonredundant_path",
+    "legible_bound", "longest_path_in_tree", "make_nonredundant", "max_degree",
+    "minimum_bisection", "path_weight", "relative_diameter",
+    "tree_to_width1_td", "validate",
+]

@@ -17,10 +17,8 @@ class SubtreeWeights:
     root: int
     order: list          # preorder over nodes
     parent: dict
-    cluster_size: dict   # |X_i|
-    overlap: dict        # |X_i meets parent cluster|
     total: dict          # vertices covered by the subtree at i
-    reduced: dict        # total minus overlap
+    reduced: dict        # total minus the overlap with the parent cluster
     children: dict       # children sorted by reduced weight, heaviest first
 
 
@@ -82,8 +80,7 @@ def compute_subtree_weights(td, root=None, ops=None):
             children[parent[j]].append(j)
     if ops is not None:
         ops.add(top + len(order))
-    return SubtreeWeights(root, order, parent, csize, overlap, total, reduced,
-                          children)
+    return SubtreeWeights(root, order, parent, total, reduced, children)
 
 
 @dataclass

@@ -6,7 +6,7 @@ import io
 import json
 from dataclasses import asdict, dataclass
 
-from .engine import exact_size_cut, exact_size_cut_linear
+from .engine import exact_size_cut_linear
 from .generators import make_instance
 from .oracle import brute_force_min_bisection, tree_dp_min_bisection
 
@@ -25,7 +25,6 @@ class BenchRow:
     steps: int
     ops: int
     seconds: float
-    width_first: int | None = None
     oracle_width: int | None = None
 
 
@@ -47,7 +46,7 @@ def _params_for(family, n):
     return {"n": n}
 
 
-def run_bench(families, sizes, seed=0, differential=False, with_oracle=False):
+def run_bench(families, sizes, seed=0, with_oracle=False):
     rows = []
     for family in families:
         for n in sizes:
@@ -60,9 +59,6 @@ def run_bench(families, sizes, seed=0, differential=False, with_oracle=False):
                            "%d/%d" % (rep.r.numerator, rep.r.denominator),
                            rep.width, rep.bound, rep.legible_bound,
                            len(rep.steps), rep.ops, rep.seconds)
-            if differential:
-                _, rep_first = exact_size_cut(g, td, m)
-                row.width_first = rep_first.width
             if with_oracle:
                 if g.n <= 16:
                     row.oracle_width, _ = brute_force_min_bisection(g)

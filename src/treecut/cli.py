@@ -12,7 +12,7 @@ import click
 
 from .approxcut import approximate_cut
 from .bench import rows_to_csv, rows_to_json, run_bench
-from .engine import exact_size_cut, exact_size_cut_linear, minimum_bisection
+from .engine import exact_size_cut_linear, minimum_bisection
 from .errors import TreecutError
 from .fileio import load_graph, load_td, save_graph, save_td
 from .generators import make_instance
@@ -27,9 +27,17 @@ from .treedec import validate
 def _guard(fn):
     try:
         return fn()
-    except TreecutError as exc:
+    except (TreecutError, click.BadParameter) as exc:
         click.echo("error: %s" % exc, err=True)
         sys.exit(2)
+
+
+def _int_list(text, option):
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise click.BadParameter("%s wants comma separated integers, got %r"
+                                 % (option, text)) from None
 
 
 @click.group()
@@ -60,7 +68,7 @@ def gen(family, n, h, k, legs, spine, hairs, width, seed, out_graph, out_td):
             if val is not None:
                 kw[key] = val
         if legs is not None:
-            kw["legs"] = [int(x) for x in legs.split(",")]
+            kw["legs"] = _int_list(legs, "--legs")
         g, td = make_instance(family, **kw)
         save_graph(g, out_graph)
         save_td(td, out_td)
@@ -105,19 +113,17 @@ def _print_report(rep, report_path):
 @click.option("--graph", "graph_path", required=True, type=click.Path(exists=True))
 @click.option("--td", "td_path", required=True, type=click.Path(exists=True))
 @click.option("--m", type=int, default=None, help="part size (default n//2)")
-@click.option("--impl", type=click.Choice(["linear", "first"]), default="linear")
 @click.option("--report", "report_path", default=None,
               help="write a JSON report here ('-' for stdout)")
-def bisect(graph_path, td_path, m, impl, report_path):
+def bisect(graph_path, td_path, m, report_path):
     """Minimum-bisection style cut with a provable width bound."""
     def run():
         g = load_graph(graph_path)
         td = load_td(td_path)
         if m is None:
-            _, rep = minimum_bisection(g, td, impl=impl)
+            _, rep = minimum_bisection(g, td)
         else:
-            driver = exact_size_cut_linear if impl == "linear" else exact_size_cut
-            _, rep = driver(g, td, m)
+            _, rep = exact_size_cut_linear(g, td, m)
         _print_report(rep, report_path)
     _guard(run)
 
@@ -126,15 +132,13 @@ def bisect(graph_path, td_path, m, impl, report_path):
 @click.option("--graph", "graph_path", required=True, type=click.Path(exists=True))
 @click.option("--td", "td_path", required=True, type=click.Path(exists=True))
 @click.option("--m", type=int, required=True)
-@click.option("--impl", type=click.Choice(["linear", "first"]), default="linear")
 @click.option("--report", "report_path", default=None)
-def cut(graph_path, td_path, m, impl, report_path):
+def cut(graph_path, td_path, m, report_path):
     """Cut with exactly m vertices on one side."""
     def run():
         g = load_graph(graph_path)
         td = load_td(td_path)
-        driver = exact_size_cut_linear if impl == "linear" else exact_size_cut
-        b, rep = driver(g, td, m)
+        b, rep = exact_size_cut_linear(g, td, m)
         click.echo("B = %s" % " ".join(map(str, b)))
         _print_report(rep, report_path)
     _guard(run)
@@ -150,7 +154,11 @@ def approx_cut_cmd(td_path, m, c_str, graph_path):
     """Cut with c*m < |B| <= m opening few clusters."""
     def run():
         td = load_td(td_path)
-        c = Fraction(c_str)
+        try:
+            c = Fraction(c_str)
+        except (ValueError, ZeroDivisionError):
+            raise click.BadParameter("--c wants a decimal or p/q, got %r"
+                                     % c_str) from None
         g = load_graph(graph_path) if graph_path else None
         res = approximate_cut(td, m, c, g=g)
         click.echo("B = %s" % " ".join(map(str, res.b_vertices)))
@@ -187,18 +195,14 @@ def oracle_cmd(graph_path, m, method):
                                     "random-tree,grid")
 @click.option("--sizes", default="100,1000")
 @click.option("--seed", type=int, default=0)
-@click.option("--differential", is_flag=True,
-              help="also run the rebuild-per-round driver")
 @click.option("--oracle", "with_oracle", is_flag=True)
 @click.option("--json", "as_json", is_flag=True)
 @click.option("--out", "out_path", default=None, type=click.Path())
-def bench_cmd(families, sizes, seed, differential, with_oracle, as_json,
-              out_path):
+def bench_cmd(families, sizes, seed, with_oracle, as_json, out_path):
     """Sweep the families and report widths, bounds and runtimes."""
     def run():
         rows = run_bench([f.strip() for f in families.split(",") if f.strip()],
-                         [int(s) for s in sizes.split(",")],
-                         seed=seed, differential=differential,
+                         _int_list(sizes, "--sizes"), seed=seed,
                          with_oracle=with_oracle)
         text = rows_to_json(rows) if as_json else rows_to_csv(rows)
         if out_path:

@@ -18,7 +18,7 @@ from .approxcut import approximate_cut
 from .errors import BadSize, InternalInvariant, InvalidDecomposition
 from .graph import cut_width, max_degree
 from .labeling import CircularIndex, build_plabeling
-from .treedec import TreeDecomposition, make_nonredundant, restrict
+from .treedec import TreeDecomposition, make_nonredundant
 from .util import OpsCounter
 
 
@@ -40,20 +40,15 @@ class StepResult:
     z_vertices: list
     w_before: Fraction
     w_after: Fraction | None
-    n_before: int
-    m: int
-    special_node: int | None  # node whose hanging part was split
-    anchor: int | None        # node whose hanging tree leaves the instance
-    far_anchor: int | None
 
 
-def doubling_step(pl, m, mutate=True, ops=None):
+def doubling_step(pl, m, ops=None):
     """One step of the cut construction on the current labeling state.
 
     Returns the vertices added to B and, unless the step was direct, the
-    remainder set Z. With `mutate`, the labeling shrinks in place to the
-    instance induced by Z (labels reassigned in ascending old-label order,
-    path list pruned, the anchor's hanging tree dropped).
+    remainder set Z. The labeling then shrinks in place to the instance
+    induced by Z (labels reassigned in ascending old-label order, path list
+    pruned, the anchor's hanging tree dropped); `pl.td` is left untouched.
     """
     n = pl.n
     if not 1 <= m <= n:
@@ -70,8 +65,7 @@ def doubling_step(pl, m, mutate=True, ops=None):
             b = [av[(lab - 1 + k) % n + 1] for k in range(1, m + 1)]
             if ops is not None:
                 ops.add(n + m)
-            return StepResult("direct", b, [], w_before, None, n, m,
-                              None, None, None)
+            return StepResult("direct", b, [], w_before, None)
     if ops is not None:
         ops.add(n)
     # otherwise the path clusters cover at most half the vertices
@@ -179,20 +173,19 @@ def doubling_step(pl, m, mutate=True, ops=None):
     w_after = Fraction(core_kept, z_len)
     if w_after < 2 * w_before:
         raise InternalInvariant("path weight share failed to double")
-    if mutate:
-        marked = set(ap[x] for x in zverts)
-        for p in pl.path_nodes:
-            if p not in marked:
-                pl.hang.pop(p, None)
-        pl.hang[anchor] = []
-        pl.path_nodes = [p for p in pl.path_nodes if p in marked]
-        for k, x in enumerate(zverts):
-            al[x] = k + 1
-        pl.vertex_of = [0] + zverts
-        pl.n = z_len
-        if ops is not None:
-            ops.add(z_len + len(marked))
-    return StepResult(kind, b, zverts, w_before, w_after, n, m, i, anchor, far)
+    marked = set(ap[x] for x in zverts)
+    for p in pl.path_nodes:
+        if p not in marked:
+            pl.hang.pop(p, None)
+    pl.hang[anchor] = []
+    pl.path_nodes = [p for p in pl.path_nodes if p in marked]
+    for k, x in enumerate(zverts):
+        al[x] = k + 1
+    pl.vertex_of = [0] + zverts
+    pl.n = z_len
+    if ops is not None:
+        ops.add(z_len + len(marked))
+    return StepResult(kind, b, zverts, w_before, w_after)
 
 
 @dataclass
@@ -202,9 +195,6 @@ class StepRecord:
     z_size: int
     w_before: Fraction
     w_after: Fraction | None
-    b_vertices: list | None = None
-    z_vertices: list | None = None
-    vertices_before: list | None = None
 
 
 @dataclass
@@ -217,7 +207,6 @@ class CutReport:
     width: int
     bound: float
     legible_bound: float
-    impl: str
     steps: list
     ops: int
     seconds: float
@@ -230,7 +219,6 @@ class CutReport:
             "width": self.width,
             "bound": self.bound,
             "legible_bound": self.legible_bound,
-            "impl": self.impl,
             "ops": self.ops,
             "seconds": self.seconds,
             "b_vertices": self.b_vertices,
@@ -253,7 +241,7 @@ def _step_budget_ok(r0, steps):
     return steps <= 1 or Fraction(2) ** (steps - 1) <= 1 / r0
 
 
-def _finish(g, td, m, b_total, steps, r0, impl, ops, t_start):
+def _finish(g, td, m, b_total, steps, r0, ops, t_start):
     if len(b_total) != m:
         raise InternalInvariant("cut has %d vertices, wanted %d"
                                 % (len(b_total), m))
@@ -271,87 +259,42 @@ def _finish(g, td, m, b_total, steps, r0, impl, ops, t_start):
         raise InternalInvariant("cut width %d exceeds the bound %.2f"
                                 % (width, bound))
     return CutReport(g.n, m, t, delta, r0, width, bound,
-                     legible_bound(t, delta, r0), impl, steps, ops.total,
+                     legible_bound(t, delta, r0), steps, ops.total,
                      time.perf_counter() - t_start, sorted(b_total))
 
 
-def exact_size_cut_linear(g, td0, m, keep_sets=False):
+def exact_size_cut_linear(g, td0, m):
     """Cut with exactly m vertices on one side, one labeling build.
 
     The labeling is constructed once and shrunk in place after every step,
-    so total work stays proportional to the decomposition size. `keep_sets`
-    records per-step vertex sets in the trace (for verification harnesses).
+    so total work stays proportional to the decomposition size. Returns the
+    sorted cut side and a CutReport.
     """
-    report = _drive(g, td0, m, "linear", keep_sets)
-    return report.b_vertices, report
-
-
-def exact_size_cut(g, td0, m, keep_sets=False):
-    """Reference driver: rebuilds path and labeling from scratch each round.
-
-    Slower (an extra factor of the round count) but structurally simpler;
-    kept for differential testing against the in-place driver.
-    """
-    report = _drive(g, td0, m, "first", keep_sets)
-    return report.b_vertices, report
-
-
-def _drive(g, td0, m, impl, keep_sets):
     if not 0 <= m <= g.n:
         raise BadSize("m=%r outside 0..%d" % (m, g.n))
     ops = OpsCounter()
     t_start = time.perf_counter()
     td = make_nonredundant(td0, ops=ops)
-    b_total = []
-    steps = []
-    last_z = []
-    cur_td = td
-    pl = build_plabeling(cur_td, ops=ops)
+    pl = build_plabeling(td, ops=ops)
     _check_coverage(pl, g.n)
     r0 = pl.relative_weight()
-    if m == 0:
-        return _finish(g, td, m, [], [], r0, impl, ops, t_start)
-    while True:
-        if impl == "first" and steps:
-            # fresh instance: restrict to the remainder and rebuild everything
-            cur_td = make_nonredundant(restrict(cur_td, None, set(last_z)),
-                                       ops=ops)
-            pl = build_plabeling(cur_td, ops=ops)
-        res = doubling_step(pl, m - len(b_total), mutate=(impl == "linear"),
-                            ops=ops)
+    b_total = []
+    steps = []
+    while len(b_total) < m:
+        res = doubling_step(pl, m - len(b_total), ops=ops)
         b_total.extend(res.b_vertices)
-        last_z = res.z_vertices
-        steps.append(StepRecord(
-            res.kind, len(res.b_vertices), len(res.z_vertices),
-            res.w_before, res.w_after,
-            list(res.b_vertices) if keep_sets else None,
-            list(res.z_vertices) if keep_sets else None,
-            None))
-        if res.kind == "direct" or len(b_total) == m:
+        steps.append(StepRecord(res.kind, len(res.b_vertices),
+                                len(res.z_vertices), res.w_before,
+                                res.w_after))
+        if res.kind == "direct":
             break
-    return _finish(g, td, m, b_total, steps, r0, impl, ops, t_start)
+    report = _finish(g, td, m, b_total, steps, r0, ops, t_start)
+    return report.b_vertices, report
 
 
-def minimum_bisection(g, td, impl="linear"):
+def minimum_bisection(g, td):
     """Partition into floor(n/2) and ceil(n/2) vertices of bounded width."""
-    m = g.n // 2
-    driver = exact_size_cut_linear if impl == "linear" else exact_size_cut
-    b, report = driver(g, td, m)
+    b, report = exact_size_cut_linear(g, td, g.n // 2)
     bset = set(b)
     w = [v for v in g.vertices if v not in bset]
     return (b, w), report
-
-
-def tricut_width(g, vertices, b, z):
-    """Crossing edges of the induced subgraph under the 3-way split B/Z/rest."""
-    vs = set(vertices)
-    bs = set(b)
-    zs = set(z)
-    total = 0
-    for u, v in g.edges():
-        if u in vs and v in vs:
-            cu = 0 if u in bs else (1 if u in zs else 2)
-            cv = 0 if v in bs else (1 if v in zs else 2)
-            if cu != cv:
-                total += 1
-    return total

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 
-from .errors import GraphFormatError
+from .errors import DecompositionFormatError, GraphFormatError
 from .graph import Graph
 from .treedec import TreeDecomposition
 
@@ -64,9 +64,16 @@ def graph_from_json(text):
         raise GraphFormatError("bad graph JSON: %s" % exc)
 
 
+def _read_text(path, error):
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise error("cannot decode %s: %s" % (path, exc)) from None
+
+
 def load_graph(path):
-    with open(path) as fh:
-        text = fh.read()
+    text = _read_text(path, GraphFormatError)
     if str(path).endswith(".json"):
         return graph_from_json(text)
     return parse_graph(text)
@@ -81,8 +88,8 @@ def save_graph(g, path):
 
 
 def load_td(path):
-    with open(path) as fh:
-        return TreeDecomposition.from_json(fh.read())
+    return TreeDecomposition.from_json(
+        _read_text(path, DecompositionFormatError))
 
 
 def save_td(td, path):

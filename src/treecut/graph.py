@@ -39,9 +39,6 @@ class Graph:
     def vertices(self):
         return range(1, self.n + 1)
 
-    def degree(self, v):
-        return len(self.adj[v])
-
     def edges(self):
         """Yield each edge once as (u, v) with u < v."""
         for u in self.vertices:
@@ -96,25 +93,21 @@ def _component(g, s):
 class Partition:
     """Partition of 1..n into labeled classes; class 0 is conventionally B."""
 
-    __slots__ = ("n", "classes", "class_of")
+    __slots__ = ("n", "class_of")
 
     def __init__(self, n, classes):
         class_of = [-1] * (n + 1)
-        sets = []
         for idx, cls in enumerate(classes):
-            s = set(cls)
-            for v in s:
+            for v in set(cls):
                 if not (1 <= v <= n):
                     raise PartitionInvalid("vertex %r out of range" % (v,))
                 if class_of[v] != -1:
                     raise PartitionInvalid("vertex %d in two classes" % v)
                 class_of[v] = idx
-            sets.append(s)
         missing = [v for v in range(1, n + 1) if class_of[v] == -1]
         if missing:
             raise PartitionInvalid("uncovered vertices, e.g. %d" % missing[0])
         self.n = n
-        self.classes = sets
         self.class_of = class_of
 
 

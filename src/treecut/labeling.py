@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InternalInvariant, RedundantPath
-from .treedec import TreeDecomposition, heaviest_path, orient_path
+from .treedec import heaviest_path, orient_path
 
 
 class CircularIndex:
@@ -39,10 +39,6 @@ class CircularIndex:
                 return
             cur = cur % self.n + 1
 
-    def between(self, a, x, b):
-        """True if x lies in the circular interval a..b inclusive."""
-        return (x - a) % self.n <= (b - a) % self.n
-
 
 class PLabeling:
     """Label arrays for one path of a decomposition.
@@ -53,28 +49,19 @@ class PLabeling:
     vertices go stale (membership checks go through `vertex_of`).
     """
 
-    __slots__ = ("td", "n", "n0", "label_of", "vertex_of", "is_path_vertex",
-                 "path_node_of", "path_nodes", "hang", "ops")
+    __slots__ = ("td", "n", "label_of", "vertex_of", "is_path_vertex",
+                 "path_node_of", "path_nodes", "hang")
 
     def __init__(self, td, n, label_of, vertex_of, is_path_vertex,
                  path_node_of, path_nodes, hang):
         self.td = td
         self.n = n
-        self.n0 = td.graph_n
         self.label_of = label_of
         self.vertex_of = vertex_of
         self.is_path_vertex = is_path_vertex
         self.path_node_of = path_node_of
         self.path_nodes = path_nodes
         self.hang = hang
-        self.ops = 0
-
-    @property
-    def start_node(self):
-        return self.path_nodes[0]
-
-    def circular(self):
-        return CircularIndex(self.n)
 
     def holds(self, x):
         """Is vertex x still part of the current instance?"""
@@ -116,30 +103,6 @@ class PLabeling:
     def relative_weight(self):
         return Fraction(self.core_count(), self.n)
 
-    def restricted_td(self):
-        """Current instance as an explicit decomposition (tests, checks)."""
-        nodes = []
-        edges = []
-        hangs = self.hang
-        for k, i in enumerate(self.path_nodes):
-            if k:
-                edges.append((self.path_nodes[k - 1], i))
-            nodes.append(i)
-            for child, par in hangs[i]:
-                nodes.append(child)
-                edges.append((par, child))
-        clusters = {i: [x for x in self.td.clusters[i] if self.holds(x)]
-                    for i in nodes}
-        return TreeDecomposition(nodes, edges, clusters, self.n0)
-
-    def debug_dump(self):
-        """One line per path node with the label spans of its block."""
-        lines = []
-        for i, (a, r, b) in self.blocks().items():
-            hang_part = "-" if r == a else "%d..%d" % (a, r - 1)
-            lines.append("node %d: hanging %s cluster %d..%d" % (i, hang_part, r, b))
-        return "\n".join(lines)
-
 
 def build_plabeling(td, path_nodes=None, ops=None):
     """Construct the label arrays for a path of td (heaviest path if omitted).
@@ -170,7 +133,6 @@ def build_plabeling(td, path_nodes=None, ops=None):
     label_of = [0] * (n0 + 1)
     path_node_of = [0] * (n0 + 1)
     vertex_of = [0]
-    counted = 0
     work = 0
     for i in path:
         # hanging vertices first (deepest nodes first), then fresh cluster
@@ -190,32 +152,9 @@ def build_plabeling(td, path_nodes=None, ops=None):
                 fresh += 1
         if fresh == 0:
             raise RedundantPath("path node %r adds no cluster vertex" % i)
-        counted += fresh
         work += len(td.clusters[i]) + len(hang[i]) + 1
     if ops is not None:
         ops.add(work)
-    pl = PLabeling(td, len(vertex_of) - 1, label_of, vertex_of, is_pv,
-                   path_node_of, path, hang)
-    return pl
+    return PLabeling(td, len(vertex_of) - 1, label_of, vertex_of, is_pv,
+                     path_node_of, path, hang)
 
-
-def cluster_boundary_edges(g, td, i):
-    """Edges of g with at least one endpoint in the cluster of node i."""
-    cluster = set(td.clusters[i])
-    return [(u, v) for u, v in g.edges() if u in cluster or v in cluster]
-
-
-def decompose_by_node(g, td, pl, i):
-    """Vertex parts left when the boundary edges of path node i are removed:
-    the label prefix before i's block, the hanging vertices of i, the label
-    suffix after the block, and each cluster vertex of i on its own."""
-    blocks = pl.blocks()
-    if i not in blocks:
-        raise InternalInvariant("node %r is not a path node" % i)
-    a, r, b = blocks[i]
-    prefix = {pl.vertex_of[l] for l in range(1, a)}
-    hanging = {pl.vertex_of[l] for l in range(a, r)}
-    suffix = {pl.vertex_of[l] for l in range(b + 1, pl.n + 1)}
-    parts = [prefix, hanging, suffix]
-    parts.extend({pl.vertex_of[l]} for l in range(r, b + 1))
-    return [p for p in parts if p]

@@ -32,6 +32,9 @@ class TreeDecomposition:
         nodes = list(nodes)
         if not nodes:
             raise DecompositionFormatError("a decomposition needs at least one node")
+        for i in nodes:
+            if type(i) is not int:
+                raise DecompositionFormatError("node id %r is not an int" % (i,))
         if len(set(nodes)) != len(nodes):
             raise DecompositionFormatError("duplicate node ids")
         node_set = set(nodes)
@@ -88,12 +91,6 @@ class TreeDecomposition:
         for i in self.nodes:
             seen.update(self.clusters[i])
         return len(seen)
-
-    def covered_vertices(self):
-        seen = set()
-        for i in self.nodes:
-            seen.update(self.clusters[i])
-        return seen
 
     def to_json(self):
         return json.dumps({
@@ -282,35 +279,10 @@ def make_nonredundant(td, ops=None):
                              td.graph_n)
 
 
-def restrict(td, keep_nodes=None, vertex_filter=None, extra_edge=None):
-    """Sub-decomposition on `keep_nodes` with clusters filtered to a vertex set.
-
-    `vertex_filter` is a container or predicate; `extra_edge` lets the caller
-    re-join two kept nodes when the kept set is disconnected in the tree.
-    The result must again be a tree.
-    """
-    if keep_nodes is None:
-        keep_nodes = list(td.nodes)
-    kept = set(keep_nodes)
-    if vertex_filter is None:
-        member = lambda x: True
-    elif callable(vertex_filter):
-        member = vertex_filter
-    else:
-        allowed = set(vertex_filter)
-        member = allowed.__contains__
-    edges = [(a, b) for a, b in td.edges() if a in kept and b in kept]
-    if extra_edge is not None:
-        edges.append(extra_edge)
-    clusters = {i: [x for x in td.clusters[i] if member(x)] for i in keep_nodes}
-    return TreeDecomposition(keep_nodes, edges, clusters, td.graph_n)
-
-
 @dataclass
 class WeightReport:
     path_weight: int
     relative_weight: Fraction
-    is_heaviest: bool
 
 
 def path_weight(td, path_nodes):
@@ -363,12 +335,11 @@ def _argmax(weight, order):
     return best
 
 
-def heaviest_path(td, n_vertices=None, ops=None):
+def heaviest_path(td, ops=None):
     """Tree path maximizing the union of its clusters, via two DFS sweeps.
 
     Ties stick with the first maximum in discovery order. Returns the node
-    sequence and a weight report; `n_vertices` overrides the denominator of
-    the relative weight (defaults to the host graph order).
+    sequence and a weight report relative to the host graph order.
     """
     start = min(td.nodes)
     w1, _, order1 = _weight_sweep(td, start, ops)
@@ -379,9 +350,7 @@ def heaviest_path(td, n_vertices=None, ops=None):
     while path[-1] != a:
         path.append(parent[path[-1]])
     path.reverse()
-    if n_vertices is None:
-        n_vertices = td.graph_n
-    return path, WeightReport(w2[b], Fraction(w2[b], n_vertices), True)
+    return path, WeightReport(w2[b], Fraction(w2[b], td.graph_n))
 
 
 def is_nonredundant_path(td, path_nodes):

@@ -1,8 +1,12 @@
-"""Shared fixtures and the checked step-by-step runner used by several tests."""
+"""Shared fixtures, test-only inspection helpers, the rebuild-per-round
+reference driver, and the checked step-by-step runner used by several tests."""
 import math
+import time
 from fractions import Fraction
 
-from treecut.engine import doubling_step, tricut_width
+from treecut import engine
+from treecut.engine import StepRecord, doubling_step
+from treecut.errors import BadSize, InternalInvariant
 from treecut.generators import make_instance, random_graph_with_td
 from treecut.graph import max_degree
 from treecut.labeling import build_plabeling
@@ -32,6 +36,122 @@ def y_shaped_td():
 def spider_fixture():
     """Spider with three legs of length 8 (n=25) and its width-1 decomposition."""
     return make_instance("spider", legs=[8, 8, 8])
+
+
+def between(ci, a, x, b):
+    """True if label x lies in the circular interval a..b of `ci`."""
+    return (x - a) % ci.n <= (b - a) % ci.n
+
+
+def tricut_width(g, vertices, b, z):
+    """Crossing edges of the induced subgraph under the 3-way split B/Z/rest."""
+    vs = set(vertices)
+    bs = set(b)
+    zs = set(z)
+    total = 0
+    for u, v in g.edges():
+        if u in vs and v in vs:
+            cu = 0 if u in bs else (1 if u in zs else 2)
+            cv = 0 if v in bs else (1 if v in zs else 2)
+            if cu != cv:
+                total += 1
+    return total
+
+
+def cluster_boundary_edges(g, td, i):
+    """Edges of g with at least one endpoint in the cluster of node i."""
+    cluster = set(td.clusters[i])
+    return [(u, v) for u, v in g.edges() if u in cluster or v in cluster]
+
+
+def decompose_by_node(g, td, pl, i):
+    """Vertex parts left when the boundary edges of path node i are removed:
+    the label prefix before i's block, the hanging vertices of i, the label
+    suffix after the block, and each cluster vertex of i on its own."""
+    blocks = pl.blocks()
+    if i not in blocks:
+        raise InternalInvariant("node %r is not a path node" % i)
+    a, r, b = blocks[i]
+    prefix = {pl.vertex_of[l] for l in range(1, a)}
+    hanging = {pl.vertex_of[l] for l in range(a, r)}
+    suffix = {pl.vertex_of[l] for l in range(b + 1, pl.n + 1)}
+    parts = [prefix, hanging, suffix]
+    parts.extend({pl.vertex_of[l]} for l in range(r, b + 1))
+    return [p for p in parts if p]
+
+
+def restricted_td(pl):
+    """Current instance of labeling `pl` as an explicit decomposition."""
+    nodes = []
+    edges = []
+    for k, i in enumerate(pl.path_nodes):
+        if k:
+            edges.append((pl.path_nodes[k - 1], i))
+        nodes.append(i)
+        for child, par in pl.hang[i]:
+            nodes.append(child)
+            edges.append((par, child))
+    clusters = {i: [x for x in pl.td.clusters[i] if pl.holds(x)]
+                for i in nodes}
+    return TreeDecomposition(nodes, edges, clusters, pl.td.graph_n)
+
+
+def debug_dump(pl):
+    """One line per path node of `pl` with the label spans of its block."""
+    lines = []
+    for i, (a, r, b) in pl.blocks().items():
+        hang_part = "-" if r == a else "%d..%d" % (a, r - 1)
+        lines.append("node %d: hanging %s cluster %d..%d" % (i, hang_part, r, b))
+    return "\n".join(lines)
+
+
+def restrict(td, keep_nodes=None, vertex_filter=None):
+    """Sub-decomposition on `keep_nodes` with clusters filtered to the
+    container `vertex_filter`. The result must again be a tree."""
+    if keep_nodes is None:
+        keep_nodes = list(td.nodes)
+    kept = set(keep_nodes)
+    allowed = None if vertex_filter is None else set(vertex_filter)
+    edges = [(a, b) for a, b in td.edges() if a in kept and b in kept]
+    clusters = {i: [x for x in td.clusters[i] if allowed is None or x in allowed]
+                for i in keep_nodes}
+    return TreeDecomposition(keep_nodes, edges, clusters, td.graph_n)
+
+
+def exact_size_cut(g, td0, m):
+    """Reference driver: rebuilds path and labeling from scratch each round.
+
+    Slower than `exact_size_cut_linear` by a factor of the round count but
+    structurally simpler: each round restricts the decomposition to the
+    remainder, normalizes it again and builds a fresh labeling, so it serves
+    as the differential reference for the in-place driver. Returns the
+    sorted cut side and a CutReport.
+    """
+    if not 0 <= m <= g.n:
+        raise BadSize("m=%r outside 0..%d" % (m, g.n))
+    ops = OpsCounter()
+    t_start = time.perf_counter()
+    td = make_nonredundant(td0, ops=ops)
+    pl = build_plabeling(td, ops=ops)
+    engine._check_coverage(pl, g.n)
+    r0 = pl.relative_weight()
+    cur_td = td
+    b_total = []
+    steps = []
+    while len(b_total) < m:
+        if steps:
+            cur_td = make_nonredundant(restrict(cur_td, None, set(res.z_vertices)),
+                                       ops=ops)
+            pl = build_plabeling(cur_td, ops=ops)
+        res = doubling_step(pl, m - len(b_total), ops=ops)
+        b_total.extend(res.b_vertices)
+        steps.append(StepRecord(res.kind, len(res.b_vertices),
+                                len(res.z_vertices), res.w_before,
+                                res.w_after))
+        if res.kind == "direct":
+            break
+    report = engine._finish(g, td, m, b_total, steps, r0, ops, t_start)
+    return report.b_vertices, report
 
 
 def run_checked(g, td0, m):
@@ -69,7 +189,7 @@ def run_checked(g, td0, m):
         cap = math.log2(16.0 / float(res.w_before)) * t * delta
         w3 = tricut_width(g, cur, res.b_vertices, res.z_vertices)
         assert w3 <= cap + 1e-9, (w3, cap)
-        shrunk = pl.restricted_td()
+        shrunk = restricted_td(pl)
         report = validate(g, shrunk, vertices=set(pl.current_vertices()))
         assert report.ok, report.witness
         b_total.extend(res.b_vertices)

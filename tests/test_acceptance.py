@@ -8,13 +8,14 @@ import random
 import time
 from fractions import Fraction
 
-from helpers import acceptance_corpus, run_checked, small_fixtures
-from treecut.approxcut import approximate_cut
-from treecut.engine import (
+from helpers import (
+    acceptance_corpus,
     exact_size_cut,
-    exact_size_cut_linear,
-    minimum_bisection,
+    run_checked,
+    small_fixtures,
 )
+from treecut.approxcut import approximate_cut
+from treecut.engine import exact_size_cut_linear, minimum_bisection
 from treecut.generators import (
     grid_graph,
     grid_td,
@@ -35,7 +36,6 @@ from treecut.labeling import build_plabeling
 from treecut.treedec import (
     heaviest_path,
     make_nonredundant,
-    restrict,
     tree_to_width1_td,
     validate,
 )

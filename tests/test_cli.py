@@ -90,8 +90,7 @@ def test_cut_exact_size(tmp_path):
     runner = CliRunner()
     g, td = random_graph_with_td(15, 2, 3)
     gp, tp = _write_instance(tmp_path, g, td)
-    res = runner.invoke(main, ["cut", "--graph", gp, "--td", tp, "--m", "4",
-                               "--impl", "first"])
+    res = runner.invoke(main, ["cut", "--graph", gp, "--td", tp, "--m", "4"])
     assert res.exit_code == 0, res.output
     b_line = [l for l in res.output.splitlines() if l.startswith("B = ")][0]
     assert len(b_line.split()[2:]) == 4
@@ -183,3 +182,45 @@ def test_graph_json_roundtrip(tmp_path):
     assert {i: sorted(c) for i, c in td2.clusters.items()} == \
         {i: sorted(c) for i, c in td.clusters.items()}
     assert td2.graph_n == td.graph_n
+
+
+def _assert_usage_error(res):
+    assert res.exit_code == 2, res.output
+    assert res.output.count("error:") == 1
+    assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("args", [
+    ["approx-cut", "--td", "{td}", "--m", "2", "--c", "abc"],
+    ["approx-cut", "--td", "{td}", "--m", "2", "--c", "1/0"],
+    ["gen", "--family", "spider", "--legs", "a,b",
+     "--out-graph", "{out}.edges", "--out-td", "{out}.json"],
+    ["bench", "--families", "path", "--sizes", "1x"],
+])
+def test_bad_arguments_exit_2(tmp_path, args):
+    g = path_graph(4)
+    _, tp = _write_instance(tmp_path, g, tree_to_width1_td(g))
+    args = [a.format(td=tp, out=tmp_path / "out") for a in args]
+    _assert_usage_error(CliRunner().invoke(main, args))
+
+
+def test_non_int_node_id_exits_2(tmp_path):
+    gp, _ = _write_instance(tmp_path, path_graph(3),
+                            tree_to_width1_td(path_graph(3)))
+    tp = str(tmp_path / "mixed.json")
+    with open(tp, "w") as fh:
+        json.dump({"nodes": [{"id": 1, "cluster": [1, 2]},
+                             {"id": "b", "cluster": [2, 3]}],
+                   "edges": [[1, "b"]]}, fh)
+    res = CliRunner().invoke(main, ["bisect", "--graph", gp, "--td", tp])
+    _assert_usage_error(res)
+
+
+@pytest.mark.parametrize("which", ["graph", "td"])
+def test_non_utf8_input_exits_2(tmp_path, which):
+    gp, tp = _write_instance(tmp_path, path_graph(3),
+                             tree_to_width1_td(path_graph(3)))
+    with open(gp if which == "graph" else tp, "wb") as fh:
+        fh.write(b"\xff\xfe\x00bad")
+    res = CliRunner().invoke(main, ["bisect", "--graph", gp, "--td", tp])
+    _assert_usage_error(res)

@@ -5,15 +5,19 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import p6_td, run_checked, spider_fixture
+from helpers import (
+    exact_size_cut,
+    p6_td,
+    run_checked,
+    spider_fixture,
+    tricut_width,
+)
 from treecut import engine
 from treecut.engine import (
     bound_value,
-    exact_size_cut,
     exact_size_cut_linear,
     legible_bound,
     minimum_bisection,
-    tricut_width,
 )
 from treecut.errors import InternalInvariant
 from treecut.generators import (
@@ -125,7 +129,7 @@ def test_report_json():
     _, rep = minimum_bisection(g, tree_to_width1_td(g))
     d = json.loads(rep.to_json())
     for key in ("n", "m", "t", "delta", "r", "width", "bound",
-                "legible_bound", "impl", "steps", "ops", "seconds",
+                "legible_bound", "steps", "ops", "seconds",
                 "b_vertices"):
         assert key in d
     num, den = d["r"].split("/")

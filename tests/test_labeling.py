@@ -3,7 +3,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import p6_td, spider_fixture
+from helpers import (
+    between,
+    cluster_boundary_edges,
+    debug_dump,
+    decompose_by_node,
+    p6_td,
+    restrict,
+    restricted_td,
+    spider_fixture,
+)
 from treecut.errors import RedundantPath
 from treecut.generators import (
     make_instance,
@@ -11,17 +20,11 @@ from treecut.generators import (
     random_graph_with_td,
     star_graph,
 )
-from treecut.labeling import (
-    CircularIndex,
-    build_plabeling,
-    cluster_boundary_edges,
-    decompose_by_node,
-)
+from treecut.labeling import CircularIndex, build_plabeling
 from treecut.treedec import (
     TreeDecomposition,
     heaviest_path,
     make_nonredundant,
-    restrict,
     validate,
 )
 
@@ -34,8 +37,8 @@ def test_circular_index():
     assert ci.span(5, 2) == 4
     assert ci.span(3, 3) == 1
     assert list(ci.labels(5, 2)) == [5, 6, 1, 2]
-    assert ci.between(5, 6, 2)
-    assert not ci.between(5, 3, 2)
+    assert between(ci, 5, 6, 2)
+    assert not between(ci, 5, 3, 2)
 
 
 def test_p6_labels_follow_path_order():
@@ -181,7 +184,7 @@ def test_decompose_property(n, width, seed):
 
 def test_debug_dump_golden_p6():
     pl = build_plabeling(p6_td())
-    assert pl.debug_dump() == (
+    assert debug_dump(pl) == (
         "node 5: hanging - cluster 1..2\n"
         "node 4: hanging - cluster 3..3\n"
         "node 3: hanging - cluster 4..4\n"
@@ -193,7 +196,7 @@ def test_debug_dump_golden_p6():
 def test_debug_dump_golden_spider():
     _, td0 = spider_fixture()
     pl = build_plabeling(make_nonredundant(td0))
-    lines = pl.debug_dump().splitlines()
+    lines = debug_dump(pl).splitlines()
     assert len(lines) == 17  # two legs plus the center's own node
     assert sum("hanging -" not in line for line in lines) == 1
 
@@ -202,7 +205,7 @@ def test_restricted_td_reproduces_current_state():
     g, td0 = random_graph_with_td(25, 3, 7)
     td = make_nonredundant(td0)
     pl = build_plabeling(td)
-    again = pl.restricted_td()
+    again = restricted_td(pl)
     assert validate(g, again, vertices=set(pl.current_vertices())).ok
     # rebuilding on the explicit restriction gives the same assignments
     fresh = build_plabeling(again, pl.path_nodes)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import p6_td, y_shaped_td
+from helpers import p6_td, restrict, y_shaped_td
 from treecut.errors import (
     DecompositionFormatError,
     EmptyDecomposition,
@@ -27,7 +27,6 @@ from treecut.treedec import (
     make_nonredundant,
     orient_path,
     path_weight,
-    restrict,
     tree_to_width1_td,
     validate,
 )
@@ -83,6 +82,24 @@ def test_from_json_rejects_non_int_cluster_entries(entry, graph_n):
         obj["graph_n"] = graph_n
     with pytest.raises(DecompositionFormatError):
         TreeDecomposition.from_json(json.dumps(obj))
+
+
+NON_INT_IDS = ["b", 2.0, True, [2]]
+
+
+@pytest.mark.parametrize("node_id", NON_INT_IDS)
+def test_from_json_rejects_non_int_node_ids(node_id):
+    obj = {"nodes": [{"id": 1, "cluster": [1, 2]},
+                     {"id": node_id, "cluster": [2, 3]}],
+           "edges": [[1, node_id]]}
+    with pytest.raises(DecompositionFormatError):
+        TreeDecomposition.from_json(json.dumps(obj))
+
+
+@pytest.mark.parametrize("node_id", NON_INT_IDS)
+def test_constructor_rejects_non_int_node_ids(node_id):
+    with pytest.raises(DecompositionFormatError):
+        TreeDecomposition([1, node_id], [(1, node_id)], {1: [1, 2]}, 3)
 
 
 def test_make_nonredundant_duplicate_pair():
