@@ -7,6 +7,7 @@ import json
 from dataclasses import asdict, dataclass
 
 from .engine import exact_size_cut_linear
+from .errors import BadSize
 from .generators import make_instance
 from .oracle import brute_force_min_bisection, tree_dp_min_bisection
 
@@ -47,6 +48,9 @@ def _params_for(family, n):
 
 
 def run_bench(families, sizes, seed=0, with_oracle=False):
+    for n in sizes:
+        if n < 1:
+            raise BadSize("bench size %r is below 1" % (n,))
     rows = []
     for family in families:
         for n in sizes:

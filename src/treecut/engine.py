@@ -157,7 +157,8 @@ def doubling_step(pl, m, ops=None):
             sub_clusters[child] = cl
             if ops is not None:
                 ops.add(len(pl.td.clusters[child]) + 1)
-        sub = TreeDecomposition(sub_nodes, sub_edges, sub_clusters, s_size)
+        sub = TreeDecomposition._trusted(sub_nodes, sub_edges, sub_clusters,
+                                         s_size)
         b2 = [av[k + a_i - 1]
               for k in approximate_cut(sub, mt, c, ops=ops).b_vertices]
     b = b1 + b2

@@ -23,6 +23,8 @@ def star_graph(leaves):
 
 def spider_graph(leg_lengths):
     """Center vertex 1 with one path of each given length attached."""
+    if any(length < 0 for length in leg_lengths):
+        raise BadSize("negative leg length")
     edges = []
     nxt = 2
     for length in leg_lengths:
@@ -104,11 +106,12 @@ def grid_td(k):
     sliding windows of k+1 consecutive row-major vertices."""
     n = k * k
     if k == 1:
-        return TreeDecomposition([1], [], {1: [1]}, 1)
+        return TreeDecomposition._trusted([1], [], {1: [1]}, 1)
     count = n - k
     clusters = {i: list(range(i, i + k + 1)) for i in range(1, count + 1)}
     edges = [(i, i + 1) for i in range(1, count)]
-    return TreeDecomposition(list(range(1, count + 1)), edges, clusters, n)
+    return TreeDecomposition._trusted(list(range(1, count + 1)), edges,
+                                      clusters, n)
 
 
 def random_graph_with_td(n, width, seed=0, edge_prob=0.5):
@@ -137,7 +140,8 @@ def random_graph_with_td(n, width, seed=0, edge_prob=0.5):
         nxt += fresh
         clusters[node] = cluster
         td_edges.append((parent, node))
-    td = TreeDecomposition(list(range(1, node + 1)), td_edges, clusters, n)
+    td = TreeDecomposition._trusted(list(range(1, node + 1)), td_edges,
+                                    clusters, n)
     edge_pool = set()
     for i in td.nodes:
         cl = clusters[i]

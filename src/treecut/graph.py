@@ -98,10 +98,13 @@ class Partition:
     def __init__(self, n, classes):
         class_of = [-1] * (n + 1)
         for idx, cls in enumerate(classes):
-            for v in set(cls):
+            for v in cls:
                 if not (1 <= v <= n):
                     raise PartitionInvalid("vertex %r out of range" % (v,))
-                if class_of[v] != -1:
+                c = class_of[v]
+                if c != -1:
+                    if c == idx:
+                        continue  # repeated within its own class
                     raise PartitionInvalid("vertex %d in two classes" % v)
                 class_of[v] = idx
         missing = [v for v in range(1, n + 1) if class_of[v] == -1]

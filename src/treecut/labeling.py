@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InternalInvariant, RedundantPath
-from .treedec import heaviest_path, orient_path
+from .treedec import heaviest_path
 
 
 class CircularIndex:
@@ -105,56 +105,76 @@ class PLabeling:
 
 
 def build_plabeling(td, path_nodes=None, ops=None):
-    """Construct the label arrays for a path of td (heaviest path if omitted).
+    """Construct the label arrays for a tree path of td (heaviest if omitted).
 
-    The path is oriented so it starts nonredundantly; RedundantPath is
-    raised when neither orientation works.
+    The path is labeled in the given orientation, or reversed when that one
+    does not start nonredundantly; RedundantPath is raised when neither
+    works. By cluster connectivity a path node adds no new vertex exactly
+    when its cluster is contained in its predecessor's, so labeling itself
+    decides the orientation.
     """
     if path_nodes is None:
         path_nodes, _ = heaviest_path(td, ops=ops)
-    path = orient_path(td, path_nodes)
-    n0 = td.graph_n
-    path_set = set(path)
-    is_pv = bytearray(n0 + 1)
-    for i in path:
-        for x in td.clusters[i]:
-            is_pv[x] = 1
+    clusters, neighbors = td.clusters, td.neighbors
+    path_set = set(path_nodes)
+    is_pv = bytearray(td.graph_n + 1)
     # hanging trees: components of the tree minus path edges, keyed by the
     # path node they attach to; stored as (child, parent) pairs in DFS order
     hang = {}
-    for i in path:
+    work = 0
+    for i in path_nodes:
+        for x in clusters[i]:
+            is_pv[x] = 1
         pairs = []
-        stack = [(w, i) for w in reversed(td.neighbors[i]) if w not in path_set]
+        stack = [(w, i) for w in reversed(neighbors[i]) if w not in path_set]
+        pop, push = stack.pop, stack.append
         while stack:
-            v, p = stack.pop()
+            v, p = pop()
             pairs.append((v, p))
-            stack.extend((w, v) for w in td.neighbors[v] if w != p)
+            for w in neighbors[v]:
+                if w != p:
+                    push((w, v))
         hang[i] = pairs
+        work += len(clusters[i]) + len(pairs) + 1
+    path = list(path_nodes)
+    labels = _assign_labels(clusters, td.graph_n, path, is_pv, hang)
+    if labels is None:
+        path.reverse()
+        labels = _assign_labels(clusters, td.graph_n, path, is_pv, hang)
+        if labels is None:
+            raise RedundantPath("neither end of the path is a nonredundant start")
+    if ops is not None:
+        ops.add(work)
+    label_of, vertex_of, path_node_of = labels
+    return PLabeling(td, len(vertex_of) - 1, label_of, vertex_of, is_pv,
+                     path_node_of, path, hang)
+
+
+def _assign_labels(clusters, n0, path, is_pv, hang):
+    """(label_of, vertex_of, path_node_of) for `path` in this orientation,
+    or None when some path node adds no new cluster vertex."""
     label_of = [0] * (n0 + 1)
     path_node_of = [0] * (n0 + 1)
     vertex_of = [0]
-    work = 0
+    append = vertex_of.append
+    k = 0
     for i in path:
         # hanging vertices first (deepest nodes first), then fresh cluster
         # vertices, so cluster vertices close the block
         for v, _ in reversed(hang[i]):
-            for x in td.clusters[v]:
+            for x in clusters[v]:
                 if not is_pv[x] and not label_of[x]:
-                    vertex_of.append(x)
-                    label_of[x] = len(vertex_of) - 1
+                    k += 1
+                    append(x)
+                    label_of[x] = k
                     path_node_of[x] = i
-        fresh = 0
-        for x in td.clusters[i]:
+        hanging_end = k
+        for x in clusters[i]:
             if not label_of[x]:
-                vertex_of.append(x)
-                label_of[x] = len(vertex_of) - 1
+                k += 1
+                append(x)
+                label_of[x] = k
                 path_node_of[x] = i
-                fresh += 1
-        if fresh == 0:
-            raise RedundantPath("path node %r adds no cluster vertex" % i)
-        work += len(td.clusters[i]) + len(hang[i]) + 1
-    if ops is not None:
-        ops.add(work)
-    return PLabeling(td, len(vertex_of) - 1, label_of, vertex_of, is_pv,
-                     path_node_of, path, hang)
-
+        if k == hanging_end:
+            return None
+    return label_of, vertex_of, path_node_of

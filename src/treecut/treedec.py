@@ -14,7 +14,6 @@ from .errors import (
     DecompositionFormatError,
     EmptyDecomposition,
     NotATree,
-    RedundantPath,
 )
 from .graph import longest_path_in_tree
 
@@ -23,10 +22,12 @@ class TreeDecomposition:
     """Tree over node ids with a vertex cluster per node.
 
     Immutable by convention. Node ids are arbitrary ints; freshly built
-    decompositions use dense ids starting at 1.
+    decompositions use dense ids starting at 1. `heavy_end` caches the node
+    where heaviest_path's final sweep starts; make_nonredundant fills it in
+    from its own traversal, and it is None until then.
     """
 
-    __slots__ = ("nodes", "neighbors", "clusters", "graph_n")
+    __slots__ = ("nodes", "neighbors", "clusters", "graph_n", "heavy_end")
 
     def __init__(self, nodes, edges, clusters, graph_n):
         nodes = list(nodes)
@@ -35,14 +36,18 @@ class TreeDecomposition:
         for i in nodes:
             if type(i) is not int:
                 raise DecompositionFormatError("node id %r is not an int" % (i,))
-        if len(set(nodes)) != len(nodes):
-            raise DecompositionFormatError("duplicate node ids")
-        node_set = set(nodes)
         neighbors = {i: [] for i in nodes}
+        if len(neighbors) != len(nodes):
+            raise DecompositionFormatError("duplicate node ids")
         if len(edges) != len(nodes) - 1:
             raise DecompositionFormatError("node/edge counts do not form a tree")
-        for a, b in edges:
-            if a not in node_set or b not in node_set or a == b:
+        for e in edges:
+            try:
+                a, b = e
+            except (TypeError, ValueError):
+                raise DecompositionFormatError("bad tree edge %r" % (e,)) from None
+            if (type(a) is not int or type(b) is not int or a not in neighbors
+                    or b not in neighbors or a == b):
                 raise DecompositionFormatError("bad tree edge (%r, %r)" % (a, b))
             neighbors[a].append(b)
             neighbors[b].append(a)
@@ -59,18 +64,40 @@ class TreeDecomposition:
         cl = {}
         for i in nodes:
             c = list(clusters.get(i, ()))
-            if len(set(c)) != len(c):
-                raise DecompositionFormatError("duplicate vertex in cluster %r" % i)
             for x in c:
                 if type(x) is not int or not 1 <= x <= graph_n:
                     raise DecompositionFormatError(
                         "vertex %r in cluster %r is not an int in 1..%r"
                         % (x, i, graph_n))
+            if len(set(c)) != len(c):
+                raise DecompositionFormatError("duplicate vertex in cluster %r" % i)
             cl[i] = c
         self.nodes = nodes
         self.neighbors = neighbors
         self.clusters = cl
         self.graph_n = graph_n
+        self.heavy_end = None
+
+    @classmethod
+    def _trusted(cls, nodes, edges, clusters, graph_n):
+        """Unchecked constructor for decompositions the package builds itself.
+
+        The caller guarantees what __init__ checks: `nodes` is a list of
+        distinct ints, `edges` form a tree over them, and `clusters` maps
+        every node to a list of distinct ints in 1..graph_n. The lists are
+        kept, not copied.
+        """
+        td = cls.__new__(cls)
+        neighbors = {i: [] for i in nodes}
+        for a, b in edges:
+            neighbors[a].append(b)
+            neighbors[b].append(a)
+        td.nodes = nodes
+        td.neighbors = neighbors
+        td.clusters = clusters
+        td.graph_n = graph_n
+        td.heavy_end = None
+        return td
 
     def edges(self):
         for a in self.nodes:
@@ -200,64 +227,61 @@ def make_nonredundant(td, ops=None):
     same vertices.
 
     When nothing contracts, `td` itself is returned, not a copy; callers
-    must not mutate the result. Otherwise the result is a new decomposition
-    with dense node ids 1..k in discovery order.
+    must not mutate the result. The pass is then exactly heaviest_path's
+    first sweep, so its endpoint is stored in `td.heavy_end`. Otherwise the
+    result is a new decomposition with dense node ids 1..k in discovery
+    order.
     """
-    if all(not td.clusters[i] for i in td.nodes):
+    clusters, neighbors = td.clusters, td.neighbors
+    if all(not clusters[i] for i in td.nodes):
         raise EmptyDecomposition("every cluster is empty")
     root = min(td.nodes)
-    rep = {i: i for i in td.nodes}
+    rep = {}  # contracted node -> node of its class, until the class root
 
     def find(i):
-        while rep[i] != i:
-            rep[i] = rep[rep[i]]
-            i = rep[i]
+        while i in rep:
+            j = rep[i]
+            if j in rep:
+                j = rep[j]
+                rep[i] = j  # path halving
+            i = j
         return i
 
-    cluster_of = {}
-    csize = {}
     seen = [False] * (td.graph_n + 1)
     class_order = []
-    contracted = False
     work = 0
-    stack = [(root, None)]
+    best, best_w = root, -1  # first node of greatest path weight from root
+    stack = [(root, None, 0)]
+    pop, push = stack.pop, stack.append
     while stack:
-        i, tree_parent = stack.pop()
-        x = td.clusters[i]
-        n_i = len(x)
-        c_i = sum(1 for v in x if seen[v])
-        work += n_i + 1
-        if tree_parent is None:
-            cluster_of[i] = x
-            csize[i] = n_i
-            class_order.append(i)
-            for v in x:
+        i, tree_parent, w = pop()
+        x = clusters[i]
+        fresh = 0
+        for v in x:
+            if not seen[v]:
                 seen[v] = True
+                fresh += 1
+        work += len(x) + 1
+        w += fresh
+        if w > best_w:
+            best, best_w = i, w
+        if tree_parent is None:
+            class_order.append(i)
         else:
-            p = find(tree_parent)
-            if c_i == n_i:
+            p = find(tree_parent) if rep else tree_parent
+            if not fresh:
                 rep[i] = p  # cluster nested in parent: fold node upward
-                contracted = True
-            elif c_i == csize[p]:
-                # parent cluster nested here: parent class adopts this cluster
-                rep[p] = i
-                contracted = True
-                cluster_of[i] = x
-                csize[i] = n_i
-                for v in x:
-                    seen[v] = True
+            elif len(x) - fresh == len(clusters[p]):
+                rep[p] = i  # parent cluster nested here: parent class adopts it
             else:
-                cluster_of[i] = x
-                csize[i] = n_i
                 class_order.append(i)
-                for v in x:
-                    seen[v] = True
-        for j in td.neighbors[i]:
+        for j in neighbors[i]:
             if j != tree_parent:
-                stack.append((j, i))
+                push((j, i, w))
     if ops is not None:
         ops.add(work)
-    if not contracted:
+    if not rep:
+        td.heavy_end = best
         return td
     # class_order lists creation-time roots; adoption may have moved a class
     # to a new root, so compress to final representatives keeping first seen
@@ -274,9 +298,9 @@ def make_nonredundant(td, ops=None):
         fa, fb = find(a), find(b)
         if fa != fb:
             edges.append((new_id[fa], new_id[fb]))
-    clusters = {new_id[f]: cluster_of[f] for f in final}
-    return TreeDecomposition(list(range(1, len(final) + 1)), edges, clusters,
-                             td.graph_n)
+    return TreeDecomposition._trusted(
+        list(range(1, len(final) + 1)), edges,
+        {new_id[f]: clusters[f] for f in final}, td.graph_n)
 
 
 @dataclass
@@ -294,63 +318,56 @@ def path_weight(td, path_nodes):
 
 
 def _weight_sweep(td, start, ops=None):
-    """DFS from `start`; returns (weights, parents) for path unions.
+    """DFS from `start`; returns (end, weight, parents).
 
-    weights[i] = |union of clusters on the tree path start..i|. Relies on
+    The weight of node i is |union of clusters on the tree path start..i|;
+    `end` is the first node of greatest weight in discovery order. Relies on
     cluster connectivity: any previously seen vertex recurring in a cluster
     must already sit in the parent cluster.
     """
+    clusters, neighbors = td.clusters, td.neighbors
     seen = [False] * (td.graph_n + 1)
-    weight = {}
-    parent = {start: None}
-    order = []
+    parent = {}
+    best, best_w = start, -1
     work = 0
     stack = [(start, None, 0)]
+    pop, push = stack.pop, stack.append
     while stack:
-        i, p, wp = stack.pop()
-        cl = td.clusters[i]
-        fresh = 0
+        i, p, w = pop()
+        cl = clusters[i]
         for x in cl:
             if not seen[x]:
                 seen[x] = True
-                fresh += 1
+                w += 1
         work += len(cl) + 1
-        w = wp + fresh
-        weight[i] = w
-        order.append(i)
-        for j in td.neighbors[i]:
+        if w > best_w:
+            best, best_w = i, w
+        for j in neighbors[i]:
             if j != p:
                 parent[j] = i
-                stack.append((j, i, w))
+                push((j, i, w))
     if ops is not None:
         ops.add(work)
-    return weight, parent, order
-
-
-def _argmax(weight, order):
-    best = order[0]
-    for i in order:
-        if weight[i] > weight[best]:
-            best = i
-    return best
+    return best, best_w, parent
 
 
 def heaviest_path(td, ops=None):
     """Tree path maximizing the union of its clusters, via two DFS sweeps.
 
-    Ties stick with the first maximum in discovery order. Returns the node
+    The first sweep, from the smallest node id, is skipped when
+    make_nonredundant already found its endpoint (`td.heavy_end`). Ties
+    stick with the first maximum in discovery order. Returns the node
     sequence and a weight report relative to the host graph order.
     """
-    start = min(td.nodes)
-    w1, _, order1 = _weight_sweep(td, start, ops)
-    a = _argmax(w1, order1)
-    w2, parent, order2 = _weight_sweep(td, a, ops)
-    b = _argmax(w2, order2)
+    a = td.heavy_end
+    if a is None:
+        a = _weight_sweep(td, min(td.nodes), ops)[0]
+    b, weight, parent = _weight_sweep(td, a, ops)
     path = [b]
     while path[-1] != a:
         path.append(parent[path[-1]])
     path.reverse()
-    return path, WeightReport(w2[b], Fraction(w2[b], td.graph_n))
+    return path, WeightReport(weight, Fraction(weight, td.graph_n))
 
 
 def is_nonredundant_path(td, path_nodes):
@@ -368,16 +385,6 @@ def is_nonredundant_path(td, path_nodes):
     return True
 
 
-def orient_path(td, path_nodes):
-    """Return the sequence oriented so its first node is a valid start."""
-    if is_nonredundant_path(td, path_nodes):
-        return list(path_nodes)
-    rev = list(reversed(path_nodes))
-    if is_nonredundant_path(td, rev):
-        return rev
-    raise RedundantPath("neither end of the path is a nonredundant start")
-
-
 def tree_to_width1_td(g):
     """Width-1 decomposition of a tree: one node per edge, clusters are the
     edge endpoints, and a longest path of the tree maps onto a tree path of
@@ -386,7 +393,7 @@ def tree_to_width1_td(g):
     if not g.is_tree():
         raise NotATree("input must be a connected acyclic graph")
     if g.n == 1:
-        return TreeDecomposition([1], [], {1: [1]}, 1)
+        return TreeDecomposition._trusted([1], [], {1: [1]}, 1)
     spine = longest_path_in_tree(g)
     root = spine[0]
     # DFS from the longest-path end; each non-root vertex owns its parent edge
@@ -419,4 +426,5 @@ def tree_to_width1_td(g):
                 edges.append((node_of[v], anchor))
         else:
             edges.append((node_of[v], node_of[p]))
-    return TreeDecomposition(list(range(1, len(order) + 1)), edges, clusters, g.n)
+    return TreeDecomposition._trusted(list(range(1, len(order) + 1)), edges,
+                                      clusters, g.n)

@@ -6,11 +6,16 @@ from fractions import Fraction
 
 from treecut import engine
 from treecut.engine import StepRecord, doubling_step
-from treecut.errors import BadSize, InternalInvariant
+from treecut.errors import BadSize, InternalInvariant, RedundantPath
 from treecut.generators import make_instance, random_graph_with_td
 from treecut.graph import max_degree
 from treecut.labeling import build_plabeling
-from treecut.treedec import TreeDecomposition, make_nonredundant, validate
+from treecut.treedec import (
+    TreeDecomposition,
+    is_nonredundant_path,
+    make_nonredundant,
+    validate,
+)
 from treecut.util import OpsCounter
 
 
@@ -78,6 +83,16 @@ def decompose_by_node(g, td, pl, i):
     parts = [prefix, hanging, suffix]
     parts.extend({pl.vertex_of[l]} for l in range(r, b + 1))
     return [p for p in parts if p]
+
+
+def orient_path(td, path_nodes):
+    """Return the sequence oriented so its first node is a valid start."""
+    if is_nonredundant_path(td, path_nodes):
+        return list(path_nodes)
+    rev = list(reversed(path_nodes))
+    if is_nonredundant_path(td, rev):
+        return rev
+    raise RedundantPath("neither end of the path is a nonredundant start")
 
 
 def restricted_td(pl):

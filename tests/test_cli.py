@@ -5,7 +5,8 @@ from click.testing import CliRunner
 
 from treecut import engine
 from treecut.cli import main
-from treecut.errors import GraphFormatError
+from treecut.bench import run_bench
+from treecut.errors import BadSize, GraphFormatError
 from treecut.fileio import (
     load_graph,
     load_td,
@@ -139,6 +140,12 @@ def test_bench_csv(tmp_path):
     assert len(lines) == 5  # header + 2 families * 2 sizes
 
 
+def test_run_bench_rejects_sizes_below_1():
+    for n in (0, -4):
+        with pytest.raises(BadSize):
+            run_bench(["path"], [10, n])
+
+
 def test_dimacs_input(tmp_path):
     gp = str(tmp_path / "g.col")
     with open(gp, "w") as fh:
@@ -196,6 +203,11 @@ def _assert_usage_error(res):
     ["gen", "--family", "spider", "--legs", "a,b",
      "--out-graph", "{out}.edges", "--out-td", "{out}.json"],
     ["bench", "--families", "path", "--sizes", "1x"],
+    ["bench", "--families", "grid", "--sizes", "-4"],
+    ["bench", "--families", "ternary", "--sizes", "-4"],
+    ["bench", "--families", "path", "--sizes", "10,0"],
+    ["gen", "--family", "spider", "--legs", "-2,3",
+     "--out-graph", "{out}.edges", "--out-td", "{out}.json"],
 ])
 def test_bad_arguments_exit_2(tmp_path, args):
     g = path_graph(4)

@@ -3,7 +3,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from treecut.errors import GraphFormatError, NotAForest, NotATree, PartitionInvalid
+from treecut.errors import (
+    BadSize,
+    GraphFormatError,
+    NotAForest,
+    NotATree,
+    PartitionInvalid,
+)
 from treecut.generators import (
     path_graph,
     random_tree,
@@ -46,8 +52,20 @@ def test_partition_validation():
         cut_width(g, [{1, 2}, {2, 3, 4}])
     with pytest.raises(PartitionInvalid):
         cut_width(g, [{1, 2}, {4}])
+    with pytest.raises(PartitionInvalid):
+        Partition(4, [[1, 2, 1], [3, 4, 0]])
+    with pytest.raises(PartitionInvalid):
+        Partition(4, [[1, 2], [3, 4, 2, 3]])
     p = Partition(4, [{1, 2}, set(), {3, 4}])
     assert p.class_of[3] == 2
+    # a vertex repeated within its own class is accepted
+    assert Partition(4, [[1, 2, 1], [3, 4, 4]]).class_of == [-1, 0, 0, 1, 1]
+
+
+def test_spider_rejects_negative_leg():
+    with pytest.raises(BadSize):
+        spider_graph([-2, 3])
+    assert spider_graph([0, 2]).n == 3
 
 
 def test_longest_path_p6_is_whole_path():

@@ -1,10 +1,18 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import p6_td, restrict, y_shaped_td
+from helpers import (
+    acceptance_corpus,
+    orient_path,
+    p6_td,
+    restrict,
+    run_checked,
+    y_shaped_td,
+)
 from treecut.errors import (
     DecompositionFormatError,
     EmptyDecomposition,
@@ -25,7 +33,6 @@ from treecut.treedec import (
     heaviest_path,
     is_nonredundant_path,
     make_nonredundant,
-    orient_path,
     path_weight,
     tree_to_width1_td,
     validate,
@@ -100,6 +107,98 @@ def test_from_json_rejects_non_int_node_ids(node_id):
 def test_constructor_rejects_non_int_node_ids(node_id):
     with pytest.raises(DecompositionFormatError):
         TreeDecomposition([1, node_id], [(1, node_id)], {1: [1, 2]}, 3)
+
+
+@pytest.mark.parametrize("args", [
+    ([1, 2], [([1], 2)], {1: [1], 2: [1]}, 1),
+    ([1], [], {1: [[1]]}, 1),
+    ([1, 2], [(1, 2, 3)], {1: [1], 2: [1]}, 1),
+    ([1, 2], [5], {1: [1], 2: [1]}, 1),
+])
+def test_constructor_rejects_unhashable_entries(args):
+    with pytest.raises(DecompositionFormatError):
+        TreeDecomposition(*args)
+
+
+def test_trusted_decompositions_pass_the_validating_constructor(monkeypatch):
+    """Every decomposition the package builds unchecked comes out the same
+    from the validating constructor."""
+    trusted = TreeDecomposition._trusted.__func__
+    callers = set()
+
+    def checked(cls, nodes, edges, clusters, graph_n):
+        td = trusted(cls, nodes, edges, clusters, graph_n)
+        again = TreeDecomposition(nodes, edges, clusters, graph_n)
+        assert again.nodes == td.nodes
+        assert again.neighbors == td.neighbors
+        assert again.clusters == td.clusters
+        assert again.graph_n == td.graph_n
+        callers.add(sys._getframe(1).f_code.co_name)
+        return td
+
+    monkeypatch.setattr(TreeDecomposition, "_trusted", classmethod(checked))
+    for label, g, td in acceptance_corpus():
+        run_checked(g, td, g.n // 2)
+    assert callers == {"tree_to_width1_td", "grid_td", "random_graph_with_td",
+                       "make_nonredundant", "doubling_step"}
+
+
+@st.composite
+def redundant_tds(draw):
+    """A random decomposition with nested nodes spliced in (edges subdivided
+    by the intersection of their ends, leaves holding a prefix of their
+    neighbour's cluster) and node ids shuffled."""
+    g, td = random_graph_with_td(draw(st.integers(2, 30)),
+                                 draw(st.integers(1, 4)),
+                                 draw(st.integers(0, 1000)))
+    edges = list(td.edges())
+    clusters = dict(td.clusters)
+    nxt = len(td.nodes) + 1
+    if edges:
+        for a, b in draw(st.lists(st.sampled_from(edges), max_size=4,
+                                  unique=True)):
+            edges.remove((a, b))
+            edges += [(a, nxt), (nxt, b)]
+            clusters[nxt] = [x for x in clusters[a] if x in clusters[b]]
+            nxt += 1
+    for i in draw(st.lists(st.integers(1, nxt - 1), max_size=4)):
+        clusters[nxt] = clusters[i][:draw(st.integers(0, len(clusters[i])))]
+        edges.append((i, nxt))
+        nxt += 1
+    new_id = [0] + draw(st.permutations(range(1, nxt)))
+    return g, TreeDecomposition(
+        [new_id[i] for i in range(1, nxt)],
+        [(new_id[a], new_id[b]) for a, b in edges],
+        {new_id[i]: c for i, c in clusters.items()}, g.n)
+
+
+def _check_normalized(td):
+    """make_nonredundant leaves no nested adjacent pair, and the endpoint it
+    hands to heaviest_path gives the same path as the sweep from scratch.
+    Returns whether the input passed through."""
+    out = make_nonredundant(td)
+    for a, b in out.edges():
+        ca, cb = set(out.clusters[a]), set(out.clusters[b])
+        assert not ca <= cb and not cb <= ca
+    assert (out.heavy_end is not None) == (out is td)
+    handed = heaviest_path(out)
+    end, out.heavy_end = out.heavy_end, None
+    assert heaviest_path(out) == handed
+    out.heavy_end = end
+    return out is td
+
+
+def test_normalized_corpus_has_no_nested_pairs_and_same_heaviest_path():
+    kinds = [_check_normalized(td) for _, _, td in acceptance_corpus()]
+    assert any(kinds) and not all(kinds)
+
+
+@settings(max_examples=80, deadline=None)
+@given(redundant_tds())
+def test_normalized_random_has_no_nested_pairs_and_same_heaviest_path(inst):
+    g, td = inst
+    assert validate(g, td).ok
+    _check_normalized(td)
 
 
 def test_make_nonredundant_duplicate_pair():
