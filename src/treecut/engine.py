@@ -248,11 +248,15 @@ def _finish(g, td, m, b_total, steps, r0, ops, t_start):
                                 % (len(b_total), m))
     if not _step_budget_ok(r0, len(steps)):
         raise InternalInvariant("step budget exceeded")
-    bset = set(b_total)
-    if len(bset) != m:
-        raise InternalInvariant("duplicate vertices in the cut")
-    rest = [v for v in g.vertices if v not in bset]
-    width = cut_width(g, [b_total, rest]) if 0 < m < g.n else 0
+    n = g.n
+    side = bytearray(n + 1)  # 1 marks a vertex of the cut side B
+    for v in b_total:
+        if not 0 < v <= n:
+            raise InternalInvariant("cut vertex %r outside 1..%d" % (v, n))
+        if side[v]:
+            raise InternalInvariant("duplicate vertices in the cut")
+        side[v] = 1
+    width = cut_width(g, side) if 0 < m < n else 0
     t = td.width() + 1
     delta = max_degree(g)
     bound = bound_value(t, delta, r0)

@@ -107,9 +107,12 @@ class Partition:
                         continue  # repeated within its own class
                     raise PartitionInvalid("vertex %d in two classes" % v)
                 class_of[v] = idx
-        missing = [v for v in range(1, n + 1) if class_of[v] == -1]
-        if missing:
-            raise PartitionInvalid("uncovered vertices, e.g. %d" % missing[0])
+        try:
+            v = class_of.index(-1, 1)
+        except ValueError:
+            pass  # every vertex is covered
+        else:
+            raise PartitionInvalid("uncovered vertices, e.g. %d" % v)
         self.n = n
         self.class_of = class_of
 
@@ -117,17 +120,31 @@ class Partition:
 def cut_width(g, partition):
     """Number of edges of g whose endpoints lie in different classes.
 
-    `partition` is a Partition or an iterable of vertex collections covering
-    the vertex set disjointly (empty classes allowed).
+    `partition` is a Partition, an iterable of vertex collections covering
+    the vertex set disjointly (empty classes allowed), or a side array: a
+    bytes or bytearray of length n + 1 holding the class of each vertex at
+    its index (index 0 unused), taken as is.
     """
-    if not isinstance(partition, Partition):
-        partition = Partition(g.n, list(partition))
-    cls = partition.class_of
-    return sum(1 for u, v in g.edges() if cls[u] != cls[v])
+    if isinstance(partition, (bytes, bytearray)):
+        if len(partition) != g.n + 1:
+            raise PartitionInvalid("side array has length %d, wanted %d"
+                                   % (len(partition), g.n + 1))
+        cls = partition
+    else:
+        if not isinstance(partition, Partition):
+            partition = Partition(g.n, list(partition))
+        cls = partition.class_of
+    crossing = 0
+    for u, nbrs in enumerate(g.adj):
+        c = cls[u]
+        for v in nbrs:
+            if cls[v] != c:
+                crossing += 1
+    return crossing // 2  # each crossing edge is seen from both ends
 
 
 def max_degree(g):
-    return max((len(g.adj[v]) for v in g.vertices), default=0)
+    return max(map(len, g.adj))
 
 
 def _farthest(g, s, allowed=None):

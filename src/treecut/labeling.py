@@ -63,14 +63,6 @@ class PLabeling:
         self.path_nodes = path_nodes
         self.hang = hang
 
-    def holds(self, x):
-        """Is vertex x still part of the current instance?"""
-        lab = self.label_of[x]
-        return 1 <= lab <= self.n and self.vertex_of[lab] == x
-
-    def current_vertices(self):
-        return self.vertex_of[1:self.n + 1]
-
     def blocks(self):
         """Per path node: (first label, first cluster-vertex label, last label).
 
@@ -112,69 +104,89 @@ def build_plabeling(td, path_nodes=None, ops=None):
     works. By cluster connectivity a path node adds no new vertex exactly
     when its cluster is contained in its predecessor's, so labeling itself
     decides the orientation.
+
+    A path cluster is read once, or twice when hanging trees attach to its
+    node. Like the heaviest-path sweeps, this relies on cluster
+    connectivity: a vertex is marked as a path vertex when
+    the first path node holding it labels it, and a hanging vertex that also
+    lies in a path cluster lies in the cluster of the path node it hangs
+    from, which is marked before its hanging vertices are labeled. A
+    decomposition that breaks connectivity can get a different labeling: a
+    vertex shared between a hanging tree and a later path cluster is labeled
+    in the hanging span, marked or not, and the path may be labeled in the
+    other orientation. The relative weight and the cut can change with it;
+    the engine still raises InternalInvariant on a cut wider than its bound.
     """
     if path_nodes is None:
         path_nodes, _ = heaviest_path(td, ops=ops)
     clusters, neighbors = td.clusters, td.neighbors
     path_set = set(path_nodes)
-    is_pv = bytearray(td.graph_n + 1)
     # hanging trees: components of the tree minus path edges, keyed by the
     # path node they attach to; stored as (child, parent) pairs in DFS order
     hang = {}
     work = 0
     for i in path_nodes:
-        for x in clusters[i]:
-            is_pv[x] = 1
         pairs = []
         stack = [(w, i) for w in reversed(neighbors[i]) if w not in path_set]
-        pop, push = stack.pop, stack.append
-        while stack:
-            v, p = pop()
-            pairs.append((v, p))
-            for w in neighbors[v]:
-                if w != p:
-                    push((w, v))
+        if stack:
+            pop, push = stack.pop, stack.append
+            while stack:
+                v, p = pop()
+                pairs.append((v, p))
+                for w in neighbors[v]:
+                    if w != p:
+                        push((w, v))
         hang[i] = pairs
         work += len(clusters[i]) + len(pairs) + 1
     path = list(path_nodes)
-    labels = _assign_labels(clusters, td.graph_n, path, is_pv, hang)
+    labels = _assign_labels(clusters, td.graph_n, path, hang)
     if labels is None:
         path.reverse()
-        labels = _assign_labels(clusters, td.graph_n, path, is_pv, hang)
+        labels = _assign_labels(clusters, td.graph_n, path, hang)
         if labels is None:
             raise RedundantPath("neither end of the path is a nonredundant start")
     if ops is not None:
         ops.add(work)
-    label_of, vertex_of, path_node_of = labels
+    label_of, vertex_of, is_pv, path_node_of = labels
     return PLabeling(td, len(vertex_of) - 1, label_of, vertex_of, is_pv,
                      path_node_of, path, hang)
 
 
-def _assign_labels(clusters, n0, path, is_pv, hang):
-    """(label_of, vertex_of, path_node_of) for `path` in this orientation,
-    or None when some path node adds no new cluster vertex."""
+def _assign_labels(clusters, n0, path, hang):
+    """(label_of, vertex_of, is_path_vertex, path_node_of) for `path` in
+    this orientation, or None when some path node adds no new cluster
+    vertex."""
     label_of = [0] * (n0 + 1)
     path_node_of = [0] * (n0 + 1)
+    is_pv = bytearray(n0 + 1)
     vertex_of = [0]
     append = vertex_of.append
     k = 0
     for i in path:
-        # hanging vertices first (deepest nodes first), then fresh cluster
-        # vertices, so cluster vertices close the block
-        for v, _ in reversed(hang[i]):
-            for x in clusters[v]:
-                if not is_pv[x] and not label_of[x]:
-                    k += 1
-                    append(x)
-                    label_of[x] = k
-                    path_node_of[x] = i
+        cl = clusters[i]
         hanging_end = k
-        for x in clusters[i]:
+        if hang[i]:
+            # hanging vertices first (deepest nodes first), then fresh
+            # cluster vertices, so cluster vertices close the block; the
+            # node's own cluster is marked first, so a hanging vertex that
+            # also lies in it waits for the cluster part
+            for x in cl:
+                is_pv[x] = 1
+            for v, _ in reversed(hang[i]):
+                for x in clusters[v]:
+                    if not is_pv[x] and not label_of[x]:
+                        k += 1
+                        append(x)
+                        label_of[x] = k
+                        path_node_of[x] = i
+            hanging_end = k
+        for x in cl:
             if not label_of[x]:
                 k += 1
                 append(x)
                 label_of[x] = k
                 path_node_of[x] = i
+                is_pv[x] = 1
         if k == hanging_end:
             return None
-    return label_of, vertex_of, path_node_of
+    return label_of, vertex_of, is_pv, path_node_of

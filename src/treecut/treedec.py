@@ -36,10 +36,24 @@ class TreeDecomposition:
         for i in nodes:
             if type(i) is not int:
                 raise DecompositionFormatError("node id %r is not an int" % (i,))
+        if type(graph_n) is not int:
+            raise DecompositionFormatError("graph_n %r is not an int" % (graph_n,))
+        try:
+            cluster_of = clusters.get
+        except AttributeError:
+            raise DecompositionFormatError(
+                "clusters must map node ids to vertex lists, not %s"
+                % type(clusters).__name__) from None
+        try:
+            n_edges = len(edges)
+        except TypeError:
+            raise DecompositionFormatError(
+                "edges must be a list of node pairs, not %s"
+                % type(edges).__name__) from None
         neighbors = {i: [] for i in nodes}
         if len(neighbors) != len(nodes):
             raise DecompositionFormatError("duplicate node ids")
-        if len(edges) != len(nodes) - 1:
+        if n_edges != len(nodes) - 1:
             raise DecompositionFormatError("node/edge counts do not form a tree")
         for e in edges:
             try:
@@ -63,7 +77,11 @@ class TreeDecomposition:
             raise DecompositionFormatError("decomposition tree is not connected")
         cl = {}
         for i in nodes:
-            c = list(clusters.get(i, ()))
+            try:
+                c = list(cluster_of(i, ()))
+            except TypeError:
+                raise DecompositionFormatError(
+                    "cluster %r is not a list of vertices" % (i,)) from None
             for x in c:
                 if type(x) is not int or not 1 <= x <= graph_n:
                     raise DecompositionFormatError(
@@ -111,13 +129,6 @@ class TreeDecomposition:
     def size(self):
         """Node count plus total cluster volume."""
         return len(self.nodes) + sum(len(self.clusters[i]) for i in self.nodes)
-
-    def vertex_count(self):
-        """Number of distinct vertices appearing in clusters."""
-        seen = set()
-        for i in self.nodes:
-            seen.update(self.clusters[i])
-        return len(seen)
 
     def to_json(self):
         return json.dumps({

@@ -9,9 +9,10 @@ from treecut.engine import StepRecord, doubling_step
 from treecut.errors import BadSize, InternalInvariant, RedundantPath
 from treecut.generators import make_instance, random_graph_with_td
 from treecut.graph import max_degree
-from treecut.labeling import build_plabeling
+from treecut.labeling import PLabeling, build_plabeling
 from treecut.treedec import (
     TreeDecomposition,
+    heaviest_path,
     is_nonredundant_path,
     make_nonredundant,
     validate,
@@ -41,6 +42,25 @@ def y_shaped_td():
 def spider_fixture():
     """Spider with three legs of length 8 (n=25) and its width-1 decomposition."""
     return make_instance("spider", legs=[8, 8, 8])
+
+
+def holds(pl, x):
+    """Is vertex x still part of the current instance of labeling `pl`?"""
+    lab = pl.label_of[x]
+    return 1 <= lab <= pl.n and pl.vertex_of[lab] == x
+
+
+def current_vertices(pl):
+    """Vertices of the current instance of `pl`, in label order."""
+    return pl.vertex_of[1:pl.n + 1]
+
+
+def vertex_count(td):
+    """Number of distinct vertices appearing in the clusters of `td`."""
+    seen = set()
+    for i in td.nodes:
+        seen.update(td.clusters[i])
+    return len(seen)
 
 
 def between(ci, a, x, b):
@@ -106,7 +126,7 @@ def restricted_td(pl):
         for child, par in pl.hang[i]:
             nodes.append(child)
             edges.append((par, child))
-    clusters = {i: [x for x in pl.td.clusters[i] if pl.holds(x)]
+    clusters = {i: [x for x in pl.td.clusters[i] if holds(pl, x)]
                 for i in nodes}
     return TreeDecomposition(nodes, edges, clusters, pl.td.graph_n)
 
@@ -118,6 +138,78 @@ def debug_dump(pl):
         hang_part = "-" if r == a else "%d..%d" % (a, r - 1)
         lines.append("node %d: hanging %s cluster %d..%d" % (i, hang_part, r, b))
     return "\n".join(lines)
+
+
+def two_pass_plabeling(td, path_nodes=None, ops=None):
+    """Reference labeling that reads every path cluster twice: a first pass
+    marks the path vertices, a second assigns the labels. This is the
+    package's labeling before it read each path cluster once; the
+    differential tests compare the two."""
+    if path_nodes is None:
+        path_nodes, _ = heaviest_path(td, ops=ops)
+    clusters, neighbors = td.clusters, td.neighbors
+    path_set = set(path_nodes)
+    is_pv = bytearray(td.graph_n + 1)
+    # hanging trees: components of the tree minus path edges, keyed by the
+    # path node they attach to; stored as (child, parent) pairs in DFS order
+    hang = {}
+    work = 0
+    for i in path_nodes:
+        for x in clusters[i]:
+            is_pv[x] = 1
+        pairs = []
+        stack = [(w, i) for w in reversed(neighbors[i]) if w not in path_set]
+        pop, push = stack.pop, stack.append
+        while stack:
+            v, p = pop()
+            pairs.append((v, p))
+            for w in neighbors[v]:
+                if w != p:
+                    push((w, v))
+        hang[i] = pairs
+        work += len(clusters[i]) + len(pairs) + 1
+    path = list(path_nodes)
+    labels = _two_pass_assign(clusters, td.graph_n, path, is_pv, hang)
+    if labels is None:
+        path.reverse()
+        labels = _two_pass_assign(clusters, td.graph_n, path, is_pv, hang)
+        if labels is None:
+            raise RedundantPath("neither end of the path is a nonredundant start")
+    if ops is not None:
+        ops.add(work)
+    label_of, vertex_of, path_node_of = labels
+    return PLabeling(td, len(vertex_of) - 1, label_of, vertex_of, is_pv,
+                     path_node_of, path, hang)
+
+
+def _two_pass_assign(clusters, n0, path, is_pv, hang):
+    """(label_of, vertex_of, path_node_of) for `path` in this orientation,
+    or None when some path node adds no new cluster vertex."""
+    label_of = [0] * (n0 + 1)
+    path_node_of = [0] * (n0 + 1)
+    vertex_of = [0]
+    append = vertex_of.append
+    k = 0
+    for i in path:
+        # hanging vertices first (deepest nodes first), then fresh cluster
+        # vertices, so cluster vertices close the block
+        for v, _ in reversed(hang[i]):
+            for x in clusters[v]:
+                if not is_pv[x] and not label_of[x]:
+                    k += 1
+                    append(x)
+                    label_of[x] = k
+                    path_node_of[x] = i
+        hanging_end = k
+        for x in clusters[i]:
+            if not label_of[x]:
+                k += 1
+                append(x)
+                label_of[x] = k
+                path_node_of[x] = i
+        if k == hanging_end:
+            return None
+    return label_of, vertex_of, path_node_of
 
 
 def restrict(td, keep_nodes=None, vertex_filter=None):
@@ -183,7 +275,7 @@ def run_checked(g, td0, m):
     delta = max_degree(g)
     pl = build_plabeling(td)
     r0 = pl.relative_weight()
-    cur = list(pl.current_vertices())
+    cur = list(current_vertices(pl))
     assert len(cur) == g.n
     b_total = []
     kinds = []
@@ -205,7 +297,7 @@ def run_checked(g, td0, m):
         w3 = tricut_width(g, cur, res.b_vertices, res.z_vertices)
         assert w3 <= cap + 1e-9, (w3, cap)
         shrunk = restricted_td(pl)
-        report = validate(g, shrunk, vertices=set(pl.current_vertices()))
+        report = validate(g, shrunk, vertices=set(current_vertices(pl)))
         assert report.ok, report.witness
         b_total.extend(res.b_vertices)
         cur = res.z_vertices

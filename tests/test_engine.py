@@ -19,7 +19,7 @@ from treecut.engine import (
     legible_bound,
     minimum_bisection,
 )
-from treecut.errors import InternalInvariant
+from treecut.errors import InternalInvariant, TreecutError
 from treecut.generators import (
     grid_graph,
     grid_td,
@@ -31,6 +31,7 @@ from treecut.generators import (
 from treecut.graph import Graph, Partition, cut_width, max_degree
 from treecut.oracle import brute_force_min_cut_size_m
 from treecut.treedec import TreeDecomposition, tree_to_width1_td
+from treecut.util import OpsCounter
 
 
 def test_bound_values():
@@ -163,3 +164,30 @@ def test_width_above_bound_is_an_internal_error(monkeypatch):
         exact_size_cut_linear(g, td, 5)
     # the trivial sizes cut nothing, so a zero bound still holds
     assert exact_size_cut_linear(g, td, 0)[1].width == 0
+
+
+def _finish_path6(b_total):
+    g = path_graph(6)
+    return engine._finish(g, tree_to_width1_td(g), len(b_total), b_total,
+                          [], Fraction(1), OpsCounter(), 0.0)
+
+
+def test_finish_accepts_a_valid_cut():
+    rep = _finish_path6([3, 1, 2])
+    assert rep.width == 1
+    assert rep.b_vertices == [1, 2, 3]
+
+
+@pytest.mark.parametrize("b_total", [[1, 2, 2], [4, 4, 4], [1, 2, 3, 4, 5, 5]])
+def test_finish_rejects_duplicate_vertices(b_total):
+    with pytest.raises(InternalInvariant, match="duplicate"):
+        _finish_path6(b_total)
+
+
+@pytest.mark.parametrize("b_total", [[0, 1, 2], [1, 2, 7], [7],
+                                     [0, 1, 2, 3, 4, 5], [1, 2, 3, 4, 5, 7]])
+def test_finish_rejects_out_of_range_vertices(b_total):
+    # 0 and n + 1 would index the side array without complaint or with an
+    # IndexError; both must end as a library error
+    with pytest.raises(TreecutError, match="outside 1..6"):
+        _finish_path6(b_total)

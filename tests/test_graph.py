@@ -62,6 +62,35 @@ def test_partition_validation():
     assert Partition(4, [[1, 2, 1], [3, 4, 4]]).class_of == [-1, 0, 0, 1, 1]
 
 
+def test_partition_names_the_smallest_uncovered_vertex():
+    with pytest.raises(PartitionInvalid, match=r"e\.g\. 2$"):
+        Partition(6, [[1, 5], [6, 3]])
+    with pytest.raises(PartitionInvalid, match=r"e\.g\. 1$"):
+        Partition(3, [[], [3]])
+    with pytest.raises(PartitionInvalid, match=r"e\.g\. 4$"):
+        Partition(4, [[1, 2, 3]])
+    assert Partition(0, []).class_of == [-1]
+
+
+@pytest.mark.parametrize("g", [path_graph(1), path_graph(7), star_graph(5),
+                               Graph(4, [(1, 2), (1, 3), (1, 4), (2, 3)]),
+                               Graph(3, [])])
+def test_cut_width_with_one_side_empty(g):
+    every = list(g.vertices)
+    naive = sum(1 for u, v in g.edges() if (u in every) != (v in every))
+    assert naive == 0
+    assert cut_width(g, [[], every]) == naive
+    assert cut_width(g, [every, []]) == naive
+    assert cut_width(g, [every]) == naive
+    assert cut_width(g, bytearray(g.n + 1)) == naive
+    assert cut_width(g, bytes([1] * (g.n + 1))) == naive
+
+
+def test_cut_width_side_array_length_is_checked():
+    with pytest.raises(PartitionInvalid):
+        cut_width(path_graph(4), bytearray(4))
+
+
 def test_spider_rejects_negative_leg():
     with pytest.raises(BadSize):
         spider_graph([-2, 3])
@@ -134,3 +163,7 @@ def test_cut_width_matches_naive_count(n, seed, mask):
     white = set(g.vertices) - black
     expected = sum(1 for u, v in g.edges() if (u in black) != (v in black))
     assert cut_width(g, [black, white]) == expected
+    side = bytearray(n + 1)
+    for v in black:
+        side[v] = 1
+    assert cut_width(g, side) == expected

@@ -4,14 +4,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
+    acceptance_corpus,
     between,
     cluster_boundary_edges,
+    current_vertices,
     debug_dump,
     decompose_by_node,
+    holds,
     p6_td,
     restrict,
     restricted_td,
     spider_fixture,
+    two_pass_plabeling,
 )
 from treecut.errors import RedundantPath
 from treecut.generators import (
@@ -27,6 +31,7 @@ from treecut.treedec import (
     make_nonredundant,
     validate,
 )
+from treecut.util import OpsCounter
 
 
 def test_circular_index():
@@ -68,7 +73,7 @@ def test_star_labeling_definitional():
                 assert pl.path_node_of[x] == i
     assert g.n >= pl.n == len(covered) + sum(
         1 for v in range(1, g.n + 1)
-        if pl.holds(v) and not pl.is_path_vertex[v])
+        if holds(pl, v) and not pl.is_path_vertex[v])
 
 
 def test_spider_hanging_only_at_branch_node():
@@ -206,9 +211,106 @@ def test_restricted_td_reproduces_current_state():
     td = make_nonredundant(td0)
     pl = build_plabeling(td)
     again = restricted_td(pl)
-    assert validate(g, again, vertices=set(pl.current_vertices())).ok
+    assert validate(g, again, vertices=set(current_vertices(pl))).ok
     # rebuilding on the explicit restriction gives the same assignments
     fresh = build_plabeling(again, pl.path_nodes)
     assert fresh.path_node_of == pl.path_node_of
     assert [bool(b) for b in fresh.is_path_vertex] == \
         [bool(b) for b in pl.is_path_vertex]
+
+
+def _labelings_agree(td, path_nodes=None):
+    """The package labeling equals the two-pass reference on `td`: the same
+    arrays, path, hanging trees and ops, with the path vertices exactly the
+    union of the path clusters; or both reject the path. Returns the
+    labeling, or None when the path was rejected."""
+    ref_ops, new_ops = OpsCounter(), OpsCounter()
+    try:
+        ref = two_pass_plabeling(td, path_nodes, ops=ref_ops)
+    except RedundantPath:
+        with pytest.raises(RedundantPath):
+            build_plabeling(td, path_nodes)
+        return None
+    pl = build_plabeling(td, path_nodes, ops=new_ops)
+    assert pl.n == ref.n
+    assert pl.label_of == ref.label_of
+    assert pl.vertex_of == ref.vertex_of
+    assert pl.path_node_of == ref.path_node_of
+    assert pl.is_path_vertex == ref.is_path_vertex
+    assert pl.path_nodes == ref.path_nodes
+    assert pl.hang == ref.hang
+    assert new_ops.total == ref_ops.total
+    on_path = set()
+    for i in pl.path_nodes:
+        on_path.update(td.clusters[i])
+    assert {x for x, b in enumerate(pl.is_path_vertex) if b} == on_path
+    return pl
+
+
+def test_labeling_matches_two_pass_reference_on_corpus():
+    outcomes = set()
+    for _, _, td in acceptance_corpus():
+        assert _labelings_agree(make_nonredundant(td)) is not None
+        # raw decompositions may nest clusters along their heaviest path
+        outcomes.add(_labelings_agree(td) is None)
+    assert outcomes == {False, True}
+
+
+@st.composite
+def hanging_paths(draw):
+    """A normalized decomposition with hanging trees, node ids shuffled into
+    a sparse range, and a path to label. When `forced`, a new node whose
+    cluster is a proper nonempty part of the path end's cluster extends the
+    path, so only the reversed path labels."""
+    n = draw(st.integers(3, 40))
+    if draw(st.booleans()):
+        g, td = random_graph_with_td(n, draw(st.integers(1, 4)),
+                                     draw(st.integers(0, 10 ** 6)))
+    else:
+        g, td = make_instance("random-tree", n=n,
+                              seed=draw(st.integers(0, 10 ** 6)))
+    td = make_nonredundant(td)
+    path, _ = heaviest_path(td)
+    edges = list(td.edges())
+    clusters = dict(td.clusters)
+    end = clusters[path[-1]]
+    forced = len(end) >= 2 and draw(st.booleans())
+    if forced:
+        leaf = max(td.nodes) + 1
+        clusters[leaf] = end[:draw(st.integers(1, len(end) - 1))]
+        edges.append((path[-1], leaf))
+        path = path + [leaf]
+    old = sorted(clusters)
+    ids = draw(st.permutations(range(3 * len(old))))[:len(old)]
+    new_id = dict(zip(old, ids))
+    td = TreeDecomposition([new_id[i] for i in old],
+                           [(new_id[a], new_id[b]) for a, b in edges],
+                           {new_id[i]: c for i, c in clusters.items()}, g.n)
+    return td, [new_id[i] for i in path], forced
+
+
+@settings(max_examples=150, deadline=None)
+@given(hanging_paths())
+def test_labeling_matches_two_pass_reference_random(inst):
+    td, path, forced = inst
+    pl = _labelings_agree(td, path)
+    assert pl is not None
+    assert pl.path_nodes == (path[::-1] if forced else path)
+
+
+def test_reference_strategy_has_hanging_trees_and_reversals():
+    """The random differential test above sees both kinds of input."""
+    found = set()
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(hanging_paths())
+    def probe(inst):
+        td, path, forced = inst
+        pl = build_plabeling(td, path)
+        if any(pl.hang.values()):
+            found.add("hanging")
+        if forced:
+            found.add("reversed")
+
+    probe()
+    assert found == {"hanging", "reversed"}

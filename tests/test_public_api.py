@@ -56,6 +56,15 @@ def test_test_only_names_are_gone(module, name):
     assert not hasattr(importlib.import_module("treecut." + module), name)
 
 
+@pytest.mark.parametrize("owner, name", [
+    (treecut.PLabeling, "holds"),
+    (treecut.PLabeling, "current_vertices"),
+    (treecut.TreeDecomposition, "vertex_count"),
+])
+def test_test_only_members_are_gone(owner, name):
+    assert not hasattr(owner, name)
+
+
 @pytest.mark.parametrize("command", ["bisect", "cut"])
 def test_no_impl_option(command):
     res = CliRunner().invoke(main, [command, "--help"])

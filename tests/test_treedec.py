@@ -11,6 +11,7 @@ from helpers import (
     p6_td,
     restrict,
     run_checked,
+    vertex_count,
     y_shaped_td,
 )
 from treecut.errors import (
@@ -117,6 +118,19 @@ def test_constructor_rejects_non_int_node_ids(node_id):
 ])
 def test_constructor_rejects_unhashable_entries(args):
     with pytest.raises(DecompositionFormatError):
+        TreeDecomposition(*args)
+
+
+@pytest.mark.parametrize("args, what", [
+    (([1], [], {1: 5}, 3), "cluster 1"),
+    (([1], [], {1: [1]}, None), "graph_n"),
+    (([1], [], {1: [1]}, "3"), "graph_n"),
+    (([1, 2], iter([(1, 2)]), {1: [1], 2: [1, 2]}, 2), "edges"),
+    (([1, 2], [(1, 2)], [[1], [1, 2]], 2), "clusters"),
+], ids=["cluster-not-iterable", "graph_n-None", "graph_n-str",
+        "edges-iterator", "clusters-list"])
+def test_constructor_rejects_malformed_containers(args, what):
+    with pytest.raises(DecompositionFormatError, match=what):
         TreeDecomposition(*args)
 
 
@@ -334,7 +348,7 @@ def test_make_nonredundant_random(n, width, seed):
     out = make_nonredundant(td)
     assert validate(g, out).ok
     assert out.width() <= td.width()
-    assert len(out.nodes) <= out.vertex_count()
+    assert len(out.nodes) <= vertex_count(out)
     for a, b in out.edges():
         ca, cb = set(out.clusters[a]), set(out.clusters[b])
         assert not ca <= cb and not cb <= ca
