@@ -22,15 +22,15 @@ class SubtreeWeights:
     children: dict       # children sorted by reduced weight, heaviest first
 
 
-def compute_subtree_weights(td, root=None, ops=None):
-    """Vertex counts per subtree, with children pre-sorted for the greedy.
+def compute_subtree_weights(td, ops=None):
+    """Vertex counts per subtree, rooted at the smallest node id, with
+    children pre-sorted for the greedy.
 
     `total[i]` counts distinct vertices in clusters at or below i;
     `reduced[i]` subtracts those shared with the parent cluster, so sibling
     reduced weights add up disjointly. Sorting uses one counting sort over
     all nodes (stable, deterministic)."""
-    if root is None:
-        root = min(td.nodes)
+    root = min(td.nodes)
     parent = {root: None}
     order = []
     stack = [root]
@@ -42,31 +42,25 @@ def compute_subtree_weights(td, root=None, ops=None):
                 parent[j] = i
                 stack.append(j)
     seen = [False] * (td.graph_n + 1)
-    csize = {}
+    total = {}  # cluster sizes, then plus the children's reduced weights
     overlap = {}
     work = 0
     for i in order:
         c = 0
-        k = 0
         for x in td.clusters[i]:
-            k += 1
             if seen[x]:
                 c += 1  # recurring vertex: already in the parent cluster
             else:
                 seen[x] = True
-        csize[i] = k
+        total[i] = len(td.clusters[i])
         overlap[i] = c
-        work += k + 1
-    kids = {i: [] for i in order}
-    for i in order:
-        if parent[i] is not None:
-            kids[parent[i]].append(i)
-    total = {}
+        work += total[i] + 1
     reduced = {}
     for i in reversed(order):
-        total[i] = csize[i] + sum(reduced[j] for j in kids[i])
         reduced[i] = total[i] - overlap[i]
-        work += len(kids[i]) + 1
+        if parent[i] is not None:
+            total[parent[i]] += reduced[i]
+    work += 2 * len(order) - 1
     if ops is not None:
         ops.add(work)
     top = total[root]
@@ -176,7 +170,5 @@ def approximate_cut(td, m, c, g=None, ops=None):
         ops.add(n)
     if not b or bsize > m:
         raise InternalInvariant("part size %d escaped (0, m]" % bsize)
-    width = None
-    if g is not None:
-        width = cut_width(g, [b, [x for x in range(1, n + 1) if not in_b[x]]])
+    width = None if g is None else cut_width(g, in_b)
     return ApproxCutResult(b, rounds, width)

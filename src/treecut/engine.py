@@ -8,6 +8,7 @@ Iterating doubles the path weight share until the direct case fires.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import time
@@ -45,6 +46,12 @@ class StepResult:
 def doubling_step(pl, m, ops=None):
     """One step of the cut construction on the current labeling state.
 
+    The step is direct when some path-cluster label has its m-shift in a
+    path cluster: the m labels after it are the whole cut. Otherwise it
+    splits at the first path node, in path order, whose hanging span holds
+    enough labels with a path-cluster vertex m labels back or, failing that,
+    m labels forward; back is tried before forward at each node.
+
     Returns the vertices added to B and, unless the step was direct, the
     remainder set Z. The labeling then shrinks in place to the instance
     induced by Z (labels reassigned in ascending old-label order, path list
@@ -66,59 +73,33 @@ def doubling_step(pl, m, ops=None):
             if ops is not None:
                 ops.add(n + m)
             return StepResult("direct", b, [], w_before, None)
-    if ops is not None:
-        ops.add(n)
     # otherwise the path clusters cover at most half the vertices
     if 2 * rtot > n:
         raise InternalInvariant("direct case missed a crowded instance")
+    if ops is not None:
+        ops.add(4 * n)  # the failed direct scan, then the case scan
     ci = CircularIndex(n)
     blocks = pl.blocks()
-    # for each path node: how many path-cluster vertices shift into/out of
-    # its hanging span, and the extreme hanging labels hit
-    back_n, fwd_n = {}, {}
-    back_lo, back_hi, fwd_lo, fwd_hi = {}, {}, {}, {}
-    for lab in range(1, n + 1):
-        x = av[lab]
-        if ar[x]:
-            continue
-        i = ap[x]
-        if ar[av[(lab - 1 - m) % n + 1]]:
-            back_n[i] = back_n.get(i, 0) + 1
-            if i not in back_lo or lab < back_lo[i]:
-                back_lo[i] = lab
-            if i not in back_hi or lab > back_hi[i]:
-                back_hi[i] = lab
-        if ar[av[(lab - 1 + m) % n + 1]]:
-            fwd_n[i] = fwd_n.get(i, 0) + 1
-            if i not in fwd_lo or lab < fwd_lo[i]:
-                fwd_lo[i] = lab
-            if i not in fwd_hi or lab > fwd_hi[i]:
-                fwd_hi[i] = lab
-    if ops is not None:
-        ops.add(3 * n)
-    s_tot = n - rtot
-    chosen = None
-    for i in pl.path_nodes:
+    # node i's non-path labels are exactly a_i..rst_i-1, because a block
+    # lists its hanging vertices first; the hits shifted by d bound Z
+    cases = (("back", -m), ("forward", m))
+    for i, (kind, d) in itertools.product(pl.path_nodes, cases):
         a_i, rst_i, _ = blocks[i]
         s_size = rst_i - a_i
-        if i in back_n:
-            za, zb = ci.shift(back_lo[i], -m), ci.shift(back_hi[i], -m)
-            spare = ci.span(za, zb) - back_n[i]
-            if (s_size + spare) * rtot <= s_tot * back_n[i]:
-                chosen = (i, "back", za, zb, back_n[i])
+        hits = 0
+        for lab in range(a_i, rst_i):
+            if ar[av[(lab - 1 + d) % n + 1]]:
+                if not hits:
+                    first = lab
+                last = lab
+                hits += 1
+        if hits:
+            za, zb = ci.shift(first, d), ci.shift(last, d)
+            z_len = ci.span(za, zb)
+            if (s_size + z_len - hits) * rtot <= (n - rtot) * hits:
                 break
-        if i in fwd_n:
-            za, zb = ci.shift(fwd_lo[i], m), ci.shift(fwd_hi[i], m)
-            spare = ci.span(za, zb) - fwd_n[i]
-            if (s_size + spare) * rtot <= s_tot * fwd_n[i]:
-                chosen = (i, "forward", za, zb, fwd_n[i])
-                break
-    if chosen is None:
+    else:
         raise InternalInvariant("no node admits an economical remainder")
-    i, kind, za, zb, core_kept = chosen
-    a_i, rst_i, _ = blocks[i]
-    s_size = rst_i - a_i
-    z_len = ci.span(za, zb)
     anchor = ap[av[za]]
     far = ap[av[zb]]
     if kind == "back":
@@ -171,7 +152,7 @@ def doubling_step(pl, m, ops=None):
         raise InternalInvariant("remainder cannot absorb the deficit")
     if 2 * z_len > n:
         raise InternalInvariant("remainder larger than half the instance")
-    w_after = Fraction(core_kept, z_len)
+    w_after = Fraction(hits, z_len)
     if w_after < 2 * w_before:
         raise InternalInvariant("path weight share failed to double")
     marked = set(ap[x] for x in zverts)
@@ -282,7 +263,6 @@ def exact_size_cut_linear(g, td0, m):
     td = make_nonredundant(td0, ops=ops)
     pl = build_plabeling(td, ops=ops)
     _check_coverage(pl, g.n)
-    r0 = pl.relative_weight()
     b_total = []
     steps = []
     while len(b_total) < m:
@@ -293,6 +273,8 @@ def exact_size_cut_linear(g, td0, m):
                                 res.w_after))
         if res.kind == "direct":
             break
+    # the first step counts the path vertices of the whole instance
+    r0 = steps[0].w_before if steps else pl.relative_weight()
     report = _finish(g, td, m, b_total, steps, r0, ops, t_start)
     return report.b_vertices, report
 

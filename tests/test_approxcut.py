@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import p6_td
 from treecut.approxcut import approximate_cut, compute_subtree_weights
-from treecut.errors import BadFraction, BadSize
+from treecut.errors import BadFraction, BadSize, PartitionInvalid
 from treecut.generators import (
     grid_graph,
     grid_td,
@@ -20,7 +20,7 @@ from treecut.treedec import TreeDecomposition, make_nonredundant
 
 def test_subtree_weights_p6():
     td = p6_td()
-    sw = compute_subtree_weights(td, root=1)
+    sw = compute_subtree_weights(td)
     assert sw.total[1] == 6
     # the leaf node {5,6} contributes vertex 6 only once its parent's
     # cluster vertex 5 is stripped
@@ -40,8 +40,7 @@ def test_children_sorted_by_reduced_weight():
     for seed in range(15):
         _, td0 = random_graph_with_td(22, 3, seed)
         td = make_nonredundant(td0)
-        root = td.nodes[0]
-        sw = compute_subtree_weights(td, root=root)
+        sw = compute_subtree_weights(td)
         for i in td.nodes:
             kids = sw.children[i]
             assert kids == sorted(kids, key=lambda j: -sw.reduced[j])
@@ -77,6 +76,13 @@ def test_bad_size():
         approximate_cut(td, 0, Fraction(1, 2))
     with pytest.raises(BadSize):
         approximate_cut(td, 7, Fraction(1, 2))
+
+
+def test_graph_of_another_size_is_rejected():
+    td = p6_td()
+    for n in (5, 7):
+        with pytest.raises(PartitionInvalid):
+            approximate_cut(td, 3, Fraction(1, 2), g=path_graph(n))
 
 
 def test_bad_fraction():

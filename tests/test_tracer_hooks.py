@@ -1,0 +1,45 @@
+"""The benchmark tracer still finds every name and field it reads.
+
+perfbench/tracing.py replaces module attributes of the library and reads
+fields of their arguments and results. A renamed function or field does not
+fail the benchmark; it nulls the affected metrics. This test runs two cuts
+under the tracer and asserts that nothing went missing.
+"""
+import importlib.util
+import sys
+from pathlib import Path
+
+from treecut import engine
+from treecut.generators import make_instance
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _load_tracing(monkeypatch):
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses resolve the module's string annotations through sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_finds_every_layer_and_count(monkeypatch):
+    tracing = _load_tracing(monkeypatch)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for family, params, m in (("ternary", {"h": 4}, 60),
+                                  ("grid", {"k": 4}, 8)):
+            g, td = make_instance(family, **params)
+            engine.exact_size_cut_linear(g, td, m)
+    finally:
+        tracer.uninstall()
+    assert tracer.missing == set()
+    assert tracer.broken == set()
+    seen = {s[0] for s in tracer.spans}
+    for name in ("engine.exact_size_cut_linear", "treedec.make_nonredundant",
+                 "labeling.build_plabeling", "engine.doubling_step",
+                 "approxcut.approximate_cut",
+                 "approxcut.compute_subtree_weights", "graph.cut_width"):
+        assert name in seen, name
