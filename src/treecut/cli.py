@@ -13,7 +13,7 @@ import click
 from .approxcut import approximate_cut
 from .bench import rows_to_csv, rows_to_json, run_bench
 from .engine import exact_size_cut_linear, minimum_bisection
-from .errors import TreecutError
+from .errors import InvalidDecomposition, TreecutError
 from .fileio import load_graph, load_td, save_graph, save_td
 from .generators import make_instance
 from .oracle import (
@@ -30,6 +30,17 @@ def _guard(fn):
     except (TreecutError, click.BadParameter) as exc:
         click.echo("error: %s" % exc, err=True)
         sys.exit(2)
+
+
+def _load_valid(graph_path, td_path):
+    """Load a graph and a decomposition and refuse a decomposition that
+    fails validate: the cut's width bound holds only for a valid one."""
+    g = load_graph(graph_path)
+    td = load_td(td_path)
+    rep = validate(g, td)
+    if not rep.ok:
+        raise InvalidDecomposition(rep.witness)
+    return g, td
 
 
 def _int_list(text, option):
@@ -118,8 +129,7 @@ def _print_report(rep, report_path):
 def bisect(graph_path, td_path, m, report_path):
     """Minimum-bisection style cut with a provable width bound."""
     def run():
-        g = load_graph(graph_path)
-        td = load_td(td_path)
+        g, td = _load_valid(graph_path, td_path)
         if m is None:
             _, rep = minimum_bisection(g, td)
         else:
@@ -136,8 +146,7 @@ def bisect(graph_path, td_path, m, report_path):
 def cut(graph_path, td_path, m, report_path):
     """Cut with exactly m vertices on one side."""
     def run():
-        g = load_graph(graph_path)
-        td = load_td(td_path)
+        g, td = _load_valid(graph_path, td_path)
         b, rep = exact_size_cut_linear(g, td, m)
         click.echo("B = %s" % " ".join(map(str, b)))
         _print_report(rep, report_path)

@@ -282,6 +282,9 @@ def exact_size_cut_linear(g, td0, m):
 def minimum_bisection(g, td):
     """Partition into floor(n/2) and ceil(n/2) vertices of bounded width."""
     b, report = exact_size_cut_linear(g, td, g.n // 2)
-    bset = set(b)
-    w = [v for v in g.vertices if v not in bset]
+    in_w = bytearray(b"\x01") * (g.n + 1)  # 0 marks B and the unused id 0
+    in_w[0] = 0
+    for v in b:
+        in_w[v] = 0
+    w = list(itertools.compress(range(g.n + 1), in_w))
     return (b, w), report

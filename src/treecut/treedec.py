@@ -167,64 +167,147 @@ class ValidityReport:
         return self.vertex_cover_ok and self.edge_cover_ok and self.connectivity_ok
 
 
+def _vertex_id(x, n):
+    """`x` as a vertex id in 1..n, or 0 when no cluster entry can equal it."""
+    if type(x) is not int:
+        try:
+            k = int(x)
+        except (TypeError, ValueError, OverflowError):
+            return 0
+        if k != x:
+            return 0
+        x = k
+    return x if 1 <= x <= n else 0
+
+
 def validate(g, td, vertices=None):
     """Check the three decomposition properties against g.
 
     With `vertices` given, checks are relative to that induced subgraph:
     every listed vertex must be covered and every induced edge must fit in
     some cluster. Cluster connectivity is always checked as-is.
+
+    One breadth-first walk from td.nodes[0] reads each cluster at most twice
+    and each edge at most twice, with no per-cluster sets; walk positions
+    serve as stamps. A vertex of a child cluster that is missing from the
+    parent cluster is a head, the top of one of its occurrence subtrees, and
+    a second head breaks connectivity. While connectivity holds, an edge
+    fits exactly when the cluster at the later of its endpoints' tops holds
+    the other endpoint (Gavril's subtree-intersection lemma); that is tested
+    right after the cluster is read. Once connectivity fails, the edge check
+    falls back to cluster sets.
     """
+    gn, adj = g.n, g.adj
+    n = max(gn, td.graph_n)
+    clusters, neighbors = td.clusters, td.neighbors
+    inside = bytearray(n + 1)  # 1 marks a vertex of the checked vertex set
+    unlisted = []  # listed entries that no cluster entry can equal
     if vertices is None:
-        vertex_set = set(g.vertices)
+        inside[1:gn + 1] = b"\x01" * gn
     else:
-        vertex_set = set(vertices)
-    where = {}  # vertex -> list of nodes whose cluster holds it
-    witness = ""
-    v_ok = e_ok = c_ok = True
+        for x in vertices:
+            k = _vertex_id(x, n)
+            if k:
+                inside[k] = 1
+            else:
+                unlisted.append(x)
+    top = [0] * (n + 1)   # walk position of the node heading x's first subtree
+    mark = [0] * (n + 1)  # position of the parent whose children are scanned
+    own = [0] * (n + 1)   # position of the child scanned last
+    extra = []  # vertices met at a second or later head
+    misfit = None
+    root = td.nodes[0]
+    order, parent_of = [root], [None]  # breadth-first order from the root
+    width = len(clusters[root])
+    for x in clusters[root]:
+        top[x] = 1
+    q = 0
+    while q < len(order):
+        i, p = order[q], parent_of[q]
+        nbrs = neighbors[i]
+        q += 1
+        if len(nbrs) == (p is not None):
+            continue  # a leaf: no children to scan
+        for x in clusters[i]:
+            mark[x] = q
+        for j in nbrs:
+            if j == p:
+                continue
+            order.append(j)
+            parent_of.append(i)
+            t = len(order)
+            cj = clusters[j]
+            if len(cj) > width:
+                width = len(cj)
+            heads = []
+            for x in cj:
+                if mark[x] != q:
+                    if top[x]:
+                        extra.append(x)
+                    else:
+                        top[x] = t
+                        heads.append(x)
+                own[x] = t
+            if misfit is not None or extra:
+                continue
+            for x in heads:
+                if x <= gn and inside[x]:
+                    for w in adj[x]:
+                        if own[w] != t and 0 < top[w] < t and inside[w]:
+                            misfit = (x, w) if x < w else (w, x)
+                            break
+                    if misfit is not None:
+                        break
+    if vertices is None:
+        foreign = next((x for x in range(gn + 1, n + 1) if top[x]), None)
+        uncovered = [x for x in range(1, gn + 1) if not top[x]] \
+            if 0 in top[1:gn + 1] else []
+    else:
+        foreign = next((x for x in range(1, n + 1)
+                        if top[x] and not inside[x]), None)
+        uncovered = [x for x in range(1, n + 1) if inside[x] and not top[x]]
+    if extra:
+        misfit = _misfit_by_sets(g, td, inside)
+    elif misfit is None:
+        # an edge at an uncovered endpoint fits nowhere
+        misfit = next(((x, w) if x < w else (w, x)
+                       for x in uncovered if x <= gn
+                       for w in adj[x] if inside[w]), None)
+    uncovered = unlisted + uncovered
+    if foreign is not None:
+        witness = "cluster %r holds foreign vertex %r" % (
+            order[top[foreign] - 1], foreign)
+    elif uncovered:
+        witness = "vertex %r in no cluster" % (uncovered[0],)
+    elif misfit is not None:
+        witness = "edge (%r, %r) fits in no cluster" % misfit
+    elif extra:
+        x = extra[0]
+        witness = "vertex %r appears in %d separate subtrees" % (
+            x, 1 + extra.count(x))
+    else:
+        witness = ""
+    return ValidityReport(foreign is None and not uncovered, misfit is None,
+                          not extra, witness, width - 1)
+
+
+def _misfit_by_sets(g, td, inside):
+    """First edge of g inside the checked set that no cluster holds, or None.
+
+    Correct whether or not cluster connectivity holds; validate falls back
+    to it once connectivity has failed.
+    """
+    homes = {}
     cluster_sets = {}
     for i in td.nodes:
-        s = set(td.clusters[i])
-        cluster_sets[i] = s
+        s = cluster_sets[i] = set(td.clusters[i])
         for x in s:
-            if x not in vertex_set:
-                v_ok = False
-                witness = witness or "cluster %r holds foreign vertex %r" % (i, x)
-            where.setdefault(x, []).append(i)
-    for x in vertex_set:
-        if x not in where:
-            v_ok = False
-            witness = witness or "vertex %r in no cluster" % (x,)
+            homes.setdefault(x, []).append(i)
     for u, v in g.edges():
-        if u not in vertex_set or v not in vertex_set:
-            continue
-        homes = where.get(u, [])
-        if not any(v in cluster_sets[i] for i in homes):
-            e_ok = False
-            witness = witness or "edge (%r, %r) fits in no cluster" % (u, v)
-            break
-    # connectivity: vertex occurrences must form one subtree each
-    root = td.nodes[0]
-    parent = {root: None}
-    stack = [root]
-    while stack:
-        i = stack.pop()
-        for j in td.neighbors[i]:
-            if j not in parent:
-                parent[j] = i
-                stack.append(j)
-    heads = {}
-    for i in td.nodes:
-        p = parent[i]
-        for x in cluster_sets[i]:
-            if p is None or x not in cluster_sets[p]:
-                heads[x] = heads.get(x, 0) + 1
-    for x, k in heads.items():
-        if k != 1:
-            c_ok = False
-            witness = witness or "vertex %r appears in %d separate subtrees" % (x, k)
-            break
-    width = max(len(td.clusters[i]) for i in td.nodes) - 1
-    return ValidityReport(v_ok, e_ok, c_ok, witness, width)
+        if inside[u] and inside[v] and not any(
+                v in cluster_sets[i] for i in homes.get(u, ())):
+            return (u, v)
+    return None
 
 
 def make_nonredundant(td, ops=None):

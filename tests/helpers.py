@@ -14,6 +14,7 @@ from treecut.treedec import (
     TreeDecomposition,
     heaviest_path,
     is_nonredundant_path,
+    ValidityReport,
     make_nonredundant,
     validate,
 )
@@ -354,3 +355,65 @@ def small_fixtures():
         out.append(("rtd-s%d" % seed,
                     *random_graph_with_td(8 + 3 * seed, 3, seed)))
     return out
+
+
+# The set-based validity check that treedec.validate replaced, kept verbatim
+# as the reference of the differential test in test_treedec.py.
+def set_validate(g, td, vertices=None):
+    """Check the three decomposition properties against g.
+
+    With `vertices` given, checks are relative to that induced subgraph:
+    every listed vertex must be covered and every induced edge must fit in
+    some cluster. Cluster connectivity is always checked as-is.
+    """
+    if vertices is None:
+        vertex_set = set(g.vertices)
+    else:
+        vertex_set = set(vertices)
+    where = {}  # vertex -> list of nodes whose cluster holds it
+    witness = ""
+    v_ok = e_ok = c_ok = True
+    cluster_sets = {}
+    for i in td.nodes:
+        s = set(td.clusters[i])
+        cluster_sets[i] = s
+        for x in s:
+            if x not in vertex_set:
+                v_ok = False
+                witness = witness or "cluster %r holds foreign vertex %r" % (i, x)
+            where.setdefault(x, []).append(i)
+    for x in vertex_set:
+        if x not in where:
+            v_ok = False
+            witness = witness or "vertex %r in no cluster" % (x,)
+    for u, v in g.edges():
+        if u not in vertex_set or v not in vertex_set:
+            continue
+        homes = where.get(u, [])
+        if not any(v in cluster_sets[i] for i in homes):
+            e_ok = False
+            witness = witness or "edge (%r, %r) fits in no cluster" % (u, v)
+            break
+    # connectivity: vertex occurrences must form one subtree each
+    root = td.nodes[0]
+    parent = {root: None}
+    stack = [root]
+    while stack:
+        i = stack.pop()
+        for j in td.neighbors[i]:
+            if j not in parent:
+                parent[j] = i
+                stack.append(j)
+    heads = {}
+    for i in td.nodes:
+        p = parent[i]
+        for x in cluster_sets[i]:
+            if p is None or x not in cluster_sets[p]:
+                heads[x] = heads.get(x, 0) + 1
+    for x, k in heads.items():
+        if k != 1:
+            c_ok = False
+            witness = witness or "vertex %r appears in %d separate subtrees" % (x, k)
+            break
+    width = max(len(td.clusters[i]) for i in td.nodes) - 1
+    return ValidityReport(v_ok, e_ok, c_ok, witness, width)

@@ -15,7 +15,8 @@ from treecut.fileio import (
     save_td,
 )
 from treecut.generators import path_graph, random_graph_with_td
-from treecut.treedec import tree_to_width1_td
+from treecut.graph import Graph
+from treecut.treedec import TreeDecomposition, tree_to_width1_td
 
 
 def _write_instance(tmp_path, g, td, stem="inst"):
@@ -76,6 +77,26 @@ def test_bisect_report(tmp_path):
     d = json.loads(open(rp).read())
     assert d["m"] == 5 and len(d["b_vertices"]) == 5
     assert d["width"] <= d["bound"]
+
+
+def _split_subtree_instance(tmp_path):
+    """Vertex 5 sits in clusters 3 and 4, which the tree does not join
+    through a node holding 5; every edge and vertex is covered."""
+    g = Graph(7, [(1, 2), (2, 3), (3, 5), (3, 6), (1, 4), (4, 5), (6, 7)])
+    td = TreeDecomposition(
+        [1, 2, 3, 4, 5], [(1, 2), (2, 3), (1, 4), (3, 5)],
+        {1: [1, 2], 2: [2, 3], 3: [3, 5, 6], 4: [1, 4, 5], 5: [6, 7]}, 7)
+    return _write_instance(tmp_path, g, td)
+
+
+@pytest.mark.parametrize("args", [["validate"], ["bisect"],
+                                  ["cut", "--m", "3"]])
+def test_disconnected_occurrences_exit_2(tmp_path, args):
+    gp, tp = _split_subtree_instance(tmp_path)
+    res = CliRunner().invoke(main, args + ["--graph", gp, "--td", tp])
+    assert res.exit_code == 2, res.output
+    assert "vertex 5 appears in 2 separate subtrees" in res.output
+    assert "r=" not in res.output and "B = " not in res.output
 
 
 def test_bisect_width_above_bound_exits_2(tmp_path, monkeypatch):

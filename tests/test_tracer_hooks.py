@@ -3,13 +3,13 @@
 perfbench/tracing.py replaces module attributes of the library and reads
 fields of their arguments and results. A renamed function or field does not
 fail the benchmark; it nulls the affected metrics. This test runs two cuts
-under the tracer and asserts that nothing went missing.
+and one validation under the tracer and asserts that nothing went missing.
 """
 import importlib.util
 import sys
 from pathlib import Path
 
-from treecut import engine
+from treecut import engine, treedec
 from treecut.generators import make_instance
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -33,6 +33,7 @@ def test_tracer_finds_every_layer_and_count(monkeypatch):
                                   ("grid", {"k": 4}, 8)):
             g, td = make_instance(family, **params)
             engine.exact_size_cut_linear(g, td, m)
+        assert treedec.validate(g, td).ok  # the grid; ingest times this layer
     finally:
         tracer.uninstall()
     assert tracer.missing == set()
@@ -41,5 +42,6 @@ def test_tracer_finds_every_layer_and_count(monkeypatch):
     for name in ("engine.exact_size_cut_linear", "treedec.make_nonredundant",
                  "labeling.build_plabeling", "engine.doubling_step",
                  "approxcut.approximate_cut",
-                 "approxcut.compute_subtree_weights", "graph.cut_width"):
+                 "approxcut.compute_subtree_weights", "graph.cut_width",
+                 "treedec.validate"):
         assert name in seen, name
