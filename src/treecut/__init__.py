@@ -1,6 +1,11 @@
 """Balanced cuts and minimum bisections driven by tree decompositions."""
 
-from .approxcut import ApproxCutResult, approximate_cut, compute_subtree_weights
+from .approxcut import (
+    ApproxCutResult,
+    RootedTree,
+    approximate_cut,
+    compute_subtree_weights,
+)
 from .engine import (
     CutReport,
     bound_value,
@@ -23,7 +28,6 @@ from .treedec import (
     ValidityReport,
     WeightReport,
     heaviest_path,
-    is_nonredundant_path,
     make_nonredundant,
     path_weight,
     tree_to_width1_td,
@@ -32,11 +36,11 @@ from .treedec import (
 
 __all__ = [
     "ApproxCutResult", "CircularIndex", "CutReport", "Graph", "PLabeling",
-    "Partition", "TreeDecomposition", "ValidityReport", "WeightReport",
-    "approximate_cut", "bound_value", "build_plabeling",
+    "Partition", "RootedTree", "TreeDecomposition", "ValidityReport",
+    "WeightReport", "approximate_cut", "bound_value", "build_plabeling",
     "compute_subtree_weights", "cut_width", "doubling_step",
-    "exact_size_cut_linear", "heaviest_path", "is_nonredundant_path",
-    "legible_bound", "longest_path_in_tree", "make_nonredundant", "max_degree",
+    "exact_size_cut_linear", "heaviest_path", "legible_bound",
+    "longest_path_in_tree", "make_nonredundant", "max_degree",
     "minimum_bisection", "path_weight", "relative_diameter",
     "tree_to_width1_td", "validate",
 ]

@@ -8,73 +8,112 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BadFraction, BadSize, InternalInvariant
+from .errors import (
+    BadFraction,
+    BadSize,
+    DecompositionFormatError,
+    InternalInvariant,
+)
 from .graph import cut_width
+
+
+@dataclass
+class RootedTree:
+    """A decomposition tree listed top-down.
+
+    `pairs` are (child, parent) pairs in which every parent is listed
+    before its children; `root` is the one node that is nobody's child.
+    `clusters` maps every node to its vertices in 1..graph_n.
+    compute_subtree_weights raises DecompositionFormatError on pairs that
+    are not listed that way.
+    """
+    root: int
+    pairs: list
+    clusters: dict
+    graph_n: int
+
+    @classmethod
+    def of(cls, td):
+        """Depth-first walk of `td` from its smallest node, children in
+        `td.neighbors` order."""
+        root = min(td.nodes)
+        pairs = []
+        stack = [(j, root) for j in reversed(td.neighbors[root])]
+        while stack:
+            i, p = stack.pop()
+            pairs.append((i, p))
+            stack.extend((j, i) for j in reversed(td.neighbors[i]) if j != p)
+        return cls(root, pairs, td.clusters, td.graph_n)
 
 
 @dataclass
 class SubtreeWeights:
     root: int
-    order: list          # preorder over nodes
-    parent: dict
     total: dict          # vertices covered by the subtree at i
     reduced: dict        # total minus the overlap with the parent cluster
     children: dict       # children sorted by reduced weight, heaviest first
 
 
-def compute_subtree_weights(td, ops=None):
+def compute_subtree_weights(tree, ops=None):
     """Vertex counts per subtree, rooted at the smallest node id, with
     children pre-sorted for the greedy.
 
     `total[i]` counts distinct vertices in clusters at or below i;
     `reduced[i]` subtracts those shared with the parent cluster, so sibling
     reduced weights add up disjointly. Sorting uses one counting sort over
-    all nodes (stable, deterministic)."""
-    root = min(td.nodes)
-    parent = {root: None}
-    order = []
-    stack = [root]
-    while stack:
-        i = stack.pop()
-        order.append(i)
-        for j in td.neighbors[i]:
-            if j != parent[i]:
-                parent[j] = i
-                stack.append(j)
-    seen = [False] * (td.graph_n + 1)
+    all nodes; equal reduced weights keep reverse pair order."""
+    root, pairs, clusters = tree.root, tree.pairs, tree.clusters
+    listed = {root}
+    for i, p in pairs:
+        if p not in listed or i in listed:
+            raise DecompositionFormatError(
+                "pair (%r, %r) is not listed top-down" % (i, p))
+        listed.add(i)
+    low = min(listed)
+    if low < root:
+        # root at the smallest node: the pairs on the way from `low` up to
+        # `root` turn over and come first, the others keep their order
+        up = dict(pairs)
+        path = [low]
+        while path[-1] != root:
+            path.append(up[path[-1]])
+        moved = set(path)
+        pairs = [*zip(path[1:], path),
+                 *((i, p) for i, p in pairs if i not in moved)]
+        root = low
+    seen = [False] * (tree.graph_n + 1)
     total = {}  # cluster sizes, then plus the children's reduced weights
     overlap = {}
     work = 0
-    for i in order:
+    for i in [root, *(i for i, _ in pairs)]:
         c = 0
-        for x in td.clusters[i]:
+        for x in clusters[i]:
             if seen[x]:
                 c += 1  # recurring vertex: already in the parent cluster
             else:
                 seen[x] = True
-        total[i] = len(td.clusters[i])
+        total[i] = len(clusters[i])
         overlap[i] = c
         work += total[i] + 1
     reduced = {}
-    for i in reversed(order):
+    for i, p in reversed(pairs):
         reduced[i] = total[i] - overlap[i]
-        if parent[i] is not None:
-            total[parent[i]] += reduced[i]
-    work += 2 * len(order) - 1
+        total[p] += reduced[i]
+    reduced[root] = total[root] - overlap[root]
+    work += 2 * len(total) - 1
     if ops is not None:
         ops.add(work)
     top = total[root]
     buckets = [[] for _ in range(top + 1)]
-    for i in order:
-        if parent[i] is not None:
-            buckets[reduced[i]].append(i)
-    children = {i: [] for i in order}
+    for i, p in reversed(pairs):
+        buckets[reduced[i]].append((i, p))
+    children = {i: [] for i in total}
     for val in range(top, -1, -1):
-        for j in buckets[val]:
-            children[parent[j]].append(j)
+        for i, p in buckets[val]:
+            children[p].append(i)
     if ops is not None:
-        ops.add(top + len(order))
-    return SubtreeWeights(root, order, parent, total, reduced, children)
+        ops.add(top + len(total))
+    return SubtreeWeights(root, total, reduced, children)
 
 
 @dataclass
@@ -87,18 +126,21 @@ class ApproxCutResult:
 def approximate_cut(td, m, c, g=None, ops=None):
     """Vertex set B with c*m < |B| <= m opening few clusters.
 
-    `c` may be a float or Fraction in the open interval (0, 1). The host
-    graph is optional and only used to report the realized boundary width.
-    Every vertex of 1..graph_n must be covered by td.
+    `td` is a TreeDecomposition or a RootedTree; either way the tree is
+    rooted at its smallest node id. `c` may be a float or Fraction in the
+    open interval (0, 1). The host graph is optional and only used to
+    report the realized boundary width. Every vertex of 1..graph_n must be
+    covered by td.
     """
-    n = td.graph_n
+    tree = td if isinstance(td, RootedTree) else RootedTree.of(td)
+    n = tree.graph_n
     if not 1 <= m <= n:
         raise BadSize("m=%r outside 1..%d" % (m, n))
     if not 0 < c < 1:
         raise BadFraction("balance parameter %r outside (0, 1)" % (c,))
-    sw = compute_subtree_weights(td, ops=ops)
+    sw = compute_subtree_weights(tree, ops=ops)
     y, yt, kids = sw.total, sw.reduced, sw.children
-    clusters = td.clusters
+    clusters = tree.clusters
     if y[sw.root] < m:
         raise BadSize("decomposition covers %d < m vertices" % y[sw.root])
     # deepest node whose subtree still covers m vertices

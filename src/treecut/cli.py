@@ -16,6 +16,7 @@ from .engine import exact_size_cut_linear, minimum_bisection
 from .errors import InvalidDecomposition, TreecutError
 from .fileio import load_graph, load_td, save_graph, save_td
 from .generators import make_instance
+from .graph import Graph
 from .oracle import (
     brute_force_min_bisection,
     brute_force_min_cut_size_m,
@@ -34,10 +35,13 @@ def _guard(fn):
 
 def _load_valid(graph_path, td_path):
     """Load a graph and a decomposition and refuse a decomposition that
-    fails validate: the cut's width bound holds only for a valid one."""
-    g = load_graph(graph_path)
+    fails validate: the cut's width bound holds only for a valid one.
+    Without a graph path, g is None and the decomposition is checked
+    against the edgeless graph on 1..graph_n (vertex cover and
+    connectivity)."""
+    g = load_graph(graph_path) if graph_path else None
     td = load_td(td_path)
-    rep = validate(g, td)
+    rep = validate(Graph(td.graph_n, []) if g is None else g, td)
     if not rep.ok:
         raise InvalidDecomposition(rep.witness)
     return g, td
@@ -162,13 +166,12 @@ def cut(graph_path, td_path, m, report_path):
 def approx_cut_cmd(td_path, m, c_str, graph_path):
     """Cut with c*m < |B| <= m opening few clusters."""
     def run():
-        td = load_td(td_path)
+        g, td = _load_valid(graph_path, td_path)
         try:
             c = Fraction(c_str)
         except (ValueError, ZeroDivisionError):
             raise click.BadParameter("--c wants a decimal or p/q, got %r"
                                      % c_str) from None
-        g = load_graph(graph_path) if graph_path else None
         res = approximate_cut(td, m, c, g=g)
         click.echo("B = %s" % " ".join(map(str, res.b_vertices)))
         click.echo("size=%d rounds=%d width=%s"

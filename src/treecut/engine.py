@@ -15,11 +15,11 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .approxcut import approximate_cut
+from .approxcut import RootedTree, approximate_cut
 from .errors import BadSize, InternalInvariant, InvalidDecomposition
 from .graph import cut_width, max_degree
 from .labeling import CircularIndex, build_plabeling
-from .treedec import TreeDecomposition, make_nonredundant
+from .treedec import make_nonredundant
 from .util import OpsCounter
 
 
@@ -124,24 +124,19 @@ def doubling_step(pl, m, ops=None):
     if c == 0:
         b2 = []
     else:
-        sub_nodes = [i]
-        sub_edges = []
-        sub_clusters = {i: []}
-        for child, par in pl.hang[i]:
-            sub_nodes.append(child)
-            sub_edges.append((par, child))
+        local = {i: []}  # hanging vertices renumbered from 1 in label order
+        for child, _ in pl.hang[i]:
             cl = []
             for x in pl.td.clusters[child]:
                 lab = al[x]
                 if a_i <= lab < rst_i and av[lab] == x:
                     cl.append(lab - a_i + 1)
-            sub_clusters[child] = cl
+            local[child] = cl
             if ops is not None:
                 ops.add(len(pl.td.clusters[child]) + 1)
-        sub = TreeDecomposition._trusted(sub_nodes, sub_edges, sub_clusters,
-                                         s_size)
-        b2 = [av[k + a_i - 1]
-              for k in approximate_cut(sub, mt, c, ops=ops).b_vertices]
+        res = approximate_cut(RootedTree(i, pl.hang[i], local, s_size),
+                              mt, c, ops=ops)
+        b2 = [av[k + a_i - 1] for k in res.b_vertices]
     b = b1 + b2
     if za <= zb:
         zlabels = range(za, zb + 1)

@@ -464,21 +464,6 @@ def heaviest_path(td, ops=None):
     return path, WeightReport(weight, Fraction(weight, td.graph_n))
 
 
-def is_nonredundant_path(td, path_nodes):
-    """True if the first node qualifies as a start: nonempty first cluster and
-    no cluster contained in its predecessor along the sequence."""
-    first = set(td.clusters[path_nodes[0]])
-    if not first:
-        return False
-    prev = first
-    for i in path_nodes[1:]:
-        cur = set(td.clusters[i])
-        if cur <= prev:
-            return False
-        prev = cur
-    return True
-
-
 def tree_to_width1_td(g):
     """Width-1 decomposition of a tree: one node per edge, clusters are the
     edge endpoints, and a longest path of the tree maps onto a tree path of

@@ -2,6 +2,7 @@
 reference driver, and the checked step-by-step runner used by several tests."""
 import math
 import time
+from dataclasses import dataclass
 from fractions import Fraction
 
 from treecut import engine
@@ -13,7 +14,6 @@ from treecut.labeling import PLabeling, build_plabeling
 from treecut.treedec import (
     TreeDecomposition,
     heaviest_path,
-    is_nonredundant_path,
     ValidityReport,
     make_nonredundant,
     validate,
@@ -104,6 +104,21 @@ def decompose_by_node(g, td, pl, i):
     parts = [prefix, hanging, suffix]
     parts.extend({pl.vertex_of[l]} for l in range(r, b + 1))
     return [p for p in parts if p]
+
+
+def is_nonredundant_path(td, path_nodes):
+    """True if the first node qualifies as a start: nonempty first cluster and
+    no cluster contained in its predecessor along the sequence."""
+    first = set(td.clusters[path_nodes[0]])
+    if not first:
+        return False
+    prev = first
+    for i in path_nodes[1:]:
+        cur = set(td.clusters[i])
+        if cur <= prev:
+            return False
+        prev = cur
+    return True
 
 
 def orient_path(td, path_nodes):
@@ -417,3 +432,71 @@ def set_validate(g, td, vertices=None):
             break
     width = max(len(td.clusters[i]) for i in td.nodes) - 1
     return ValidityReport(v_ok, e_ok, c_ok, witness, width)
+
+
+# The DFS subtree weights that approxcut.compute_subtree_weights replaced,
+# kept verbatim (with its own result type) as the reference of the
+# differential test in test_approxcut.py.
+@dataclass
+class DfsSubtreeWeights:
+    root: int
+    order: list          # preorder over nodes
+    parent: dict
+    total: dict          # vertices covered by the subtree at i
+    reduced: dict        # total minus the overlap with the parent cluster
+    children: dict       # children sorted by reduced weight, heaviest first
+
+
+def dfs_subtree_weights(td, ops=None):
+    """Vertex counts per subtree, rooted at the smallest node id, with
+    children pre-sorted for the greedy.
+
+    `total[i]` counts distinct vertices in clusters at or below i;
+    `reduced[i]` subtracts those shared with the parent cluster, so sibling
+    reduced weights add up disjointly. Sorting uses one counting sort over
+    all nodes (stable, deterministic)."""
+    root = min(td.nodes)
+    parent = {root: None}
+    order = []
+    stack = [root]
+    while stack:
+        i = stack.pop()
+        order.append(i)
+        for j in td.neighbors[i]:
+            if j != parent[i]:
+                parent[j] = i
+                stack.append(j)
+    seen = [False] * (td.graph_n + 1)
+    total = {}  # cluster sizes, then plus the children's reduced weights
+    overlap = {}
+    work = 0
+    for i in order:
+        c = 0
+        for x in td.clusters[i]:
+            if seen[x]:
+                c += 1  # recurring vertex: already in the parent cluster
+            else:
+                seen[x] = True
+        total[i] = len(td.clusters[i])
+        overlap[i] = c
+        work += total[i] + 1
+    reduced = {}
+    for i in reversed(order):
+        reduced[i] = total[i] - overlap[i]
+        if parent[i] is not None:
+            total[parent[i]] += reduced[i]
+    work += 2 * len(order) - 1
+    if ops is not None:
+        ops.add(work)
+    top = total[root]
+    buckets = [[] for _ in range(top + 1)]
+    for i in order:
+        if parent[i] is not None:
+            buckets[reduced[i]].append(i)
+    children = {i: [] for i in order}
+    for val in range(top, -1, -1):
+        for j in buckets[val]:
+            children[parent[j]].append(j)
+    if ops is not None:
+        ops.add(top + len(order))
+    return DfsSubtreeWeights(root, order, parent, total, reduced, children)

@@ -4,34 +4,49 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import p6_td
-from treecut.approxcut import approximate_cut, compute_subtree_weights
-from treecut.errors import BadFraction, BadSize, PartitionInvalid
+from helpers import dfs_subtree_weights, p6_td
+from treecut.approxcut import (
+    RootedTree,
+    approximate_cut,
+    compute_subtree_weights,
+)
+from treecut.errors import (
+    BadFraction,
+    BadSize,
+    DecompositionFormatError,
+    PartitionInvalid,
+)
 from treecut.generators import (
     grid_graph,
     grid_td,
     make_instance,
     path_graph,
     random_graph_with_td,
+    random_tree,
 )
 from treecut.graph import cut_width, max_degree
-from treecut.treedec import TreeDecomposition, make_nonredundant
+from treecut.treedec import (
+    TreeDecomposition,
+    make_nonredundant,
+    tree_to_width1_td,
+)
+from treecut.util import OpsCounter
 
 
 def test_subtree_weights_p6():
     td = p6_td()
-    sw = compute_subtree_weights(td)
+    sw = compute_subtree_weights(RootedTree.of(td))
     assert sw.total[1] == 6
     # the leaf node {5,6} contributes vertex 6 only once its parent's
     # cluster vertex 5 is stripped
     assert sw.reduced[5] == 1
     assert sw.total[5] == 2
-    assert sw.order[0] == 1 and sw.parent[1] is None
+    assert sw.root == 1
 
 
 def test_subtree_weights_single_node():
     td = TreeDecomposition([1], [], {1: [1, 2, 3]}, 3)
-    sw = compute_subtree_weights(td)
+    sw = compute_subtree_weights(RootedTree.of(td))
     assert sw.total[1] == 3
     assert sw.reduced[1] == 3
 
@@ -40,10 +55,77 @@ def test_children_sorted_by_reduced_weight():
     for seed in range(15):
         _, td0 = random_graph_with_td(22, 3, seed)
         td = make_nonredundant(td0)
-        sw = compute_subtree_weights(td)
+        sw = compute_subtree_weights(RootedTree.of(td))
         for i in td.nodes:
             kids = sw.children[i]
             assert kids == sorted(kids, key=lambda j: -sw.reduced[j])
+
+
+@st.composite
+def decompositions(draw):
+    """Nonredundant random decompositions, width-1 decompositions of random
+    trees, and grid path decompositions."""
+    kind = draw(st.sampled_from(["random-td", "tree", "grid"]))
+    seed = draw(st.integers(0, 10 ** 6))
+    if kind == "random-td":
+        _, td = random_graph_with_td(draw(st.integers(2, 60)),
+                                     draw(st.integers(1, 4)), seed)
+        return make_nonredundant(td)
+    if kind == "tree":
+        return tree_to_width1_td(random_tree(draw(st.integers(1, 80)), seed))
+    return grid_td(draw(st.integers(1, 7)))
+
+
+def _hanging_walk(td, w):
+    """(child, parent) pairs of the tree hanging from node w, walked the way
+    build_plabeling walks a hanging tree."""
+    pairs = []
+    stack = [(x, w) for x in reversed(td.neighbors[w])]
+    while stack:
+        v, p = stack.pop()
+        pairs.append((v, p))
+        for x in td.neighbors[v]:
+            if x != p:
+                stack.append((x, v))
+    return pairs
+
+
+def _assert_same_weights(ref_td, tree):
+    ops_ref, ops_new = OpsCounter(), OpsCounter()
+    ref = dfs_subtree_weights(ref_td, ops=ops_ref)
+    new = compute_subtree_weights(tree, ops=ops_new)
+    assert new.root == ref.root
+    assert new.total == ref.total
+    assert new.reduced == ref.reduced
+    assert new.children == ref.children
+    assert ops_new.total == ops_ref.total
+
+
+@settings(max_examples=100, deadline=None)
+@given(decompositions(), st.randoms(use_true_random=False))
+def test_subtree_weights_match_the_dfs_reference(td, rnd):
+    # public path: a decomposition walked from its smallest node
+    _assert_same_weights(td, RootedTree.of(td))
+    # driver path: a hanging tree as the labeling lists it, from any node
+    for w in rnd.sample(td.nodes, min(3, len(td.nodes))):
+        pairs = _hanging_walk(td, w)
+        ref_td = TreeDecomposition([w] + [c for c, _ in pairs],
+                                   [(p, c) for c, p in pairs], td.clusters,
+                                   td.graph_n)
+        _assert_same_weights(ref_td, RootedTree(w, pairs, td.clusters,
+                                                td.graph_n))
+
+
+@pytest.mark.parametrize("root, pairs", [
+    (1, [(2, 3)]),                  # parent never listed
+    (4, [(2, 3), (3, 2)]),          # a cycle away from the root
+    (1, [(2, 1), (3, 2), (2, 3)]),  # node 2 listed twice
+    (1, [(2, 1), (1, 2)]),          # the root listed as a child
+], ids=["unknown-parent", "cycle", "duplicate", "root-as-child"])
+def test_rooted_tree_not_listed_top_down_is_rejected(root, pairs):
+    tree = RootedTree(root, pairs, {1: [1], 2: [1, 2], 3: [2], 4: []}, 2)
+    with pytest.raises(DecompositionFormatError, match="top-down"):
+        approximate_cut(tree, 1, Fraction(1, 2))
 
 
 def test_p6_half():

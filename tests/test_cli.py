@@ -99,6 +99,29 @@ def test_disconnected_occurrences_exit_2(tmp_path, args):
     assert "r=" not in res.output and "B = " not in res.output
 
 
+@pytest.mark.parametrize("with_graph", [True, False],
+                         ids=["graph", "no-graph"])
+def test_approx_cut_disconnected_occurrences_exit_2(tmp_path, with_graph):
+    gp, tp = _split_subtree_instance(tmp_path)
+    args = ["approx-cut", "--td", tp, "--m", "3", "--c", "1/2"]
+    if with_graph:
+        args += ["--graph", gp]
+    res = CliRunner().invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert "vertex 5 appears in 2 separate subtrees" in res.output
+    assert "B = " not in res.output
+
+
+def test_approx_cut_uncovered_vertex_exits_2(tmp_path):
+    td = tree_to_width1_td(path_graph(3))
+    td.graph_n = 4  # vertex 4 is in no cluster
+    _, tp = _write_instance(tmp_path, path_graph(4), td)
+    res = CliRunner().invoke(main, ["approx-cut", "--td", tp, "--m", "2",
+                                    "--c", "1/2"])
+    assert res.exit_code == 2, res.output
+    assert "vertex 4 in no cluster" in res.output
+
+
 def test_bisect_width_above_bound_exits_2(tmp_path, monkeypatch):
     monkeypatch.setattr(engine, "bound_value", lambda t, delta, r: 0)
     g = path_graph(10)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
+    acceptance_corpus,
     exact_size_cut,
     p6_td,
     run_checked,
@@ -154,6 +155,36 @@ def test_exact_cut_property(n, width, seed):
     assert rep.width <= rep.bound + 1e-9
     naive = sum(1 for u, v in g.edges() if (u in b) != (v in b))
     assert naive == rep.width
+
+
+def test_doubling_step_hands_over_a_local_rooted_tree(monkeypatch):
+    """Every hanging tree the doubling step passes to the approximate cut
+    lists each node once, parents first, under an empty root cluster, and
+    its local clusters are lists of distinct ints covering 1..graph_n."""
+    original = engine.approximate_cut
+    handed = []
+
+    def checked(tree, m, c, g=None, ops=None):
+        assert tree.clusters[tree.root] == []
+        listed = {tree.root}
+        for child, parent in tree.pairs:
+            assert parent in listed and child not in listed
+            listed.add(child)
+        assert listed == set(tree.clusters)
+        union = set()
+        for i in listed:
+            cl = tree.clusters[i]
+            assert all(type(x) is int for x in cl)
+            assert len(set(cl)) == len(cl)
+            union.update(cl)
+        assert union == set(range(1, tree.graph_n + 1))
+        handed.append(tree)
+        return original(tree, m, c, g=g, ops=ops)
+
+    monkeypatch.setattr(engine, "approximate_cut", checked)
+    for label, g, td in acceptance_corpus():
+        exact_size_cut_linear(g, td, g.n // 2)
+    assert handed
 
 
 def test_width_above_bound_is_an_internal_error(monkeypatch):

@@ -14,6 +14,7 @@ EXPECTED = [
     "Graph",
     "PLabeling",
     "Partition",
+    "RootedTree",
     "TreeDecomposition",
     "ValidityReport",
     "WeightReport",
@@ -25,7 +26,6 @@ EXPECTED = [
     "doubling_step",
     "exact_size_cut_linear",
     "heaviest_path",
-    "is_nonredundant_path",
     "legible_bound",
     "longest_path_in_tree",
     "make_nonredundant",
@@ -50,6 +50,7 @@ def test_all_is_the_expected_list():
     ("treedec", "restrict"),
     ("labeling", "decompose_by_node"),
     ("labeling", "cluster_boundary_edges"),
+    ("treedec", "is_nonredundant_path"),
 ])
 def test_test_only_names_are_gone(module, name):
     assert not hasattr(treecut, name)

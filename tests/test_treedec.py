@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (
     acceptance_corpus,
+    is_nonredundant_path,
     orient_path,
     p6_td,
     restrict,
@@ -32,7 +33,6 @@ from treecut.oracle import brute_force_heaviest_path
 from treecut.treedec import (
     TreeDecomposition,
     heaviest_path,
-    is_nonredundant_path,
     make_nonredundant,
     path_weight,
     tree_to_width1_td,
@@ -154,7 +154,7 @@ def test_trusted_decompositions_pass_the_validating_constructor(monkeypatch):
     for label, g, td in acceptance_corpus():
         run_checked(g, td, g.n // 2)
     assert callers == {"tree_to_width1_td", "grid_td", "random_graph_with_td",
-                       "make_nonredundant", "doubling_step"}
+                       "make_nonredundant"}
 
 
 @st.composite
