@@ -16,13 +16,11 @@ from .engine import (
 )
 from .graph import (
     Graph,
-    Partition,
     cut_width,
     longest_path_in_tree,
     max_degree,
-    relative_diameter,
 )
-from .labeling import CircularIndex, PLabeling, build_plabeling
+from .labeling import PLabeling, build_plabeling
 from .treedec import (
     TreeDecomposition,
     ValidityReport,
@@ -35,12 +33,11 @@ from .treedec import (
 )
 
 __all__ = [
-    "ApproxCutResult", "CircularIndex", "CutReport", "Graph", "PLabeling",
-    "Partition", "RootedTree", "TreeDecomposition", "ValidityReport",
-    "WeightReport", "approximate_cut", "bound_value", "build_plabeling",
-    "compute_subtree_weights", "cut_width", "doubling_step",
-    "exact_size_cut_linear", "heaviest_path", "legible_bound",
-    "longest_path_in_tree", "make_nonredundant", "max_degree",
-    "minimum_bisection", "path_weight", "relative_diameter",
-    "tree_to_width1_td", "validate",
+    "ApproxCutResult", "CutReport", "Graph", "PLabeling", "RootedTree",
+    "TreeDecomposition", "ValidityReport", "WeightReport", "approximate_cut",
+    "bound_value", "build_plabeling", "compute_subtree_weights", "cut_width",
+    "doubling_step", "exact_size_cut_linear", "heaviest_path",
+    "legible_bound", "longest_path_in_tree", "make_nonredundant",
+    "max_degree", "minimum_bisection", "path_weight", "tree_to_width1_td",
+    "validate",
 ]

@@ -25,7 +25,7 @@ class RootedTree:
     before its children; `root` is the one node that is nobody's child.
     `clusters` maps every node to its vertices in 1..graph_n.
     compute_subtree_weights raises DecompositionFormatError on pairs that
-    are not listed that way.
+    are not listed that way and on a missing or malformed cluster.
     """
     root: int
     pairs: list
@@ -61,7 +61,9 @@ def compute_subtree_weights(tree, ops=None):
     `total[i]` counts distinct vertices in clusters at or below i;
     `reduced[i]` subtracts those shared with the parent cluster, so sibling
     reduced weights add up disjointly. Sorting uses one counting sort over
-    all nodes; equal reduced weights keep reverse pair order."""
+    all nodes; equal reduced weights keep reverse pair order. A listed node
+    without a cluster, or a cluster entry that is not an int in
+    1..graph_n, raises DecompositionFormatError."""
     root, pairs, clusters = tree.root, tree.pairs, tree.clusters
     listed = {root}
     for i, p in pairs:
@@ -81,13 +83,20 @@ def compute_subtree_weights(tree, ops=None):
         pairs = [*zip(path[1:], path),
                  *((i, p) for i, p in pairs if i not in moved)]
         root = low
-    seen = [False] * (tree.graph_n + 1)
+    n = tree.graph_n
+    seen = [False] * (n + 1)
     total = {}  # cluster sizes, then plus the children's reduced weights
     overlap = {}
     work = 0
     for i in [root, *(i for i, _ in pairs)]:
+        if i not in clusters:
+            raise DecompositionFormatError("node %r has no cluster" % (i,))
         c = 0
         for x in clusters[i]:
+            if type(x) is not int or not 0 < x <= n:
+                raise DecompositionFormatError(
+                    "vertex %r in cluster %r is not an int in 1..%r"
+                    % (x, i, n))
             if seen[x]:
                 c += 1  # recurring vertex: already in the parent cluster
             else:

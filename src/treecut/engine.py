@@ -18,7 +18,7 @@ from fractions import Fraction
 from .approxcut import RootedTree, approximate_cut
 from .errors import BadSize, InternalInvariant, InvalidDecomposition
 from .graph import cut_width, max_degree
-from .labeling import CircularIndex, build_plabeling
+from .labeling import build_plabeling
 from .treedec import make_nonredundant
 from .util import OpsCounter
 
@@ -78,7 +78,6 @@ def doubling_step(pl, m, ops=None):
         raise InternalInvariant("direct case missed a crowded instance")
     if ops is not None:
         ops.add(4 * n)  # the failed direct scan, then the case scan
-    ci = CircularIndex(n)
     blocks = pl.blocks()
     # node i's non-path labels are exactly a_i..rst_i-1, because a block
     # lists its hanging vertices first; the hits shifted by d bound Z
@@ -94,8 +93,8 @@ def doubling_step(pl, m, ops=None):
                 last = lab
                 hits += 1
         if hits:
-            za, zb = ci.shift(first, d), ci.shift(last, d)
-            z_len = ci.span(za, zb)
+            za, zb = (first - 1 + d) % n + 1, (last - 1 + d) % n + 1
+            z_len = (zb - za) % n + 1
             if (s_size + z_len - hits) * rtot <= (n - rtot) * hits:
                 break
     else:
@@ -104,17 +103,17 @@ def doubling_step(pl, m, ops=None):
     far = ap[av[zb]]
     if kind == "back":
         # the partial cut runs from just after the far block to the block
-        # preceding the split node
+        # preceding the split node; empty when that block is the far one
         jprev = pl.path_nodes[pl.path_nodes.index(i) - 1]
         v = blocks[far][2]
         w = blocks[jprev][2]
-        b1 = [] if far == jprev else [av[l] for l in ci.labels(ci.shift(v, 1), w)]
+        b1 = [av[(v - 1 + k) % n + 1] for k in range(1, (w - v) % n + 1)]
     else:
         # mirrored: from the split node's first cluster vertex up to just
-        # before the anchor's first cluster vertex
+        # before the anchor's first cluster vertex; empty when i is the anchor
         w = rst_i
         v = blocks[anchor][1]
-        b1 = [] if i == anchor else [av[l] for l in ci.labels(w, ci.shift(v, -1))]
+        b1 = [av[(w - 1 + k) % n + 1] for k in range((v - w) % n)]
     if ops is not None:
         ops.add(len(b1) + len(pl.path_nodes))
     mt = m - len(b1)

@@ -13,12 +13,8 @@ class NotATree(TreecutError):
     pass
 
 
-class NotAForest(TreecutError):
-    pass
-
-
 class PartitionInvalid(TreecutError):
-    """Partition classes do not cover the vertex set disjointly."""
+    """A cut side is not a bytes or bytearray of length n + 1."""
 
 
 class DecompositionFormatError(TreecutError):

@@ -163,9 +163,9 @@ def make_instance(family, **kw):
     if family == "path":
         g = path_graph(kw["n"])
     elif family == "star":
-        g = star_graph(kw.get("leaves") or kw["n"] - 1)
+        g = star_graph(kw["n"] - 1)
     elif family == "spider":
-        g = spider_graph(kw.get("legs") or [kw.get("leg_len", 3)] * 3)
+        g = spider_graph(kw.get("legs") or [3, 3, 3])
     elif family == "caterpillar":
         g = caterpillar_graph(kw.get("spine", 5), kw.get("hairs", 2))
     elif family == "ternary":

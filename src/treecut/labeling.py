@@ -14,32 +14,6 @@ from .errors import InternalInvariant, RedundantPath
 from .treedec import heaviest_path
 
 
-class CircularIndex:
-    """Arithmetic on labels 1..n read circularly."""
-
-    __slots__ = ("n",)
-
-    def __init__(self, n):
-        self.n = n
-
-    def shift(self, label, k):
-        """Label k positions after `label` (k may be negative)."""
-        return (label - 1 + k) % self.n + 1
-
-    def span(self, a, b):
-        """Number of labels in the circular interval a..b inclusive."""
-        return (b - a) % self.n + 1
-
-    def labels(self, a, b):
-        """Labels of the circular interval a..b in circular order."""
-        cur = a
-        while True:
-            yield cur
-            if cur == b:
-                return
-            cur = cur % self.n + 1
-
-
 class PLabeling:
     """Label arrays for one path of a decomposition.
 

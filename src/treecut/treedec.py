@@ -167,25 +167,8 @@ class ValidityReport:
         return self.vertex_cover_ok and self.edge_cover_ok and self.connectivity_ok
 
 
-def _vertex_id(x, n):
-    """`x` as a vertex id in 1..n, or 0 when no cluster entry can equal it."""
-    if type(x) is not int:
-        try:
-            k = int(x)
-        except (TypeError, ValueError, OverflowError):
-            return 0
-        if k != x:
-            return 0
-        x = k
-    return x if 1 <= x <= n else 0
-
-
-def validate(g, td, vertices=None):
+def validate(g, td):
     """Check the three decomposition properties against g.
-
-    With `vertices` given, checks are relative to that induced subgraph:
-    every listed vertex must be covered and every induced edge must fit in
-    some cluster. Cluster connectivity is always checked as-is.
 
     One breadth-first walk from td.nodes[0] reads each cluster at most twice
     and each edge at most twice, with no per-cluster sets; walk positions
@@ -200,17 +183,6 @@ def validate(g, td, vertices=None):
     gn, adj = g.n, g.adj
     n = max(gn, td.graph_n)
     clusters, neighbors = td.clusters, td.neighbors
-    inside = bytearray(n + 1)  # 1 marks a vertex of the checked vertex set
-    unlisted = []  # listed entries that no cluster entry can equal
-    if vertices is None:
-        inside[1:gn + 1] = b"\x01" * gn
-    else:
-        for x in vertices:
-            k = _vertex_id(x, n)
-            if k:
-                inside[k] = 1
-            else:
-                unlisted.append(x)
     top = [0] * (n + 1)   # walk position of the node heading x's first subtree
     mark = [0] * (n + 1)  # position of the parent whose children are scanned
     own = [0] * (n + 1)   # position of the child scanned last
@@ -251,29 +223,22 @@ def validate(g, td, vertices=None):
             if misfit is not None or extra:
                 continue
             for x in heads:
-                if x <= gn and inside[x]:
+                if x <= gn:
                     for w in adj[x]:
-                        if own[w] != t and 0 < top[w] < t and inside[w]:
+                        if own[w] != t and 0 < top[w] < t:
                             misfit = (x, w) if x < w else (w, x)
                             break
                     if misfit is not None:
                         break
-    if vertices is None:
-        foreign = next((x for x in range(gn + 1, n + 1) if top[x]), None)
-        uncovered = [x for x in range(1, gn + 1) if not top[x]] \
-            if 0 in top[1:gn + 1] else []
-    else:
-        foreign = next((x for x in range(1, n + 1)
-                        if top[x] and not inside[x]), None)
-        uncovered = [x for x in range(1, n + 1) if inside[x] and not top[x]]
+    foreign = next((x for x in range(gn + 1, n + 1) if top[x]), None)
+    uncovered = [x for x in range(1, gn + 1) if not top[x]] \
+        if 0 in top[1:gn + 1] else []
     if extra:
-        misfit = _misfit_by_sets(g, td, inside)
+        misfit = _misfit_by_sets(g, td)
     elif misfit is None:
         # an edge at an uncovered endpoint fits nowhere
         misfit = next(((x, w) if x < w else (w, x)
-                       for x in uncovered if x <= gn
-                       for w in adj[x] if inside[w]), None)
-    uncovered = unlisted + uncovered
+                       for x in uncovered for w in adj[x]), None)
     if foreign is not None:
         witness = "cluster %r holds foreign vertex %r" % (
             order[top[foreign] - 1], foreign)
@@ -291,8 +256,8 @@ def validate(g, td, vertices=None):
                           not extra, witness, width - 1)
 
 
-def _misfit_by_sets(g, td, inside):
-    """First edge of g inside the checked set that no cluster holds, or None.
+def _misfit_by_sets(g, td):
+    """First edge of g that no cluster holds, or None.
 
     Correct whether or not cluster connectivity holds; validate falls back
     to it once connectivity has failed.
@@ -304,8 +269,7 @@ def _misfit_by_sets(g, td, inside):
         for x in s:
             homes.setdefault(x, []).append(i)
     for u, v in g.edges():
-        if inside[u] and inside[v] and not any(
-                v in cluster_sets[i] for i in homes.get(u, ())):
+        if not any(v in cluster_sets[i] for i in homes.get(u, ())):
             return (u, v)
     return None
 

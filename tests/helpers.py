@@ -16,7 +16,6 @@ from treecut.treedec import (
     heaviest_path,
     ValidityReport,
     make_nonredundant,
-    validate,
 )
 from treecut.util import OpsCounter
 
@@ -62,11 +61,6 @@ def vertex_count(td):
     for i in td.nodes:
         seen.update(td.clusters[i])
     return len(seen)
-
-
-def between(ci, a, x, b):
-    """True if label x lies in the circular interval a..b of `ci`."""
-    return (x - a) % ci.n <= (b - a) % ci.n
 
 
 def tricut_width(g, vertices, b, z):
@@ -313,7 +307,7 @@ def run_checked(g, td0, m):
         w3 = tricut_width(g, cur, res.b_vertices, res.z_vertices)
         assert w3 <= cap + 1e-9, (w3, cap)
         shrunk = restricted_td(pl)
-        report = validate(g, shrunk, vertices=set(current_vertices(pl)))
+        report = set_validate(g, shrunk, vertices=set(current_vertices(pl)))
         assert report.ok, report.witness
         b_total.extend(res.b_vertices)
         cur = res.z_vertices
@@ -373,7 +367,8 @@ def small_fixtures():
 
 
 # The set-based validity check that treedec.validate replaced, kept verbatim
-# as the reference of the differential test in test_treedec.py.
+# as the reference of the differential test in test_validate.py; its
+# `vertices=` mode checks the shrunk instances against the induced subgraph.
 def set_validate(g, td, vertices=None):
     """Check the three decomposition properties against g.
 

@@ -128,6 +128,18 @@ def test_rooted_tree_not_listed_top_down_is_rejected(root, pairs):
         approximate_cut(tree, 1, Fraction(1, 2))
 
 
+@pytest.mark.parametrize("clusters", [
+    {1: [1]},               # node 2 has no cluster
+    {1: [1], 2: [1, 5]},    # an entry above graph_n
+    {1: [1], 2: [1, "x"]},  # an entry that is not an int
+    {1: [1], 2: [0, 2]},    # entry 0, which no vertex has
+], ids=["missing", "above-graph-n", "not-an-int", "zero"])
+def test_rooted_tree_with_malformed_cluster_is_rejected(clusters):
+    tree = RootedTree(1, [(2, 1)], clusters, 2)
+    with pytest.raises(DecompositionFormatError, match="cluster"):
+        approximate_cut(tree, 2, Fraction(1, 2))
+
+
 def test_p6_half():
     g = path_graph(6)
     td = p6_td()
@@ -135,11 +147,10 @@ def test_p6_half():
     assert 3 < len(res.b_vertices) <= 6
     assert res.rounds <= 1
     assert res.width <= 4  # rounds * t * Delta with t = 2, Delta = 2
-    part = [sorted(res.b_vertices),
-            sorted(set(g.vertices) - set(res.b_vertices))]
-    if part[1]:
-        from treecut.graph import Partition
-        assert cut_width(g, Partition(g.n, part)) == res.width
+    side = bytearray(g.n + 1)
+    for v in res.b_vertices:
+        side[v] = 1
+    assert cut_width(g, side) == res.width
 
 
 def test_grid4_cut():

@@ -29,7 +29,7 @@ from treecut.generators import (
     random_graph_with_td,
     star_graph,
 )
-from treecut.graph import Graph, Partition, cut_width, max_degree
+from treecut.graph import Graph, cut_width, max_degree
 from treecut.oracle import brute_force_min_cut_size_m
 from treecut.treedec import TreeDecomposition, tree_to_width1_td
 from treecut.util import OpsCounter
@@ -48,8 +48,7 @@ def test_p6_direct():
     b, rep = exact_size_cut_linear(g, p6_td(), 3)
     assert len(b) == 3
     assert rep.width <= 2 * 2 * 2
-    assert rep.width == cut_width(
-        g, Partition(6, [b, sorted(set(g.vertices) - set(b))]))
+    assert rep.width == cut_width(g, bytes(v in b for v in range(7)))
     assert len(rep.steps) == 1 and rep.steps[0].kind == "direct"
 
 

@@ -1,12 +1,9 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, strategies as st
 
 from treecut.errors import (
     BadSize,
     GraphFormatError,
-    NotAForest,
     NotATree,
     PartitionInvalid,
 )
@@ -15,16 +12,21 @@ from treecut.generators import (
     random_tree,
     spider_graph,
     star_graph,
-    ternary_tree,
 )
 from treecut.graph import (
     Graph,
-    Partition,
     cut_width,
     longest_path_in_tree,
     max_degree,
-    relative_diameter,
 )
+
+
+def side_of(g, b):
+    """Side array of g with 1 at the vertices of b."""
+    side = bytearray(g.n + 1)
+    for v in b:
+        side[v] = 1
+    return side
 
 
 def test_construction_rejects_garbage():
@@ -38,38 +40,12 @@ def test_construction_rejects_garbage():
 
 def test_cut_width_star():
     g = star_graph(4)  # center 1, leaves 2..5
-    assert cut_width(g, [{2, 3}, {1, 4, 5}]) == 2
+    assert cut_width(g, side_of(g, {2, 3})) == 2
 
 
 def test_cut_width_k4():
     g = Graph(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
-    assert cut_width(g, [{1, 2}, {3, 4}]) == 4
-
-
-def test_partition_validation():
-    g = path_graph(4)
-    with pytest.raises(PartitionInvalid):
-        cut_width(g, [{1, 2}, {2, 3, 4}])
-    with pytest.raises(PartitionInvalid):
-        cut_width(g, [{1, 2}, {4}])
-    with pytest.raises(PartitionInvalid):
-        Partition(4, [[1, 2, 1], [3, 4, 0]])
-    with pytest.raises(PartitionInvalid):
-        Partition(4, [[1, 2], [3, 4, 2, 3]])
-    p = Partition(4, [{1, 2}, set(), {3, 4}])
-    assert p.class_of[3] == 2
-    # a vertex repeated within its own class is accepted
-    assert Partition(4, [[1, 2, 1], [3, 4, 4]]).class_of == [-1, 0, 0, 1, 1]
-
-
-def test_partition_names_the_smallest_uncovered_vertex():
-    with pytest.raises(PartitionInvalid, match=r"e\.g\. 2$"):
-        Partition(6, [[1, 5], [6, 3]])
-    with pytest.raises(PartitionInvalid, match=r"e\.g\. 1$"):
-        Partition(3, [[], [3]])
-    with pytest.raises(PartitionInvalid, match=r"e\.g\. 4$"):
-        Partition(4, [[1, 2, 3]])
-    assert Partition(0, []).class_of == [-1]
+    assert cut_width(g, side_of(g, {1, 2})) == 4
 
 
 @pytest.mark.parametrize("g", [path_graph(1), path_graph(7), star_graph(5),
@@ -79,9 +55,6 @@ def test_cut_width_with_one_side_empty(g):
     every = list(g.vertices)
     naive = sum(1 for u, v in g.edges() if (u in every) != (v in every))
     assert naive == 0
-    assert cut_width(g, [[], every]) == naive
-    assert cut_width(g, [every, []]) == naive
-    assert cut_width(g, [every]) == naive
     assert cut_width(g, bytearray(g.n + 1)) == naive
     assert cut_width(g, bytes([1] * (g.n + 1))) == naive
 
@@ -89,6 +62,14 @@ def test_cut_width_with_one_side_empty(g):
 def test_cut_width_side_array_length_is_checked():
     with pytest.raises(PartitionInvalid):
         cut_width(path_graph(4), bytearray(4))
+
+
+def test_cut_width_rejects_anything_but_a_side_array():
+    g = path_graph(4)
+    with pytest.raises(PartitionInvalid):
+        cut_width(g, [{1, 2}, {3, 4}])  # vertex sets, the removed class form
+    with pytest.raises(PartitionInvalid):
+        cut_width(g, [0, 1, 1, 0, 0])  # right length, wrong type
 
 
 def test_spider_rejects_negative_leg():
@@ -113,25 +94,6 @@ def test_longest_path_rejects_non_tree():
         longest_path_in_tree(Graph(3, [(1, 2), (2, 3), (1, 3)]))
 
 
-def test_relative_diameter_path():
-    assert relative_diameter(path_graph(6)) == 1
-
-
-def test_relative_diameter_ternary():
-    assert relative_diameter(ternary_tree(2)) == Fraction(5, 13)
-
-
-def test_relative_diameter_forest():
-    # two disjoint 3-paths
-    g = Graph(6, [(1, 2), (2, 3), (4, 5), (5, 6)])
-    assert relative_diameter(g) == 1
-
-
-def test_relative_diameter_rejects_cycles():
-    with pytest.raises(NotAForest):
-        relative_diameter(Graph(3, [(1, 2), (2, 3), (1, 3)]))
-
-
 def test_max_degree():
     assert max_degree(star_graph(7)) == 7
     assert max_degree(Graph(1, [])) == 0
@@ -151,19 +113,26 @@ def test_longest_path_is_a_path(n, seed):
     assert len(set(path)) == len(path)
     for a, b in zip(path, path[1:]):
         assert b in g.adj[a]
-    # no longer path exists from either endpoint (simple eccentricity check)
-    r = relative_diameter(g)
-    assert r == Fraction(len(path), n)
+    # no pair of vertices is farther apart than the path's ends: a BFS from
+    # every vertex, independent of the two sweeps under test
+    for s in g.vertices:
+        dist = [-1] * (n + 1)
+        dist[s] = 0
+        frontier = [s]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for w in g.adj[v]:
+                    if dist[w] == -1:
+                        dist[w] = dist[v] + 1
+                        nxt.append(w)
+            frontier = nxt
+        assert max(dist) <= len(path) - 1
 
 
 @given(st.integers(2, 30), st.integers(0, 5), st.integers(0, 2 ** 30))
 def test_cut_width_matches_naive_count(n, seed, mask):
     g = random_tree(n, seed)
     black = {v for v in g.vertices if mask >> (v - 1) & 1}
-    white = set(g.vertices) - black
     expected = sum(1 for u, v in g.edges() if (u in black) != (v in black))
-    assert cut_width(g, [black, white]) == expected
-    side = bytearray(n + 1)
-    for v in black:
-        side[v] = 1
-    assert cut_width(g, side) == expected
+    assert cut_width(g, side_of(g, black)) == expected

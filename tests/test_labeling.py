@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (
     acceptance_corpus,
-    between,
     cluster_boundary_edges,
     current_vertices,
     debug_dump,
@@ -14,6 +13,7 @@ from helpers import (
     p6_td,
     restrict,
     restricted_td,
+    set_validate,
     spider_fixture,
     two_pass_plabeling,
 )
@@ -24,26 +24,13 @@ from treecut.generators import (
     random_graph_with_td,
     star_graph,
 )
-from treecut.labeling import CircularIndex, build_plabeling
+from treecut.labeling import build_plabeling
 from treecut.treedec import (
     TreeDecomposition,
     heaviest_path,
     make_nonredundant,
-    validate,
 )
 from treecut.util import OpsCounter
-
-
-def test_circular_index():
-    ci = CircularIndex(6)
-    assert ci.shift(5, 3) == 2
-    assert ci.shift(2, -3) == 5
-    assert ci.shift(4, 6) == 4  # a full turn is the identity
-    assert ci.span(5, 2) == 4
-    assert ci.span(3, 3) == 1
-    assert list(ci.labels(5, 2)) == [5, 6, 1, 2]
-    assert between(ci, 5, 6, 2)
-    assert not between(ci, 5, 3, 2)
 
 
 def test_p6_labels_follow_path_order():
@@ -211,7 +198,7 @@ def test_restricted_td_reproduces_current_state():
     td = make_nonredundant(td0)
     pl = build_plabeling(td)
     again = restricted_td(pl)
-    assert validate(g, again, vertices=set(current_vertices(pl))).ok
+    assert set_validate(g, again, vertices=set(current_vertices(pl))).ok
     # rebuilding on the explicit restriction gives the same assignments
     fresh = build_plabeling(again, pl.path_nodes)
     assert fresh.path_node_of == pl.path_node_of

@@ -1,5 +1,6 @@
 """The package's public surface: what it exports and what it no longer has."""
 import importlib
+import inspect
 
 import pytest
 from click.testing import CliRunner
@@ -9,11 +10,9 @@ from treecut.cli import main
 
 EXPECTED = [
     "ApproxCutResult",
-    "CircularIndex",
     "CutReport",
     "Graph",
     "PLabeling",
-    "Partition",
     "RootedTree",
     "TreeDecomposition",
     "ValidityReport",
@@ -32,7 +31,6 @@ EXPECTED = [
     "max_degree",
     "minimum_bisection",
     "path_weight",
-    "relative_diameter",
     "tree_to_width1_td",
     "validate",
 ]
@@ -51,6 +49,10 @@ def test_all_is_the_expected_list():
     ("labeling", "decompose_by_node"),
     ("labeling", "cluster_boundary_edges"),
     ("treedec", "is_nonredundant_path"),
+    ("graph", "Partition"),
+    ("graph", "relative_diameter"),
+    ("labeling", "CircularIndex"),
+    ("errors", "NotAForest"),
 ])
 def test_test_only_names_are_gone(module, name):
     assert not hasattr(treecut, name)
@@ -64,6 +66,14 @@ def test_test_only_names_are_gone(module, name):
 ])
 def test_test_only_members_are_gone(owner, name):
     assert not hasattr(owner, name)
+
+
+@pytest.mark.parametrize("func, params", [
+    (treecut.validate, ["g", "td"]),
+    (treecut.cut_width, ["g", "side"]),
+])
+def test_one_input_shape_per_function(func, params):
+    assert list(inspect.signature(func).parameters) == params
 
 
 @pytest.mark.parametrize("command", ["bisect", "cut"])

@@ -12,6 +12,7 @@ from helpers import (
     p6_td,
     restrict,
     run_checked,
+    set_validate,
     vertex_count,
     y_shaped_td,
 )
@@ -28,7 +29,7 @@ from treecut.generators import (
     star_graph,
     ternary_tree,
 )
-from treecut.graph import relative_diameter
+from treecut.graph import longest_path_in_tree
 from treecut.oracle import brute_force_heaviest_path
 from treecut.treedec import (
     TreeDecomposition,
@@ -247,7 +248,7 @@ def test_restrict_prefix():
     out = restrict(td, vertex_filter={1, 2, 3})
     assert [sorted(out.clusters[i]) for i in out.nodes] == \
         [[1, 2], [2, 3], [3], [], []]
-    sub = validate(path_graph(6), out, vertices={1, 2, 3})
+    sub = set_validate(path_graph(6), out, vertices={1, 2, 3})
     assert sub.ok
 
 
@@ -315,7 +316,8 @@ def test_width1_td_of_star():
     assert len(td.nodes) == 4
     assert validate(g, td).ok
     _, rep = heaviest_path(td)
-    assert rep.relative_weight >= Fraction(3, 5) == relative_diameter(g)
+    diameter = Fraction(len(longest_path_in_tree(g)), g.n)
+    assert rep.relative_weight >= Fraction(3, 5) == diameter
 
 
 def test_width1_td_of_ternary():
@@ -327,7 +329,8 @@ def test_width1_td_of_ternary():
     _, rep = heaviest_path(td)
     best, _ = brute_force_heaviest_path(td)  # 12 nodes, within oracle cap
     assert rep.path_weight == best == 6
-    assert rep.relative_weight >= Fraction(5, 13) == relative_diameter(g)
+    diameter = Fraction(len(longest_path_in_tree(g)), g.n)
+    assert rep.relative_weight >= Fraction(5, 13) == diameter
 
 
 @settings(max_examples=60, deadline=None)
@@ -338,7 +341,7 @@ def test_width1_td_random_trees(n, seed):
     assert validate(g, td).ok
     assert td.width() == 1
     _, rep = heaviest_path(td)
-    assert rep.relative_weight >= relative_diameter(g)
+    assert rep.relative_weight >= Fraction(len(longest_path_in_tree(g)), g.n)
 
 
 @settings(max_examples=60, deadline=None)
