@@ -25,7 +25,8 @@ class RootedTree:
     before its children; `root` is the one node that is nobody's child.
     `clusters` maps every node to its vertices in 1..graph_n.
     compute_subtree_weights raises DecompositionFormatError on pairs that
-    are not listed that way and on a missing or malformed cluster.
+    are not listed that way, on a missing or malformed cluster and on a
+    graph_n that is not an int.
     """
     root: int
     pairs: list
@@ -62,8 +63,9 @@ def compute_subtree_weights(tree, ops=None):
     `reduced[i]` subtracts those shared with the parent cluster, so sibling
     reduced weights add up disjointly. Sorting uses one counting sort over
     all nodes; equal reduced weights keep reverse pair order. A listed node
-    without a cluster, or a cluster entry that is not an int in
-    1..graph_n, raises DecompositionFormatError."""
+    without a cluster, a cluster that is not a list, a cluster entry that is
+    not an int in 1..graph_n and a graph_n that is not an int raise
+    DecompositionFormatError."""
     root, pairs, clusters = tree.root, tree.pairs, tree.clusters
     listed = {root}
     for i, p in pairs:
@@ -84,6 +86,8 @@ def compute_subtree_weights(tree, ops=None):
                  *((i, p) for i, p in pairs if i not in moved)]
         root = low
     n = tree.graph_n
+    if type(n) is not int:
+        raise DecompositionFormatError("graph_n %r is not an int" % (n,))
     seen = [False] * (n + 1)
     total = {}  # cluster sizes, then plus the children's reduced weights
     overlap = {}
@@ -92,16 +96,20 @@ def compute_subtree_weights(tree, ops=None):
         if i not in clusters:
             raise DecompositionFormatError("node %r has no cluster" % (i,))
         c = 0
-        for x in clusters[i]:
-            if type(x) is not int or not 0 < x <= n:
-                raise DecompositionFormatError(
-                    "vertex %r in cluster %r is not an int in 1..%r"
-                    % (x, i, n))
-            if seen[x]:
-                c += 1  # recurring vertex: already in the parent cluster
-            else:
-                seen[x] = True
-        total[i] = len(clusters[i])
+        try:
+            for x in clusters[i]:
+                if type(x) is not int or not 0 < x <= n:
+                    raise DecompositionFormatError(
+                        "vertex %r in cluster %r is not an int in 1..%r"
+                        % (x, i, n))
+                if seen[x]:
+                    c += 1  # recurring vertex: already in the parent cluster
+                else:
+                    seen[x] = True
+            total[i] = len(clusters[i])
+        except TypeError:
+            raise DecompositionFormatError(
+                "cluster %r is not a list of vertices" % (i,)) from None
         overlap[i] = c
         work += total[i] + 1
     reduced = {}
@@ -142,12 +150,12 @@ def approximate_cut(td, m, c, g=None, ops=None):
     covered by td.
     """
     tree = td if isinstance(td, RootedTree) else RootedTree.of(td)
+    sw = compute_subtree_weights(tree, ops=ops)
     n = tree.graph_n
     if not 1 <= m <= n:
         raise BadSize("m=%r outside 1..%d" % (m, n))
     if not 0 < c < 1:
         raise BadFraction("balance parameter %r outside (0, 1)" % (c,))
-    sw = compute_subtree_weights(tree, ops=ops)
     y, yt, kids = sw.total, sw.reduced, sw.children
     clusters = tree.clusters
     if y[sw.root] < m:

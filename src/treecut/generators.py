@@ -153,12 +153,21 @@ def random_graph_with_td(n, width, seed=0, edge_prob=0.5):
     return Graph(n, edges), td
 
 
+_SIZE_KEY = {"path": "n", "star": "n", "random-tree": "n", "random-td": "n",
+             "ternary": "h", "grid": "k"}
+
+
 def make_instance(family, **kw):
     """Build (graph, decomposition) for a named family.
 
     Families: path, star, spider, caterpillar, ternary, random-tree, grid,
     random-td. Trees get their width-1 longest-path-aligned decomposition.
+    A family that needs a size (`n`, `h` or `k`) raises TreecutError
+    without it.
     """
+    size = _SIZE_KEY.get(family)
+    if size is not None and kw.get(size) is None:
+        raise TreecutError("family %r needs --%s" % (family, size))
     seed = kw.get("seed", 0)
     if family == "path":
         g = path_graph(kw["n"])

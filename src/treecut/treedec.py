@@ -24,10 +24,13 @@ class TreeDecomposition:
     Immutable by convention. Node ids are arbitrary ints; freshly built
     decompositions use dense ids starting at 1. `heavy_end` caches the node
     where heaviest_path's final sweep starts; make_nonredundant fills it in
-    from its own traversal, and it is None until then.
+    from its own traversal, and it is None until then. `heavy_covers`
+    records that the path from the smallest node to `heavy_end` covers all
+    graph_n vertices, which makes the tree that path.
     """
 
-    __slots__ = ("nodes", "neighbors", "clusters", "graph_n", "heavy_end")
+    __slots__ = ("nodes", "neighbors", "clusters", "graph_n", "heavy_end",
+                 "heavy_covers")
 
     def __init__(self, nodes, edges, clusters, graph_n):
         nodes = list(nodes)
@@ -95,6 +98,7 @@ class TreeDecomposition:
         self.clusters = cl
         self.graph_n = graph_n
         self.heavy_end = None
+        self.heavy_covers = False
 
     @classmethod
     def _trusted(cls, nodes, edges, clusters, graph_n):
@@ -115,6 +119,7 @@ class TreeDecomposition:
         td.clusters = clusters
         td.graph_n = graph_n
         td.heavy_end = None
+        td.heavy_covers = False
         return td
 
     def edges(self):
@@ -286,9 +291,12 @@ def make_nonredundant(td, ops=None):
 
     When nothing contracts, `td` itself is returned, not a copy; callers
     must not mutate the result. The pass is then exactly heaviest_path's
-    first sweep, so its endpoint is stored in `td.heavy_end`. Otherwise the
-    result is a new decomposition with dense node ids 1..k in discovery
-    order.
+    first sweep, so its endpoint is stored in `td.heavy_end`, and
+    `td.heavy_covers` records whether its weight reached graph_n. Then every
+    node but the root added a vertex unseen before, so all nodes lie on the
+    path from the root to `heavy_end`: the tree is that path, whether or not
+    cluster connectivity holds. Otherwise the result is a new decomposition
+    with dense node ids 1..k in discovery order.
     """
     clusters, neighbors = td.clusters, td.neighbors
     if all(not clusters[i] for i in td.nodes):
@@ -340,6 +348,7 @@ def make_nonredundant(td, ops=None):
         ops.add(work)
     if not rep:
         td.heavy_end = best
+        td.heavy_covers = best_w == td.graph_n
         return td
     # class_order lists creation-time roots; adoption may have moved a class
     # to a new root, so compress to final representatives keeping first seen
@@ -413,19 +422,46 @@ def heaviest_path(td, ops=None):
     """Tree path maximizing the union of its clusters, via two DFS sweeps.
 
     The first sweep, from the smallest node id, is skipped when
-    make_nonredundant already found its endpoint (`td.heavy_end`). Ties
-    stick with the first maximum in discovery order. Returns the node
-    sequence and a weight report relative to the host graph order.
+    make_nonredundant already found its endpoint (`td.heavy_end`). The
+    second is skipped too when that sweep covered all graph_n vertices
+    (`td.heavy_covers`): the tree is then the path from `heavy_end` to the
+    smallest node, and a walk along `td.neighbors` returns it without
+    reading a cluster. A flag that the walk finds not to fit that shape
+    gets the sweep. With cluster connectivity the sweep would return the
+    same path; without it the sweep may stop at an earlier first maximum,
+    so the walked path, and the cut built on it, can differ. Ties stick
+    with the first maximum in discovery order. Returns the node sequence
+    and a weight report relative to the host graph order.
     """
     a = td.heavy_end
     if a is None:
         a = _weight_sweep(td, min(td.nodes), ops)[0]
+    elif td.heavy_covers:
+        path = _walk_path(td, a)
+        if ops is not None:
+            ops.add(len(path))
+        if len(path) == len(td.nodes) and path[-1] == min(td.nodes):
+            return path, WeightReport(td.graph_n, Fraction(1))
     b, weight, parent = _weight_sweep(td, a, ops)
     path = [b]
     while path[-1] != a:
         path.append(parent[path[-1]])
     path.reverse()
     return path, WeightReport(weight, Fraction(weight, td.graph_n))
+
+
+def _walk_path(td, end):
+    """Nodes met walking the tree from `end` while each node has exactly one
+    neighbor not yet met; the whole tree when it is a path ending at `end`."""
+    neighbors = td.neighbors
+    path = [end]
+    prev, nbrs = None, neighbors[end]
+    while len(nbrs) - (prev is not None) == 1:
+        i = nbrs[0] if nbrs[0] != prev else nbrs[1]
+        prev = path[-1]
+        path.append(i)
+        nbrs = neighbors[i]
+    return path
 
 
 def tree_to_width1_td(g):

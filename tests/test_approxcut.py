@@ -133,10 +133,18 @@ def test_rooted_tree_not_listed_top_down_is_rejected(root, pairs):
     {1: [1], 2: [1, 5]},    # an entry above graph_n
     {1: [1], 2: [1, "x"]},  # an entry that is not an int
     {1: [1], 2: [0, 2]},    # entry 0, which no vertex has
-], ids=["missing", "above-graph-n", "not-an-int", "zero"])
+    {1: [1], 2: 5},         # a cluster that is not iterable
+], ids=["missing", "above-graph-n", "not-an-int", "zero", "not-iterable"])
 def test_rooted_tree_with_malformed_cluster_is_rejected(clusters):
     tree = RootedTree(1, [(2, 1)], clusters, 2)
     with pytest.raises(DecompositionFormatError, match="cluster"):
+        approximate_cut(tree, 2, Fraction(1, 2))
+
+
+@pytest.mark.parametrize("graph_n", [None, "2", 2.0])
+def test_rooted_tree_with_non_int_graph_n_is_rejected(graph_n):
+    tree = RootedTree(1, [(2, 1)], {1: [1], 2: [1, 2]}, graph_n)
+    with pytest.raises(DecompositionFormatError, match="graph_n"):
         approximate_cut(tree, 2, Fraction(1, 2))
 
 

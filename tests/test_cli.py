@@ -260,6 +260,17 @@ def test_bad_arguments_exit_2(tmp_path, args):
     _assert_usage_error(CliRunner().invoke(main, args))
 
 
+@pytest.mark.parametrize("family, option", [
+    ("path", "n"), ("star", "n"), ("random-tree", "n"), ("random-td", "n"),
+    ("ternary", "h"), ("grid", "k")])
+def test_gen_without_size_exits_2(tmp_path, family, option):
+    res = CliRunner().invoke(main, [
+        "gen", "--family", family, "--out-graph", str(tmp_path / "g.edges"),
+        "--out-td", str(tmp_path / "t.json")])
+    _assert_usage_error(res)
+    assert "--%s" % option in res.output
+
+
 def test_non_int_node_id_exits_2(tmp_path):
     gp, _ = _write_instance(tmp_path, path_graph(3),
                             tree_to_width1_td(path_graph(3)))

@@ -1,9 +1,10 @@
 import json
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, find, given, settings, strategies as st
 
 from helpers import (
     acceptance_corpus,
@@ -16,6 +17,8 @@ from helpers import (
     vertex_count,
     y_shaped_td,
 )
+from treecut import engine, treedec
+from treecut.engine import exact_size_cut_linear
 from treecut.errors import (
     DecompositionFormatError,
     EmptyDecomposition,
@@ -214,6 +217,95 @@ def test_normalized_random_has_no_nested_pairs_and_same_heaviest_path(inst):
     g, td = inst
     assert validate(g, td).ok
     _check_normalized(td)
+
+
+@st.composite
+def path_tds(draw):
+    """A decomposition whose tree is a path and which keeps cluster
+    connectivity: each cluster keeps a subset of its predecessor's vertices
+    and adds fresh ones. Node ids are distinct ints drawn at random, so the
+    smallest node may sit inside the path; graph_n may exceed the covered
+    vertices; nested neighbours, which make normalization contract, occur
+    when a cluster keeps all or adds none."""
+    length = draw(st.integers(1, 10))
+    clusters, cur, nxt = [], [], 1
+    for pos in range(length):
+        keep = draw(st.lists(st.sampled_from(cur), unique=True)) if cur else []
+        fresh = draw(st.integers(0 if pos else 1, 3))
+        cur = keep + list(range(nxt, nxt + fresh))
+        nxt += fresh
+        clusters.append(cur)
+    ids = draw(st.lists(st.integers(1, 40), min_size=length,
+                        max_size=length, unique=True))
+    return TreeDecomposition(ids, list(zip(ids, ids[1:])),
+                             dict(zip(ids, clusters)),
+                             nxt - 1 + draw(st.integers(0, 2)))
+
+
+def _sweeps(td):
+    """Weight sweeps heaviest_path runs on the normalized td."""
+    out = make_nonredundant(td)
+    with mock.patch.object(treedec, "_weight_sweep",
+                           wraps=treedec._weight_sweep) as sweep:
+        heaviest_path(out)
+    return sweep.call_count
+
+
+@settings(max_examples=200, deadline=None)
+@given(path_tds())
+def test_covering_walk_gives_the_swept_path(td):
+    """The walk that replaces the second sweep when normalization's sweep
+    covered every vertex returns the same nodes and weight as the sweep."""
+    out = make_nonredundant(td)
+    walked = heaviest_path(out)
+    out.heavy_covers = False
+    assert heaviest_path(out) == walked
+    out.heavy_end = None
+    assert heaviest_path(out) == walked
+
+
+@pytest.mark.parametrize("name, reached", [
+    ("walk", lambda td: _sweeps(td) == 0),
+    ("sweep, graph_n above the covered vertices",
+     lambda td: _sweeps(td) == 1 and td.graph_n > vertex_count(td)),
+    ("sweep, smallest node inside the path",
+     lambda td: _sweeps(td) == 1 and min(td.nodes) not in
+     (td.nodes[0], td.nodes[-1])),
+    ("both sweeps, contracting input", lambda td: _sweeps(td) == 2),
+])
+def test_path_tds_reach_walk_and_sweep(name, reached):
+    find(path_tds(), reached,
+         settings=settings(max_examples=1000, database=None,
+                           phases=[Phase.generate]))
+
+
+def test_flag_on_a_non_path_tree_gets_the_sweep():
+    """A covering flag the tree's shape contradicts, which normalization
+    never sets, falls back to the sweep."""
+    td = y_shaped_td()
+    want = heaviest_path(td)
+    td.heavy_end, td.heavy_covers = want[0][0], True
+    assert heaviest_path(td) == want
+
+
+def test_covering_path_decomposition_cut_reads_no_cluster_in_heaviest_path(
+        monkeypatch):
+    """On a grid's path decomposition the cut's ops drop by one sweep, which
+    reads every cluster entry and node, and gain the walk over the nodes."""
+    g, td = make_instance("grid", k=20)
+    b, walked = exact_size_cut_linear(g, td, g.n // 2)
+    normalize = engine.make_nonredundant
+
+    def without_flag(td0, ops=None):
+        out = normalize(td0, ops=ops)
+        out.heavy_covers = False
+        return out
+
+    monkeypatch.setattr(engine, "make_nonredundant", without_flag)
+    b_swept, swept = exact_size_cut_linear(g, td, g.n // 2)
+    sweep = sum(len(c) for c in td.clusters.values()) + len(td.nodes)
+    assert walked.ops == swept.ops - sweep + len(td.nodes)
+    assert b == b_swept
 
 
 def test_make_nonredundant_duplicate_pair():
