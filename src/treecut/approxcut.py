@@ -62,18 +62,30 @@ def compute_subtree_weights(tree, ops=None):
     `total[i]` counts distinct vertices in clusters at or below i;
     `reduced[i]` subtracts those shared with the parent cluster, so sibling
     reduced weights add up disjointly. Sorting uses one counting sort over
-    all nodes; equal reduced weights keep reverse pair order. A listed node
-    without a cluster, a cluster that is not a list, a cluster entry that is
-    not an int in 1..graph_n and a graph_n that is not an int raise
-    DecompositionFormatError."""
+    all nodes; equal reduced weights keep reverse pair order. Pairs that are
+    not listed top-down or hold an unhashable id, clusters that are not a
+    mapping, a listed node without a cluster, a cluster that is not a list,
+    a cluster entry that is not an int in 1..graph_n and a graph_n that is
+    not an int raise DecompositionFormatError."""
     root, pairs, clusters = tree.root, tree.pairs, tree.clusters
-    listed = {root}
-    for i, p in pairs:
-        if p not in listed or i in listed:
-            raise DecompositionFormatError(
-                "pair (%r, %r) is not listed top-down" % (i, p))
-        listed.add(i)
-    low = min(listed)
+    try:
+        listed = {root}
+        for i, p in pairs:
+            if p not in listed or i in listed:
+                raise DecompositionFormatError(
+                    "pair (%r, %r) is not listed top-down" % (i, p))
+            listed.add(i)
+        low = min(listed)
+    except (TypeError, ValueError) as exc:  # no pair list, unhashable ids...
+        raise DecompositionFormatError(
+            "the tree is not listed top-down as (child, parent) pairs of "
+            "node ids: %s" % exc) from None
+    try:
+        cluster_of = clusters.get
+    except AttributeError:
+        raise DecompositionFormatError(
+            "clusters must map node ids to vertex lists, not %s"
+            % type(clusters).__name__) from None
     if low < root:
         # root at the smallest node: the pairs on the way from `low` up to
         # `root` turn over and come first, the others keep their order
@@ -93,11 +105,12 @@ def compute_subtree_weights(tree, ops=None):
     overlap = {}
     work = 0
     for i in [root, *(i for i, _ in pairs)]:
-        if i not in clusters:
+        cl = cluster_of(i)
+        if cl is None:
             raise DecompositionFormatError("node %r has no cluster" % (i,))
         c = 0
         try:
-            for x in clusters[i]:
+            for x in cl:
                 if type(x) is not int or not 0 < x <= n:
                     raise DecompositionFormatError(
                         "vertex %r in cluster %r is not an int in 1..%r"
@@ -106,7 +119,7 @@ def compute_subtree_weights(tree, ops=None):
                     c += 1  # recurring vertex: already in the parent cluster
                 else:
                     seen[x] = True
-            total[i] = len(clusters[i])
+            total[i] = len(cl)
         except TypeError:
             raise DecompositionFormatError(
                 "cluster %r is not a list of vertices" % (i,)) from None
@@ -144,18 +157,23 @@ def approximate_cut(td, m, c, g=None, ops=None):
     """Vertex set B with c*m < |B| <= m opening few clusters.
 
     `td` is a TreeDecomposition or a RootedTree; either way the tree is
-    rooted at its smallest node id. `c` may be a float or Fraction in the
-    open interval (0, 1). The host graph is optional and only used to
-    report the realized boundary width. Every vertex of 1..graph_n must be
-    covered by td.
+    rooted at its smallest node id. `m` is an int (not a bool) in
+    1..graph_n, else BadSize; `c` may be a float or Fraction in the open
+    interval (0, 1), else BadFraction. The host graph is optional and only
+    used to report the realized boundary width. Every vertex of 1..graph_n
+    must be covered by td.
     """
     tree = td if isinstance(td, RootedTree) else RootedTree.of(td)
     sw = compute_subtree_weights(tree, ops=ops)
     n = tree.graph_n
-    if not 1 <= m <= n:
-        raise BadSize("m=%r outside 1..%d" % (m, n))
-    if not 0 < c < 1:
-        raise BadFraction("balance parameter %r outside (0, 1)" % (c,))
+    if type(m) is not int or not 1 <= m <= n:
+        raise BadSize("m=%r is not an int in 1..%d" % (m, n))
+    try:
+        c_ok = 0 < c < 1
+    except TypeError:  # a string, None, a complex number...
+        c_ok = False
+    if not c_ok:
+        raise BadFraction("balance parameter %r is not in (0, 1)" % (c,))
     y, yt, kids = sw.total, sw.reduced, sw.children
     clusters = tree.clusters
     if y[sw.root] < m:

@@ -58,8 +58,8 @@ def doubling_step(pl, m, ops=None):
     pruned, the anchor's hanging tree dropped); `pl.td` is left untouched.
     """
     n = pl.n
-    if not 1 <= m <= n:
-        raise BadSize("m=%r outside 1..%d" % (m, n))
+    if type(m) is not int or not 1 <= m <= n:
+        raise BadSize("m=%r is not an int in 1..%d" % (m, n))
     av, al = pl.vertex_of, pl.label_of
     ar, ap = pl.is_path_vertex, pl.path_node_of
     rtot = pl.core_count()
@@ -248,10 +248,11 @@ def exact_size_cut_linear(g, td0, m):
 
     The labeling is constructed once and shrunk in place after every step,
     so total work stays proportional to the decomposition size. Returns the
-    sorted cut side and a CutReport.
+    sorted cut side and a CutReport. An m that is not an int in 0..n, a
+    bool included, raises BadSize.
     """
-    if not 0 <= m <= g.n:
-        raise BadSize("m=%r outside 0..%d" % (m, g.n))
+    if type(m) is not int or not 0 <= m <= g.n:
+        raise BadSize("m=%r is not an int in 0..%d" % (m, g.n))
     ops = OpsCounter()
     t_start = time.perf_counter()
     td = make_nonredundant(td0, ops=ops)

@@ -282,45 +282,37 @@ def _misfit_by_sets(g, td):
 def make_nonredundant(td, ops=None):
     """Contract away nested adjacent clusters.
 
-    One depth-first pass from the smallest node id. When a cluster is
-    contained in its (current) parent cluster the node is merged upward;
-    when the parent cluster is contained in the node's cluster the parent
-    class adopts the node's cluster. Width never grows and any tree path of
-    the input maps onto a tree path of the output covering at least the
-    same vertices.
+    One depth-first pass from the smallest node id puts every node in a
+    class, whose cluster is that of the node heading it. Classes never
+    merge: a node either starts a class, folds into its tree parent's class
+    when its cluster adds no vertex unseen before, or takes over as head of
+    that class when the head's cluster is nested in its own. Width never
+    grows and any tree path of the input maps onto a tree path of the
+    output covering at least the same vertices.
 
-    When nothing contracts, `td` itself is returned, not a copy; callers
-    must not mutate the result. The pass is then exactly heaviest_path's
-    first sweep, so its endpoint is stored in `td.heavy_end`, and
-    `td.heavy_covers` records whether its weight reached graph_n. Then every
-    node but the root added a vertex unseen before, so all nodes lie on the
-    path from the root to `heavy_end`: the tree is that path, whether or not
-    cluster connectivity holds. Otherwise the result is a new decomposition
-    with dense node ids 1..k in discovery order.
+    When no node joined another's class, `td` itself is returned, not a
+    copy; callers must not mutate the result. The pass is then exactly
+    heaviest_path's first sweep, so its endpoint is stored in
+    `td.heavy_end`, and `td.heavy_covers` records whether its weight
+    reached graph_n. Then every node but the root added a vertex unseen
+    before, so all nodes lie on the path from the root to `heavy_end`: the
+    tree is that path, whether or not cluster connectivity holds. Otherwise
+    the result is a new decomposition with dense node ids 1..k, one per
+    class in the order the classes were started.
     """
     clusters, neighbors = td.clusters, td.neighbors
     if all(not clusters[i] for i in td.nodes):
         raise EmptyDecomposition("every cluster is empty")
     root = min(td.nodes)
-    rep = {}  # contracted node -> node of its class, until the class root
-
-    def find(i):
-        while i in rep:
-            j = rep[i]
-            if j in rep:
-                j = rep[j]
-                rep[i] = j  # path halving
-            i = j
-        return i
-
+    roots = []   # class index -> node heading the class
+    joined = {}  # node that heads no class -> its class index
     seen = [False] * (td.graph_n + 1)
-    class_order = []
     work = 0
     best, best_w = root, -1  # first node of greatest path weight from root
-    stack = [(root, None, 0)]
+    stack = [(root, None, 0, None)]  # node, tree parent, weight, its class
     pop, push = stack.pop, stack.append
     while stack:
-        i, tree_parent, w = pop()
+        i, tree_parent, w, pc = pop()
         x = clusters[i]
         fresh = 0
         for v in x:
@@ -331,43 +323,37 @@ def make_nonredundant(td, ops=None):
         w += fresh
         if w > best_w:
             best, best_w = i, w
-        if tree_parent is None:
-            class_order.append(i)
+        if pc is None:
+            c = len(roots)
+            roots.append(i)
+        elif not fresh:
+            c = joined[i] = pc  # cluster nested in the head's: fold upward
+        elif len(x) - fresh == len(clusters[roots[pc]]):
+            c = joined[roots[pc]] = pc  # head's cluster nested here: take over
+            roots[pc] = i
         else:
-            p = find(tree_parent) if rep else tree_parent
-            if not fresh:
-                rep[i] = p  # cluster nested in parent: fold node upward
-            elif len(x) - fresh == len(clusters[p]):
-                rep[p] = i  # parent cluster nested here: parent class adopts it
-            else:
-                class_order.append(i)
+            c = len(roots)
+            roots.append(i)
         for j in neighbors[i]:
             if j != tree_parent:
-                push((j, i, w))
+                push((j, i, w, c))
     if ops is not None:
         ops.add(work)
-    if not rep:
+    if not joined:
         td.heavy_end = best
         td.heavy_covers = best_w == td.graph_n
         return td
-    # class_order lists creation-time roots; adoption may have moved a class
-    # to a new root, so compress to final representatives keeping first seen
-    final = []
-    seen_cls = set()
-    for i in class_order:
-        f = find(i)
-        if f not in seen_cls:
-            seen_cls.add(f)
-            final.append(f)
-    new_id = {f: k + 1 for k, f in enumerate(final)}
+    ids = list(range(1, len(roots) + 1))
+    id_of = {i: ids[c] for i, c in joined.items()}
+    id_of.update(zip(roots, ids))
     edges = []
     for a, b in td.edges():
-        fa, fb = find(a), find(b)
+        fa, fb = id_of[a], id_of[b]
         if fa != fb:
-            edges.append((new_id[fa], new_id[fb]))
+            edges.append((fa, fb))
     return TreeDecomposition._trusted(
-        list(range(1, len(final) + 1)), edges,
-        {new_id[f]: clusters[f] for f in final}, td.graph_n)
+        ids, edges, dict(zip(ids, map(clusters.__getitem__, roots))),
+        td.graph_n)
 
 
 @dataclass

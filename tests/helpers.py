@@ -7,7 +7,12 @@ from fractions import Fraction
 
 from treecut import engine
 from treecut.engine import StepRecord, doubling_step
-from treecut.errors import BadSize, InternalInvariant, RedundantPath
+from treecut.errors import (
+    BadSize,
+    EmptyDecomposition,
+    InternalInvariant,
+    RedundantPath,
+)
 from treecut.generators import make_instance, random_graph_with_td
 from treecut.graph import max_degree
 from treecut.labeling import PLabeling, build_plabeling
@@ -495,3 +500,97 @@ def dfs_subtree_weights(td, ops=None):
     if ops is not None:
         ops.add(top + len(order))
     return DfsSubtreeWeights(root, order, parent, total, reduced, children)
+
+
+# The union-find normalization that treedec.make_nonredundant replaced,
+# kept verbatim as the reference of the differential test in
+# test_treedec.py.
+def uf_make_nonredundant(td, ops=None):
+    """Contract away nested adjacent clusters.
+
+    One depth-first pass from the smallest node id. When a cluster is
+    contained in its (current) parent cluster the node is merged upward;
+    when the parent cluster is contained in the node's cluster the parent
+    class adopts the node's cluster. Width never grows and any tree path of
+    the input maps onto a tree path of the output covering at least the
+    same vertices.
+
+    When nothing contracts, `td` itself is returned, not a copy; callers
+    must not mutate the result. The pass is then exactly heaviest_path's
+    first sweep, so its endpoint is stored in `td.heavy_end`, and
+    `td.heavy_covers` records whether its weight reached graph_n. Then every
+    node but the root added a vertex unseen before, so all nodes lie on the
+    path from the root to `heavy_end`: the tree is that path, whether or not
+    cluster connectivity holds. Otherwise the result is a new decomposition
+    with dense node ids 1..k in discovery order.
+    """
+    clusters, neighbors = td.clusters, td.neighbors
+    if all(not clusters[i] for i in td.nodes):
+        raise EmptyDecomposition("every cluster is empty")
+    root = min(td.nodes)
+    rep = {}  # contracted node -> node of its class, until the class root
+
+    def find(i):
+        while i in rep:
+            j = rep[i]
+            if j in rep:
+                j = rep[j]
+                rep[i] = j  # path halving
+            i = j
+        return i
+
+    seen = [False] * (td.graph_n + 1)
+    class_order = []
+    work = 0
+    best, best_w = root, -1  # first node of greatest path weight from root
+    stack = [(root, None, 0)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        i, tree_parent, w = pop()
+        x = clusters[i]
+        fresh = 0
+        for v in x:
+            if not seen[v]:
+                seen[v] = True
+                fresh += 1
+        work += len(x) + 1
+        w += fresh
+        if w > best_w:
+            best, best_w = i, w
+        if tree_parent is None:
+            class_order.append(i)
+        else:
+            p = find(tree_parent) if rep else tree_parent
+            if not fresh:
+                rep[i] = p  # cluster nested in parent: fold node upward
+            elif len(x) - fresh == len(clusters[p]):
+                rep[p] = i  # parent cluster nested here: parent class adopts it
+            else:
+                class_order.append(i)
+        for j in neighbors[i]:
+            if j != tree_parent:
+                push((j, i, w))
+    if ops is not None:
+        ops.add(work)
+    if not rep:
+        td.heavy_end = best
+        td.heavy_covers = best_w == td.graph_n
+        return td
+    # class_order lists creation-time roots; adoption may have moved a class
+    # to a new root, so compress to final representatives keeping first seen
+    final = []
+    seen_cls = set()
+    for i in class_order:
+        f = find(i)
+        if f not in seen_cls:
+            seen_cls.add(f)
+            final.append(f)
+    new_id = {f: k + 1 for k, f in enumerate(final)}
+    edges = []
+    for a, b in td.edges():
+        fa, fb = find(a), find(b)
+        if fa != fb:
+            edges.append((new_id[fa], new_id[fb]))
+    return TreeDecomposition._trusted(
+        list(range(1, len(final) + 1)), edges,
+        {new_id[f]: clusters[f] for f in final}, td.graph_n)

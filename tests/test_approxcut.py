@@ -121,7 +121,12 @@ def test_subtree_weights_match_the_dfs_reference(td, rnd):
     (4, [(2, 3), (3, 2)]),          # a cycle away from the root
     (1, [(2, 1), (3, 2), (2, 3)]),  # node 2 listed twice
     (1, [(2, 1), (1, 2)]),          # the root listed as a child
-], ids=["unknown-parent", "cycle", "duplicate", "root-as-child"])
+    (1, None),                      # no pair list
+    (1, [(2,)]),                    # a pair without its parent
+    ([1], [(2, 1)]),                # a list as the root
+    (1, [([2], 1)]),                # a list as a child id
+], ids=["unknown-parent", "cycle", "duplicate", "root-as-child", "pairs-None",
+        "short-pair", "list-root", "list-child"])
 def test_rooted_tree_not_listed_top_down_is_rejected(root, pairs):
     tree = RootedTree(root, pairs, {1: [1], 2: [1, 2], 3: [2], 4: []}, 2)
     with pytest.raises(DecompositionFormatError, match="top-down"):
@@ -134,7 +139,9 @@ def test_rooted_tree_not_listed_top_down_is_rejected(root, pairs):
     {1: [1], 2: [1, "x"]},  # an entry that is not an int
     {1: [1], 2: [0, 2]},    # entry 0, which no vertex has
     {1: [1], 2: 5},         # a cluster that is not iterable
-], ids=["missing", "above-graph-n", "not-an-int", "zero", "not-iterable"])
+    None,                   # no cluster mapping
+], ids=["missing", "above-graph-n", "not-an-int", "zero", "not-iterable",
+        "clusters-None"])
 def test_rooted_tree_with_malformed_cluster_is_rejected(clusters):
     tree = RootedTree(1, [(2, 1)], clusters, 2)
     with pytest.raises(DecompositionFormatError, match="cluster"):
@@ -179,6 +186,13 @@ def test_bad_size():
         approximate_cut(td, 7, Fraction(1, 2))
 
 
+# sizes that are not ints; bools too, as TreeDecomposition refuses them
+@pytest.mark.parametrize("m", [1.5, 2.0, Fraction(3), "3", None, True])
+def test_size_that_is_not_an_int_is_rejected(m):
+    with pytest.raises(BadSize):
+        approximate_cut(p6_td(), m, Fraction(1, 2))
+
+
 def test_graph_of_another_size_is_rejected():
     td = p6_td()
     for n in (5, 7):
@@ -188,7 +202,8 @@ def test_graph_of_another_size_is_rejected():
 
 def test_bad_fraction():
     td = p6_td()
-    for c in (Fraction(0), Fraction(1), Fraction(3, 2), Fraction(-1, 4)):
+    for c in (Fraction(0), Fraction(1), Fraction(3, 2), Fraction(-1, 4),
+              "1/2", None, 0.5j):
         with pytest.raises(BadFraction):
             approximate_cut(td, 3, c)
 

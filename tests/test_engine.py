@@ -16,11 +16,12 @@ from helpers import (
 from treecut import engine
 from treecut.engine import (
     bound_value,
+    doubling_step,
     exact_size_cut_linear,
     legible_bound,
     minimum_bisection,
 )
-from treecut.errors import InternalInvariant, TreecutError
+from treecut.errors import BadSize, InternalInvariant, TreecutError
 from treecut.generators import (
     grid_graph,
     grid_td,
@@ -30,6 +31,7 @@ from treecut.generators import (
     star_graph,
 )
 from treecut.graph import Graph, cut_width, max_degree
+from treecut.labeling import build_plabeling
 from treecut.oracle import brute_force_min_cut_size_m
 from treecut.treedec import TreeDecomposition, tree_to_width1_td
 from treecut.util import OpsCounter
@@ -66,6 +68,22 @@ def test_single_vertex():
     td = TreeDecomposition([1], [], {1: [1]}, 1)
     b, rep = exact_size_cut_linear(g, td, 1)
     assert b == [1] and rep.width == 0
+
+
+# sizes that are not ints; bools too, as TreeDecomposition refuses them
+NON_INT_SIZES = [1.5, 2.0, Fraction(3), "3", None, True]
+
+
+@pytest.mark.parametrize("m", NON_INT_SIZES)
+def test_exact_cut_rejects_a_size_that_is_not_an_int(m):
+    with pytest.raises(BadSize):
+        exact_size_cut_linear(path_graph(6), p6_td(), m)
+
+
+@pytest.mark.parametrize("m", NON_INT_SIZES)
+def test_doubling_step_rejects_a_size_that_is_not_an_int(m):
+    with pytest.raises(BadSize):
+        doubling_step(build_plabeling(p6_td()), m)
 
 
 def test_star_matches_oracle():

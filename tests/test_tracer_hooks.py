@@ -2,8 +2,9 @@
 
 perfbench/tracing.py replaces module attributes of the library and reads
 fields of their arguments and results. A renamed function or field does not
-fail the benchmark; it nulls the affected metrics. This test runs two cuts
-and one validation under the tracer and asserts that nothing went missing.
+fail the benchmark; it nulls the affected metrics. This test runs three
+cuts, one of them on a contracting decomposition, and one validation under
+the tracer and asserts that nothing went missing.
 """
 import importlib.util
 import sys
@@ -28,16 +29,25 @@ def test_tracer_finds_every_layer_and_count(monkeypatch):
     tracing = _load_tracing(monkeypatch)
     tracer = tracing.Tracer()
     tracer.install()
+    normalized = {}  # family -> counts of its make_nonredundant spans
     try:
-        for family, params, m in (("ternary", {"h": 4}, 60),
-                                  ("grid", {"k": 4}, 8)):
+        for family, params, m in (
+                ("ternary", {"h": 4}, 60),
+                ("random-td", {"n": 60, "width": 3, "seed": 0}, 30),
+                ("grid", {"k": 4}, 8)):
             g, td = make_instance(family, **params)
+            first = len(tracer.spans)
             engine.exact_size_cut_linear(g, td, m)
+            normalized[family] = [s[8] for s in tracer.spans[first:]
+                                  if s[0] == "treedec.make_nonredundant"]
         assert treedec.validate(g, td).ok  # the grid; ingest times this layer
     finally:
         tracer.uninstall()
     assert tracer.missing == set()
     assert tracer.broken == set()
+    # random-td contracts, so the contracting branch ran under the tracer
+    (counts,) = normalized["random-td"]
+    assert counts["nodes_out"] < counts["nodes_in"]
     seen = {s[0] for s in tracer.spans}
     for name in ("engine.exact_size_cut_linear", "treedec.make_nonredundant",
                  "labeling.build_plabeling", "engine.doubling_step",

@@ -1,5 +1,6 @@
 import json
 import sys
+from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
@@ -14,6 +15,7 @@ from helpers import (
     restrict,
     run_checked,
     set_validate,
+    uf_make_nonredundant,
     vertex_count,
     y_shaped_td,
 )
@@ -42,6 +44,7 @@ from treecut.treedec import (
     tree_to_width1_td,
     validate,
 )
+from treecut.util import OpsCounter
 
 
 def test_validate_p6():
@@ -306,6 +309,91 @@ def test_covering_path_decomposition_cut_reads_no_cluster_in_heaviest_path(
     sweep = sum(len(c) for c in td.clusters.values()) + len(td.nodes)
     assert walked.ops == swept.ops - sweep + len(td.nodes)
     assert b == b_swept
+
+
+@st.composite
+def normalization_inputs(draw):
+    """redundant_tds() and path_tds() decompositions with their edges
+    listed in a random order and turned at random, some with one vertex
+    dropped from a cluster or added to one, which can break coverage and
+    cluster connectivity."""
+    td = draw(st.one_of(redundant_tds().map(lambda inst: inst[1]),
+                        path_tds()))
+    edges = [(b, a) if draw(st.booleans()) else (a, b)
+             for a, b in draw(st.permutations(list(td.edges())))]
+    clusters = {i: list(c) for i, c in td.clusters.items()}
+    c = clusters[draw(st.sampled_from(td.nodes))]
+    edit = draw(st.sampled_from(["none", "drop", "add"]))
+    if edit == "drop" and c:
+        c.remove(draw(st.sampled_from(c)))
+    elif edit == "add" and len(c) < td.graph_n:
+        c.append(draw(st.sampled_from(
+            [x for x in range(1, td.graph_n + 1) if x not in c])))
+    return TreeDecomposition(td.nodes, edges, clusters, td.graph_n)
+
+
+def _class_events(td):
+    """What normalization's pass does to its classes on td, replayed with
+    the class heads in a list: takeovers of a class's head ("adopt"),
+    classes taken over twice, takeovers of the root's class, and folds into
+    a class whose head was taken over."""
+    clusters, seen, events = td.clusters, set(), Counter()
+    heads, adopted = [], []
+    stack = [(min(td.nodes), None, None)]
+    while stack:
+        i, p, pc = stack.pop()
+        fresh = len(set(clusters[i]) - seen)
+        seen.update(clusters[i])
+        c = pc
+        if pc is None or fresh and (len(clusters[i]) - fresh
+                                    != len(clusters[heads[pc]])):
+            c = len(heads)
+            heads.append(i)
+            adopted.append(0)
+        elif fresh:
+            heads[pc] = i
+            adopted[pc] += 1
+            events["adopt"] += 1
+            events["adopted twice"] += adopted[pc] == 2
+            events["root class adopted"] += pc == 0
+        else:
+            events["fold into adopted"] += adopted[pc] > 0
+        stack.extend((j, i, c) for j in td.neighbors[i] if j != p)
+    return events
+
+
+@settings(max_examples=300, deadline=None)
+@given(normalization_inputs())
+def test_make_nonredundant_matches_the_union_find_reference(td):
+    """The whole result equals the union-find normalization's: the same
+    object when nothing contracts, otherwise the same nodes, neighbor lists
+    in the same order and the same cluster list objects; the same endpoint
+    flags and the same ops count."""
+    ops_ref, ops_new = OpsCounter(), OpsCounter()
+    try:
+        ref = uf_make_nonredundant(td, ops=ops_ref)
+    except EmptyDecomposition:
+        with pytest.raises(EmptyDecomposition):
+            make_nonredundant(td)
+        return
+    flags = (ref is td, ref.heavy_end, ref.heavy_covers)
+    td.heavy_end, td.heavy_covers = None, False
+    out = make_nonredundant(td, ops=ops_new)
+    assert (out is td, out.heavy_end, out.heavy_covers) == flags
+    assert out.nodes == ref.nodes
+    assert list(out.neighbors.items()) == list(ref.neighbors.items())
+    assert list(out.clusters) == list(ref.clusters)
+    assert all(out.clusters[i] is ref.clusters[i] for i in ref.clusters)
+    assert out.graph_n == ref.graph_n
+    assert ops_new.total == ops_ref.total
+
+
+@pytest.mark.parametrize("event", ["adopt", "adopted twice",
+                                   "root class adopted", "fold into adopted"])
+def test_normalization_inputs_reach_every_class_event(event):
+    find(normalization_inputs(), lambda td: _class_events(td)[event] > 0,
+         settings=settings(max_examples=2000, database=None,
+                           phases=[Phase.generate]))
 
 
 def test_make_nonredundant_duplicate_pair():
