@@ -12,9 +12,11 @@ from .errors import (
     BadFraction,
     BadSize,
     DecompositionFormatError,
+    GraphFormatError,
     InternalInvariant,
 )
-from .graph import cut_width
+from .graph import Graph, cut_width
+from .treedec import TreeDecomposition
 
 
 @dataclass
@@ -161,9 +163,20 @@ def approximate_cut(td, m, c, g=None, ops=None):
     1..graph_n, else BadSize; `c` may be a float or Fraction in the open
     interval (0, 1), else BadFraction. The host graph is optional and only
     used to report the realized boundary width. Every vertex of 1..graph_n
-    must be covered by td.
+    must be covered by td. A `td` of another type raises
+    DecompositionFormatError, and a `g` that is neither None nor a Graph
+    GraphFormatError.
     """
-    tree = td if isinstance(td, RootedTree) else RootedTree.of(td)
+    if g is not None and not isinstance(g, Graph):
+        raise GraphFormatError("g must be a Graph, not %s" % type(g).__name__)
+    if isinstance(td, RootedTree):
+        tree = td
+    elif isinstance(td, TreeDecomposition):
+        tree = RootedTree.of(td)
+    else:
+        raise DecompositionFormatError(
+            "td must be a TreeDecomposition or a RootedTree, not %s"
+            % type(td).__name__)
     sw = compute_subtree_weights(tree, ops=ops)
     n = tree.graph_n
     if type(m) is not int or not 1 <= m <= n:

@@ -16,10 +16,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .approxcut import RootedTree, approximate_cut
-from .errors import BadSize, InternalInvariant, InvalidDecomposition
-from .graph import cut_width, max_degree
+from .errors import (
+    BadSize,
+    DecompositionFormatError,
+    GraphFormatError,
+    InternalInvariant,
+    InvalidDecomposition,
+)
+from .graph import Graph, cut_width, max_degree
 from .labeling import build_plabeling
-from .treedec import make_nonredundant
+# the record-returning normalizer, under the name perfbench traces
+from .treedec import TreeDecomposition, normalize as make_nonredundant
 from .util import OpsCounter
 
 
@@ -217,7 +224,16 @@ def _step_budget_ok(r0, steps):
     return steps <= 1 or Fraction(2) ** (steps - 1) <= 1 / r0
 
 
-def _finish(g, td, m, b_total, steps, r0, ops, t_start):
+def _check_kinds(g, td):
+    """Raise unless g is a Graph and td a TreeDecomposition."""
+    if not isinstance(g, Graph):
+        raise GraphFormatError("g must be a Graph, not %s" % type(g).__name__)
+    if not isinstance(td, TreeDecomposition):
+        raise DecompositionFormatError(
+            "td must be a TreeDecomposition, not %s" % type(td).__name__)
+
+
+def _finish(g, t, m, b_total, steps, r0, ops, t_start):
     if len(b_total) != m:
         raise InternalInvariant("cut has %d vertices, wanted %d"
                                 % (len(b_total), m))
@@ -232,7 +248,6 @@ def _finish(g, td, m, b_total, steps, r0, ops, t_start):
             raise InternalInvariant("duplicate vertices in the cut")
         side[v] = 1
     width = cut_width(g, side) if 0 < m < n else 0
-    t = td.width() + 1
     delta = max_degree(g)
     bound = bound_value(t, delta, r0)
     if width > bound:
@@ -248,15 +263,18 @@ def exact_size_cut_linear(g, td0, m):
 
     The labeling is constructed once and shrunk in place after every step,
     so total work stays proportional to the decomposition size. Returns the
-    sorted cut side and a CutReport. An m that is not an int in 0..n, a
-    bool included, raises BadSize.
+    sorted cut side and a CutReport. A `g` that is not a Graph raises
+    GraphFormatError, a `td0` that is not a TreeDecomposition
+    DecompositionFormatError, and an m that is not an int in 0..n, a bool
+    included, BadSize. `td0` is not written to.
     """
+    _check_kinds(g, td0)
     if type(m) is not int or not 0 <= m <= g.n:
         raise BadSize("m=%r is not an int in 0..%d" % (m, g.n))
     ops = OpsCounter()
     t_start = time.perf_counter()
-    td = make_nonredundant(td0, ops=ops)
-    pl = build_plabeling(td, ops=ops)
+    norm = make_nonredundant(td0, ops=ops)
+    pl = build_plabeling(norm, ops=ops)
     _check_coverage(pl, g.n)
     b_total = []
     steps = []
@@ -270,12 +288,16 @@ def exact_size_cut_linear(g, td0, m):
             break
     # the first step counts the path vertices of the whole instance
     r0 = steps[0].w_before if steps else pl.relative_weight()
-    report = _finish(g, td, m, b_total, steps, r0, ops, t_start)
+    report = _finish(g, norm.size, m, b_total, steps, r0, ops, t_start)
     return report.b_vertices, report
 
 
 def minimum_bisection(g, td):
-    """Partition into floor(n/2) and ceil(n/2) vertices of bounded width."""
+    """Partition into floor(n/2) and ceil(n/2) vertices of bounded width.
+
+    Raises like exact_size_cut_linear on a `g` or `td` of the wrong type.
+    """
+    _check_kinds(g, td)
     b, report = exact_size_cut_linear(g, td, g.n // 2)
     in_w = bytearray(b"\x01") * (g.n + 1)  # 0 marks B and the unused id 0
     in_w[0] = 0

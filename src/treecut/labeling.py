@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InternalInvariant, RedundantPath
-from .treedec import heaviest_path
+from .treedec import Normalized, heaviest_path
 
 
 class PLabeling:
@@ -73,15 +73,21 @@ class PLabeling:
 def build_plabeling(td, path_nodes=None, ops=None):
     """Construct the label arrays for a tree path of td (heaviest if omitted).
 
-    The path is labeled in the given orientation, or reversed when that one
-    does not start nonredundantly; RedundantPath is raised when neither
-    works. By cluster connectivity a path node adds no new vertex exactly
-    when its cluster is contained in its predecessor's, so labeling itself
-    decides the orientation.
+    `td` is a TreeDecomposition or the Normalized record of one; the
+    labeling's `td` is the decomposition. The path is labeled in the given
+    orientation, or reversed when that one does not start nonredundantly;
+    RedundantPath is raised when neither works. By cluster connectivity a
+    path node adds no new vertex exactly when its cluster is contained in
+    its predecessor's, so labeling itself decides the orientation.
 
-    A path cluster is read once, or twice when hanging trees attach to its
-    node. Like the heaviest-path sweeps, this relies on cluster
-    connectivity: a vertex is marked as a path vertex when
+    A record whose normalization sweep covered every vertex needs no
+    cluster read: its tree is the heaviest path, which is labeled from the
+    smallest node, in the order in which the sweep met the vertices. Every
+    vertex is then a path vertex and no node has a hanging tree.
+
+    Otherwise a path cluster is read once, or twice when hanging trees
+    attach to its node. Like the heaviest-path sweeps, this relies on
+    cluster connectivity: a vertex is marked as a path vertex when
     the first path node holding it labels it, and a hanging vertex that also
     lies in a path cluster lies in the cluster of the path node it hangs
     from, which is marked before its hanging vertices are labeled. A
@@ -91,8 +97,13 @@ def build_plabeling(td, path_nodes=None, ops=None):
     other orientation. The relative weight and the cut can change with it;
     the engine still raises InternalInvariant on a cut wider than its bound.
     """
+    norm = td
+    if isinstance(td, Normalized):
+        td = td.td
     if path_nodes is None:
-        path_nodes, _ = heaviest_path(td, ops=ops)
+        path_nodes, _ = heaviest_path(norm, ops=ops)
+        if norm is not td and norm.vertex_of is not None:
+            return _covering_labeling(norm, path_nodes[::-1], ops)
     clusters, neighbors = td.clusters, td.neighbors
     path_set = set(path_nodes)
     # hanging trees: components of the tree minus path edges, keyed by the
@@ -124,6 +135,22 @@ def build_plabeling(td, path_nodes=None, ops=None):
     label_of, vertex_of, is_pv, path_node_of = labels
     return PLabeling(td, len(vertex_of) - 1, label_of, vertex_of, is_pv,
                      path_node_of, path, hang)
+
+
+def _covering_labeling(norm, path, ops):
+    """The labeling of a path from its smallest node, from the vertex order
+    of the normalization sweep that covered every vertex."""
+    vertex_of = norm.vertex_of
+    n = len(vertex_of) - 1
+    label_of = [0] * (n + 1)
+    for k, x in enumerate(vertex_of):
+        label_of[x] = k
+    is_pv = bytearray(b"\x01") * (n + 1)
+    is_pv[0] = 0
+    if ops is not None:
+        ops.add(n + len(path))
+    return PLabeling(norm.td, n, label_of, vertex_of, is_pv,
+                     norm.path_node_of, path, {i: [] for i in path})
 
 
 def _assign_labels(clusters, n0, path, hang):

@@ -21,16 +21,12 @@ from .graph import longest_path_in_tree
 class TreeDecomposition:
     """Tree over node ids with a vertex cluster per node.
 
-    Immutable by convention. Node ids are arbitrary ints; freshly built
-    decompositions use dense ids starting at 1. `heavy_end` caches the node
-    where heaviest_path's final sweep starts; make_nonredundant fills it in
-    from its own traversal, and it is None until then. `heavy_covers`
-    records that the path from the smallest node to `heavy_end` covers all
-    graph_n vertices, which makes the tree that path.
+    Immutable by convention: no function of the package writes to a
+    decomposition it is handed. Node ids are arbitrary ints; freshly built
+    decompositions use dense ids starting at 1.
     """
 
-    __slots__ = ("nodes", "neighbors", "clusters", "graph_n", "heavy_end",
-                 "heavy_covers")
+    __slots__ = ("nodes", "neighbors", "clusters", "graph_n")
 
     def __init__(self, nodes, edges, clusters, graph_n):
         nodes = list(nodes)
@@ -97,8 +93,6 @@ class TreeDecomposition:
         self.neighbors = neighbors
         self.clusters = cl
         self.graph_n = graph_n
-        self.heavy_end = None
-        self.heavy_covers = False
 
     @classmethod
     def _trusted(cls, nodes, edges, clusters, graph_n):
@@ -118,8 +112,6 @@ class TreeDecomposition:
         td.neighbors = neighbors
         td.clusters = clusters
         td.graph_n = graph_n
-        td.heavy_end = None
-        td.heavy_covers = False
         return td
 
     def edges(self):
@@ -279,8 +271,40 @@ def _misfit_by_sets(g, td):
     return None
 
 
+@dataclass
+class Normalized:
+    """What normalization found, handed on to the labeling of one cut.
+
+    `td` is the nonredundant decomposition: the input itself when nothing
+    contracted. `nodes` is `td.nodes` and `size` its largest cluster size.
+    After a pass-through, `heavy_end` is the endpoint of heaviest_path's
+    first sweep; it is None after a contraction. When that sweep also
+    covered all graph_n vertices, the tree is the path from the smallest
+    node to `heavy_end`, and the sweep met the vertices in the order of
+    that path's labeling oriented from the smallest node: `vertex_of`
+    lists them from index 1, and `path_node_of[x]` is the node that first
+    held x (index 0 of both holds 0). Both are None otherwise.
+    """
+    td: TreeDecomposition
+    nodes: list
+    size: int
+    heavy_end: int | None = None
+    vertex_of: list | None = None
+    path_node_of: list | None = None
+
+
 def make_nonredundant(td, ops=None):
-    """Contract away nested adjacent clusters.
+    """Contract away nested adjacent clusters (see `normalize`).
+
+    Returns `td` itself when nothing contracts, not a copy; callers must
+    not mutate the result. Otherwise returns a new decomposition with dense
+    node ids 1..k. The input is never written to.
+    """
+    return normalize(td, ops).td
+
+
+def normalize(td, ops=None):
+    """Contract away nested adjacent clusters; returns a Normalized record.
 
     One depth-first pass from the smallest node id puts every node in a
     class, whose cluster is that of the node heading it. Classes never
@@ -290,15 +314,17 @@ def make_nonredundant(td, ops=None):
     grows and any tree path of the input maps onto a tree path of the
     output covering at least the same vertices.
 
-    When no node joined another's class, `td` itself is returned, not a
-    copy; callers must not mutate the result. The pass is then exactly
-    heaviest_path's first sweep, so its endpoint is stored in
-    `td.heavy_end`, and `td.heavy_covers` records whether its weight
-    reached graph_n. Then every node but the root added a vertex unseen
-    before, so all nodes lie on the path from the root to `heavy_end`: the
-    tree is that path, whether or not cluster connectivity holds. Otherwise
-    the result is a new decomposition with dense node ids 1..k, one per
-    class in the order the classes were started.
+    When no node joined another's class, the record holds `td` itself. The
+    pass is then exactly heaviest_path's first sweep, and its endpoint is
+    the record's `heavy_end`. If its weight reached graph_n, every node but
+    the root added a vertex unseen before, so all nodes lie on the path
+    from the root to `heavy_end`: the tree is that path, whether or not
+    cluster connectivity holds, and the pass met the vertices in that
+    path's label order. The pass lists them only when the node degrees
+    allow that shape (the root's at most 1, every other at most 2), so
+    other trees pay nothing for it. Otherwise the record holds a new
+    decomposition with dense node ids 1..k, one per class in the order the
+    classes were started.
     """
     clusters, neighbors = td.clusters, td.neighbors
     if all(not clusters[i] for i in td.nodes):
@@ -306,20 +332,35 @@ def make_nonredundant(td, ops=None):
     root = min(td.nodes)
     roots = []   # class index -> node heading the class
     joined = {}  # node that heads no class -> its class index
-    seen = [False] * (td.graph_n + 1)
-    work = 0
+    first = [None] * (td.graph_n + 1)  # vertex -> node that first held it
+    # vertices in the order first met, kept only when the tree may be a
+    # path from the root
+    met = [0] if len(neighbors[root]) <= 1 and all(
+        len(nbrs) <= 2 for nbrs in neighbors.values()) else None
+    work = size = 0
     best, best_w = root, -1  # first node of greatest path weight from root
     stack = [(root, None, 0, None)]  # node, tree parent, weight, its class
     pop, push = stack.pop, stack.append
     while stack:
         i, tree_parent, w, pc = pop()
         x = clusters[i]
-        fresh = 0
-        for v in x:
-            if not seen[v]:
-                seen[v] = True
-                fresh += 1
-        work += len(x) + 1
+        if met is None:
+            fresh = 0
+            for v in x:
+                if first[v] is None:
+                    first[v] = i
+                    fresh += 1
+        else:
+            before = len(met)
+            for v in x:
+                if first[v] is None:
+                    first[v] = i
+                    met.append(v)
+            fresh = len(met) - before
+        k = len(x)
+        work += k + 1
+        if k > size:
+            size = k
         w += fresh
         if w > best_w:
             best, best_w = i, w
@@ -328,7 +369,7 @@ def make_nonredundant(td, ops=None):
             roots.append(i)
         elif not fresh:
             c = joined[i] = pc  # cluster nested in the head's: fold upward
-        elif len(x) - fresh == len(clusters[roots[pc]]):
+        elif k - fresh == len(clusters[roots[pc]]):
             c = joined[roots[pc]] = pc  # head's cluster nested here: take over
             roots[pc] = i
         else:
@@ -340,9 +381,10 @@ def make_nonredundant(td, ops=None):
     if ops is not None:
         ops.add(work)
     if not joined:
-        td.heavy_end = best
-        td.heavy_covers = best_w == td.graph_n
-        return td
+        if best_w == td.graph_n and met is not None:
+            first[0] = 0
+            return Normalized(td, td.nodes, size, best, met, first)
+        return Normalized(td, td.nodes, size, best)
     ids = list(range(1, len(roots) + 1))
     id_of = {i: ids[c] for i, c in joined.items()}
     id_of.update(zip(roots, ids))
@@ -351,9 +393,10 @@ def make_nonredundant(td, ops=None):
         fa, fb = id_of[a], id_of[b]
         if fa != fb:
             edges.append((fa, fb))
-    return TreeDecomposition._trusted(
-        ids, edges, dict(zip(ids, map(clusters.__getitem__, roots))),
-        td.graph_n)
+    heads = list(map(clusters.__getitem__, roots))
+    out = TreeDecomposition._trusted(ids, edges, dict(zip(ids, heads)),
+                                     td.graph_n)
+    return Normalized(out, ids, max(map(len, heads)))
 
 
 @dataclass
@@ -407,22 +450,26 @@ def _weight_sweep(td, start, ops=None):
 def heaviest_path(td, ops=None):
     """Tree path maximizing the union of its clusters, via two DFS sweeps.
 
-    The first sweep, from the smallest node id, is skipped when
-    make_nonredundant already found its endpoint (`td.heavy_end`). The
-    second is skipped too when that sweep covered all graph_n vertices
-    (`td.heavy_covers`): the tree is then the path from `heavy_end` to the
+    `td` is a TreeDecomposition, on which both sweeps run: the first from
+    the smallest node id, the second from its endpoint. Or it is the
+    Normalized record of one, which may spare sweeps. A record holding the
+    first sweep's endpoint (`heavy_end`) gets only the second. When
+    normalization's sweep also covered every vertex (the record's
+    `vertex_of` is set), the tree is the path from `heavy_end` to the
     smallest node, and a walk along `td.neighbors` returns it without
-    reading a cluster. A flag that the walk finds not to fit that shape
-    gets the sweep. With cluster connectivity the sweep would return the
-    same path; without it the sweep may stop at an earlier first maximum,
-    so the walked path, and the cut built on it, can differ. Ties stick
-    with the first maximum in discovery order. Returns the node sequence
-    and a weight report relative to the host graph order.
+    reading a cluster. A record whose tree the walk finds not to fit that
+    shape gets the sweep. With cluster connectivity the sweep would return
+    the same path; without it the sweep may stop at an earlier first
+    maximum, so the walked path, and the cut built on it, can differ. Ties
+    stick with the first maximum in discovery order. Returns the node
+    sequence and a weight report relative to the host graph order.
     """
-    a = td.heavy_end
+    a = covering = None
+    if isinstance(td, Normalized):
+        a, covering, td = td.heavy_end, td.vertex_of is not None, td.td
     if a is None:
         a = _weight_sweep(td, min(td.nodes), ops)[0]
-    elif td.heavy_covers:
+    elif covering:
         path = _walk_path(td, a)
         if ops is not None:
             ops.add(len(path))

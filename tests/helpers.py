@@ -272,7 +272,8 @@ def exact_size_cut(g, td0, m):
                                 res.w_after))
         if res.kind == "direct":
             break
-    report = engine._finish(g, td, m, b_total, steps, r0, ops, t_start)
+    report = engine._finish(g, td.width() + 1, m, b_total, steps, r0, ops,
+                            t_start)
     return report.b_vertices, report
 
 
@@ -502,9 +503,10 @@ def dfs_subtree_weights(td, ops=None):
     return DfsSubtreeWeights(root, order, parent, total, reduced, children)
 
 
-# The union-find normalization that treedec.make_nonredundant replaced,
-# kept verbatim as the reference of the differential test in
-# test_treedec.py.
+# The union-find normalization that treedec.normalize replaced, kept as the
+# reference of the differential test in test_treedec.py. It returned the
+# sweep's findings in two slots of the input; it now returns them beside
+# the result.
 def uf_make_nonredundant(td, ops=None):
     """Contract away nested adjacent clusters.
 
@@ -515,14 +517,15 @@ def uf_make_nonredundant(td, ops=None):
     the input maps onto a tree path of the output covering at least the
     same vertices.
 
-    When nothing contracts, `td` itself is returned, not a copy; callers
-    must not mutate the result. The pass is then exactly heaviest_path's
-    first sweep, so its endpoint is stored in `td.heavy_end`, and
-    `td.heavy_covers` records whether its weight reached graph_n. Then every
-    node but the root added a vertex unseen before, so all nodes lie on the
-    path from the root to `heavy_end`: the tree is that path, whether or not
+    Returns (result, heavy_end, covers). When nothing contracts, the
+    result is `td` itself, not a copy. The pass is then exactly
+    heaviest_path's first sweep, so `heavy_end` is its endpoint, and
+    `covers` records whether its weight reached graph_n. Then every node
+    but the root added a vertex unseen before, so all nodes lie on the path
+    from the root to `heavy_end`: the tree is that path, whether or not
     cluster connectivity holds. Otherwise the result is a new decomposition
-    with dense node ids 1..k in discovery order.
+    with dense node ids 1..k in discovery order, `heavy_end` is None and
+    `covers` False.
     """
     clusters, neighbors = td.clusters, td.neighbors
     if all(not clusters[i] for i in td.nodes):
@@ -573,9 +576,7 @@ def uf_make_nonredundant(td, ops=None):
     if ops is not None:
         ops.add(work)
     if not rep:
-        td.heavy_end = best
-        td.heavy_covers = best_w == td.graph_n
-        return td
+        return td, best, best_w == td.graph_n
     # class_order lists creation-time roots; adoption may have moved a class
     # to a new root, so compress to final representatives keeping first seen
     final = []
@@ -593,4 +594,4 @@ def uf_make_nonredundant(td, ops=None):
             edges.append((new_id[fa], new_id[fb]))
     return TreeDecomposition._trusted(
         list(range(1, len(final) + 1)), edges,
-        {new_id[f]: clusters[f] for f in final}, td.graph_n)
+        {new_id[f]: clusters[f] for f in final}, td.graph_n), None, False

@@ -14,6 +14,7 @@ from treecut.errors import (
     BadFraction,
     BadSize,
     DecompositionFormatError,
+    GraphFormatError,
     PartitionInvalid,
 )
 from treecut.generators import (
@@ -198,6 +199,20 @@ def test_graph_of_another_size_is_rejected():
     for n in (5, 7):
         with pytest.raises(PartitionInvalid):
             approximate_cut(td, 3, Fraction(1, 2), g=path_graph(n))
+
+
+# a graph or decomposition of the wrong kind, not a malformed one
+@pytest.mark.parametrize("td, g, error", [
+    (None, None, DecompositionFormatError),
+    ([1], None, DecompositionFormatError),
+    ("x", path_graph(6), DecompositionFormatError),
+    (p6_td(), "x", GraphFormatError),
+    (p6_td(), p6_td(), GraphFormatError),
+    (RootedTree.of(p6_td()), [1], GraphFormatError),
+])
+def test_arguments_of_the_wrong_kind_are_rejected(td, g, error):
+    with pytest.raises(error):
+        approximate_cut(td, 3, 0.5, g=g)
 
 
 def test_bad_fraction():

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 from fractions import Fraction
@@ -21,7 +22,14 @@ from treecut.engine import (
     legible_bound,
     minimum_bisection,
 )
-from treecut.errors import BadSize, InternalInvariant, TreecutError
+from treecut.approxcut import RootedTree
+from treecut.errors import (
+    BadSize,
+    DecompositionFormatError,
+    GraphFormatError,
+    InternalInvariant,
+    TreecutError,
+)
 from treecut.generators import (
     grid_graph,
     grid_td,
@@ -84,6 +92,56 @@ def test_exact_cut_rejects_a_size_that_is_not_an_int(m):
 def test_doubling_step_rejects_a_size_that_is_not_an_int(m):
     with pytest.raises(BadSize):
         doubling_step(build_plabeling(p6_td()), m)
+
+
+# a graph or decomposition of the wrong kind, not a malformed one
+WRONG_KINDS = [
+    (None, p6_td(), GraphFormatError),
+    ("x", p6_td(), GraphFormatError),
+    (p6_td(), p6_td(), GraphFormatError),
+    (path_graph(6), None, DecompositionFormatError),
+    (path_graph(6), [1], DecompositionFormatError),
+    (path_graph(6), RootedTree.of(p6_td()), DecompositionFormatError),
+]
+
+
+@pytest.mark.parametrize("g, td, error", WRONG_KINDS)
+def test_exact_cut_rejects_arguments_of_the_wrong_kind(g, td, error):
+    with pytest.raises(error):
+        exact_size_cut_linear(g, td, 3)
+
+
+@pytest.mark.parametrize("g, td, error", WRONG_KINDS)
+def test_bisection_rejects_arguments_of_the_wrong_kind(g, td, error):
+    with pytest.raises(error):
+        minimum_bisection(g, td)
+
+
+def _snapshot(td):
+    return (list(td.nodes), list(td.neighbors.items()),
+            list(td.clusters.items()), td.graph_n,
+            [id(getattr(td, f)) for f in TreeDecomposition.__slots__])
+
+
+@pytest.mark.parametrize("family, params", [
+    ("grid", {"k": 6}),  # covering: labeled from normalization's sweep
+    ("path", {"n": 30}),
+    ("ternary", {"h": 4}),
+    ("random-td", {"n": 60, "width": 3, "seed": 0}),  # contracts
+])
+def test_a_cut_leaves_its_input_as_it_was(family, params):
+    g, td = make_instance(family, **params)
+    before = copy.deepcopy(_snapshot(td))
+    for m in (0, 1, g.n // 3, g.n):
+        exact_size_cut_linear(g, td, m)
+    minimum_bisection(g, td)
+    assert _snapshot(td) == before
+
+
+def test_tree_decomposition_holds_exactly_its_four_fields():
+    assert TreeDecomposition.__slots__ == ("nodes", "neighbors", "clusters",
+                                           "graph_n")
+    assert not hasattr(p6_td(), "__dict__")
 
 
 def test_star_matches_oracle():
@@ -216,8 +274,8 @@ def test_width_above_bound_is_an_internal_error(monkeypatch):
 
 def _finish_path6(b_total):
     g = path_graph(6)
-    return engine._finish(g, tree_to_width1_td(g), len(b_total), b_total,
-                          [], Fraction(1), OpsCounter(), 0.0)
+    return engine._finish(g, tree_to_width1_td(g).width() + 1, len(b_total),
+                          b_total, [], Fraction(1), OpsCounter(), 0.0)
 
 
 def test_finish_accepts_a_valid_cut():

@@ -29,6 +29,7 @@ from treecut.treedec import (
     TreeDecomposition,
     heaviest_path,
     make_nonredundant,
+    normalize,
 )
 from treecut.util import OpsCounter
 
@@ -206,6 +207,16 @@ def test_restricted_td_reproduces_current_state():
         [bool(b) for b in pl.is_path_vertex]
 
 
+def _assert_same_arrays(pl, ref):
+    assert pl.n == ref.n
+    assert pl.label_of == ref.label_of
+    assert pl.vertex_of == ref.vertex_of
+    assert pl.path_node_of == ref.path_node_of
+    assert pl.is_path_vertex == ref.is_path_vertex
+    assert pl.path_nodes == ref.path_nodes
+    assert pl.hang == ref.hang
+
+
 def _labelings_agree(td, path_nodes=None):
     """The package labeling equals the two-pass reference on `td`: the same
     arrays, path, hanging trees and ops, with the path vertices exactly the
@@ -219,13 +230,7 @@ def _labelings_agree(td, path_nodes=None):
             build_plabeling(td, path_nodes)
         return None
     pl = build_plabeling(td, path_nodes, ops=new_ops)
-    assert pl.n == ref.n
-    assert pl.label_of == ref.label_of
-    assert pl.vertex_of == ref.vertex_of
-    assert pl.path_node_of == ref.path_node_of
-    assert pl.is_path_vertex == ref.is_path_vertex
-    assert pl.path_nodes == ref.path_nodes
-    assert pl.hang == ref.hang
+    _assert_same_arrays(pl, ref)
     assert new_ops.total == ref_ops.total
     on_path = set()
     for i in pl.path_nodes:
@@ -235,12 +240,21 @@ def _labelings_agree(td, path_nodes=None):
 
 
 def test_labeling_matches_two_pass_reference_on_corpus():
-    outcomes = set()
+    """The labeling a cut builds from its normalization record equals the
+    two-pass reference on the path it labels, in the orientation it uses:
+    from the smallest node on covering inputs, which the corpus has too.
+    Without the record the labeling agrees with the reference in its ops
+    as well."""
+    outcomes, covering = set(), set()
     for _, _, td in acceptance_corpus():
+        rec = normalize(td)
+        pl = build_plabeling(rec)
+        _assert_same_arrays(pl, two_pass_plabeling(rec.td, pl.path_nodes))
+        covering.add(rec.vertex_of is not None)
         assert _labelings_agree(make_nonredundant(td)) is not None
         # raw decompositions may nest clusters along their heaviest path
         outcomes.add(_labelings_agree(td) is None)
-    assert outcomes == {False, True}
+    assert outcomes == covering == {False, True}
 
 
 @st.composite

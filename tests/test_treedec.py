@@ -1,6 +1,7 @@
 import json
 import sys
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
 
@@ -15,6 +16,7 @@ from helpers import (
     restrict,
     run_checked,
     set_validate,
+    two_pass_plabeling,
     uf_make_nonredundant,
     vertex_count,
     y_shaped_td,
@@ -27,6 +29,7 @@ from treecut.errors import (
     RedundantPath,
 )
 from treecut.generators import (
+    grid_td,
     make_instance,
     path_graph,
     random_graph_with_td,
@@ -34,12 +37,15 @@ from treecut.generators import (
     star_graph,
     ternary_tree,
 )
-from treecut.graph import longest_path_in_tree
+from treecut.graph import Graph, longest_path_in_tree
+from treecut.labeling import build_plabeling
 from treecut.oracle import brute_force_heaviest_path
 from treecut.treedec import (
+    Normalized,
     TreeDecomposition,
     heaviest_path,
     make_nonredundant,
+    normalize,
     path_weight,
     tree_to_width1_td,
     validate,
@@ -161,7 +167,7 @@ def test_trusted_decompositions_pass_the_validating_constructor(monkeypatch):
     for label, g, td in acceptance_corpus():
         run_checked(g, td, g.n // 2)
     assert callers == {"tree_to_width1_td", "grid_td", "random_graph_with_td",
-                       "make_nonredundant"}
+                       "normalize"}
 
 
 @st.composite
@@ -194,18 +200,17 @@ def redundant_tds(draw):
 
 
 def _check_normalized(td):
-    """make_nonredundant leaves no nested adjacent pair, and the endpoint it
-    hands to heaviest_path gives the same path as the sweep from scratch.
-    Returns whether the input passed through."""
-    out = make_nonredundant(td)
+    """normalize leaves no nested adjacent pair, and the record it hands to
+    heaviest_path gives the same path as the sweeps from scratch. Returns
+    whether the input passed through."""
+    rec = normalize(td)
+    out = rec.td
     for a, b in out.edges():
         ca, cb = set(out.clusters[a]), set(out.clusters[b])
         assert not ca <= cb and not cb <= ca
-    assert (out.heavy_end is not None) == (out is td)
-    handed = heaviest_path(out)
-    end, out.heavy_end = out.heavy_end, None
+    assert (rec.heavy_end is not None) == (out is td)
+    handed = heaviest_path(rec)
     assert heaviest_path(out) == handed
-    out.heavy_end = end
     return out is td
 
 
@@ -246,11 +251,11 @@ def path_tds(draw):
 
 
 def _sweeps(td):
-    """Weight sweeps heaviest_path runs on the normalized td."""
-    out = make_nonredundant(td)
+    """Weight sweeps heaviest_path runs on the normalization record."""
+    rec = normalize(td)
     with mock.patch.object(treedec, "_weight_sweep",
                            wraps=treedec._weight_sweep) as sweep:
-        heaviest_path(out)
+        heaviest_path(rec)
     return sweep.call_count
 
 
@@ -259,12 +264,12 @@ def _sweeps(td):
 def test_covering_walk_gives_the_swept_path(td):
     """The walk that replaces the second sweep when normalization's sweep
     covered every vertex returns the same nodes and weight as the sweep."""
-    out = make_nonredundant(td)
-    walked = heaviest_path(out)
-    out.heavy_covers = False
-    assert heaviest_path(out) == walked
-    out.heavy_end = None
-    assert heaviest_path(out) == walked
+    rec = normalize(td)
+    walked = heaviest_path(rec)
+    rec = replace(rec, vertex_of=None, path_node_of=None)
+    assert heaviest_path(rec) == walked
+    rec = replace(rec, heavy_end=None)
+    assert heaviest_path(rec) == walked
 
 
 @pytest.mark.parametrize("name, reached", [
@@ -282,32 +287,115 @@ def test_path_tds_reach_walk_and_sweep(name, reached):
                            phases=[Phase.generate]))
 
 
+@st.composite
+def covering_inputs(draw):
+    """Path decompositions that cover every vertex: path_tds() made
+    nonredundant, with graph_n cut to the covered vertices and new node
+    ids in -5..59, the smallest at one end of the path; some of them with
+    one vertex added again to a cluster further down the path than the run
+    of clusters it left, which breaks cluster connectivity; and grids
+    k = 1..15. Normalization passes most of them through and finds them
+    covering."""
+    kind = draw(st.sampled_from(["path", "broken", "grid"]))
+    if kind == "grid":
+        return grid_td(draw(st.integers(1, 15)))
+    td = make_nonredundant(draw(path_tds()))
+    path = _path_from(td, next(i for i in td.nodes
+                               if len(td.neighbors[i]) <= 1))
+    clusters = [list(td.clusters[i]) for i in path]
+    ids = draw(st.lists(st.integers(-5, 59), min_size=len(path),
+                        max_size=len(path), unique=True))
+    low, end = ids.index(min(ids)), draw(st.sampled_from([0, len(ids) - 1]))
+    ids[low], ids[end] = ids[end], ids[low]
+    again = [(x, q) for p in range(len(clusters) - 2) for x in clusters[p]
+             if x not in clusters[p + 1]
+             for q in range(p + 2, len(clusters))]
+    if kind == "broken" and again:
+        x, q = draw(st.sampled_from(again))
+        clusters[q].append(x)
+    return TreeDecomposition(ids, list(zip(ids, ids[1:])),
+                             dict(zip(ids, clusters)),
+                             max(x for c in clusters for x in c))
+
+
+def _path_from(td, end):
+    """The nodes of a path-shaped tree, from its node `end`."""
+    path, prev = [end], None
+    while len(path) < len(td.nodes):
+        prev, nxt = path[-1], next(j for j in td.neighbors[path[-1]]
+                                   if j != prev)
+        path.append(nxt)
+    return path
+
+
+def _connected(td):
+    return validate(Graph(td.graph_n, []), td).connectivity_ok
+
+
+@settings(max_examples=300, deadline=None)
+@given(covering_inputs())
+def test_covering_labeling_matches_two_pass_reference_from_the_smallest_node(
+        td):
+    """On a covering pass-through input the labeling built from the
+    normalization sweep's vertex order equals the two-pass reference on the
+    path oriented from the smallest node, connectivity or not."""
+    rec = normalize(td)
+    if rec.vertex_of is None:
+        return
+    pl = build_plabeling(rec)
+    ref = two_pass_plabeling(td, _path_from(td, min(td.nodes)))
+    assert pl.td is ref.td is td
+    assert pl.n == ref.n == td.graph_n
+    assert pl.label_of == ref.label_of
+    assert pl.vertex_of == ref.vertex_of
+    assert pl.path_node_of == ref.path_node_of
+    assert pl.is_path_vertex == ref.is_path_vertex
+    assert pl.path_nodes == ref.path_nodes
+    assert pl.hang == ref.hang
+
+
+@pytest.mark.parametrize("connected", [True, False])
+def test_covering_inputs_reach_covering_records(connected):
+    find(covering_inputs(),
+         lambda td: (normalize(td).vertex_of is not None
+                     and _connected(td) == connected),
+         settings=settings(max_examples=1000, database=None,
+                           phases=[Phase.generate]))
+
+
 def test_flag_on_a_non_path_tree_gets_the_sweep():
     """A covering flag the tree's shape contradicts, which normalization
     never sets, falls back to the sweep."""
     td = y_shaped_td()
     want = heaviest_path(td)
-    td.heavy_end, td.heavy_covers = want[0][0], True
-    assert heaviest_path(td) == want
+    rec = Normalized(td, td.nodes, 2, heavy_end=want[0][0],
+                     vertex_of=list(range(10)), path_node_of=[0] * 10)
+    assert heaviest_path(rec) == want
 
 
 def test_covering_path_decomposition_cut_reads_no_cluster_in_heaviest_path(
         monkeypatch):
-    """On a grid's path decomposition the cut's ops drop by one sweep, which
-    reads every cluster entry and node, and gain the walk over the nodes."""
+    """On a grid's path decomposition the cut reads no cluster after
+    normalization. Against a record that only names the smallest node as
+    the sweep's start, which labels the same path in the same orientation,
+    the ops drop by the sweep and the labeling's cluster pass, each of
+    which reads every cluster entry and node. They gain the walk over the
+    nodes, and the labeling's n label stores and one hanging tree per
+    node."""
     g, td = make_instance("grid", k=20)
     b, walked = exact_size_cut_linear(g, td, g.n // 2)
     normalize = engine.make_nonredundant
 
     def without_flag(td0, ops=None):
-        out = normalize(td0, ops=ops)
-        out.heavy_covers = False
-        return out
+        rec = normalize(td0, ops=ops)
+        return replace(rec, heavy_end=min(rec.nodes), vertex_of=None,
+                       path_node_of=None)
 
     monkeypatch.setattr(engine, "make_nonredundant", without_flag)
     b_swept, swept = exact_size_cut_linear(g, td, g.n // 2)
-    sweep = sum(len(c) for c in td.clusters.values()) + len(td.nodes)
-    assert walked.ops == swept.ops - sweep + len(td.nodes)
+    pass_ = sum(len(c) for c in td.clusters.values()) + len(td.nodes)
+    nodes = len(td.nodes)
+    assert walked.ops == swept.ops - 2 * pass_ + nodes + g.n + nodes
     assert b == b_swept
 
 
@@ -368,18 +456,20 @@ def test_make_nonredundant_matches_the_union_find_reference(td):
     """The whole result equals the union-find normalization's: the same
     object when nothing contracts, otherwise the same nodes, neighbor lists
     in the same order and the same cluster list objects; the same endpoint
-    flags and the same ops count."""
+    flags and the same ops count, and the largest cluster size."""
     ops_ref, ops_new = OpsCounter(), OpsCounter()
     try:
-        ref = uf_make_nonredundant(td, ops=ops_ref)
+        ref, end, covers = uf_make_nonredundant(td, ops=ops_ref)
     except EmptyDecomposition:
         with pytest.raises(EmptyDecomposition):
-            make_nonredundant(td)
+            normalize(td)
         return
-    flags = (ref is td, ref.heavy_end, ref.heavy_covers)
-    td.heavy_end, td.heavy_covers = None, False
-    out = make_nonredundant(td, ops=ops_new)
-    assert (out is td, out.heavy_end, out.heavy_covers) == flags
+    rec = normalize(td, ops=ops_new)
+    out = rec.td
+    assert (out is td, rec.heavy_end, rec.vertex_of is not None) == (
+        ref is td, end, covers)
+    assert rec.nodes is out.nodes
+    assert rec.size == ref.width() + 1
     assert out.nodes == ref.nodes
     assert list(out.neighbors.items()) == list(ref.neighbors.items())
     assert list(out.clusters) == list(ref.clusters)
