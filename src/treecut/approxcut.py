@@ -8,27 +8,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (
-    BadFraction,
-    BadSize,
-    DecompositionFormatError,
-    GraphFormatError,
-    InternalInvariant,
-)
-from .graph import Graph, cut_width
-from .treedec import TreeDecomposition
+from .errors import BadFraction, BadSize, InternalInvariant
+from .graph import check_graph, cut_width
+from .treedec import check_decomposition
 
 
 @dataclass
 class RootedTree:
-    """A decomposition tree listed top-down.
+    """A decomposition tree listed top-down, built by the package, not checked.
 
     `pairs` are (child, parent) pairs in which every parent is listed
     before its children; `root` is the one node that is nobody's child.
-    `clusters` maps every node to its vertices in 1..graph_n.
-    compute_subtree_weights raises DecompositionFormatError on pairs that
-    are not listed that way, on a missing or malformed cluster and on a
-    graph_n that is not an int.
+    `clusters` maps every node to a list of distinct vertices in
+    1..graph_n.
     """
     root: int
     pairs: list
@@ -64,30 +56,10 @@ def compute_subtree_weights(tree, ops=None):
     `total[i]` counts distinct vertices in clusters at or below i;
     `reduced[i]` subtracts those shared with the parent cluster, so sibling
     reduced weights add up disjointly. Sorting uses one counting sort over
-    all nodes; equal reduced weights keep reverse pair order. Pairs that are
-    not listed top-down or hold an unhashable id, clusters that are not a
-    mapping, a listed node without a cluster, a cluster that is not a list,
-    a cluster entry that is not an int in 1..graph_n and a graph_n that is
-    not an int raise DecompositionFormatError."""
+    all nodes; equal reduced weights keep reverse pair order. `tree` is a
+    RootedTree the package built, and its shape is trusted."""
     root, pairs, clusters = tree.root, tree.pairs, tree.clusters
-    try:
-        listed = {root}
-        for i, p in pairs:
-            if p not in listed or i in listed:
-                raise DecompositionFormatError(
-                    "pair (%r, %r) is not listed top-down" % (i, p))
-            listed.add(i)
-        low = min(listed)
-    except (TypeError, ValueError) as exc:  # no pair list, unhashable ids...
-        raise DecompositionFormatError(
-            "the tree is not listed top-down as (child, parent) pairs of "
-            "node ids: %s" % exc) from None
-    try:
-        cluster_of = clusters.get
-    except AttributeError:
-        raise DecompositionFormatError(
-            "clusters must map node ids to vertex lists, not %s"
-            % type(clusters).__name__) from None
+    low = min((i for i, _ in pairs), default=root)
     if low < root:
         # root at the smallest node: the pairs on the way from `low` up to
         # `root` turn over and come first, the others keep their order
@@ -99,32 +71,19 @@ def compute_subtree_weights(tree, ops=None):
         pairs = [*zip(path[1:], path),
                  *((i, p) for i, p in pairs if i not in moved)]
         root = low
-    n = tree.graph_n
-    if type(n) is not int:
-        raise DecompositionFormatError("graph_n %r is not an int" % (n,))
-    seen = [False] * (n + 1)
+    seen = [False] * (tree.graph_n + 1)
     total = {}  # cluster sizes, then plus the children's reduced weights
     overlap = {}
     work = 0
     for i in [root, *(i for i, _ in pairs)]:
-        cl = cluster_of(i)
-        if cl is None:
-            raise DecompositionFormatError("node %r has no cluster" % (i,))
+        cl = clusters[i]
         c = 0
-        try:
-            for x in cl:
-                if type(x) is not int or not 0 < x <= n:
-                    raise DecompositionFormatError(
-                        "vertex %r in cluster %r is not an int in 1..%r"
-                        % (x, i, n))
-                if seen[x]:
-                    c += 1  # recurring vertex: already in the parent cluster
-                else:
-                    seen[x] = True
-            total[i] = len(cl)
-        except TypeError:
-            raise DecompositionFormatError(
-                "cluster %r is not a list of vertices" % (i,)) from None
+        for x in cl:
+            if seen[x]:
+                c += 1  # recurring vertex: already in the parent cluster
+            else:
+                seen[x] = True
+        total[i] = len(cl)
         overlap[i] = c
         work += total[i] + 1
     reduced = {}
@@ -155,30 +114,21 @@ class ApproxCutResult:
     width: int | None
 
 
-def approximate_cut(td, m, c, g=None, ops=None):
+def approximate_cut(td, m, c, g=None):
     """Vertex set B with c*m < |B| <= m opening few clusters.
 
-    `td` is a TreeDecomposition or a RootedTree; either way the tree is
-    rooted at its smallest node id. `m` is an int (not a bool) in
-    1..graph_n, else BadSize; `c` may be a float or Fraction in the open
-    interval (0, 1), else BadFraction. The host graph is optional and only
-    used to report the realized boundary width. Every vertex of 1..graph_n
-    must be covered by td. A `td` of another type raises
-    DecompositionFormatError, and a `g` that is neither None nor a Graph
-    GraphFormatError.
+    `td` is a TreeDecomposition, rooted at its smallest node id. `m` is an
+    int (not a bool) in 1..graph_n, else BadSize; `c` may be a float or
+    Fraction in the open interval (0, 1), else BadFraction. The host graph
+    is optional and only used to report the realized boundary width. Every
+    vertex of 1..graph_n must be covered by td. A `g` that is neither None
+    nor a Graph raises GraphFormatError, and a `td` of another type, a
+    RootedTree included, DecompositionFormatError.
     """
-    if g is not None and not isinstance(g, Graph):
-        raise GraphFormatError("g must be a Graph, not %s" % type(g).__name__)
-    if isinstance(td, RootedTree):
-        tree = td
-    elif isinstance(td, TreeDecomposition):
-        tree = RootedTree.of(td)
-    else:
-        raise DecompositionFormatError(
-            "td must be a TreeDecomposition or a RootedTree, not %s"
-            % type(td).__name__)
-    sw = compute_subtree_weights(tree, ops=ops)
-    n = tree.graph_n
+    if g is not None:
+        check_graph(g)
+    check_decomposition(td)
+    n = td.graph_n
     if type(m) is not int or not 1 <= m <= n:
         raise BadSize("m=%r is not an int in 1..%d" % (m, n))
     try:
@@ -187,6 +137,14 @@ def approximate_cut(td, m, c, g=None, ops=None):
         c_ok = False
     if not c_ok:
         raise BadFraction("balance parameter %r is not in (0, 1)" % (c,))
+    return _cut_tree(RootedTree.of(td), m, c, g)
+
+
+def _cut_tree(tree, m, c, g=None, ops=None):
+    """approximate_cut on a RootedTree the package built, with m and c
+    already checked; the doubling step calls it on a hanging tree."""
+    sw = compute_subtree_weights(tree, ops=ops)
+    n = tree.graph_n
     y, yt, kids = sw.total, sw.reduced, sw.children
     clusters = tree.clusters
     if y[sw.root] < m:

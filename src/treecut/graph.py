@@ -53,6 +53,12 @@ class Graph:
         return self.n >= 1 and self.m_edges == self.n - 1 and self.is_connected()
 
 
+def check_graph(g):
+    """Raise GraphFormatError unless g is a Graph."""
+    if not isinstance(g, Graph):
+        raise GraphFormatError("g must be a Graph, not %s" % type(g).__name__)
+
+
 def _component(g, s):
     out = [s]
     seen = [False] * (g.n + 1)
@@ -74,6 +80,7 @@ def cut_width(g, side):
     `side` is a bytes or bytearray of length n + 1 holding the side of each
     vertex at its index (index 0 unused), taken as is.
     """
+    check_graph(g)
     if not isinstance(side, (bytes, bytearray)) or len(side) != g.n + 1:
         raise PartitionInvalid("side must be bytes or a bytearray of length %d"
                                % (g.n + 1))
@@ -87,6 +94,7 @@ def cut_width(g, side):
 
 
 def max_degree(g):
+    check_graph(g)
     return max(map(len, g.adj))
 
 
@@ -119,6 +127,7 @@ def longest_path_in_tree(g):
 
     Ties are broken toward smaller vertex ids at both sweeps.
     """
+    check_graph(g)
     if not g.is_tree():
         raise NotATree("longest_path_in_tree needs a connected acyclic graph")
     a, _, _ = _farthest(g, 1)

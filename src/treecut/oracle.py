@@ -6,15 +6,12 @@ dynamic program) and shares no machinery with the production algorithms.
 from __future__ import annotations
 
 import itertools
-import math
 
 from .errors import BadSize, NotATree, TreecutError
-from .treedec import path_weight
 
 
 _BRUTE_LIMIT = 24
 _DP_LIMIT = 5000
-_PATH_LIMIT = 12
 
 
 def _adj_masks(g):
@@ -107,42 +104,3 @@ def tree_dp_min_bisection(g, m=None):
         sizes[v] = size
     final = tables[root][m]
     return int(min(final))
-
-
-def brute_force_heaviest_path(td):
-    """Heaviest tree path weight by trying every node pair (|nodes| <= 12)."""
-    nodes = td.nodes
-    if len(nodes) > _PATH_LIMIT:
-        raise TreecutError("exhaustive path search capped at %d nodes"
-                           % _PATH_LIMIT)
-    best = 0
-    best_path = None
-    for a in nodes:
-        # BFS parents from a
-        parent = {a: None}
-        queue = [a]
-        head = 0
-        while head < len(queue):
-            v = queue[head]
-            head += 1
-            for w in td.neighbors[v]:
-                if w not in parent:
-                    parent[w] = v
-                    queue.append(w)
-        for b in nodes:
-            path = [b]
-            while path[-1] != a:
-                path.append(parent[path[-1]])
-            w = path_weight(td, path)
-            if w > best:
-                best = w
-                best_path = list(reversed(path))
-    return best, best_path
-
-
-def ternary_bisection_lower_bound(h):
-    """Lower bound h - log3(h) for the bisection width of the complete
-    rooted ternary tree of height h."""
-    if h < 1:
-        raise BadSize("height must be positive")
-    return h - math.log(h, 3)

@@ -15,7 +15,7 @@ from .errors import (
     EmptyDecomposition,
     NotATree,
 )
-from .graph import longest_path_in_tree
+from .graph import check_graph, longest_path_in_tree
 
 
 class TreeDecomposition:
@@ -151,6 +151,13 @@ class TreeDecomposition:
             raise DecompositionFormatError("bad decomposition JSON: %s" % exc)
 
 
+def check_decomposition(td):
+    """Raise DecompositionFormatError unless td is a TreeDecomposition."""
+    if not isinstance(td, TreeDecomposition):
+        raise DecompositionFormatError(
+            "td must be a TreeDecomposition, not %s" % type(td).__name__)
+
+
 @dataclass
 class ValidityReport:
     vertex_cover_ok: bool
@@ -175,8 +182,12 @@ def validate(g, td):
     fits exactly when the cluster at the later of its endpoints' tops holds
     the other endpoint (Gavril's subtree-intersection lemma); that is tested
     right after the cluster is read. Once connectivity fails, the edge check
-    falls back to cluster sets.
+    falls back to cluster sets. A `g` that is not a Graph raises
+    GraphFormatError, and a `td` that is not a TreeDecomposition
+    DecompositionFormatError.
     """
+    check_graph(g)
+    check_decomposition(td)
     gn, adj = g.n, g.adj
     n = max(gn, td.graph_n)
     clusters, neighbors = td.clusters, td.neighbors
@@ -298,8 +309,10 @@ def make_nonredundant(td, ops=None):
 
     Returns `td` itself when nothing contracts, not a copy; callers must
     not mutate the result. Otherwise returns a new decomposition with dense
-    node ids 1..k. The input is never written to.
+    node ids 1..k. The input is never written to. A `td` that is not a
+    TreeDecomposition raises DecompositionFormatError.
     """
+    check_decomposition(td)
     return normalize(td, ops).td
 
 
@@ -405,14 +418,6 @@ class WeightReport:
     relative_weight: Fraction
 
 
-def path_weight(td, path_nodes):
-    """Number of distinct vertices in the clusters along a node sequence."""
-    seen = set()
-    for i in path_nodes:
-        seen.update(td.clusters[i])
-    return len(seen)
-
-
 def _weight_sweep(td, start, ops=None):
     """DFS from `start`; returns (end, weight, parents).
 
@@ -452,29 +457,32 @@ def heaviest_path(td, ops=None):
 
     `td` is a TreeDecomposition, on which both sweeps run: the first from
     the smallest node id, the second from its endpoint. Or it is the
-    Normalized record of one, which may spare sweeps. A record holding the
-    first sweep's endpoint (`heavy_end`) gets only the second. When
-    normalization's sweep also covered every vertex (the record's
-    `vertex_of` is set), the tree is the path from `heavy_end` to the
-    smallest node, and a walk along `td.neighbors` returns it without
-    reading a cluster. A record whose tree the walk finds not to fit that
-    shape gets the sweep. With cluster connectivity the sweep would return
-    the same path; without it the sweep may stop at an earlier first
-    maximum, so the walked path, and the cut built on it, can differ. Ties
-    stick with the first maximum in discovery order. Returns the node
-    sequence and a weight report relative to the host graph order.
+    Normalized record of one, which may spare sweeps and is trusted as
+    normalization built it. A record holding the first sweep's endpoint
+    (`heavy_end`) gets only the second. When normalization's sweep also
+    covered every vertex (the record's `vertex_of` is set), every node but
+    the smallest added a vertex, so weights rise strictly along the tree,
+    which is the path from `heavy_end` to the smallest node; a walk along
+    `td.neighbors` returns it without reading a cluster. With cluster
+    connectivity the sweep would return the same path; without it the
+    sweep may stop at an earlier first maximum, so the walked path, and
+    the cut built on it, can differ. Ties stick with the first maximum in
+    discovery order. Returns the node sequence and a weight report
+    relative to the host graph order. Any other `td` raises
+    DecompositionFormatError.
     """
     a = covering = None
     if isinstance(td, Normalized):
         a, covering, td = td.heavy_end, td.vertex_of is not None, td.td
-    if a is None:
-        a = _weight_sweep(td, min(td.nodes), ops)[0]
-    elif covering:
+    else:
+        check_decomposition(td)
+    if covering:
         path = _walk_path(td, a)
         if ops is not None:
             ops.add(len(path))
-        if len(path) == len(td.nodes) and path[-1] == min(td.nodes):
-            return path, WeightReport(td.graph_n, Fraction(1))
+        return path, WeightReport(td.graph_n, Fraction(1))
+    if a is None:
+        a = _weight_sweep(td, min(td.nodes), ops)[0]
     b, weight, parent = _weight_sweep(td, a, ops)
     path = [b]
     while path[-1] != a:
@@ -501,7 +509,8 @@ def tree_to_width1_td(g):
     """Width-1 decomposition of a tree: one node per edge, clusters are the
     edge endpoints, and a longest path of the tree maps onto a tree path of
     the decomposition (so its relative weight is at least the relative
-    diameter)."""
+    diameter). A `g` that is not a Graph raises GraphFormatError."""
+    check_graph(g)
     if not g.is_tree():
         raise NotATree("input must be a connected acyclic graph")
     if g.n == 1:

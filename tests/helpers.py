@@ -1,5 +1,6 @@
 """Shared fixtures, test-only inspection helpers, the rebuild-per-round
-reference driver, and the checked step-by-step runner used by several tests."""
+reference driver, the checked step-by-step runner used by several tests,
+and exact references that only tests use."""
 import math
 import time
 from dataclasses import dataclass
@@ -12,6 +13,7 @@ from treecut.errors import (
     EmptyDecomposition,
     InternalInvariant,
     RedundantPath,
+    TreecutError,
 )
 from treecut.generators import make_instance, random_graph_with_td
 from treecut.graph import max_degree
@@ -595,3 +597,55 @@ def uf_make_nonredundant(td, ops=None):
     return TreeDecomposition._trusted(
         list(range(1, len(final) + 1)), edges,
         {new_id[f]: clusters[f] for f in final}, td.graph_n), None, False
+
+
+# Exact references and bounds that only tests use.
+
+_PATH_LIMIT = 12
+
+
+def path_weight(td, path_nodes):
+    """Number of distinct vertices in the clusters along a node sequence."""
+    seen = set()
+    for i in path_nodes:
+        seen.update(td.clusters[i])
+    return len(seen)
+
+
+def brute_force_heaviest_path(td):
+    """Heaviest tree path weight by trying every node pair (|nodes| <= 12)."""
+    nodes = td.nodes
+    if len(nodes) > _PATH_LIMIT:
+        raise TreecutError("exhaustive path search capped at %d nodes"
+                           % _PATH_LIMIT)
+    best = 0
+    best_path = None
+    for a in nodes:
+        # BFS parents from a
+        parent = {a: None}
+        queue = [a]
+        head = 0
+        while head < len(queue):
+            v = queue[head]
+            head += 1
+            for w in td.neighbors[v]:
+                if w not in parent:
+                    parent[w] = v
+                    queue.append(w)
+        for b in nodes:
+            path = [b]
+            while path[-1] != a:
+                path.append(parent[path[-1]])
+            w = path_weight(td, path)
+            if w > best:
+                best = w
+                best_path = list(reversed(path))
+    return best, best_path
+
+
+def ternary_bisection_lower_bound(h):
+    """Lower bound h - log3(h) for the bisection width of the complete
+    rooted ternary tree of height h."""
+    if h < 1:
+        raise BadSize("height must be positive")
+    return h - math.log(h, 3)

@@ -10,9 +10,11 @@ from fractions import Fraction
 
 from helpers import (
     acceptance_corpus,
+    brute_force_heaviest_path,
     exact_size_cut,
     run_checked,
     small_fixtures,
+    ternary_bisection_lower_bound,
 )
 from treecut.approxcut import approximate_cut
 from treecut.engine import exact_size_cut_linear, minimum_bisection
@@ -26,12 +28,7 @@ from treecut.generators import (
     ternary_tree,
 )
 from treecut.graph import max_degree
-from treecut.oracle import (
-    brute_force_heaviest_path,
-    brute_force_min_cut_size_m,
-    ternary_bisection_lower_bound,
-    tree_dp_min_bisection,
-)
+from treecut.oracle import brute_force_min_cut_size_m, tree_dp_min_bisection
 from treecut.labeling import build_plabeling
 from treecut.treedec import (
     heaviest_path,

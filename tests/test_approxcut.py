@@ -117,45 +117,6 @@ def test_subtree_weights_match_the_dfs_reference(td, rnd):
                                                 td.graph_n))
 
 
-@pytest.mark.parametrize("root, pairs", [
-    (1, [(2, 3)]),                  # parent never listed
-    (4, [(2, 3), (3, 2)]),          # a cycle away from the root
-    (1, [(2, 1), (3, 2), (2, 3)]),  # node 2 listed twice
-    (1, [(2, 1), (1, 2)]),          # the root listed as a child
-    (1, None),                      # no pair list
-    (1, [(2,)]),                    # a pair without its parent
-    ([1], [(2, 1)]),                # a list as the root
-    (1, [([2], 1)]),                # a list as a child id
-], ids=["unknown-parent", "cycle", "duplicate", "root-as-child", "pairs-None",
-        "short-pair", "list-root", "list-child"])
-def test_rooted_tree_not_listed_top_down_is_rejected(root, pairs):
-    tree = RootedTree(root, pairs, {1: [1], 2: [1, 2], 3: [2], 4: []}, 2)
-    with pytest.raises(DecompositionFormatError, match="top-down"):
-        approximate_cut(tree, 1, Fraction(1, 2))
-
-
-@pytest.mark.parametrize("clusters", [
-    {1: [1]},               # node 2 has no cluster
-    {1: [1], 2: [1, 5]},    # an entry above graph_n
-    {1: [1], 2: [1, "x"]},  # an entry that is not an int
-    {1: [1], 2: [0, 2]},    # entry 0, which no vertex has
-    {1: [1], 2: 5},         # a cluster that is not iterable
-    None,                   # no cluster mapping
-], ids=["missing", "above-graph-n", "not-an-int", "zero", "not-iterable",
-        "clusters-None"])
-def test_rooted_tree_with_malformed_cluster_is_rejected(clusters):
-    tree = RootedTree(1, [(2, 1)], clusters, 2)
-    with pytest.raises(DecompositionFormatError, match="cluster"):
-        approximate_cut(tree, 2, Fraction(1, 2))
-
-
-@pytest.mark.parametrize("graph_n", [None, "2", 2.0])
-def test_rooted_tree_with_non_int_graph_n_is_rejected(graph_n):
-    tree = RootedTree(1, [(2, 1)], {1: [1], 2: [1, 2]}, graph_n)
-    with pytest.raises(DecompositionFormatError, match="graph_n"):
-        approximate_cut(tree, 2, Fraction(1, 2))
-
-
 def test_p6_half():
     g = path_graph(6)
     td = p6_td()
@@ -208,7 +169,7 @@ def test_graph_of_another_size_is_rejected():
     ("x", path_graph(6), DecompositionFormatError),
     (p6_td(), "x", GraphFormatError),
     (p6_td(), p6_td(), GraphFormatError),
-    (RootedTree.of(p6_td()), [1], GraphFormatError),
+    (RootedTree.of(p6_td()), None, DecompositionFormatError),
 ])
 def test_arguments_of_the_wrong_kind_are_rejected(td, g, error):
     with pytest.raises(error):

@@ -3,7 +3,11 @@ import random
 
 import pytest
 
-from helpers import y_shaped_td
+from helpers import (
+    brute_force_heaviest_path,
+    ternary_bisection_lower_bound,
+    y_shaped_td,
+)
 from treecut.errors import BadSize, NotATree, TreecutError
 from treecut.generators import (
     make_instance,
@@ -14,10 +18,8 @@ from treecut.generators import (
 )
 from treecut.graph import Graph
 from treecut.oracle import (
-    brute_force_heaviest_path,
     brute_force_min_bisection,
     brute_force_min_cut_size_m,
-    ternary_bisection_lower_bound,
     tree_dp_min_bisection,
 )
 

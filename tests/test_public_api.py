@@ -6,23 +6,22 @@ import pytest
 from click.testing import CliRunner
 
 import treecut
+from helpers import p6_td
 from treecut.cli import main
+from treecut.errors import DecompositionFormatError, GraphFormatError
+from treecut.generators import path_graph
+from treecut.labeling import PLabeling
 
 EXPECTED = [
     "ApproxCutResult",
     "CutReport",
     "Graph",
-    "PLabeling",
-    "RootedTree",
     "TreeDecomposition",
     "ValidityReport",
     "WeightReport",
     "approximate_cut",
     "bound_value",
-    "build_plabeling",
-    "compute_subtree_weights",
     "cut_width",
-    "doubling_step",
     "exact_size_cut_linear",
     "heaviest_path",
     "legible_bound",
@@ -30,7 +29,6 @@ EXPECTED = [
     "make_nonredundant",
     "max_degree",
     "minimum_bisection",
-    "path_weight",
     "tree_to_width1_td",
     "validate",
 ]
@@ -53,6 +51,9 @@ def test_all_is_the_expected_list():
     ("graph", "relative_diameter"),
     ("labeling", "CircularIndex"),
     ("errors", "NotAForest"),
+    ("oracle", "brute_force_heaviest_path"),
+    ("oracle", "ternary_bisection_lower_bound"),
+    ("treedec", "path_weight"),
 ])
 def test_test_only_names_are_gone(module, name):
     assert not hasattr(treecut, name)
@@ -60,8 +61,8 @@ def test_test_only_names_are_gone(module, name):
 
 
 @pytest.mark.parametrize("owner, name", [
-    (treecut.PLabeling, "holds"),
-    (treecut.PLabeling, "current_vertices"),
+    (PLabeling, "holds"),
+    (PLabeling, "current_vertices"),
     (treecut.TreeDecomposition, "vertex_count"),
 ])
 def test_test_only_members_are_gone(owner, name):
@@ -71,9 +72,28 @@ def test_test_only_members_are_gone(owner, name):
 @pytest.mark.parametrize("func, params", [
     (treecut.validate, ["g", "td"]),
     (treecut.cut_width, ["g", "side"]),
+    (treecut.approximate_cut, ["td", "m", "c", "g"]),
 ])
 def test_one_input_shape_per_function(func, params):
     assert list(inspect.signature(func).parameters) == params
+
+
+# an object of the wrong kind, not a malformed one, handed to a public name
+@pytest.mark.parametrize("call, error", [
+    (lambda: treecut.validate(None, p6_td()), GraphFormatError),
+    (lambda: treecut.validate(path_graph(6), None), DecompositionFormatError),
+    (lambda: treecut.make_nonredundant(None), DecompositionFormatError),
+    (lambda: treecut.heaviest_path([1]), DecompositionFormatError),
+    (lambda: treecut.cut_width(None, bytearray(4)), GraphFormatError),
+    (lambda: treecut.max_degree(None), GraphFormatError),
+    (lambda: treecut.tree_to_width1_td(None), GraphFormatError),
+    (lambda: treecut.longest_path_in_tree(None), GraphFormatError),
+], ids=["validate-g", "validate-td", "make_nonredundant", "heaviest_path",
+        "cut_width", "max_degree", "tree_to_width1_td",
+        "longest_path_in_tree"])
+def test_public_names_reject_arguments_of_the_wrong_kind(call, error):
+    with pytest.raises(error):
+        call()
 
 
 @pytest.mark.parametrize("command", ["bisect", "cut"])

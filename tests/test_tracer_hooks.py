@@ -30,6 +30,7 @@ def test_tracer_finds_every_layer_and_count(monkeypatch):
     tracer = tracing.Tracer()
     tracer.install()
     normalized = {}  # family -> counts of its make_nonredundant spans
+    per_cut = []  # (non-direct steps, approximate cuts, subtree weights)
     try:
         for family, params, m in (
                 ("ternary", {"h": 4}, 60),
@@ -38,8 +39,15 @@ def test_tracer_finds_every_layer_and_count(monkeypatch):
             g, td = make_instance(family, **params)
             first = len(tracer.spans)
             engine.exact_size_cut_linear(g, td, m)
-            normalized[family] = [s[8] for s in tracer.spans[first:]
+            spans = tracer.spans[first:]
+            normalized[family] = [s[8] for s in spans
                                   if s[0] == "treedec.make_nonredundant"]
+            per_cut.append((
+                sum(1 for s in spans if s[0] == "engine.doubling_step"
+                    and not s[8]["direct"]),
+                sum(1 for s in spans if s[0] == "approxcut.approximate_cut"),
+                sum(1 for s in spans
+                    if s[0] == "approxcut.compute_subtree_weights")))
         assert treedec.validate(g, td).ok  # the grid; ingest times this layer
     finally:
         tracer.uninstall()
@@ -48,6 +56,11 @@ def test_tracer_finds_every_layer_and_count(monkeypatch):
     # random-td contracts, so the contracting branch ran under the tracer
     (counts,) = normalized["random-td"]
     assert counts["nodes_out"] < counts["nodes_in"]
+    # each step that is not direct makes one approximate cut, which computes
+    # its subtree weights once
+    for steps, cuts, weights in per_cut:
+        assert steps == cuts == weights
+    assert any(cuts for _, cuts, _ in per_cut)
     seen = {s[0] for s in tracer.spans}
     for name in ("engine.exact_size_cut_linear", "treedec.make_nonredundant",
                  "labeling.build_plabeling", "engine.doubling_step",

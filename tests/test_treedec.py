@@ -10,9 +10,11 @@ from hypothesis import Phase, find, given, settings, strategies as st
 
 from helpers import (
     acceptance_corpus,
+    brute_force_heaviest_path,
     is_nonredundant_path,
     orient_path,
     p6_td,
+    path_weight,
     restrict,
     run_checked,
     set_validate,
@@ -39,14 +41,11 @@ from treecut.generators import (
 )
 from treecut.graph import Graph, longest_path_in_tree
 from treecut.labeling import build_plabeling
-from treecut.oracle import brute_force_heaviest_path
 from treecut.treedec import (
-    Normalized,
     TreeDecomposition,
     heaviest_path,
     make_nonredundant,
     normalize,
-    path_weight,
     tree_to_width1_td,
     validate,
 )
@@ -361,16 +360,6 @@ def test_covering_inputs_reach_covering_records(connected):
                      and _connected(td) == connected),
          settings=settings(max_examples=1000, database=None,
                            phases=[Phase.generate]))
-
-
-def test_flag_on_a_non_path_tree_gets_the_sweep():
-    """A covering flag the tree's shape contradicts, which normalization
-    never sets, falls back to the sweep."""
-    td = y_shaped_td()
-    want = heaviest_path(td)
-    rec = Normalized(td, td.nodes, 2, heavy_end=want[0][0],
-                     vertex_of=list(range(10)), path_node_of=[0] * 10)
-    assert heaviest_path(rec) == want
 
 
 def test_covering_path_decomposition_cut_reads_no_cluster_in_heaviest_path(
