@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from .errors import BadFraction, BadSize, InternalInvariant
 from .graph import check_graph, cut_width
 from .treedec import check_decomposition
+from .util import no_gc
 
 
 @dataclass
@@ -114,6 +115,7 @@ class ApproxCutResult:
     width: int | None
 
 
+@no_gc
 def approximate_cut(td, m, c, g=None):
     """Vertex set B with c*m < |B| <= m opening few clusters.
 

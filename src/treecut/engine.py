@@ -17,22 +17,41 @@ from fractions import Fraction
 
 # the unchecked hanging-tree cut, under the name perfbench traces
 from .approxcut import RootedTree, _cut_tree as approximate_cut
-from .errors import BadSize, InternalInvariant, InvalidDecomposition
+from .errors import (
+    BadFraction,
+    BadSize,
+    InternalInvariant,
+    InvalidDecomposition,
+)
 from .graph import check_graph, cut_width, max_degree
 from .labeling import build_plabeling
 # the record-returning normalizer, under the name perfbench traces
 from .treedec import check_decomposition, normalize as make_nonredundant
-from .util import OpsCounter
+from .util import OpsCounter, no_gc
+
+
+def _check_weight(r):
+    """Raise BadFraction unless r is a real number in (0, 1]."""
+    try:
+        ok = 0 < r <= 1
+    except TypeError:  # a string, None, a complex number...
+        ok = False
+    if not ok:
+        raise BadFraction("path weight %r is not in (0, 1]" % (r,))
 
 
 def bound_value(t, delta, r):
-    """Guaranteed cut width: t*delta/2 * (log2(1/r)^2 + 9 log2(1/r) + 8)."""
+    """Guaranteed cut width: t*delta/2 * (log2(1/r)^2 + 9 log2(1/r) + 8).
+
+    An r that is not a real number in (0, 1] raises BadFraction."""
+    _check_weight(r)
     lg = math.log2(1.0 / float(r))
     return 0.5 * t * delta * (lg * lg + 9.0 * lg + 8.0)
 
 
 def legible_bound(t, delta, r):
-    """Weaker closed form 8 t delta / r."""
+    """Weaker closed form 8 t delta / r; r is checked as in bound_value."""
+    _check_weight(r)
     return 8.0 * t * delta / float(r)
 
 
@@ -250,6 +269,7 @@ def _finish(g, t, m, b_total, steps, r0, ops, t_start):
                      time.perf_counter() - t_start, sorted(b_total))
 
 
+@no_gc
 def exact_size_cut_linear(g, td0, m):
     """Cut with exactly m vertices on one side, one labeling build.
 

@@ -38,7 +38,7 @@ class BadSize(TreecutError):
 
 
 class BadFraction(TreecutError):
-    """Balance parameter outside the open interval (0, 1)."""
+    """Balance parameter outside (0, 1), or a path weight outside (0, 1]."""
 
 
 class InternalInvariant(TreecutError):

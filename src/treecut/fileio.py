@@ -11,8 +11,10 @@ import json
 from .errors import DecompositionFormatError, GraphFormatError
 from .graph import Graph
 from .treedec import TreeDecomposition
+from .util import no_gc
 
 
+@no_gc
 def parse_graph(text):
     edges = []
     n = m = None
@@ -56,6 +58,7 @@ def graph_to_json(g):
     return json.dumps({"n": g.n, "edges": [[u, v] for u, v in g.edges()]})
 
 
+@no_gc
 def graph_from_json(text):
     try:
         obj = json.loads(text)

@@ -7,6 +7,7 @@ import random
 from .errors import BadSize, TreecutError
 from .graph import Graph
 from .treedec import TreeDecomposition, tree_to_width1_td
+from .util import no_gc
 
 
 def path_graph(n):
@@ -157,6 +158,7 @@ _SIZE_KEY = {"path": "n", "star": "n", "random-tree": "n", "random-td": "n",
              "ternary": "h", "grid": "k"}
 
 
+@no_gc
 def make_instance(family, **kw):
     """Build (graph, decomposition) for a named family.
 

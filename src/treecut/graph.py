@@ -6,6 +6,7 @@ between callers; nothing in the package mutates an existing Graph.
 from __future__ import annotations
 
 from .errors import GraphFormatError, NotATree, PartitionInvalid
+from .util import no_gc
 
 
 class Graph:
@@ -13,22 +14,33 @@ class Graph:
 
     __slots__ = ("n", "adj", "m_edges")
 
+    @no_gc
     def __init__(self, n, edges):
+        if type(n) is not int:
+            raise GraphFormatError("vertex count %r is not an int" % (n,))
         if n < 0:
             raise GraphFormatError("vertex count must be nonnegative")
         adj = [[] for _ in range(n + 1)]
-        seen = set()
-        for u, v in edges:
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise GraphFormatError("vertex id out of range: (%r, %r)" % (u, v))
-            if u == v:
-                raise GraphFormatError("loop at vertex %d" % u)
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise GraphFormatError("parallel edge %r" % (key,))
-            seen.add(key)
-            adj[u].append(v)
-            adj[v].append(u)
+        seen = set()  # edge (u, v), u < v, as u * (n + 1) + v
+        span = n + 1
+        try:
+            for u, v in edges:
+                if not (1 <= u <= n and 1 <= v <= n):
+                    raise GraphFormatError("vertex id out of range: (%r, %r)"
+                                           % (u, v))
+                if u == v:
+                    raise GraphFormatError("loop at vertex %d" % u)
+                key = u * span + v if u < v else v * span + u
+                if key in seen:
+                    raise GraphFormatError("parallel edge %r"
+                                           % ((min(u, v), max(u, v)),))
+                seen.add(key)
+                adj[u].append(v)
+                adj[v].append(u)
+        except (TypeError, ValueError) as exc:
+            # edges that is not iterable, a pair of another length, or an
+            # endpoint that is not an int (a float fails at the adj index)
+            raise GraphFormatError("bad edge list: %s" % exc) from None
         self.n = n
         self.adj = adj
         self.m_edges = len(seen)

@@ -16,6 +16,7 @@ from .errors import (
     NotATree,
 )
 from .graph import check_graph, longest_path_in_tree
+from .util import no_gc
 
 
 class TreeDecomposition:
@@ -28,6 +29,7 @@ class TreeDecomposition:
 
     __slots__ = ("nodes", "neighbors", "clusters", "graph_n")
 
+    @no_gc
     def __init__(self, nodes, edges, clusters, graph_n):
         nodes = list(nodes)
         if not nodes:
@@ -136,6 +138,7 @@ class TreeDecomposition:
         })
 
     @classmethod
+    @no_gc
     def from_json(cls, text):
         try:
             obj = json.loads(text)
@@ -171,6 +174,7 @@ class ValidityReport:
         return self.vertex_cover_ok and self.edge_cover_ok and self.connectivity_ok
 
 
+@no_gc
 def validate(g, td):
     """Check the three decomposition properties against g.
 

@@ -24,6 +24,7 @@ from treecut.engine import (
 )
 from treecut.approxcut import RootedTree
 from treecut.errors import (
+    BadFraction,
     BadSize,
     DecompositionFormatError,
     GraphFormatError,
@@ -51,6 +52,14 @@ def test_bound_values():
     # halving r adds one doubling of work but bounds stay monotone
     assert bound_value(2, 2, Fraction(1, 2)) > 16
     assert legible_bound(1, 3, Fraction(1, 4)) == 8 * 3 / Fraction(1, 4)
+
+
+@pytest.mark.parametrize("fn", [bound_value, legible_bound])
+@pytest.mark.parametrize("r", [0, Fraction(0), -1, 2, Fraction(3, 2), "x",
+                               None, 0.5j, float("nan")])
+def test_bounds_reject_a_weight_outside_the_unit_interval(fn, r):
+    with pytest.raises(BadFraction):
+        fn(1, 1, r)
 
 
 def test_p6_direct():

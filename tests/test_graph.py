@@ -38,6 +38,30 @@ def test_construction_rejects_garbage():
         Graph(2, [(1, 3)])
 
 
+@pytest.mark.parametrize("n, edges", [
+    ("3", []),
+    (3.0, []),
+    (None, []),
+    (3, None),
+    (3, [(1,)]),
+    (3, [(1, 2, 3)]),
+    (3, [(1, "x")]),
+    (3, [(1, 2.0)]),
+    (3, [(2.0, 1)]),
+], ids=["n-str", "n-float", "n-none", "edges-none", "short-pair",
+        "long-pair", "endpoint-str", "endpoint-float", "float-first"])
+def test_construction_rejects_malformed_input(n, edges):
+    with pytest.raises(GraphFormatError):
+        Graph(n, edges)
+
+
+def test_construction_keeps_its_messages():
+    with pytest.raises(GraphFormatError, match=r"parallel edge \(1, 2\)"):
+        Graph(3, [(1, 2), (2, 1)])
+    with pytest.raises(GraphFormatError, match="nonnegative"):
+        Graph(-1, [])
+
+
 def test_cut_width_star():
     g = star_graph(4)  # center 1, leaves 2..5
     assert cut_width(g, side_of(g, {2, 3})) == 2
