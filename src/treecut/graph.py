@@ -38,8 +38,8 @@ class Graph:
                 adj[u].append(v)
                 adj[v].append(u)
         except (TypeError, ValueError) as exc:
-            # edges that is not iterable, a pair of another length, or an
-            # endpoint that is not an int (a float fails at the adj index)
+            # `edges` not iterable, a pair of another length, or an endpoint
+            # that is not an int (a float fails at the adj index)
             raise GraphFormatError("bad edge list: %s" % exc) from None
         self.n = n
         self.adj = adj
