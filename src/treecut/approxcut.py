@@ -7,6 +7,7 @@ most ceil(log2(1/(1-c))) clusters are opened, one per refinement round.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from .errors import BadFraction, BadSize, InternalInvariant
 from .graph import check_graph, cut_width
@@ -215,7 +216,7 @@ def _cut_tree(tree, m, c, g=None, ops=None):
             j = kids[i][0] if kids[i] else None
             if ops is not None:
                 ops.add(1)
-    b = [x for x in range(1, n + 1) if in_b[x]]
+    b = list(compress(range(n + 1), in_b))
     if ops is not None:
         ops.add(n)
     if not b or bsize > m:

@@ -81,39 +81,42 @@ def doubling_step(pl, m, ops=None):
     n = pl.n
     if type(m) is not int or not 1 <= m <= n:
         raise BadSize("m=%r is not an int in 1..%d" % (m, n))
-    av, al = pl.vertex_of, pl.label_of
-    ar, ap = pl.is_path_vertex, pl.path_node_of
-    rtot = pl.core_count()
+    av, al, ap = pl.vertex_of, pl.label_of, pl.path_node_of
+    core = pl.core()
+    rtot = core.count(1)
     w_before = Fraction(rtot, n)
     if ops is not None:
         ops.add(n)
+    # position p of `flags` holds the flag of label p + 1, and of `ahead`
+    # the flag m labels later, read circularly
+    flags = core[1:]
+    ahead = flags[m:] + flags[:m]
     # direct case: some path-cluster vertex has its m-shift in a path cluster
-    for lab in range(1, n + 1):
-        if ar[av[lab]] and ar[av[(lab - 1 + m) % n + 1]]:
-            b = [av[(lab - 1 + k) % n + 1] for k in range(1, m + 1)]
-            if ops is not None:
-                ops.add(n + m)
-            return StepResult("direct", b, [], w_before, None)
+    both = (int.from_bytes(flags, "little")
+            & int.from_bytes(ahead, "little"))
+    if both:
+        lab = ((both & -both).bit_length() - 1) // 8 + 1
+        if ops is not None:
+            ops.add(n + m)
+        return StepResult("direct", _circular(av, n, lab + 1, m), [],
+                          w_before, None)
     # otherwise the path clusters cover at most half the vertices
     if 2 * rtot > n:
         raise InternalInvariant("direct case missed a crowded instance")
     if ops is not None:
         ops.add(4 * n)  # the failed direct scan, then the case scan
-    blocks = pl.blocks()
+    blocks = pl.blocks(core)
+    behind = flags[n - m:] + flags[:n - m]  # the flag m labels earlier
     # node i's non-path labels are exactly a_i..rst_i-1, because a block
     # lists its hanging vertices first; the hits shifted by d bound Z
-    cases = (("back", -m), ("forward", m))
-    for i, (kind, d) in itertools.product(pl.path_nodes, cases):
+    cases = (("back", -m, behind), ("forward", m, ahead))
+    for i, (kind, d, shifted) in itertools.product(pl.path_nodes, cases):
         a_i, rst_i, _ = blocks[i]
         s_size = rst_i - a_i
-        hits = 0
-        for lab in range(a_i, rst_i):
-            if ar[av[(lab - 1 + d) % n + 1]]:
-                if not hits:
-                    first = lab
-                last = lab
-                hits += 1
+        hits = shifted.count(1, a_i - 1, rst_i - 1)
         if hits:
+            first = shifted.find(1, a_i - 1, rst_i - 1) + 1
+            last = shifted.rfind(1, a_i - 1, rst_i - 1) + 1
             za, zb = (first - 1 + d) % n + 1, (last - 1 + d) % n + 1
             z_len = (zb - za) % n + 1
             if (s_size + z_len - hits) * rtot <= (n - rtot) * hits:
@@ -128,13 +131,13 @@ def doubling_step(pl, m, ops=None):
         jprev = pl.path_nodes[pl.path_nodes.index(i) - 1]
         v = blocks[far][2]
         w = blocks[jprev][2]
-        b1 = [av[(v - 1 + k) % n + 1] for k in range(1, (w - v) % n + 1)]
+        b1 = _circular(av, n, v + 1, (w - v) % n)
     else:
         # mirrored: from the split node's first cluster vertex up to just
         # before the anchor's first cluster vertex; empty when i is the anchor
         w = rst_i
         v = blocks[anchor][1]
-        b1 = [av[(w - 1 + k) % n + 1] for k in range((v - w) % n)]
+        b1 = _circular(av, n, w, (v - w) % n)
     if ops is not None:
         ops.add(len(b1) + len(pl.path_nodes))
     mt = m - len(b1)
@@ -158,11 +161,8 @@ def doubling_step(pl, m, ops=None):
                               mt, c, ops=ops)
         b2 = [av[k + a_i - 1] for k in res.b_vertices]
     b = b1 + b2
-    if za <= zb:
-        zlabels = range(za, zb + 1)
-    else:
-        zlabels = list(range(1, zb + 1)) + list(range(za, n + 1))
-    zverts = [av[l] for l in zlabels]
+    # Z in ascending old-label order, also when its labels wrap around
+    zverts = av[za:zb + 1] if za <= zb else av[1:zb + 1] + av[za:n + 1]
     if not len(b) <= m <= len(b) + z_len:
         raise InternalInvariant("remainder cannot absorb the deficit")
     if 2 * z_len > n:
@@ -183,6 +183,17 @@ def doubling_step(pl, m, ops=None):
     if ops is not None:
         ops.add(z_len + len(marked))
     return StepResult(kind, b, zverts, w_before, w_after)
+
+
+def _circular(vertex_of, n, start, count):
+    """The vertices of the `count` labels from `start` on, read circularly
+    over labels 1..n; `start` may be n + 1, which is label 1."""
+    if start > n:
+        start -= n
+    end = start + count
+    if end <= n + 1:
+        return vertex_of[start:end]
+    return vertex_of[start:n + 1] + vertex_of[1:end - n]
 
 
 @dataclass

@@ -5,6 +5,8 @@ between callers; nothing in the package mutates an existing Graph.
 """
 from __future__ import annotations
 
+from itertools import chain, compress
+
 from .errors import GraphFormatError, NotATree, PartitionInvalid
 from .util import no_gc
 
@@ -25,6 +27,9 @@ class Graph:
         span = n + 1
         try:
             for u, v in edges:
+                if u is True or v is True:  # False fails the range check
+                    raise GraphFormatError("bool vertex id in edge (%r, %r)"
+                                           % (u, v))
                 if not (1 <= u <= n and 1 <= v <= n):
                     raise GraphFormatError("vertex id out of range: (%r, %r)"
                                            % (u, v))
@@ -90,19 +95,21 @@ def cut_width(g, side):
     """Number of edges of g whose endpoints lie on different sides.
 
     `side` is a bytes or bytearray of length n + 1 holding the side of each
-    vertex at its index (index 0 unused), taken as is.
+    vertex at its index (index 0 unused): 1 for the vertices of one side B,
+    0 for the others. Any other byte at 1..n raises PartitionInvalid. The
+    width is the degree sum over B minus the edge ends inside B, which
+    are the B neighbors of B's vertices.
     """
     check_graph(g)
     if not isinstance(side, (bytes, bytearray)) or len(side) != g.n + 1:
         raise PartitionInvalid("side must be bytes or a bytearray of length %d"
                                % (g.n + 1))
-    crossing = 0
-    for u, nbrs in enumerate(g.adj):
-        c = side[u]
-        for v in nbrs:
-            if side[v] != c:
-                crossing += 1
-    return crossing // 2  # each crossing edge is seen from both ends
+    if side.count(0, 1) + side.count(1, 1) != g.n:
+        raise PartitionInvalid("side bytes must be 0 or 1")
+    degrees = sum(map(len, compress(g.adj, side)))
+    inside = sum(map(side.__getitem__,
+                     chain.from_iterable(compress(g.adj, side))))
+    return degrees - inside
 
 
 def max_degree(g):

@@ -8,6 +8,7 @@ the vertex "m positions later".
 """
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 from .errors import InternalInvariant, RedundantPath
@@ -37,37 +38,41 @@ class PLabeling:
         self.path_nodes = path_nodes
         self.hang = hang
 
-    def blocks(self):
+    def core(self):
+        """Path flags by label: byte lab is 1 when the vertex labeled lab
+        lies in a path cluster, else 0; byte 0 is 0."""
+        return bytes(map(self.is_path_vertex.__getitem__, self.vertex_of))
+
+    def blocks(self, core):
         """Per path node: (first label, first cluster-vertex label, last label).
 
         Hanging vertices occupy the first span of a block, the node's fresh
-        cluster vertices the rest. Blocks appear in path order.
+        cluster vertices the rest. Blocks appear in path order, and their
+        labels run from 1 to n without a gap. `core` is `self.core()`.
         """
+        node_at = list(map(self.path_node_of.__getitem__, self.vertex_of))
+        size = Counter(node_at)
+        size[node_at[0]] -= 1  # label 0 is unused
         out = {}
-        prev = None
-        for lab in range(1, self.n + 1):
-            x = self.vertex_of[lab]
-            i = self.path_node_of[x]
-            if i != prev:
-                out[i] = [lab, 0, lab]
-                prev = i
-            out[i][2] = lab
-            if self.is_path_vertex[x] and out[i][1] == 0:
-                out[i][1] = lab
-        for i, (a, r, b) in out.items():
-            if r == 0:
+        a = 1
+        for i in self.path_nodes:
+            k = size[i]
+            if not k:
+                continue  # the node holds no current vertex
+            b = a + k - 1
+            if node_at[a:b + 1].count(i) != k:
+                raise InternalInvariant("blocks out of path order")
+            r = core.find(1, a, b + 1)
+            if r < 0:
                 raise InternalInvariant("path node %r holds no cluster vertex" % i)
-        if list(out) != [i for i in self.path_nodes if i in out]:
+            out[i] = (a, r, b)
+            a = b + 1
+        if a != self.n + 1:
             raise InternalInvariant("blocks out of path order")
-        return {i: tuple(v) for i, v in out.items()}
-
-    def core_count(self):
-        """Number of current vertices lying in path clusters."""
-        return sum(1 for lab in range(1, self.n + 1)
-                   if self.is_path_vertex[self.vertex_of[lab]])
+        return out
 
     def relative_weight(self):
-        return Fraction(self.core_count(), self.n)
+        return Fraction(self.core().count(1), self.n)
 
 
 def build_plabeling(td, path_nodes=None, ops=None):

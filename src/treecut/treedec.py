@@ -291,16 +291,20 @@ class Normalized:
     """What normalization found, handed on to the labeling of one cut.
 
     `td` is the nonredundant decomposition: the input itself when nothing
-    contracted. `nodes` is `td.nodes` and `size` its largest cluster size.
-    After a pass-through, `heavy_end` is the endpoint of heaviest_path's
-    first sweep; it is None after a contraction. When that sweep also
-    covered all graph_n vertices, the tree is the path from the smallest
-    node to `heavy_end`, and the sweep met the vertices in the order of
-    that path's labeling oriented from the smallest node: `vertex_of`
-    lists them from index 1, and `path_node_of[x]` is the node that first
-    held x (index 0 of both holds 0). Both are None otherwise.
+    contracted, otherwise the contracted one with dense node ids 1..k and
+    its `neighbors` and `clusters` as lists indexed by id (index 0
+    unused), so every phase reads `clusters[i]` and `neighbors[i]` alike
+    on both forms; only the public make_nonredundant turns it into a
+    TreeDecomposition. `nodes` is `td.nodes` and `size` its largest
+    cluster size. After a pass-through, `heavy_end` is the endpoint of
+    heaviest_path's first sweep; it is None after a contraction. When that
+    sweep also covered all graph_n vertices, the tree is the path from the
+    smallest node to `heavy_end`, and the sweep met the vertices in the
+    order of that path's labeling oriented from the smallest node:
+    `vertex_of` lists them from index 1, and `path_node_of[x]` is the node
+    that first held x (index 0 of both holds 0). Both are None otherwise.
     """
-    td: TreeDecomposition
+    td: TreeDecomposition | _IdLists
     nodes: list
     size: int
     heavy_end: int | None = None
@@ -312,12 +316,23 @@ def make_nonredundant(td, ops=None):
     """Contract away nested adjacent clusters (see `normalize`).
 
     Returns `td` itself when nothing contracts, not a copy; callers must
-    not mutate the result. Otherwise returns a new decomposition with dense
-    node ids 1..k. The input is never written to. A `td` that is not a
-    TreeDecomposition raises DecompositionFormatError.
+    not mutate the result. Otherwise returns a new TreeDecomposition with
+    dense node ids 1..k, whose neighbor and cluster dicts are built from
+    normalization's id-indexed lists and hold the same list objects. The
+    input is never written to. A `td` that is not a TreeDecomposition
+    raises DecompositionFormatError.
     """
     check_decomposition(td)
-    return normalize(td, ops).td
+    out = normalize(td, ops).td
+    if out is td:
+        return td
+    ids = out.nodes
+    public = TreeDecomposition.__new__(TreeDecomposition)
+    public.nodes = ids
+    public.neighbors = dict(zip(ids, out.neighbors[1:]))
+    public.clusters = dict(zip(ids, out.clusters[1:]))
+    public.graph_n = out.graph_n
+    return public
 
 
 def normalize(td, ops=None):
@@ -341,7 +356,9 @@ def normalize(td, ops=None):
     allow that shape (the root's at most 1, every other at most 2), so
     other trees pay nothing for it. Otherwise the record holds a new
     decomposition with dense node ids 1..k, one per class in the order the
-    classes were started.
+    classes were started, as id-indexed lists: each class's neighbors in
+    the order of the input's tree edges (each edge `a < b` listed from
+    `a`, nodes in `td.nodes` order), without edges inside a class.
     """
     clusters, neighbors = td.clusters, td.neighbors
     if all(not clusters[i] for i in td.nodes):
@@ -405,15 +422,29 @@ def normalize(td, ops=None):
     ids = list(range(1, len(roots) + 1))
     id_of = {i: ids[c] for i, c in joined.items()}
     id_of.update(zip(roots, ids))
-    edges = []
-    for a, b in td.edges():
-        fa, fb = id_of[a], id_of[b]
-        if fa != fb:
-            edges.append((fa, fb))
+    out_neighbors = [[] for _ in range(len(roots) + 1)]
+    for a in td.nodes:
+        fa = id_of[a]
+        for b in neighbors[a]:
+            if a < b:
+                fb = id_of[b]
+                if fa != fb:
+                    out_neighbors[fa].append(fb)
+                    out_neighbors[fb].append(fa)
     heads = list(map(clusters.__getitem__, roots))
-    out = TreeDecomposition._trusted(ids, edges, dict(zip(ids, heads)),
-                                     td.graph_n)
+    out = _IdLists(ids, out_neighbors, [None, *heads], td.graph_n)
     return Normalized(out, ids, max(map(len, heads)))
+
+
+@dataclass(slots=True)
+class _IdLists:
+    """A contracted decomposition read like a TreeDecomposition, with
+    `neighbors` and `clusters` as lists indexed by the dense node ids
+    1..k in `nodes`; index 0 is unused."""
+    nodes: list
+    neighbors: list
+    clusters: list
+    graph_n: int
 
 
 @dataclass

@@ -1,13 +1,15 @@
 """Shared fixtures, test-only inspection helpers, the rebuild-per-round
 reference driver, the checked step-by-step runner used by several tests,
 and exact references that only tests use."""
+import itertools
 import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 
 from treecut import engine
-from treecut.engine import StepRecord, doubling_step
+from treecut.approxcut import RootedTree, _cut_tree as approximate_cut
+from treecut.engine import StepRecord, StepResult, doubling_step
 from treecut.errors import (
     BadSize,
     EmptyDecomposition,
@@ -95,7 +97,7 @@ def decompose_by_node(g, td, pl, i):
     """Vertex parts left when the boundary edges of path node i are removed:
     the label prefix before i's block, the hanging vertices of i, the label
     suffix after the block, and each cluster vertex of i on its own."""
-    blocks = pl.blocks()
+    blocks = pl.blocks(pl.core())
     if i not in blocks:
         raise InternalInvariant("node %r is not a path node" % i)
     a, r, b = blocks[i]
@@ -151,7 +153,7 @@ def restricted_td(pl):
 def debug_dump(pl):
     """One line per path node of `pl` with the label spans of its block."""
     lines = []
-    for i, (a, r, b) in pl.blocks().items():
+    for i, (a, r, b) in pl.blocks(pl.core()).items():
         hang_part = "-" if r == a else "%d..%d" % (a, r - 1)
         lines.append("node %d: hanging %s cluster %d..%d" % (i, hang_part, r, b))
     return "\n".join(lines)
@@ -649,3 +651,173 @@ def ternary_bisection_lower_bound(h):
     if h < 1:
         raise BadSize("height must be positive")
     return h - math.log(h, 3)
+
+
+# The doubling step and the label scans of PLabeling that read the labels
+# one at a time in Python, before they became bytes operations; kept
+# verbatim, with the methods taking the labeling as `self`, as the
+# reference of the differential test in test_engine.py.
+def ref_blocks(self):
+    """Per path node: (first label, first cluster-vertex label, last label).
+
+    Hanging vertices occupy the first span of a block, the node's fresh
+    cluster vertices the rest. Blocks appear in path order.
+    """
+    out = {}
+    prev = None
+    for lab in range(1, self.n + 1):
+        x = self.vertex_of[lab]
+        i = self.path_node_of[x]
+        if i != prev:
+            out[i] = [lab, 0, lab]
+            prev = i
+        out[i][2] = lab
+        if self.is_path_vertex[x] and out[i][1] == 0:
+            out[i][1] = lab
+    for i, (a, r, b) in out.items():
+        if r == 0:
+            raise InternalInvariant("path node %r holds no cluster vertex" % i)
+    if list(out) != [i for i in self.path_nodes if i in out]:
+        raise InternalInvariant("blocks out of path order")
+    return {i: tuple(v) for i, v in out.items()}
+
+
+def ref_core_count(self):
+    """Number of current vertices lying in path clusters."""
+    return sum(1 for lab in range(1, self.n + 1)
+               if self.is_path_vertex[self.vertex_of[lab]])
+
+
+def ref_doubling_step(pl, m, ops=None):
+    """One step of the cut construction on the current labeling state.
+
+    The step is direct when some path-cluster label has its m-shift in a
+    path cluster: the m labels after it are the whole cut. Otherwise it
+    splits at the first path node, in path order, whose hanging span holds
+    enough labels with a path-cluster vertex m labels back or, failing that,
+    m labels forward; back is tried before forward at each node.
+
+    Returns the vertices added to B and, unless the step was direct, the
+    remainder set Z. The labeling then shrinks in place to the instance
+    induced by Z (labels reassigned in ascending old-label order, path list
+    pruned, the anchor's hanging tree dropped); `pl.td` is left untouched.
+    """
+    n = pl.n
+    if type(m) is not int or not 1 <= m <= n:
+        raise BadSize("m=%r is not an int in 1..%d" % (m, n))
+    av, al = pl.vertex_of, pl.label_of
+    ar, ap = pl.is_path_vertex, pl.path_node_of
+    rtot = ref_core_count(pl)
+    w_before = Fraction(rtot, n)
+    if ops is not None:
+        ops.add(n)
+    # direct case: some path-cluster vertex has its m-shift in a path cluster
+    for lab in range(1, n + 1):
+        if ar[av[lab]] and ar[av[(lab - 1 + m) % n + 1]]:
+            b = [av[(lab - 1 + k) % n + 1] for k in range(1, m + 1)]
+            if ops is not None:
+                ops.add(n + m)
+            return StepResult("direct", b, [], w_before, None)
+    # otherwise the path clusters cover at most half the vertices
+    if 2 * rtot > n:
+        raise InternalInvariant("direct case missed a crowded instance")
+    if ops is not None:
+        ops.add(4 * n)  # the failed direct scan, then the case scan
+    blocks = ref_blocks(pl)
+    # node i's non-path labels are exactly a_i..rst_i-1, because a block
+    # lists its hanging vertices first; the hits shifted by d bound Z
+    cases = (("back", -m), ("forward", m))
+    for i, (kind, d) in itertools.product(pl.path_nodes, cases):
+        a_i, rst_i, _ = blocks[i]
+        s_size = rst_i - a_i
+        hits = 0
+        for lab in range(a_i, rst_i):
+            if ar[av[(lab - 1 + d) % n + 1]]:
+                if not hits:
+                    first = lab
+                last = lab
+                hits += 1
+        if hits:
+            za, zb = (first - 1 + d) % n + 1, (last - 1 + d) % n + 1
+            z_len = (zb - za) % n + 1
+            if (s_size + z_len - hits) * rtot <= (n - rtot) * hits:
+                break
+    else:
+        raise InternalInvariant("no node admits an economical remainder")
+    anchor = ap[av[za]]
+    far = ap[av[zb]]
+    if kind == "back":
+        # the partial cut runs from just after the far block to the block
+        # preceding the split node; empty when that block is the far one
+        jprev = pl.path_nodes[pl.path_nodes.index(i) - 1]
+        v = blocks[far][2]
+        w = blocks[jprev][2]
+        b1 = [av[(v - 1 + k) % n + 1] for k in range(1, (w - v) % n + 1)]
+    else:
+        # mirrored: from the split node's first cluster vertex up to just
+        # before the anchor's first cluster vertex; empty when i is the anchor
+        w = rst_i
+        v = blocks[anchor][1]
+        b1 = [av[(w - 1 + k) % n + 1] for k in range((v - w) % n)]
+    if ops is not None:
+        ops.add(len(b1) + len(pl.path_nodes))
+    mt = m - len(b1)
+    if not 1 <= mt <= s_size:
+        raise InternalInvariant("remainder %d outside the hanging span" % mt)
+    c = Fraction(n - 2 * rtot, n - rtot)
+    if c == 0:
+        b2 = []
+    else:
+        local = {i: []}  # hanging vertices renumbered from 1 in label order
+        for child, _ in pl.hang[i]:
+            cl = []
+            for x in pl.td.clusters[child]:
+                lab = al[x]
+                if a_i <= lab < rst_i and av[lab] == x:
+                    cl.append(lab - a_i + 1)
+            local[child] = cl
+            if ops is not None:
+                ops.add(len(pl.td.clusters[child]) + 1)
+        res = approximate_cut(RootedTree(i, pl.hang[i], local, s_size),
+                              mt, c, ops=ops)
+        b2 = [av[k + a_i - 1] for k in res.b_vertices]
+    b = b1 + b2
+    if za <= zb:
+        zlabels = range(za, zb + 1)
+    else:
+        zlabels = list(range(1, zb + 1)) + list(range(za, n + 1))
+    zverts = [av[l] for l in zlabels]
+    if not len(b) <= m <= len(b) + z_len:
+        raise InternalInvariant("remainder cannot absorb the deficit")
+    if 2 * z_len > n:
+        raise InternalInvariant("remainder larger than half the instance")
+    w_after = Fraction(hits, z_len)
+    if w_after < 2 * w_before:
+        raise InternalInvariant("path weight share failed to double")
+    marked = set(ap[x] for x in zverts)
+    for p in pl.path_nodes:
+        if p not in marked:
+            pl.hang.pop(p, None)
+    pl.hang[anchor] = []
+    pl.path_nodes = [p for p in pl.path_nodes if p in marked]
+    for k, x in enumerate(zverts):
+        al[x] = k + 1
+    pl.vertex_of = [0] + zverts
+    pl.n = z_len
+    if ops is not None:
+        ops.add(z_len + len(marked))
+    return StepResult(kind, b, zverts, w_before, w_after)
+
+
+# The double loop over every vertex's neighbors that graph.cut_width ran
+# before it summed over one side, kept as the reference of the
+# differential test in test_graph.py; it takes the side bytes as they are.
+def double_loop_cut_width(g, side):
+    """Number of edges of g whose endpoints hold different side bytes."""
+    crossing = 0
+    for u, nbrs in enumerate(g.adj):
+        c = side[u]
+        for v in nbrs:
+            if side[v] != c:
+                crossing += 1
+    return crossing // 2  # each crossing edge is seen from both ends

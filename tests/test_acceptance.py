@@ -199,7 +199,7 @@ def test_criterion_8_subroutine_contracts():
                                       rng.randint(0, 10 ** 6))
         pl = build_plabeling(make_nonredundant(td0))
         assert sorted(pl.vertex_of[1:]) == list(range(1, g.n + 1)), trial
-        for i, (a, r, b) in pl.blocks().items():
+        for i, (a, r, b) in pl.blocks(pl.core()).items():
             assert a <= r <= b, trial
             assert all(pl.is_path_vertex[pl.vertex_of[lab]]
                        for lab in range(r, b + 1)), trial

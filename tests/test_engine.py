@@ -1,4 +1,5 @@
 import copy
+import functools
 import json
 import math
 from fractions import Fraction
@@ -10,7 +11,9 @@ from helpers import (
     acceptance_corpus,
     exact_size_cut,
     p6_td,
+    ref_doubling_step,
     run_checked,
+    small_fixtures,
     spider_fixture,
     tricut_width,
 )
@@ -42,7 +45,7 @@ from treecut.generators import (
 from treecut.graph import Graph, cut_width, max_degree
 from treecut.labeling import build_plabeling
 from treecut.oracle import brute_force_min_cut_size_m
-from treecut.treedec import TreeDecomposition, tree_to_width1_td
+from treecut.treedec import TreeDecomposition, normalize, tree_to_width1_td
 from treecut.util import OpsCounter
 
 
@@ -306,3 +309,59 @@ def test_finish_rejects_out_of_range_vertices(b_total):
     # IndexError; both must end as a library error
     with pytest.raises(TreecutError, match="outside 1..6"):
         _finish_path6(b_total)
+
+
+def _steps_agree(td, m):
+    """Run the cut of size m step by step with doubling_step and with the
+    reference step on two labelings built alike, asserting after each step
+    the same StepResult, the same shrunk labeling and the same ops. Returns
+    each step's kind and whether its labels wrapped past n."""
+    pl, ref = build_plabeling(normalize(td)), build_plabeling(normalize(td))
+    seen = []
+    while m > 0:
+        label_of = list(pl.label_of)
+        ops, ops_ref = OpsCounter(), OpsCounter()
+        res = doubling_step(pl, m, ops=ops)
+        assert res == ref_doubling_step(ref, m, ops=ops_ref)
+        assert (pl.n, pl.vertex_of, pl.path_nodes, pl.hang, pl.label_of) == (
+            ref.n, ref.vertex_of, ref.path_nodes, ref.hang, ref.label_of)
+        assert ops.total == ops_ref.total
+        labels = [label_of[x] for x in res.z_vertices or res.b_vertices]
+        seen.append((res.kind, labels != sorted(labels)
+                     or labels != list(range(labels[0], labels[-1] + 1))))
+        m -= len(res.b_vertices)
+        if res.kind == "direct":
+            break
+    return seen
+
+
+def test_doubling_step_matches_the_reference_at_every_size():
+    """On the small fixtures and the ternary tree of height 3, every size m
+    from 1 to n, m = n included, gives the reference step's results step
+    by step; the sweep reaches all three cases and label runs that wrap
+    past n in direct and remainder steps."""
+    kinds, wrapped = set(), set()
+    fixtures = small_fixtures() + [("ternary3", *make_instance("ternary", h=3))]
+    for _, g, td in fixtures:
+        for m in range(1, g.n + 1):
+            for kind, wraps in _steps_agree(td, m):
+                kinds.add(kind)
+                if wraps:
+                    wrapped.add(kind == "direct")
+    assert kinds == {"direct", "back", "forward"}
+    assert wrapped == {False, True}
+
+
+@functools.cache
+def _corpus_tds():
+    return tuple(td for _, _, td in acceptance_corpus())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_doubling_step_matches_the_reference_on_the_corpus(data):
+    """Any corpus instance at any size, n included, gives the reference
+    step's results step by step."""
+    td = data.draw(st.sampled_from(_corpus_tds()))
+    n = td.graph_n
+    _steps_agree(td, data.draw(st.one_of(st.just(n), st.integers(1, n))))

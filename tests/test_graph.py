@@ -1,6 +1,7 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from helpers import double_loop_cut_width
 from treecut.errors import (
     BadSize,
     GraphFormatError,
@@ -48,8 +49,12 @@ def test_construction_rejects_garbage():
     (3, [(1, "x")]),
     (3, [(1, 2.0)]),
     (3, [(2.0, 1)]),
+    (2, [(True, 2)]),
+    (2, [(2, True)]),
+    (2, [(False, 2)]),
 ], ids=["n-str", "n-float", "n-none", "edges-none", "short-pair",
-        "long-pair", "endpoint-str", "endpoint-float", "float-first"])
+        "long-pair", "endpoint-str", "endpoint-float", "float-first",
+        "endpoint-true", "true-second", "endpoint-false"])
 def test_construction_rejects_malformed_input(n, edges):
     with pytest.raises(GraphFormatError):
         Graph(n, edges)
@@ -160,3 +165,35 @@ def test_cut_width_matches_naive_count(n, seed, mask):
     black = {v for v in g.vertices if mask >> (v - 1) & 1}
     expected = sum(1 for u, v in g.edges() if (u in black) != (v in black))
     assert cut_width(g, side_of(g, black)) == expected
+
+
+@st.composite
+def graphs_with_sides(draw):
+    """A random graph on 0..20 vertices with a side array: random 0/1
+    bytes, all 0, all 1, or one byte of 2 among them; index 0, unused,
+    holds any byte, and the array is bytes or a bytearray."""
+    n = draw(st.integers(0, 20))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    kind = draw(st.sampled_from(["random", "zeros", "ones", "two"]))
+    if kind == "random":
+        side = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    else:
+        side = [int(kind == "ones")] * n
+    if kind == "two" and n:
+        side[draw(st.integers(0, n - 1))] = 2
+    side = bytearray([draw(st.integers(0, 255))] + side)
+    return Graph(n, edges), draw(st.sampled_from([bytes, bytearray]))(side)
+
+
+@settings(max_examples=400, deadline=None)
+@given(graphs_with_sides())
+def test_cut_width_matches_the_double_loop_reference(inst):
+    """cut_width counts what the double loop over all neighbors counts,
+    and raises PartitionInvalid on a side byte other than 0 or 1."""
+    g, side = inst
+    if max(side[1:], default=0) > 1:
+        with pytest.raises(PartitionInvalid, match="0 or 1"):
+            cut_width(g, side)
+    else:
+        assert cut_width(g, side) == double_loop_cut_width(g, side)

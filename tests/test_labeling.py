@@ -42,7 +42,7 @@ def test_p6_labels_follow_path_order():
     assert pl.path_nodes == [5, 4, 3, 2, 1]
     assert all(pl.is_path_vertex[v] for v in range(1, 7))
     assert pl.relative_weight() == 1
-    blocks = pl.blocks()
+    blocks = pl.blocks(pl.core())
     # every block is pure cluster vertices (no hanging part)
     assert all(a == r for a, r, _ in blocks.values())
 
@@ -68,7 +68,7 @@ def test_spider_hanging_only_at_branch_node():
     g, td0 = spider_fixture()
     td = make_nonredundant(td0)
     pl = build_plabeling(td)
-    blocks = pl.blocks()
+    blocks = pl.blocks(pl.core())
     with_hang = [i for i, (a, r, _) in blocks.items() if r > a]
     # the heaviest path runs through two legs; the third leg hangs at the
     # single branch node (its innermost vertex is that node's own cluster
@@ -91,7 +91,7 @@ def test_blocks_cluster_vertices_close_each_block():
     for seed in range(10):
         g, td = random_graph_with_td(20, 3, seed + 50)
         pl = build_plabeling(make_nonredundant(td))
-        for i, (a, r, b) in pl.blocks().items():
+        for i, (a, r, b) in pl.blocks(pl.core()).items():
             for lab in range(a, r):
                 assert not pl.is_path_vertex[pl.vertex_of[lab]]
             for lab in range(r, b + 1):
@@ -159,7 +159,7 @@ def test_decompose_spider_branch_node():
     g, td0 = spider_fixture()
     td = make_nonredundant(td0)
     pl = build_plabeling(td)
-    branch = [i for i, (a, r, _) in pl.blocks().items() if r > a][0]
+    branch = [i for i, (a, r, _) in pl.blocks(pl.core()).items() if r > a][0]
     parts = decompose_by_node(g, td, pl, branch)
     assert any(len(p) == 8 for p in parts)  # the hanging leg survives intact
     _check_parts_against_boundary(g, td, pl, branch)

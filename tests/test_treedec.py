@@ -148,7 +148,10 @@ def test_constructor_rejects_malformed_containers(args, what):
 
 def test_trusted_decompositions_pass_the_validating_constructor(monkeypatch):
     """Every decomposition the package builds unchecked comes out the same
-    from the validating constructor."""
+    from the validating constructor: those `_trusted` builds, and those the
+    public make_nonredundant converts from normalization's id-indexed
+    lists. The order of a converted decomposition's neighbor lists is that
+    of the contraction's edges, which the union-find reference test pins."""
     trusted = TreeDecomposition._trusted.__func__
     callers = set()
 
@@ -163,10 +166,23 @@ def test_trusted_decompositions_pass_the_validating_constructor(monkeypatch):
         return td
 
     monkeypatch.setattr(TreeDecomposition, "_trusted", classmethod(checked))
+    converted = 0
     for label, g, td in acceptance_corpus():
         run_checked(g, td, g.n // 2)
-    assert callers == {"tree_to_width1_td", "grid_td", "random_graph_with_td",
-                       "normalize"}
+        out = make_nonredundant(td)
+        if out is td:
+            continue
+        converted += 1
+        again = TreeDecomposition(out.nodes, list(out.edges()), out.clusters,
+                                  out.graph_n)
+        assert again.nodes == out.nodes
+        assert ({i: sorted(nbrs) for i, nbrs in again.neighbors.items()}
+                == {i: sorted(nbrs) for i, nbrs in out.neighbors.items()})
+        assert list(again.neighbors) == list(out.neighbors)
+        assert again.clusters == out.clusters
+        assert again.graph_n == out.graph_n
+    assert callers == {"tree_to_width1_td", "grid_td", "random_graph_with_td"}
+    assert converted
 
 
 @st.composite
@@ -200,14 +216,15 @@ def redundant_tds(draw):
 
 def _check_normalized(td):
     """normalize leaves no nested adjacent pair, and the record it hands to
-    heaviest_path gives the same path as the sweeps from scratch. Returns
-    whether the input passed through."""
+    heaviest_path gives the same path as the sweeps from scratch on the
+    public make_nonredundant's result. Returns whether the input passed
+    through."""
     rec = normalize(td)
-    out = rec.td
+    out = make_nonredundant(td)
     for a, b in out.edges():
         ca, cb = set(out.clusters[a]), set(out.clusters[b])
         assert not ca <= cb and not cb <= ca
-    assert (rec.heavy_end is not None) == (out is td)
+    assert (rec.heavy_end is not None) == (rec.td is td) == (out is td)
     handed = heaviest_path(rec)
     assert heaviest_path(out) == handed
     return out is td
@@ -444,14 +461,18 @@ def _class_events(td):
 def test_make_nonredundant_matches_the_union_find_reference(td):
     """The whole result equals the union-find normalization's: the same
     object when nothing contracts, otherwise the same nodes, neighbor lists
-    in the same order and the same cluster list objects; the same endpoint
-    flags and the same ops count, and the largest cluster size."""
+    in the same order and the same cluster list objects, both in the
+    public make_nonredundant's dicts and in the record's lists by id; the
+    same endpoint flags and the same ops count, and the largest cluster
+    size."""
     ops_ref, ops_new = OpsCounter(), OpsCounter()
     try:
         ref, end, covers = uf_make_nonredundant(td, ops=ops_ref)
     except EmptyDecomposition:
         with pytest.raises(EmptyDecomposition):
             normalize(td)
+        with pytest.raises(EmptyDecomposition):
+            make_nonredundant(td)
         return
     rec = normalize(td, ops=ops_new)
     out = rec.td
@@ -460,11 +481,22 @@ def test_make_nonredundant_matches_the_union_find_reference(td):
     assert rec.nodes is out.nodes
     assert rec.size == ref.width() + 1
     assert out.nodes == ref.nodes
-    assert list(out.neighbors.items()) == list(ref.neighbors.items())
-    assert list(out.clusters) == list(ref.clusters)
-    assert all(out.clusters[i] is ref.clusters[i] for i in ref.clusters)
     assert out.graph_n == ref.graph_n
     assert ops_new.total == ops_ref.total
+    if out is not td:
+        assert out.nodes == list(range(1, len(out.nodes) + 1))
+        assert len(out.neighbors) == len(out.clusters) == len(out.nodes) + 1
+        assert out.neighbors[0] == [] and out.clusters[0] is None
+        assert [out.neighbors[i] for i in ref.nodes] == [
+            ref.neighbors[i] for i in ref.nodes]
+        assert all(out.clusters[i] is ref.clusters[i] for i in ref.nodes)
+    public = make_nonredundant(td)
+    assert (public is td) == (ref is td)
+    assert public.nodes == ref.nodes
+    assert list(public.neighbors.items()) == list(ref.neighbors.items())
+    assert list(public.clusters) == list(ref.clusters)
+    assert all(public.clusters[i] is ref.clusters[i] for i in ref.clusters)
+    assert public.graph_n == ref.graph_n
 
 
 @pytest.mark.parametrize("event", ["adopt", "adopted twice",
