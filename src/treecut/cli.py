@@ -213,8 +213,11 @@ def oracle_cmd(graph_path, m, method):
 def bench_cmd(families, sizes, seed, with_oracle, as_json, out_path):
     """Sweep the families and report widths, bounds and runtimes."""
     def run():
-        rows = run_bench([f.strip() for f in families.split(",") if f.strip()],
-                         _int_list(sizes, "--sizes"), seed=seed,
+        names = [f.strip() for f in families.split(",") if f.strip()]
+        if not names:
+            raise click.BadParameter("--families names no family, got %r"
+                                     % families)
+        rows = run_bench(names, _int_list(sizes, "--sizes"), seed=seed,
                          with_oracle=with_oracle)
         text = rows_to_json(rows) if as_json else rows_to_csv(rows)
         if out_path:

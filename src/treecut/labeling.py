@@ -12,7 +12,7 @@ from collections import Counter
 from fractions import Fraction
 
 from .errors import InternalInvariant, RedundantPath
-from .treedec import Normalized, heaviest_path
+from .treedec import Normalized, _node_dfs, heaviest_path
 
 
 class PLabeling:
@@ -90,44 +90,41 @@ def build_plabeling(td, path_nodes=None, ops=None):
     smallest node, in the order in which the sweep met the vertices. Every
     vertex is then a path vertex and no node has a hanging tree.
 
-    Otherwise a path cluster is read once, or twice when hanging trees
-    attach to its node. Like the heaviest-path sweeps, this relies on
-    cluster connectivity: a vertex is marked as a path vertex when
-    the first path node holding it labels it, and a hanging vertex that also
-    lies in a path cluster lies in the cluster of the path node it hangs
-    from, which is marked before its hanging vertices are labeled. A
-    decomposition that breaks connectivity can get a different labeling: a
-    vertex shared between a hanging tree and a later path cluster is labeled
-    in the hanging span, marked or not, and the path may be labeled in the
-    other orientation. The relative weight and the cut can change with it;
-    the engine still raises InternalInvariant on a cut wider than its bound.
+    Otherwise the hanging trees are cut from the preorder of a DFS rooted
+    at the path's first node, which walks no node twice: for a record,
+    heaviest_path's second sweep, whose preorder the record hands on and
+    this drops before the label arrays exist; for an explicit path or a
+    bare decomposition, a DFS over the nodes. Then a path cluster is read
+    once, or twice when hanging trees attach to its node. Like the
+    heaviest-path sweeps, this relies on cluster connectivity: a vertex is
+    marked as a path vertex when the first path node holding it labels it,
+    and a hanging vertex that also lies in a path cluster lies in the
+    cluster of the path node it hangs from, which is marked before its
+    hanging vertices are labeled. A decomposition that breaks connectivity
+    can get a different labeling: a vertex shared between a hanging tree
+    and a later path cluster is labeled in the hanging span, marked or not,
+    and the path may be labeled in the other orientation. The relative
+    weight and the cut can change with it; the engine still raises
+    InternalInvariant on a cut wider than its bound.
     """
     norm = td
     if isinstance(td, Normalized):
         td = td.td
+    sweep = None
     if path_nodes is None:
         path_nodes, _ = heaviest_path(norm, ops=ops)
-        if norm is not td and norm.vertex_of is not None:
-            return _covering_labeling(norm, path_nodes[::-1], ops)
-    clusters, neighbors = td.clusters, td.neighbors
-    path_set = set(path_nodes)
-    # hanging trees: components of the tree minus path edges, keyed by the
-    # path node they attach to; stored as (child, parent) pairs in DFS order
-    hang = {}
-    work = 0
-    for i in path_nodes:
-        pairs = []
-        stack = [(w, i) for w in reversed(neighbors[i]) if w not in path_set]
-        if stack:
-            pop, push = stack.pop, stack.append
-            while stack:
-                v, p = pop()
-                pairs.append((v, p))
-                for w in neighbors[v]:
-                    if w != p:
-                        push((w, v))
-        hang[i] = pairs
-        work += len(clusters[i]) + len(pairs) + 1
+        if norm is not td:
+            if norm.vertex_of is not None:
+                return _covering_labeling(norm, path_nodes[::-1], ops)
+            sweep, norm.second_sweep = norm.second_sweep, None
+    clusters = td.clusters
+    if sweep is None:
+        sweep = _node_dfs(td.neighbors, dict.fromkeys(td.nodes, 0),
+                          path_nodes[0])[2:]
+    hang = _hanging_trees(path_nodes, *sweep)
+    sweep = None  # gone before the label arrays are allocated
+    work = len(td.nodes) + sum(map(len, map(clusters.__getitem__,
+                                            path_nodes)))
     path = list(path_nodes)
     labels = _assign_labels(clusters, td.graph_n, path, hang)
     if labels is None:
@@ -140,6 +137,36 @@ def build_plabeling(td, path_nodes=None, ops=None):
     label_of, vertex_of, is_pv, path_node_of = labels
     return PLabeling(td, len(vertex_of) - 1, label_of, vertex_of, is_pv,
                      path_node_of, path, hang)
+
+
+def _hanging_trees(path, order, parents):
+    """Hanging trees: the components of the tree minus the path's edges,
+    keyed by the path node they attach to, each as (child, parent) pairs
+    in DFS order from that node.
+
+    `order` and `parents` are a DFS preorder rooted at `path[0]` and each
+    entry's parent. Every hanging tree is a contiguous run of it that
+    starts at a child of a path node and ends at the next path node or the
+    next run's start. A node's runs come in the reverse of its `neighbors`
+    order, so the preorder is cut from its end, which appends each node's
+    runs to its list in `neighbors` order.
+    """
+    on_path = set(path)
+    hang = {i: [] for i in path}
+    end = len(order)
+    for q in range(end - 1, 0, -1):
+        v = order[q]
+        if v in on_path:
+            end = q
+            continue
+        p = parents[q]
+        if p in on_path:
+            if end - q == 1:  # a leaf, the common case on caterpillars
+                hang[p].append((v, p))
+            else:
+                hang[p] += zip(order[q:end], parents[q:end])
+            end = q
+    return hang
 
 
 def _covering_labeling(norm, path, ops):

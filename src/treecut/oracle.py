@@ -18,13 +18,20 @@ def _adj_masks(g):
     return [0] + [sum(1 << (w - 1) for w in g.adj[v]) for v in g.vertices]
 
 
+def _check_size(m, n):
+    """Raise BadSize unless m is an int in 0..n; a bool is not an int here."""
+    if type(m) is not int or not 0 <= m <= n:
+        raise BadSize("m=%r is not an int in 0..%d" % (m, n))
+
+
 def brute_force_min_cut_size_m(g, m):
-    """Minimum width over all cuts with exactly m black vertices."""
+    """Minimum width over all cuts with exactly m black vertices.
+
+    An m that is not an int in 0..n raises BadSize."""
     n = g.n
     if n > _BRUTE_LIMIT:
         raise TreecutError("exhaustive search capped at n=%d" % _BRUTE_LIMIT)
-    if not 0 <= m <= n:
-        raise BadSize("m=%r outside 0..%d" % (m, n))
+    _check_size(m, n)
     masks = _adj_masks(g)
     best = None
     best_set = None
@@ -49,7 +56,8 @@ def tree_dp_min_bisection(g, m=None):
 
     States are (black count in subtree, color of the subtree root); merging
     works like a knapsack over children. Quadratic overall, capped at
-    n=5000.
+    n=5000. `m` is the black vertex count, n//2 when omitted; one that is
+    not an int in 0..n raises BadSize.
     """
     if not g.is_tree():
         raise NotATree("the dynamic program needs a tree")
@@ -58,6 +66,7 @@ def tree_dp_min_bisection(g, m=None):
         raise TreecutError("tree DP capped at n=%d" % _DP_LIMIT)
     if m is None:
         m = n // 2
+    _check_size(m, n)
     inf = float("inf")
     root = 1
     parent = [0] * (n + 1)

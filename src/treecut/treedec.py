@@ -303,6 +303,17 @@ class Normalized:
     order of that path's labeling oriented from the smallest node:
     `vertex_of` lists them from index 1, and `path_node_of[x]` is the node
     that first held x (index 0 of both holds 0). Both are None otherwise.
+
+    The two sweep fields live only until the phase after the one that
+    fills them. `first_sweep` is what normalization's pass recorded on a
+    pass-through input whose node degrees rule out a path from the
+    smallest node: dicts of each node's fresh count (the vertices it added
+    that no earlier node held) and its tree parent, rooted at the smallest
+    node; None otherwise. heaviest_path reads and drops it.
+    `second_sweep` is what heaviest_path's node sweep leaves for the
+    labeling: its preorder from the path's first node and the parent of
+    each entry, as two lists aligned by position; build_plabeling reads
+    and drops it before it allocates its label arrays.
     """
     td: TreeDecomposition | _IdLists
     nodes: list
@@ -310,6 +321,8 @@ class Normalized:
     heavy_end: int | None = None
     vertex_of: list | None = None
     path_node_of: list | None = None
+    first_sweep: tuple | None = None
+    second_sweep: tuple | None = None
 
 
 def make_nonredundant(td, ops=None):
@@ -354,11 +367,16 @@ def normalize(td, ops=None):
     cluster connectivity holds, and the pass met the vertices in that
     path's label order. The pass lists them only when the node degrees
     allow that shape (the root's at most 1, every other at most 2), so
-    other trees pay nothing for it. Otherwise the record holds a new
-    decomposition with dense node ids 1..k, one per class in the order the
-    classes were started, as id-indexed lists: each class's neighbors in
-    the order of the input's tree edges (each edge `a < b` listed from
-    `a`, nodes in `td.nodes` order), without edges inside a class.
+    other trees pay nothing for it. On those other trees the pass instead
+    records each node's fresh count and tree parent, which the record
+    keeps as `first_sweep` for heaviest_path's second sweep.
+
+    When some node joined another's class, the records are dropped and the
+    record holds a new decomposition with dense node ids 1..k, one per
+    class in the order the classes were started, as id-indexed lists:
+    each class's neighbors in the order of the input's tree edges (each
+    edge `a < b` listed from `a`, nodes in `td.nodes` order), without
+    edges inside a class.
     """
     clusters, neighbors = td.clusters, td.neighbors
     if all(not clusters[i] for i in td.nodes):
@@ -371,6 +389,7 @@ def normalize(td, ops=None):
     # path from the root
     met = [0] if len(neighbors[root]) <= 1 and all(
         len(nbrs) <= 2 for nbrs in neighbors.values()) else None
+    fresh_of, parent_of = {}, {}  # node -> fresh count, tree parent
     work = size = 0
     best, best_w = root, -1  # first node of greatest path weight from root
     stack = [(root, None, 0, None)]  # node, tree parent, weight, its class
@@ -384,6 +403,8 @@ def normalize(td, ops=None):
                 if first[v] is None:
                     first[v] = i
                     fresh += 1
+            fresh_of[i] = fresh
+            parent_of[i] = tree_parent
         else:
             before = len(met)
             for v in x:
@@ -418,7 +439,9 @@ def normalize(td, ops=None):
         if best_w == td.graph_n and met is not None:
             first[0] = 0
             return Normalized(td, td.nodes, size, best, met, first)
-        return Normalized(td, td.nodes, size, best)
+        return Normalized(td, td.nodes, size, best, first_sweep=(
+            (fresh_of, parent_of) if met is None else None))
+    fresh_of = parent_of = None  # the output's first sweep records anew
     ids = list(range(1, len(roots) + 1))
     id_of = {i: ids[c] for i, c in joined.items()}
     id_of.update(zip(roots, ids))
@@ -453,17 +476,23 @@ class WeightReport:
     relative_weight: Fraction
 
 
-def _weight_sweep(td, start, ops=None):
-    """DFS from `start`; returns (end, weight, parents).
+def _recording_sweep(td, start, ops=None):
+    """The one sweep that reads clusters: a DFS from `start`, returning
+    (end, fresh, parent).
 
-    The weight of node i is |union of clusters on the tree path start..i|;
-    `end` is the first node of greatest weight in discovery order. Relies on
-    cluster connectivity: any previously seen vertex recurring in a cluster
-    must already sit in the parent cluster.
+    `fresh[i]` counts the vertices of node i's cluster that no node met
+    before it held, `parent[i]` is i's tree parent (None at `start`), and
+    `end` is the first node in discovery order whose path from `start`
+    holds the most vertices. On a contracted output both are lists indexed
+    by id, otherwise dicts. Under cluster connectivity a vertex met before
+    also lies in the parent's cluster, so `fresh[i]` is |C_i \\ C_parent|.
     """
     clusters, neighbors = td.clusters, td.neighbors
-    seen = [False] * (td.graph_n + 1)
-    parent = {}
+    if type(td) is _IdLists:
+        fresh, parent = [0] * len(clusters), [None] * len(clusters)
+    else:
+        fresh, parent = {}, {}
+    seen = bytearray(td.graph_n + 1)
     best, best_w = start, -1
     work = 0
     stack = [(start, None, 0)]
@@ -471,58 +500,135 @@ def _weight_sweep(td, start, ops=None):
     while stack:
         i, p, w = pop()
         cl = clusters[i]
+        k = 0
         for x in cl:
             if not seen[x]:
-                seen[x] = True
-                w += 1
+                seen[x] = 1
+                k += 1
+        fresh[i] = k
+        parent[i] = p
         work += len(cl) + 1
+        w += k
         if w > best_w:
             best, best_w = i, w
         for j in neighbors[i]:
             if j != p:
-                parent[j] = i
                 push((j, i, w))
     if ops is not None:
         ops.add(work)
-    return best, best_w, parent
+    return best, fresh, parent
+
+
+def _node_dfs(neighbors, fresh, start, ops=None):
+    """The one sweep over nodes only: a DFS from `start` that adds up
+    `fresh` along tree paths, in the recording sweep's push order.
+
+    Returns (end, weight, preorder, parents): the first node of greatest
+    weight in discovery order, its weight, the nodes in discovery order
+    and, aligned with them by position, each one's tree parent (None at
+    `start`). Each subtree is finished before the next sibling is popped,
+    so every subtree is a contiguous run of the preorder.
+    """
+    order, parents = [], []
+    visit, attach = order.append, parents.append
+    best, best_w = start, -1
+    stack = [(start, None, 0)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        i, p, w = pop()
+        visit(i)
+        attach(p)
+        w += fresh[i]
+        if w > best_w:
+            best, best_w = i, w
+        for j in neighbors[i]:
+            if j != p:
+                push((j, i, w))
+    if ops is not None:
+        ops.add(len(order))
+    return best, best_w, order, parents
+
+
+def _sweep_from(td, fresh, parent, start, ops=None):
+    """Heaviest path from `start`, from a recording sweep's records.
+
+    Re-rooting at `start` changes the tree parent only on the chain from
+    `start` up to the records' root. There, under cluster connectivity,
+    a node j whose old child c becomes its parent has the fresh count
+    |C_j \\ C_c| = |C_j| - |C_c| + fresh_old(c), and `start` itself
+    |C_start|, so the records are turned around in place reading cluster
+    lengths only; the sweep that follows is _node_dfs. Returns (path,
+    weight, (preorder, parents)), the path from `start` to the sweep's end.
+    The ops count one per chain step and one per node swept.
+    """
+    clusters = td.clusters
+    below, below_fresh = start, fresh[start]
+    fresh[start] = len(clusters[start])
+    j, parent[start] = parent[start], None
+    hops = 0
+    while j is not None:
+        up, was = parent[j], fresh[j]
+        fresh[j] = len(clusters[j]) - len(clusters[below]) + below_fresh
+        parent[j] = below
+        below, below_fresh, j = j, was, up
+        hops += 1
+    if ops is not None:
+        ops.add(hops)
+    end, weight, order, parents = _node_dfs(td.neighbors, fresh, start, ops)
+    path = [end]
+    while path[-1] != start:
+        path.append(parent[path[-1]])
+    path.reverse()
+    return path, weight, (order, parents)
 
 
 def heaviest_path(td, ops=None):
     """Tree path maximizing the union of its clusters, via two DFS sweeps.
 
-    `td` is a TreeDecomposition, on which both sweeps run: the first from
-    the smallest node id, the second from its endpoint. Or it is the
-    Normalized record of one, which may spare sweeps and is trusted as
-    normalization built it. A record holding the first sweep's endpoint
-    (`heavy_end`) gets only the second. When normalization's sweep also
-    covered every vertex (the record's `vertex_of` is set), every node but
-    the smallest added a vertex, so weights rise strictly along the tree,
-    which is the path from `heavy_end` to the smallest node; a walk along
-    `td.neighbors` returns it without reading a cluster. With cluster
-    connectivity the sweep would return the same path; without it the
-    sweep may stop at an earlier first maximum, so the walked path, and
-    the cut built on it, can differ. Ties stick with the first maximum in
-    discovery order. Returns the node sequence and a weight report
-    relative to the host graph order. Any other `td` raises
-    DecompositionFormatError.
+    The first sweep runs from the smallest node id and is the only one
+    that reads clusters: it records each node's fresh count and tree
+    parent. The second runs from the first one's endpoint over the nodes
+    alone, with the records re-rooted there (see _sweep_from), and its
+    endpoint closes the path. Ties stick with the first maximum in
+    discovery order. Returns the node sequence, from the second sweep's
+    start, and a weight report relative to the host graph order.
+
+    `td` is a TreeDecomposition, on which both sweeps run. Or it is the
+    Normalized record of one, which may spare the first sweep and is
+    trusted as normalization built it: a record whose pass left its
+    `first_sweep` records gets only the second sweep, and drops them; one
+    without them (a contracted output, or a path-shaped input whose pass
+    did not cover) gets both. The second sweep's preorder and parents go to the record's `second_sweep`, for
+    the labeling to cut the hanging trees from. When normalization's pass
+    also covered every vertex (the record's `vertex_of` is set), every
+    node but the smallest added a vertex, so weights rise strictly along
+    the tree, which is the path from `heavy_end` to the smallest node; a
+    walk along `td.neighbors` returns it without reading a cluster, and
+    there is no preorder. Any other `td` raises DecompositionFormatError.
+
+    Both sweeps count a node's vertices met before as already on its path,
+    which cluster connectivity guarantees. Without it the counts can
+    differ from the path's union; the walked path can then be longer than
+    a sweep's, and the swept path not the heaviest.
     """
-    a = covering = None
+    norm = records = None
     if isinstance(td, Normalized):
-        a, covering, td = td.heavy_end, td.vertex_of is not None, td.td
+        norm, td = td, td.td
+        if norm.vertex_of is not None:
+            path = _walk_path(td, norm.heavy_end)
+            if ops is not None:
+                ops.add(len(path))
+            return path, WeightReport(td.graph_n, Fraction(1))
+        records, norm.first_sweep = norm.first_sweep, None
     else:
         check_decomposition(td)
-    if covering:
-        path = _walk_path(td, a)
-        if ops is not None:
-            ops.add(len(path))
-        return path, WeightReport(td.graph_n, Fraction(1))
-    if a is None:
-        a = _weight_sweep(td, min(td.nodes), ops)[0]
-    b, weight, parent = _weight_sweep(td, a, ops)
-    path = [b]
-    while path[-1] != a:
-        path.append(parent[path[-1]])
-    path.reverse()
+    if records is None:
+        start, *records = _recording_sweep(td, min(td.nodes), ops)
+    else:
+        start = norm.heavy_end
+    path, weight, preorder = _sweep_from(td, *records, start, ops)
+    if norm is not None:
+        norm.second_sweep = preorder
     return path, WeightReport(weight, Fraction(weight, td.graph_n))
 
 

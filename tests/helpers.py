@@ -601,6 +601,53 @@ def uf_make_nonredundant(td, ops=None):
         {new_id[f]: clusters[f] for f in final}, td.graph_n), None, False
 
 
+# The weight sweep that heaviest_path ran twice, reading every cluster both
+# times, before its second sweep came to run over the nodes alone; kept
+# verbatim as the reference of the differential tests in test_treedec.py.
+def ref_weight_sweep(td, start, ops=None):
+    """DFS from `start`; returns (end, weight, parents).
+
+    The weight of node i is |union of clusters on the tree path start..i|;
+    `end` is the first node of greatest weight in discovery order. Relies on
+    cluster connectivity: any previously seen vertex recurring in a cluster
+    must already sit in the parent cluster.
+    """
+    clusters, neighbors = td.clusters, td.neighbors
+    seen = [False] * (td.graph_n + 1)
+    parent = {}
+    best, best_w = start, -1
+    work = 0
+    stack = [(start, None, 0)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        i, p, w = pop()
+        cl = clusters[i]
+        for x in cl:
+            if not seen[x]:
+                seen[x] = True
+                w += 1
+        work += len(cl) + 1
+        if w > best_w:
+            best, best_w = i, w
+        for j in neighbors[i]:
+            if j != p:
+                parent[j] = i
+                push((j, i, w))
+    if ops is not None:
+        ops.add(work)
+    return best, best_w, parent
+
+
+def ref_path(start, end, parent):
+    """The tree path from `start` to `end`, from ref_weight_sweep's parents
+    of a sweep rooted at `start`."""
+    path = [end]
+    while path[-1] != start:
+        path.append(parent[path[-1]])
+    path.reverse()
+    return path
+
+
 # Exact references and bounds that only tests use.
 
 _PATH_LIMIT = 12

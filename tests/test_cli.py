@@ -252,11 +252,17 @@ def _assert_usage_error(res):
     ["bench", "--families", "path", "--sizes", "10,0"],
     ["gen", "--family", "spider", "--legs", "-2,3",
      "--out-graph", "{out}.edges", "--out-td", "{out}.json"],
+    ["oracle", "--graph", "{graph}", "--method", "tree-dp", "--m", "50"],
+    ["oracle", "--graph", "{graph}", "--method", "tree-dp", "--m", "-1"],
+    ["oracle", "--graph", "{graph}", "--method", "brute", "--m", "50"],
+    ["bench", "--families", ","],
+    ["bench", "--families", ",", "--json"],
+    ["bench", "--families", " , ", "--sizes", "10"],
 ])
 def test_bad_arguments_exit_2(tmp_path, args):
     g = path_graph(4)
-    _, tp = _write_instance(tmp_path, g, tree_to_width1_td(g))
-    args = [a.format(td=tp, out=tmp_path / "out") for a in args]
+    gp, tp = _write_instance(tmp_path, g, tree_to_width1_td(g))
+    args = [a.format(graph=gp, td=tp, out=tmp_path / "out") for a in args]
     _assert_usage_error(CliRunner().invoke(main, args))
 
 

@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, find, given, settings, strategies as st
 
 from helpers import (
     acceptance_corpus,
@@ -45,7 +45,12 @@ from treecut.generators import (
 from treecut.graph import Graph, cut_width, max_degree
 from treecut.labeling import build_plabeling
 from treecut.oracle import brute_force_min_cut_size_m
-from treecut.treedec import TreeDecomposition, normalize, tree_to_width1_td
+from treecut.treedec import (
+    TreeDecomposition,
+    normalize,
+    tree_to_width1_td,
+    validate,
+)
 from treecut.util import OpsCounter
 
 
@@ -365,3 +370,72 @@ def test_doubling_step_matches_the_reference_on_the_corpus(data):
     td = data.draw(st.sampled_from(_corpus_tds()))
     n = td.graph_n
     _steps_agree(td, data.draw(st.one_of(st.just(n), st.integers(1, n))))
+
+
+@st.composite
+def connectivity_breaking_instances(draw):
+    """A random graph with a decomposition (random-td, or the width-1
+    decomposition of a random tree), node ids shuffled, with one to three
+    cluster edits that add a vertex to a cluster or drop one from it. An
+    added vertex often lies in clusters far away, which breaks cluster
+    connectivity; a dropped one can leave a vertex or an edge uncovered.
+    Returns (graph, decomposition, m)."""
+    n = draw(st.integers(2, 40))
+    seed = draw(st.integers(0, 10 ** 6))
+    if draw(st.booleans()):
+        g, td = random_graph_with_td(n, draw(st.integers(1, 4)), seed)
+    else:
+        g, td = make_instance("random-tree", n=n, seed=seed)
+    clusters = {i: list(c) for i, c in td.clusters.items()}
+    for _ in range(draw(st.integers(1, 3))):
+        c = clusters[draw(st.sampled_from(td.nodes))]
+        x = draw(st.integers(1, g.n))
+        if x in c:
+            c.remove(x)
+        else:
+            c.append(x)
+    new_id = dict(zip(td.nodes, draw(st.permutations(td.nodes))))
+    td = TreeDecomposition([new_id[i] for i in td.nodes],
+                           [(new_id[a], new_id[b]) for a, b in td.edges()],
+                           {new_id[i]: c for i, c in clusters.items()}, g.n)
+    return g, td, draw(st.integers(0, g.n))
+
+
+def _cut_or_treecut_error(g, td, m):
+    """The cut, checked from scratch, or the TreecutError it raised."""
+    try:
+        b, rep = exact_size_cut_linear(g, td, m)
+    except TreecutError as exc:
+        return exc
+    side = bytearray(g.n + 1)
+    for v in b:
+        assert 1 <= v <= g.n and not side[v]
+        side[v] = 1
+    assert len(b) == m == rep.m
+    assert rep.width == (cut_width(g, side) if 0 < m < g.n else 0)
+    assert rep.width <= rep.bound
+    return b
+
+
+@settings(max_examples=300, deadline=None)
+@given(connectivity_breaking_instances())
+def test_a_cut_on_a_broken_decomposition_is_verified_or_a_treecut_error(inst):
+    """On decompositions that break cluster connectivity, coverage or edge
+    cover, the cut driver returns a cut of exactly m distinct vertices
+    within its bound, or raises a TreecutError; no other exception."""
+    _cut_or_treecut_error(*inst)
+
+
+@pytest.mark.parametrize("outcome", ["cut", "error"])
+def test_broken_decompositions_reach_both_outcomes(outcome):
+    """The strategy above yields decompositions that break connectivity
+    and are still cut, and others that end in a TreecutError."""
+    def reached(inst):
+        g, td, m = inst
+        if validate(g, td).connectivity_ok:
+            return False
+        res = _cut_or_treecut_error(g, td, m)
+        return isinstance(res, TreecutError) == (outcome == "error")
+    find(connectivity_breaking_instances(), reached,
+         settings=settings(max_examples=2000, database=None,
+                           phases=[Phase.generate]))

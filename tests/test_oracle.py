@@ -92,6 +92,24 @@ def test_guards():
         tree_dp_min_bisection(complete_graph(4))
 
 
+@pytest.mark.parametrize("m", [-1, 7, 3.0, True, False, "3"])
+@pytest.mark.parametrize("oracle", [tree_dp_min_bisection,
+                                    brute_force_min_cut_size_m])
+def test_oracles_reject_a_size_that_is_not_an_int_in_range(oracle, m):
+    """On the 6-vertex path, an m outside 0..6 or of another type, a bool
+    included, raises BadSize; m = -1 used to give the tree DP's width at
+    m = 6 through a negative index."""
+    with pytest.raises(BadSize):
+        oracle(path_graph(6), m)
+
+
+def test_tree_dp_takes_every_size_in_range():
+    g = path_graph(6)
+    assert [tree_dp_min_bisection(g, m) for m in range(7)] == \
+        [0, 1, 1, 1, 1, 1, 0]
+    assert tree_dp_min_bisection(g) == tree_dp_min_bisection(g, 3)
+
+
 def test_heaviest_path_y_fixture():
     td = y_shaped_td()
     best, nodes = brute_force_heaviest_path(td)

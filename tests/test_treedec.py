@@ -1,4 +1,6 @@
+import copy
 import json
+import random
 import sys
 from collections import Counter
 from dataclasses import replace
@@ -15,6 +17,8 @@ from helpers import (
     orient_path,
     p6_td,
     path_weight,
+    ref_path,
+    ref_weight_sweep,
     restrict,
     run_checked,
     set_validate,
@@ -43,6 +47,7 @@ from treecut.graph import Graph, longest_path_in_tree
 from treecut.labeling import build_plabeling
 from treecut.treedec import (
     TreeDecomposition,
+    WeightReport,
     heaviest_path,
     make_nonredundant,
     normalize,
@@ -214,11 +219,19 @@ def redundant_tds(draw):
         {new_id[i]: c for i, c in clusters.items()}, g.n)
 
 
+def _ref_heaviest_path(td):
+    """heaviest_path as the two cluster-reading reference sweeps find it."""
+    a = ref_weight_sweep(td, min(td.nodes))[0]
+    b, weight, parent = ref_weight_sweep(td, a)
+    return ref_path(a, b, parent), WeightReport(
+        weight, Fraction(weight, td.graph_n))
+
+
 def _check_normalized(td):
     """normalize leaves no nested adjacent pair, and the record it hands to
     heaviest_path gives the same path as the sweeps from scratch on the
-    public make_nonredundant's result. Returns whether the input passed
-    through."""
+    public make_nonredundant's result, and as the two reference sweeps.
+    Returns whether the input passed through."""
     rec = normalize(td)
     out = make_nonredundant(td)
     for a, b in out.edges():
@@ -226,8 +239,48 @@ def _check_normalized(td):
         assert not ca <= cb and not cb <= ca
     assert (rec.heavy_end is not None) == (rec.td is td) == (out is td)
     handed = heaviest_path(rec)
-    assert heaviest_path(out) == handed
+    assert heaviest_path(out) == handed == _ref_heaviest_path(out)
     return out is td
+
+
+def _check_node_sweep(td, rng):
+    """On a decomposition with cluster connectivity, in either form the
+    phases read (a TreeDecomposition, or a contracted output's id-indexed
+    lists): the recording sweep from the smallest node ends where the
+    reference sweep does, with each node's fresh count |C_i \\ C_parent|
+    and the reference's parents. From its end and from a random node, the
+    node sweep on its records re-rooted there finds the reference's
+    endpoint, weight and path, and returns every node once in a preorder
+    with the reference's parents."""
+    root = min(td.nodes)
+    end, fresh, parent = treedec._recording_sweep(td, root)
+    ref_end, _, ref_parent = ref_weight_sweep(td, root)
+    assert end == ref_end
+    assert parent[root] is None
+    for i in td.nodes:
+        if i != root:
+            assert parent[i] == ref_parent[i]
+        above = set(td.clusters[parent[i]]) if i != root else set()
+        assert fresh[i] == len(set(td.clusters[i]) - above)
+    for start in (end, rng.choice(td.nodes)):
+        path, weight, (order, parents) = treedec._sweep_from(
+            td, copy.copy(fresh), copy.copy(parent), start)
+        ref_end, ref_w, ref_parent = ref_weight_sweep(td, start)
+        assert (path[-1], weight) == (ref_end, ref_w)
+        assert path == ref_path(start, ref_end, ref_parent)
+        assert order[0] == start and parents[0] is None
+        assert sorted(order) == sorted(td.nodes)
+        assert parents[1:] == [ref_parent[i] for i in order[1:]]
+
+
+def test_node_sweep_matches_the_reference_sweep_on_the_corpus():
+    rng = random.Random(16)
+    forms = set()
+    for _, _, td in acceptance_corpus():
+        out = normalize(td).td
+        forms.add(out is td)
+        _check_node_sweep(out, rng)
+    assert forms == {False, True}
 
 
 def test_normalized_corpus_has_no_nested_pairs_and_same_heaviest_path():
@@ -266,13 +319,24 @@ def path_tds(draw):
                              nxt - 1 + draw(st.integers(0, 2)))
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.builds(lambda inst: inst[1], redundant_tds()),
+                 path_tds()), st.randoms(use_true_random=False))
+def test_node_sweep_matches_the_reference_sweep_random(td, rng):
+    _check_node_sweep(td, rng)
+    _check_node_sweep(normalize(td).td, rng)
+
+
 def _sweeps(td):
-    """Weight sweeps heaviest_path runs on the normalization record."""
+    """(cluster-reading sweeps, node sweeps) that heaviest_path runs on the
+    normalization record."""
     rec = normalize(td)
-    with mock.patch.object(treedec, "_weight_sweep",
-                           wraps=treedec._weight_sweep) as sweep:
+    with mock.patch.object(treedec, "_recording_sweep",
+                           wraps=treedec._recording_sweep) as recording, \
+            mock.patch.object(treedec, "_node_dfs",
+                              wraps=treedec._node_dfs) as node_sweep:
         heaviest_path(rec)
-    return sweep.call_count
+    return recording.call_count, node_sweep.call_count
 
 
 @settings(max_examples=200, deadline=None)
@@ -289,15 +353,22 @@ def test_covering_walk_gives_the_swept_path(td):
 
 
 @pytest.mark.parametrize("name, reached", [
-    ("walk", lambda td: _sweeps(td) == 0),
-    ("sweep, graph_n above the covered vertices",
-     lambda td: _sweeps(td) == 1 and td.graph_n > vertex_count(td)),
+    ("walk", lambda td: _sweeps(td) == (0, 0)),
     ("sweep, smallest node inside the path",
-     lambda td: _sweeps(td) == 1 and min(td.nodes) not in
+     lambda td: _sweeps(td) == (0, 1) and min(td.nodes) not in
      (td.nodes[0], td.nodes[-1])),
-    ("both sweeps, contracting input", lambda td: _sweeps(td) == 2),
+    ("sweep, graph_n above the covered vertices",
+     lambda td: _sweeps(td) == (1, 1) and normalize(td).td is td
+     and td.graph_n > vertex_count(td)),
+    ("both sweeps, contracting input",
+     lambda td: _sweeps(td) == (1, 1) and normalize(td).td is not td),
 ])
 def test_path_tds_reach_walk_and_sweep(name, reached):
+    """Path decompositions reach every way heaviest_path can run: the
+    walk; the node sweep alone, on the records normalization left when the
+    smallest node sits inside the path; and both the recording sweep and
+    the node sweep, on a pass-through path whose smallest node is an end
+    and on a contracted output."""
     find(path_tds(), reached,
          settings=settings(max_examples=1000, database=None,
                            phases=[Phase.generate]))
@@ -382,26 +453,35 @@ def test_covering_inputs_reach_covering_records(connected):
 def test_covering_path_decomposition_cut_reads_no_cluster_in_heaviest_path(
         monkeypatch):
     """On a grid's path decomposition the cut reads no cluster after
-    normalization. Against a record that only names the smallest node as
-    the sweep's start, which labels the same path in the same orientation,
-    the ops drop by the sweep and the labeling's cluster pass, each of
-    which reads every cluster entry and node. They gain the walk over the
-    nodes, and the labeling's n label stores and one hanging tree per
-    node."""
+    normalization. It is compared against a record that hands heaviest_path
+    a first sweep's records from the smallest node as if normalization had
+    left them, with the smallest node as the second sweep's start, which
+    labels the same path in the same orientation. Neither cut runs a
+    sweep that reads clusters. The ops differ in the two ways that read
+    the cluster entries and nodes: the walk against the node sweep (one
+    op per node each, with no re-rooting from the smallest node), and the
+    covering labeling's n label stores against the labeling's cluster
+    pass, which reads every cluster entry and every node."""
     g, td = make_instance("grid", k=20)
-    b, walked = exact_size_cut_linear(g, td, g.n // 2)
+    records = treedec._recording_sweep(td, min(td.nodes))[1:]
     normalize = engine.make_nonredundant
 
-    def without_flag(td0, ops=None):
+    def with_records(td0, ops=None):
         rec = normalize(td0, ops=ops)
         return replace(rec, heavy_end=min(rec.nodes), vertex_of=None,
-                       path_node_of=None)
+                       path_node_of=None, first_sweep=records)
 
-    monkeypatch.setattr(engine, "make_nonredundant", without_flag)
-    b_swept, swept = exact_size_cut_linear(g, td, g.n // 2)
-    pass_ = sum(len(c) for c in td.clusters.values()) + len(td.nodes)
-    nodes = len(td.nodes)
-    assert walked.ops == swept.ops - 2 * pass_ + nodes + g.n + nodes
+    with mock.patch.object(treedec, "_recording_sweep",
+                           wraps=treedec._recording_sweep) as recording, \
+            mock.patch.object(treedec, "_node_dfs",
+                              wraps=treedec._node_dfs) as node_sweep:
+        b, walked = exact_size_cut_linear(g, td, g.n // 2)
+        assert (recording.call_count, node_sweep.call_count) == (0, 0)
+        monkeypatch.setattr(engine, "make_nonredundant", with_records)
+        b_swept, swept = exact_size_cut_linear(g, td, g.n // 2)
+        assert (recording.call_count, node_sweep.call_count) == (0, 1)
+    entries = sum(len(c) for c in td.clusters.values())
+    assert walked.ops == swept.ops - entries + g.n
     assert b == b_swept
 
 
