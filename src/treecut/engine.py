@@ -239,6 +239,9 @@ class CutReport:
 
 
 def _check_coverage(pl, n):
+    if pl.td.graph_n > n and max(pl.vertex_of) > n:
+        raise InvalidDecomposition("vertex %d lies outside the graph's 1..%d"
+                                   % (max(pl.vertex_of), n))
     if pl.n != n:
         raise InvalidDecomposition(
             "clusters cover %d of %d vertices" % (pl.n, n))

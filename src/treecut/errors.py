@@ -29,10 +29,6 @@ class EmptyDecomposition(TreecutError):
     """All clusters are empty; there is nothing to decompose."""
 
 
-class RedundantPath(TreecutError):
-    """Neither end of the given path qualifies as a nonredundant start."""
-
-
 class BadSize(TreecutError):
     """Requested part size outside 1..n (or 0..n where allowed)."""
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 
-from .errors import InternalInvariant, RedundantPath
-from .treedec import Normalized, _node_dfs, heaviest_path
+from .errors import InternalInvariant, InvalidDecomposition
+from .treedec import heaviest_path
 
 
 class PLabeling:
@@ -75,66 +75,42 @@ class PLabeling:
         return Fraction(self.core().count(1), self.n)
 
 
-def build_plabeling(td, path_nodes=None, ops=None):
-    """Construct the label arrays for a tree path of td (heaviest if omitted).
-
-    `td` is a TreeDecomposition or the Normalized record of one; the
-    labeling's `td` is the decomposition. The path is labeled in the given
-    orientation, or reversed when that one does not start nonredundantly;
-    RedundantPath is raised when neither works. By cluster connectivity a
-    path node adds no new vertex exactly when its cluster is contained in
-    its predecessor's, so labeling itself decides the orientation.
+def build_plabeling(norm, ops=None):
+    """Construct the label arrays for the heaviest path of normalization's
+    record `norm`; the labeling's `td` is `norm.td`.
 
     A record whose normalization sweep covered every vertex needs no
-    cluster read: its tree is the heaviest path, which is labeled from the
-    smallest node, in the order in which the sweep met the vertices. Every
-    vertex is then a path vertex and no node has a hanging tree.
+    cluster read: its tree is the heaviest path, labeled from the smallest
+    node in the order the sweep met the vertices, with every vertex a path
+    vertex and no hanging tree.
 
-    Otherwise the hanging trees are cut from the preorder of a DFS rooted
-    at the path's first node, which walks no node twice: for a record,
-    heaviest_path's second sweep, whose preorder the record hands on and
-    this drops before the label arrays exist; for an explicit path or a
-    bare decomposition, a DFS over the nodes. Then a path cluster is read
-    once, or twice when hanging trees attach to its node. Like the
-    heaviest-path sweeps, this relies on cluster connectivity: a vertex is
-    marked as a path vertex when the first path node holding it labels it,
-    and a hanging vertex that also lies in a path cluster lies in the
-    cluster of the path node it hangs from, which is marked before its
-    hanging vertices are labeled. A decomposition that breaks connectivity
-    can get a different labeling: a vertex shared between a hanging tree
-    and a later path cluster is labeled in the hanging span, marked or not,
-    and the path may be labeled in the other orientation. The relative
-    weight and the cut can change with it; the engine still raises
-    InternalInvariant on a cut wider than its bound.
+    Otherwise the path is labeled in the orientation heaviest_path's second
+    sweep found, and the hanging trees are cut from that sweep's preorder,
+    which the record hands on and this drops before the label arrays exist.
+    A path cluster is read once, or twice when hanging trees attach to its
+    node. This relies on cluster connectivity: a vertex is marked as a path
+    vertex when the first path node holding it labels it, and a hanging
+    vertex that also lies in a path cluster lies in the cluster of the path
+    node it hangs from, which is marked first. Since no normalized cluster
+    is nested in a neighbor's, connectivity also makes every path node add
+    a vertex no earlier node held; one that adds none raises
+    InvalidDecomposition. On other broken inputs a vertex shared between a
+    hanging tree and a later path cluster is labeled in the hanging span,
+    which can change the relative weight and the cut; the engine still
+    raises InternalInvariant on a cut wider than its bound.
     """
-    norm = td
-    if isinstance(td, Normalized):
-        td = td.td
-    sweep = None
-    if path_nodes is None:
-        path_nodes, _ = heaviest_path(norm, ops=ops)
-        if norm is not td:
-            if norm.vertex_of is not None:
-                return _covering_labeling(norm, path_nodes[::-1], ops)
-            sweep, norm.second_sweep = norm.second_sweep, None
+    td = norm.td
+    path, _ = heaviest_path(norm, ops=ops)
+    if norm.vertex_of is not None:
+        return _covering_labeling(norm, path[::-1], ops)
+    hang = _hanging_trees(path, *norm.second_sweep)
+    norm.second_sweep = None  # gone before the label arrays are allocated
     clusters = td.clusters
-    if sweep is None:
-        sweep = _node_dfs(td.neighbors, dict.fromkeys(td.nodes, 0),
-                          path_nodes[0])[2:]
-    hang = _hanging_trees(path_nodes, *sweep)
-    sweep = None  # gone before the label arrays are allocated
-    work = len(td.nodes) + sum(map(len, map(clusters.__getitem__,
-                                            path_nodes)))
-    path = list(path_nodes)
-    labels = _assign_labels(clusters, td.graph_n, path, hang)
-    if labels is None:
-        path.reverse()
-        labels = _assign_labels(clusters, td.graph_n, path, hang)
-        if labels is None:
-            raise RedundantPath("neither end of the path is a nonredundant start")
+    work = len(td.nodes) + sum(map(len, map(clusters.__getitem__, path)))
+    label_of, vertex_of, is_pv, path_node_of = _assign_labels(
+        clusters, td.graph_n, path, hang)
     if ops is not None:
         ops.add(work)
-    label_of, vertex_of, is_pv, path_node_of = labels
     return PLabeling(td, len(vertex_of) - 1, label_of, vertex_of, is_pv,
                      path_node_of, path, hang)
 
@@ -186,9 +162,11 @@ def _covering_labeling(norm, path, ops):
 
 
 def _assign_labels(clusters, n0, path, hang):
-    """(label_of, vertex_of, is_path_vertex, path_node_of) for `path` in
-    this orientation, or None when some path node adds no new cluster
-    vertex."""
+    """(label_of, vertex_of, is_path_vertex, path_node_of) for `path`.
+
+    Raises InvalidDecomposition, naming the node, when a path node adds no
+    cluster vertex that no earlier node held, which cluster connectivity
+    rules out on a normalized decomposition."""
     label_of = [0] * (n0 + 1)
     path_node_of = [0] * (n0 + 1)
     is_pv = bytearray(n0 + 1)
@@ -221,5 +199,6 @@ def _assign_labels(clusters, n0, path, hang):
                 path_node_of[x] = i
                 is_pv[x] = 1
         if k == hanging_end:
-            return None
+            raise InvalidDecomposition(
+                "path node %r adds no vertex: cluster connectivity fails" % i)
     return label_of, vertex_of, is_pv, path_node_of

@@ -598,13 +598,15 @@ def heaviest_path(td, ops=None):
     trusted as normalization built it: a record whose pass left its
     `first_sweep` records gets only the second sweep, and drops them; one
     without them (a contracted output, or a path-shaped input whose pass
-    did not cover) gets both. The second sweep's preorder and parents go to the record's `second_sweep`, for
-    the labeling to cut the hanging trees from. When normalization's pass
-    also covered every vertex (the record's `vertex_of` is set), every
-    node but the smallest added a vertex, so weights rise strictly along
-    the tree, which is the path from `heavy_end` to the smallest node; a
-    walk along `td.neighbors` returns it without reading a cluster, and
-    there is no preorder. Any other `td` raises DecompositionFormatError.
+    did not cover) gets both. The second sweep's preorder and parents go
+    to the record's `second_sweep`, for the labeling to cut the hanging
+    trees from. When normalization's pass also covered every vertex (the
+    record's `vertex_of` is set), every node but the smallest added a
+    vertex, so weights rise strictly along the tree, which is the path
+    from `heavy_end` to the smallest node; a walk along `td.neighbors`
+    returns it without reading a cluster, and there is no preorder. Any
+    other `td` raises DecompositionFormatError, and one whose clusters are
+    all empty EmptyDecomposition.
 
     Both sweeps count a node's vertices met before as already on its path,
     which cluster connectivity guarantees. Without it the counts can
@@ -627,6 +629,8 @@ def heaviest_path(td, ops=None):
     else:
         start = norm.heavy_end
     path, weight, preorder = _sweep_from(td, *records, start, ops)
+    if not weight:
+        raise EmptyDecomposition("every cluster is empty")
     if norm is not None:
         norm.second_sweep = preorder
     return path, WeightReport(weight, Fraction(weight, td.graph_n))

@@ -14,12 +14,11 @@ from treecut.errors import (
     BadSize,
     EmptyDecomposition,
     InternalInvariant,
-    RedundantPath,
     TreecutError,
 )
 from treecut.generators import make_instance, random_graph_with_td
 from treecut.graph import max_degree
-from treecut.labeling import PLabeling, build_plabeling
+from treecut.labeling import PLabeling
 from treecut.treedec import (
     TreeDecomposition,
     heaviest_path,
@@ -124,6 +123,10 @@ def is_nonredundant_path(td, path_nodes):
     return True
 
 
+class RedundantPath(TreecutError):
+    """Neither end of the given path qualifies as a nonredundant start."""
+
+
 def orient_path(td, path_nodes):
     """Return the sequence oriented so its first node is a valid start."""
     if is_nonredundant_path(td, path_nodes):
@@ -163,7 +166,9 @@ def two_pass_plabeling(td, path_nodes=None, ops=None):
     """Reference labeling that reads every path cluster twice: a first pass
     marks the path vertices, a second assigns the labels. This is the
     package's labeling before it read each path cluster once; the
-    differential tests compare the two."""
+    differential tests compare the two. The package labels only a
+    normalization record, so this also labels a bare decomposition, or an
+    explicit path of one, for the tests and the reference drivers."""
     if path_nodes is None:
         path_nodes, _ = heaviest_path(td, ops=ops)
     clusters, neighbors = td.clusters, td.neighbors
@@ -258,7 +263,7 @@ def exact_size_cut(g, td0, m):
     ops = OpsCounter()
     t_start = time.perf_counter()
     td = make_nonredundant(td0, ops=ops)
-    pl = build_plabeling(td, ops=ops)
+    pl = two_pass_plabeling(td, ops=ops)
     engine._check_coverage(pl, g.n)
     r0 = pl.relative_weight()
     cur_td = td
@@ -268,7 +273,7 @@ def exact_size_cut(g, td0, m):
         if steps:
             cur_td = make_nonredundant(restrict(cur_td, None, set(res.z_vertices)),
                                        ops=ops)
-            pl = build_plabeling(cur_td, ops=ops)
+            pl = two_pass_plabeling(cur_td, ops=ops)
         res = doubling_step(pl, m - len(b_total), ops=ops)
         b_total.extend(res.b_vertices)
         steps.append(StepRecord(res.kind, len(res.b_vertices),
@@ -293,7 +298,7 @@ def run_checked(g, td0, m):
     td = make_nonredundant(td0)
     t = td.width() + 1
     delta = max_degree(g)
-    pl = build_plabeling(td)
+    pl = two_pass_plabeling(td)
     r0 = pl.relative_weight()
     cur = list(current_vertices(pl))
     assert len(cur) == g.n

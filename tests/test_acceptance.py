@@ -33,6 +33,7 @@ from treecut.labeling import build_plabeling
 from treecut.treedec import (
     heaviest_path,
     make_nonredundant,
+    normalize,
     tree_to_width1_td,
     validate,
 )
@@ -197,7 +198,7 @@ def test_criterion_8_subroutine_contracts():
         n = rng.randint(4, 24)
         g, td0 = random_graph_with_td(n, rng.randint(1, 3),
                                       rng.randint(0, 10 ** 6))
-        pl = build_plabeling(make_nonredundant(td0))
+        pl = build_plabeling(normalize(td0))
         assert sorted(pl.vertex_of[1:]) == list(range(1, g.n + 1)), trial
         for i, (a, r, b) in pl.blocks(pl.core()).items():
             assert a <= r <= b, trial

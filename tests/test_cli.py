@@ -44,13 +44,14 @@ def test_gen_deterministic(tmp_path):
     runner = CliRunner()
     outs = []
     for tag in ("a", "b"):
-        gp = str(tmp_path / ("g%s.edges" % tag))
-        tp = str(tmp_path / ("t%s.td.json" % tag))
+        gp = tmp_path / ("g%s.edges" % tag)
+        tp = tmp_path / ("t%s.td.json" % tag)
         res = runner.invoke(main, ["gen", "--family", "random-tree", "--n",
                                    "30", "--seed", "7",
-                                   "--out-graph", gp, "--out-td", tp])
+                                   "--out-graph", str(gp),
+                                   "--out-td", str(tp)])
         assert res.exit_code == 0
-        outs.append((open(gp).read(), open(tp).read()))
+        outs.append((gp.read_text(), tp.read_text()))
     assert outs[0] == outs[1]
 
 
@@ -69,12 +70,12 @@ def test_bisect_report(tmp_path):
     runner = CliRunner()
     g = path_graph(10)
     gp, tp = _write_instance(tmp_path, g, tree_to_width1_td(g))
-    rp = str(tmp_path / "report.json")
+    rp = tmp_path / "report.json"
     res = runner.invoke(main, ["bisect", "--graph", gp, "--td", tp,
-                               "--report", rp])
+                               "--report", str(rp)])
     assert res.exit_code == 0, res.output
     assert "m=5" in res.output
-    d = json.loads(open(rp).read())
+    d = json.loads(rp.read_text())
     assert d["m"] == 5 and len(d["b_vertices"]) == 5
     assert d["width"] <= d["bound"]
 

@@ -16,6 +16,7 @@ from helpers import (
     small_fixtures,
     spider_fixture,
     tricut_width,
+    two_pass_plabeling,
 )
 from treecut import engine
 from treecut.engine import (
@@ -32,6 +33,7 @@ from treecut.errors import (
     DecompositionFormatError,
     GraphFormatError,
     InternalInvariant,
+    InvalidDecomposition,
     TreecutError,
 )
 from treecut.generators import (
@@ -108,7 +110,7 @@ def test_exact_cut_rejects_a_size_that_is_not_an_int(m):
 @pytest.mark.parametrize("m", NON_INT_SIZES)
 def test_doubling_step_rejects_a_size_that_is_not_an_int(m):
     with pytest.raises(BadSize):
-        doubling_step(build_plabeling(p6_td()), m)
+        doubling_step(two_pass_plabeling(p6_td()), m)
 
 
 # a graph or decomposition of the wrong kind, not a malformed one
@@ -402,10 +404,15 @@ def connectivity_breaking_instances(draw):
 
 
 def _cut_or_treecut_error(g, td, m):
-    """The cut, checked from scratch, or the TreecutError it raised."""
+    """The cut, checked from scratch, or the TreecutError it raised. Under
+    cluster connectivity every node of a normalized heaviest path adds a
+    vertex no earlier node held, so the labeling's raise when one adds
+    none must come with connectivity broken."""
     try:
         b, rep = exact_size_cut_linear(g, td, m)
     except TreecutError as exc:
+        if "adds no vertex" in str(exc):
+            assert not validate(g, td).connectivity_ok
         return exc
     side = bytearray(g.n + 1)
     for v in b:
@@ -422,7 +429,9 @@ def _cut_or_treecut_error(g, td, m):
 def test_a_cut_on_a_broken_decomposition_is_verified_or_a_treecut_error(inst):
     """On decompositions that break cluster connectivity, coverage or edge
     cover, the cut driver returns a cut of exactly m distinct vertices
-    within its bound, or raises a TreecutError; no other exception."""
+    within its bound, or raises a TreecutError; no other exception. A
+    path node that adds no vertex is raised only where connectivity
+    fails."""
     _cut_or_treecut_error(*inst)
 
 
@@ -439,3 +448,42 @@ def test_broken_decompositions_reach_both_outcomes(outcome):
     find(connectivity_breaking_instances(), reached,
          settings=settings(max_examples=2000, database=None,
                            phases=[Phase.generate]))
+
+
+def test_broken_decompositions_reach_the_labeling_raise():
+    """The strategy above also yields decompositions on which a path node
+    adds no vertex."""
+    def reached(inst):
+        res = _cut_or_treecut_error(*inst)
+        return isinstance(res, InvalidDecomposition) and \
+            "adds no vertex" in str(res)
+    find(connectivity_breaking_instances(), reached,
+         settings=settings(max_examples=2000, database=None,
+                           phases=[Phase.generate]))
+
+
+@pytest.mark.parametrize("m", range(6))
+def test_a_path_labeled_only_from_its_other_end_raises(m):
+    """Vertex 2 of the path 2-3-1-4-5 sits in the first and the last node
+    of a path decomposition. Normalization merges nodes 3 and 4 under
+    node 4's cluster, and the heaviest path, labeled from that end,
+    reaches node 1 with both of its vertices labeled. From node 1's end
+    every node would add a vertex, but the cut is not tried that way
+    round: it raises at every size."""
+    g = Graph(5, [(2, 3), (3, 1), (1, 4), (4, 5)])
+    clusters = {1: [2, 3], 2: [3, 1], 3: [1, 4], 4: [4, 5, 2]}
+    td = TreeDecomposition([1, 2, 3, 4], [(1, 2), (2, 3), (3, 4)],
+                           clusters, 5)
+    assert not validate(g, td).connectivity_ok
+    with pytest.raises(InvalidDecomposition,
+                       match="path node 1 adds no vertex"):
+        exact_size_cut_linear(g, td, m)
+
+
+@pytest.mark.parametrize("m", range(4))
+def test_a_vertex_outside_the_graph_is_an_invalid_decomposition(m):
+    """A decomposition over graph_n = 4 whose clusters cover the 3 vertices
+    of the path 1-2-3 in number, but hold vertex 4 instead of vertex 3."""
+    td = TreeDecomposition([1, 2], [(1, 2)], {1: [1, 2], 2: [2, 4]}, 4)
+    with pytest.raises(InvalidDecomposition, match="vertex 4 lies outside"):
+        exact_size_cut_linear(path_graph(3), td, m)

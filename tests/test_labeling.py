@@ -1,6 +1,5 @@
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
@@ -17,7 +16,6 @@ from helpers import (
     spider_fixture,
     two_pass_plabeling,
 )
-from treecut.errors import RedundantPath
 from treecut.generators import (
     make_instance,
     path_graph,
@@ -35,7 +33,7 @@ from treecut.util import OpsCounter
 
 
 def test_p6_labels_follow_path_order():
-    pl = build_plabeling(p6_td())
+    pl = two_pass_plabeling(p6_td())
     assert pl.n == 6
     # the path is walked end to end, so labels follow path order
     assert pl.vertex_of == [0, 5, 6, 4, 3, 2, 1]
@@ -50,7 +48,7 @@ def test_p6_labels_follow_path_order():
 def test_star_labeling_definitional():
     g = star_graph(4)
     td = make_instance("star", n=5)[1]
-    pl = build_plabeling(td)
+    pl = build_plabeling(normalize(td))
     # all vertices lie in path clusters here, and each vertex's assigned
     # node is the path node nearest the start whose cluster holds it
     covered = set()
@@ -66,8 +64,7 @@ def test_star_labeling_definitional():
 
 def test_spider_hanging_only_at_branch_node():
     g, td0 = spider_fixture()
-    td = make_nonredundant(td0)
-    pl = build_plabeling(td)
+    pl = build_plabeling(normalize(td0))
     blocks = pl.blocks(pl.core())
     with_hang = [i for i, (a, r, _) in blocks.items() if r > a]
     # the heaviest path runs through two legs; the third leg hangs at the
@@ -81,7 +78,7 @@ def test_spider_hanging_only_at_branch_node():
 def test_labeling_partitions_vertices():
     for seed in range(10):
         g, td = random_graph_with_td(18, 3, seed)
-        pl = build_plabeling(make_nonredundant(td))
+        pl = build_plabeling(normalize(td))
         seen = sorted(pl.vertex_of[1:])
         assert seen == sorted(set(seen))
         assert len(seen) == pl.n == g.n
@@ -90,20 +87,12 @@ def test_labeling_partitions_vertices():
 def test_blocks_cluster_vertices_close_each_block():
     for seed in range(10):
         g, td = random_graph_with_td(20, 3, seed + 50)
-        pl = build_plabeling(make_nonredundant(td))
+        pl = build_plabeling(normalize(td))
         for i, (a, r, b) in pl.blocks(pl.core()).items():
             for lab in range(a, r):
                 assert not pl.is_path_vertex[pl.vertex_of[lab]]
             for lab in range(r, b + 1):
                 assert pl.is_path_vertex[pl.vertex_of[lab]]
-
-
-def test_redundant_path_rejected():
-    # the middle cluster is nested, so neither orientation works
-    td = TreeDecomposition([1, 2, 3], [(1, 2), (2, 3)],
-                           {1: [1, 2], 2: [2], 3: [2, 3]}, 3)
-    with pytest.raises(RedundantPath):
-        build_plabeling(td, [1, 2, 3])
 
 
 def test_boundary_edges_p6():
@@ -129,7 +118,7 @@ def test_boundary_edges_star():
 def test_decompose_p6_middle():
     g = path_graph(6)
     td = p6_td()
-    pl = build_plabeling(td)
+    pl = two_pass_plabeling(td)
     parts = decompose_by_node(g, td, pl, 2)  # cluster {2,3}
     assert {3, 4, 5, 6} in parts
     assert {2} in parts
@@ -158,7 +147,7 @@ def _check_parts_against_boundary(g, td, pl, i):
 def test_decompose_spider_branch_node():
     g, td0 = spider_fixture()
     td = make_nonredundant(td0)
-    pl = build_plabeling(td)
+    pl = build_plabeling(normalize(td))
     branch = [i for i, (a, r, _) in pl.blocks(pl.core()).items() if r > a][0]
     parts = decompose_by_node(g, td, pl, branch)
     assert any(len(p) == 8 for p in parts)  # the hanging leg survives intact
@@ -170,13 +159,13 @@ def test_decompose_spider_branch_node():
 def test_decompose_property(n, width, seed):
     g, td0 = random_graph_with_td(n, width, seed)
     td = make_nonredundant(td0)
-    pl = build_plabeling(td)
+    pl = build_plabeling(normalize(td))
     for i in pl.path_nodes:
         _check_parts_against_boundary(g, td, pl, i)
 
 
 def test_debug_dump_golden_p6():
-    pl = build_plabeling(p6_td())
+    pl = two_pass_plabeling(p6_td())
     assert debug_dump(pl) == (
         "node 5: hanging - cluster 1..2\n"
         "node 4: hanging - cluster 3..3\n"
@@ -188,7 +177,7 @@ def test_debug_dump_golden_p6():
 
 def test_debug_dump_golden_spider():
     _, td0 = spider_fixture()
-    pl = build_plabeling(make_nonredundant(td0))
+    pl = two_pass_plabeling(make_nonredundant(td0))
     lines = debug_dump(pl).splitlines()
     assert len(lines) == 17  # two legs plus the center's own node
     assert sum("hanging -" not in line for line in lines) == 1
@@ -196,12 +185,11 @@ def test_debug_dump_golden_spider():
 
 def test_restricted_td_reproduces_current_state():
     g, td0 = random_graph_with_td(25, 3, 7)
-    td = make_nonredundant(td0)
-    pl = build_plabeling(td)
+    pl = build_plabeling(normalize(td0))
     again = restricted_td(pl)
     assert set_validate(g, again, vertices=set(current_vertices(pl))).ok
     # rebuilding on the explicit restriction gives the same assignments
-    fresh = build_plabeling(again, pl.path_nodes)
+    fresh = two_pass_plabeling(again, pl.path_nodes)
     assert fresh.path_node_of == pl.path_node_of
     assert [bool(b) for b in fresh.is_path_vertex] == \
         [bool(b) for b in pl.is_path_vertex]
@@ -217,52 +205,46 @@ def _assert_same_arrays(pl, ref):
     assert pl.hang == ref.hang
 
 
-def _labelings_agree(td, path_nodes=None):
-    """The package labeling equals the two-pass reference on `td`: the same
-    arrays, path, hanging trees and ops, with the path vertices exactly the
-    union of the path clusters; or both reject the path. Returns the
-    labeling, or None when the path was rejected."""
-    ref_ops, new_ops = OpsCounter(), OpsCounter()
-    try:
-        ref = two_pass_plabeling(td, path_nodes, ops=ref_ops)
-    except RedundantPath:
-        with pytest.raises(RedundantPath):
-            build_plabeling(td, path_nodes)
-        return None
-    pl = build_plabeling(td, path_nodes, ops=new_ops)
+def _labelings_agree(td):
+    """The labeling a cut builds from td's normalization record equals the
+    two-pass reference on the path it labels: the same arrays, path and
+    hanging trees, with the path vertices exactly the union of the path
+    clusters. Off the covering route the ops agree too, with the
+    reference's heaviest path taken from a second record of td. Returns
+    the labeling."""
+    rec, twin = normalize(td), normalize(td)
+    new_ops, ref_ops = OpsCounter(), OpsCounter()
+    pl = build_plabeling(rec, ops=new_ops)
+    path, _ = heaviest_path(twin, ops=ref_ops)
+    if twin.vertex_of is not None:
+        path.reverse()  # a covering path is labeled from its smallest node
+    ref = two_pass_plabeling(twin.td, path, ops=ref_ops)
     _assert_same_arrays(pl, ref)
-    assert new_ops.total == ref_ops.total
+    if rec.vertex_of is None:
+        assert new_ops.total == ref_ops.total
     on_path = set()
     for i in pl.path_nodes:
-        on_path.update(td.clusters[i])
+        on_path.update(rec.td.clusters[i])
     assert {x for x, b in enumerate(pl.is_path_vertex) if b} == on_path
     return pl
 
 
 def test_labeling_matches_two_pass_reference_on_corpus():
-    """The labeling a cut builds from its normalization record equals the
-    two-pass reference on the path it labels, in the orientation it uses:
-    from the smallest node on covering inputs, which the corpus has too.
-    Without the record the labeling agrees with the reference in its ops
-    as well."""
-    outcomes, covering = set(), set()
+    """On every corpus decomposition the labeling a cut builds from its
+    normalization record equals the two-pass reference on the path it
+    labels, in the orientation it uses: from the smallest node on covering
+    inputs, which the corpus has too."""
+    covering = set()
     for _, _, td in acceptance_corpus():
-        rec = normalize(td)
-        pl = build_plabeling(rec)
-        _assert_same_arrays(pl, two_pass_plabeling(rec.td, pl.path_nodes))
-        covering.add(rec.vertex_of is not None)
-        assert _labelings_agree(make_nonredundant(td)) is not None
-        # raw decompositions may nest clusters along their heaviest path
-        outcomes.add(_labelings_agree(td) is None)
-    assert outcomes == covering == {False, True}
+        _labelings_agree(td)
+        covering.add(normalize(td).vertex_of is not None)
+    assert covering == {False, True}
 
 
 @st.composite
 def hanging_paths(draw):
     """A normalized decomposition with hanging trees, node ids shuffled into
-    a sparse range, and a path to label. When `forced`, a new node whose
-    cluster is a proper nonempty part of the path end's cluster extends the
-    path, so only the reversed path labels."""
+    a sparse range."""
     n = draw(st.integers(3, 40))
     if draw(st.booleans()):
         g, td = random_graph_with_td(n, draw(st.integers(1, 4)),
@@ -271,47 +253,34 @@ def hanging_paths(draw):
         g, td = make_instance("random-tree", n=n,
                               seed=draw(st.integers(0, 10 ** 6)))
     td = make_nonredundant(td)
-    path, _ = heaviest_path(td)
-    edges = list(td.edges())
-    clusters = dict(td.clusters)
-    end = clusters[path[-1]]
-    forced = len(end) >= 2 and draw(st.booleans())
-    if forced:
-        leaf = max(td.nodes) + 1
-        clusters[leaf] = end[:draw(st.integers(1, len(end) - 1))]
-        edges.append((path[-1], leaf))
-        path = path + [leaf]
-    old = sorted(clusters)
+    old = list(td.nodes)
     ids = draw(st.permutations(range(3 * len(old))))[:len(old)]
     new_id = dict(zip(old, ids))
-    td = TreeDecomposition([new_id[i] for i in old],
-                           [(new_id[a], new_id[b]) for a, b in edges],
-                           {new_id[i]: c for i, c in clusters.items()}, g.n)
-    return td, [new_id[i] for i in path], forced
+    return TreeDecomposition([new_id[i] for i in old],
+                             [(new_id[a], new_id[b]) for a, b in td.edges()],
+                             {new_id[i]: td.clusters[i] for i in old}, g.n)
 
 
 @settings(max_examples=150, deadline=None)
 @given(hanging_paths())
-def test_labeling_matches_two_pass_reference_random(inst):
-    td, path, forced = inst
-    pl = _labelings_agree(td, path)
-    assert pl is not None
-    assert pl.path_nodes == (path[::-1] if forced else path)
+def test_labeling_matches_two_pass_reference_random(td):
+    pl = _labelings_agree(td)
+    path, _ = heaviest_path(td)
+    if normalize(td).vertex_of is not None:
+        path.reverse()  # a covering path is labeled from its smallest node
+    assert pl.path_nodes == path
 
 
-def test_reference_strategy_has_hanging_trees_and_reversals():
-    """The random differential test above sees both kinds of input."""
+def test_reference_strategy_has_hanging_trees():
+    """The random differential test above sees hanging trees."""
     found = set()
 
     @settings(max_examples=60, deadline=None, database=None)
     @given(hanging_paths())
-    def probe(inst):
-        td, path, forced = inst
-        pl = build_plabeling(td, path)
+    def probe(td):
+        pl = build_plabeling(normalize(td))
         if any(pl.hang.values()):
             found.add("hanging")
-        if forced:
-            found.add("reversed")
 
     probe()
-    assert found == {"hanging", "reversed"}
+    assert found == {"hanging"}

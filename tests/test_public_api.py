@@ -8,7 +8,11 @@ from click.testing import CliRunner
 import treecut
 from helpers import p6_td
 from treecut.cli import main
-from treecut.errors import DecompositionFormatError, GraphFormatError
+from treecut.errors import (
+    DecompositionFormatError,
+    EmptyDecomposition,
+    GraphFormatError,
+)
 from treecut.generators import path_graph
 from treecut.labeling import PLabeling
 
@@ -78,7 +82,9 @@ def test_one_input_shape_per_function(func, params):
     assert list(inspect.signature(func).parameters) == params
 
 
-# an object of the wrong kind, not a malformed one, handed to a public name
+# an object of the wrong kind, not a malformed one, handed to a public name;
+# and a decomposition whose clusters are all empty, which heaviest_path
+# rejects as normalization does
 @pytest.mark.parametrize("call, error", [
     (lambda: treecut.validate(None, p6_td()), GraphFormatError),
     (lambda: treecut.validate(path_graph(6), None), DecompositionFormatError),
@@ -88,9 +94,11 @@ def test_one_input_shape_per_function(func, params):
     (lambda: treecut.max_degree(None), GraphFormatError),
     (lambda: treecut.tree_to_width1_td(None), GraphFormatError),
     (lambda: treecut.longest_path_in_tree(None), GraphFormatError),
+    (lambda: treecut.heaviest_path(treecut.TreeDecomposition(
+        [1, 2], [(1, 2)], {1: [], 2: []}, 0)), EmptyDecomposition),
 ], ids=["validate-g", "validate-td", "make_nonredundant", "heaviest_path",
         "cut_width", "max_degree", "tree_to_width1_td",
-        "longest_path_in_tree"])
+        "longest_path_in_tree", "heaviest_path-empty"])
 def test_public_names_reject_arguments_of_the_wrong_kind(call, error):
     with pytest.raises(error):
         call()

@@ -17,6 +17,7 @@ from helpers import (
     orient_path,
     p6_td,
     path_weight,
+    RedundantPath,
     ref_path,
     ref_weight_sweep,
     restrict,
@@ -29,11 +30,7 @@ from helpers import (
 )
 from treecut import engine, treedec
 from treecut.engine import exact_size_cut_linear
-from treecut.errors import (
-    DecompositionFormatError,
-    EmptyDecomposition,
-    RedundantPath,
-)
+from treecut.errors import DecompositionFormatError, EmptyDecomposition
 from treecut.generators import (
     grid_td,
     make_instance,
