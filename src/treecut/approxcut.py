@@ -9,7 +9,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 
-from .errors import BadFraction, BadSize, InternalInvariant
+from .errors import (
+    BadFraction,
+    BadSize,
+    InternalInvariant,
+    InvalidDecomposition,
+)
 from .graph import check_graph, cut_width
 from .treedec import check_decomposition
 from .util import no_gc
@@ -123,15 +128,20 @@ def approximate_cut(td, m, c, g=None):
     `td` is a TreeDecomposition, rooted at its smallest node id. `m` is an
     int (not a bool) in 1..graph_n, else BadSize; `c` may be a float or
     Fraction in the open interval (0, 1), else BadFraction. The host graph
-    is optional and only used to report the realized boundary width. Every
-    vertex of 1..graph_n must be covered by td. A `g` that is neither None
-    nor a Graph raises GraphFormatError, and a `td` of another type, a
+    is optional and only used to report the realized boundary width; one
+    whose order is not graph_n raises InvalidDecomposition. Every vertex
+    of 1..graph_n must be covered by td. A `g` that is neither None nor a
+    Graph raises GraphFormatError, and a `td` of another type, a
     RootedTree included, DecompositionFormatError.
     """
     if g is not None:
         check_graph(g)
     check_decomposition(td)
     n = td.graph_n
+    if g is not None and g.n != n:
+        raise InvalidDecomposition(
+            "the graph has %d vertices but the decomposition's graph_n is %d"
+            % (g.n, n))
     if type(m) is not int or not 1 <= m <= n:
         raise BadSize("m=%r is not an int in 1..%d" % (m, n))
     try:

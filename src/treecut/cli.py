@@ -24,6 +24,10 @@ from .oracle import (
 )
 from .treedec import validate
 
+# a directory where a file belongs is a usage error, exit code 2
+_IN_FILE = click.Path(exists=True, dir_okay=False)
+_OUT_FILE = click.Path(dir_okay=False)
+
 
 def _guard(fn):
     try:
@@ -72,8 +76,8 @@ def main():
 @click.option("--hairs", type=int, default=None)
 @click.option("--width", type=int, default=None, help="random-td target width")
 @click.option("--seed", type=int, default=0)
-@click.option("--out-graph", required=True, type=click.Path())
-@click.option("--out-td", required=True, type=click.Path())
+@click.option("--out-graph", required=True, type=_OUT_FILE)
+@click.option("--out-td", required=True, type=_OUT_FILE)
 def gen(family, n, h, k, legs, spine, hairs, width, seed, out_graph, out_td):
     """Generate an instance: a graph and a decomposition for it."""
     def run():
@@ -93,8 +97,8 @@ def gen(family, n, h, k, legs, spine, hairs, width, seed, out_graph, out_td):
 
 
 @main.command("validate")
-@click.option("--graph", "graph_path", required=True, type=click.Path(exists=True))
-@click.option("--td", "td_path", required=True, type=click.Path(exists=True))
+@click.option("--graph", "graph_path", required=True, type=_IN_FILE)
+@click.option("--td", "td_path", required=True, type=_IN_FILE)
 def validate_cmd(graph_path, td_path):
     """Check the decomposition properties against the graph."""
     def run():
@@ -125,8 +129,8 @@ def _print_report(rep, report_path):
 
 
 @main.command()
-@click.option("--graph", "graph_path", required=True, type=click.Path(exists=True))
-@click.option("--td", "td_path", required=True, type=click.Path(exists=True))
+@click.option("--graph", "graph_path", required=True, type=_IN_FILE)
+@click.option("--td", "td_path", required=True, type=_IN_FILE)
 @click.option("--m", type=int, default=None, help="part size (default n//2)")
 @click.option("--report", "report_path", default=None,
               help="write a JSON report here ('-' for stdout)")
@@ -143,8 +147,8 @@ def bisect(graph_path, td_path, m, report_path):
 
 
 @main.command()
-@click.option("--graph", "graph_path", required=True, type=click.Path(exists=True))
-@click.option("--td", "td_path", required=True, type=click.Path(exists=True))
+@click.option("--graph", "graph_path", required=True, type=_IN_FILE)
+@click.option("--td", "td_path", required=True, type=_IN_FILE)
 @click.option("--m", type=int, required=True)
 @click.option("--report", "report_path", default=None)
 def cut(graph_path, td_path, m, report_path):
@@ -158,11 +162,11 @@ def cut(graph_path, td_path, m, report_path):
 
 
 @main.command("approx-cut")
-@click.option("--td", "td_path", required=True, type=click.Path(exists=True))
+@click.option("--td", "td_path", required=True, type=_IN_FILE)
 @click.option("--m", type=int, required=True)
 @click.option("--c", "c_str", required=True,
               help="balance in (0,1), decimal or p/q")
-@click.option("--graph", "graph_path", default=None, type=click.Path(exists=True))
+@click.option("--graph", "graph_path", default=None, type=_IN_FILE)
 def approx_cut_cmd(td_path, m, c_str, graph_path):
     """Cut with c*m < |B| <= m opening few clusters."""
     def run():
@@ -181,7 +185,7 @@ def approx_cut_cmd(td_path, m, c_str, graph_path):
 
 
 @main.command("oracle")
-@click.option("--graph", "graph_path", required=True, type=click.Path(exists=True))
+@click.option("--graph", "graph_path", required=True, type=_IN_FILE)
 @click.option("--m", type=int, default=None)
 @click.option("--method", type=click.Choice(["auto", "brute", "tree-dp"]),
               default="auto")
@@ -209,7 +213,7 @@ def oracle_cmd(graph_path, m, method):
 @click.option("--seed", type=int, default=0)
 @click.option("--oracle", "with_oracle", is_flag=True)
 @click.option("--json", "as_json", is_flag=True)
-@click.option("--out", "out_path", default=None, type=click.Path())
+@click.option("--out", "out_path", default=None, type=_OUT_FILE)
 def bench_cmd(families, sizes, seed, with_oracle, as_json, out_path):
     """Sweep the families and report widths, bounds and runtimes."""
     def run():

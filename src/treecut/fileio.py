@@ -63,7 +63,7 @@ def graph_from_json(text):
     try:
         obj = json.loads(text)
         return Graph(obj["n"], [tuple(e) for e in obj["edges"]])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise GraphFormatError("bad graph JSON: %s" % exc)
 
 

@@ -150,7 +150,7 @@ class TreeDecomposition:
                 graph_n = max((x for c in clusters.values() for x in c),
                               default=0)
             return cls(nodes, edges, clusters, graph_n)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise DecompositionFormatError("bad decomposition JSON: %s" % exc)
 
 
@@ -296,24 +296,24 @@ class Normalized:
     unused), so every phase reads `clusters[i]` and `neighbors[i]` alike
     on both forms; only the public make_nonredundant turns it into a
     TreeDecomposition. `nodes` is `td.nodes` and `size` its largest
-    cluster size. After a pass-through, `heavy_end` is the endpoint of
-    heaviest_path's first sweep; it is None after a contraction. When that
-    sweep also covered all graph_n vertices, the tree is the path from the
+    cluster size. `heavy_end` is the endpoint of heaviest_path's first
+    sweep over `td`, from its smallest node. When a pass-through's sweep
+    also covered all graph_n vertices, the tree is the path from the
     smallest node to `heavy_end`, and the sweep met the vertices in the
     order of that path's labeling oriented from the smallest node:
     `vertex_of` lists them from index 1, and `path_node_of[x]` is the node
     that first held x (index 0 of both holds 0). Both are None otherwise.
 
     The two sweep fields live only until the phase after the one that
-    fills them. `first_sweep` is what normalization's pass recorded on a
-    pass-through input whose node degrees rule out a path from the
-    smallest node: dicts of each node's fresh count (the vertices it added
-    that no earlier node held) and its tree parent, rooted at the smallest
-    node; None otherwise. heaviest_path reads and drops it.
-    `second_sweep` is what heaviest_path's node sweep leaves for the
-    labeling: its preorder from the path's first node and the parent of
-    each entry, as two lists aligned by position; build_plabeling reads
-    and drops it before it allocates its label arrays.
+    fills them. `first_sweep` holds that first sweep's records on every
+    record that did not cover: each node's fresh count (the vertices it
+    added that no earlier node held) and its tree parent (None at the
+    smallest node), as dicts after a pass-through and as lists indexed by
+    id after a contraction; None on a covering record. heaviest_path reads
+    and drops it. `second_sweep` is what heaviest_path's node sweep leaves
+    for the labeling: its preorder from the path's first node and the
+    parent of each entry, as two lists aligned by position; build_plabeling
+    reads and drops it before it allocates its label arrays.
     """
     td: TreeDecomposition | _IdLists
     nodes: list
@@ -359,37 +359,46 @@ def normalize(td, ops=None):
     grows and any tree path of the input maps onto a tree path of the
     output covering at least the same vertices.
 
-    When no node joined another's class, the record holds `td` itself. The
-    pass is then exactly heaviest_path's first sweep, and its endpoint is
-    the record's `heavy_end`. If its weight reached graph_n, every node but
-    the root added a vertex unseen before, so all nodes lie on the path
-    from the root to `heavy_end`: the tree is that path, whether or not
-    cluster connectivity holds, and the pass met the vertices in that
-    path's label order. The pass lists them only when the node degrees
-    allow that shape (the root's at most 1, every other at most 2), so
-    other trees pay nothing for it. On those other trees the pass instead
-    records each node's fresh count and tree parent, which the record
-    keeps as `first_sweep` for heaviest_path's second sweep.
+    The pass keeps, per class, the fresh counts of its members summed
+    and the tree parent of the node that started it; these are the
+    records of heaviest_path's first sweep, which the record keeps as
+    `first_sweep`. When no node joined another's class, the record holds
+    `td` itself. Every node then heads its own class, the pass is exactly
+    that first sweep, and its endpoint is the record's `heavy_end`. If its
+    weight reached graph_n, every node but the root added a vertex unseen
+    before, so all nodes lie on the path from the root to `heavy_end`: the
+    tree is that path, whether or not cluster connectivity holds, and the
+    pass met the vertices in that path's label order. The pass lists them
+    only when the node degrees allow that shape (the root's at most 1,
+    every other at most 2), so other trees pay nothing for it, and such a
+    covering record needs no sweep records.
 
-    When some node joined another's class, the records are dropped and the
-    record holds a new decomposition with dense node ids 1..k, one per
-    class in the order the classes were started, as id-indexed lists:
-    each class's neighbors in the order of the input's tree edges (each
-    edge `a < b` listed from `a`, nodes in `td.nodes` order), without
-    edges inside a class.
+    When some node joined another's class, the record holds a new
+    decomposition with dense node ids 1..k, one per class in the order the
+    classes were started, as id-indexed lists: each class's neighbors in
+    the order of the input's tree edges (each edge `a < b` listed from
+    `a`, nodes in `td.nodes` order), without edges inside a class. Rooted
+    at class 1, the root's, a class's tree parent is the class holding the
+    tree parent of the node that started it. Under cluster connectivity a
+    folded node adds no vertex, and a vertex of a class's final cluster
+    met before the class started lies in that starter's tree parent, so in
+    the parent class's cluster: the class's sum is its fresh count in the
+    output. A sweep over the output's nodes alone (_node_dfs) then finds
+    `heavy_end` where a sweep reading the output's clusters would.
     """
     clusters, neighbors = td.clusters, td.neighbors
     if all(not clusters[i] for i in td.nodes):
         raise EmptyDecomposition("every cluster is empty")
     root = min(td.nodes)
-    roots = []   # class index -> node heading the class
-    joined = {}  # node that heads no class -> its class index
+    roots = []     # class index -> node heading the class
+    fresh_of = []  # class index -> vertices its members held first
+    up = []        # class index -> tree parent of the node that started it
+    joined = {}    # node that heads no class -> its class index
     first = [None] * (td.graph_n + 1)  # vertex -> node that first held it
     # vertices in the order first met, kept only when the tree may be a
     # path from the root
     met = [0] if len(neighbors[root]) <= 1 and all(
         len(nbrs) <= 2 for nbrs in neighbors.values()) else None
-    fresh_of, parent_of = {}, {}  # node -> fresh count, tree parent
     work = size = 0
     best, best_w = root, -1  # first node of greatest path weight from root
     stack = [(root, None, 0, None)]  # node, tree parent, weight, its class
@@ -403,8 +412,6 @@ def normalize(td, ops=None):
                 if first[v] is None:
                     first[v] = i
                     fresh += 1
-            fresh_of[i] = fresh
-            parent_of[i] = tree_parent
         else:
             before = len(met)
             for v in x:
@@ -419,17 +426,17 @@ def normalize(td, ops=None):
         w += fresh
         if w > best_w:
             best, best_w = i, w
-        if pc is None:
+        if pc is None or fresh and k - fresh != len(clusters[roots[pc]]):
             c = len(roots)
             roots.append(i)
-        elif not fresh:
-            c = joined[i] = pc  # cluster nested in the head's: fold upward
-        elif k - fresh == len(clusters[roots[pc]]):
+            fresh_of.append(fresh)
+            up.append(tree_parent)
+        elif fresh:
             c = joined[roots[pc]] = pc  # head's cluster nested here: take over
             roots[pc] = i
+            fresh_of[pc] += fresh
         else:
-            c = len(roots)
-            roots.append(i)
+            c = joined[i] = pc  # cluster nested in the head's: fold upward
         for j in neighbors[i]:
             if j != tree_parent:
                 push((j, i, w, c))
@@ -439,9 +446,10 @@ def normalize(td, ops=None):
         if best_w == td.graph_n and met is not None:
             first[0] = 0
             return Normalized(td, td.nodes, size, best, met, first)
-        return Normalized(td, td.nodes, size, best, first_sweep=(
-            (fresh_of, parent_of) if met is None else None))
-    fresh_of = parent_of = None  # the output's first sweep records anew
+        fresh_of = dict(zip(roots, fresh_of))
+        up = dict(zip(roots, up))
+        return Normalized(td, td.nodes, size, best,
+                          first_sweep=(fresh_of, up))
     ids = list(range(1, len(roots) + 1))
     id_of = {i: ids[c] for i, c in joined.items()}
     id_of.update(zip(roots, ids))
@@ -456,7 +464,11 @@ def normalize(td, ops=None):
                     out_neighbors[fb].append(fa)
     heads = list(map(clusters.__getitem__, roots))
     out = _IdLists(ids, out_neighbors, [None, *heads], td.graph_n)
-    return Normalized(out, ids, max(map(len, heads)))
+    fresh_of = [0, *fresh_of]
+    up = [None, None, *map(id_of.__getitem__, up[1:])]
+    end = _node_dfs(out_neighbors, fresh_of, 1, ops)[0]
+    return Normalized(out, ids, max(map(len, heads)), end,
+                      first_sweep=(fresh_of, up))
 
 
 @dataclass(slots=True)
@@ -477,21 +489,19 @@ class WeightReport:
 
 
 def _recording_sweep(td, start, ops=None):
-    """The one sweep that reads clusters: a DFS from `start`, returning
-    (end, fresh, parent).
+    """The first sweep of the public heaviest_path(td), the one that reads
+    clusters: a DFS from `start`, returning (end, fresh, parent).
 
-    `fresh[i]` counts the vertices of node i's cluster that no node met
-    before it held, `parent[i]` is i's tree parent (None at `start`), and
-    `end` is the first node in discovery order whose path from `start`
-    holds the most vertices. On a contracted output both are lists indexed
-    by id, otherwise dicts. Under cluster connectivity a vertex met before
-    also lies in the parent's cluster, so `fresh[i]` is |C_i \\ C_parent|.
+    `fresh` maps each node to the vertices of its cluster that no node met
+    before it held, `parent` each node to its tree parent (None at
+    `start`), and `end` is the first node in discovery order whose path
+    from `start` holds the most vertices. Under cluster connectivity a
+    vertex met before also lies in the parent's cluster, so `fresh[i]` is
+    |C_i \\ C_parent|. A cut never runs it: normalization's pass hands
+    these records on.
     """
     clusters, neighbors = td.clusters, td.neighbors
-    if type(td) is _IdLists:
-        fresh, parent = [0] * len(clusters), [None] * len(clusters)
-    else:
-        fresh, parent = {}, {}
+    fresh, parent = {}, {}
     seen = bytearray(td.graph_n + 1)
     best, best_w = start, -1
     work = 0
@@ -594,26 +604,24 @@ def heaviest_path(td, ops=None):
     start, and a weight report relative to the host graph order.
 
     `td` is a TreeDecomposition, on which both sweeps run. Or it is the
-    Normalized record of one, which may spare the first sweep and is
-    trusted as normalization built it: a record whose pass left its
-    `first_sweep` records gets only the second sweep, and drops them; one
-    without them (a contracted output, or a path-shaped input whose pass
-    did not cover) gets both. The second sweep's preorder and parents go
-    to the record's `second_sweep`, for the labeling to cut the hanging
-    trees from. When normalization's pass also covered every vertex (the
-    record's `vertex_of` is set), every node but the smallest added a
-    vertex, so weights rise strictly along the tree, which is the path
-    from `heavy_end` to the smallest node; a walk along `td.neighbors`
-    returns it without reading a cluster, and there is no preorder. Any
-    other `td` raises DecompositionFormatError, and one whose clusters are
-    all empty EmptyDecomposition.
+    Normalized record of one, trusted as normalization built it, whose
+    pass was the first sweep: the second sweep starts at its `heavy_end`
+    from its `first_sweep` records, and drops them. Its preorder and
+    parents go to the record's `second_sweep`, for the labeling to cut the
+    hanging trees from. When normalization's pass also covered every
+    vertex (the record's `vertex_of` is set), every node but the smallest
+    added a vertex, so weights rise strictly along the tree, which is the
+    path from `heavy_end` to the smallest node; a walk along
+    `td.neighbors` returns it without reading a cluster, and there is no
+    preorder. Any other `td` raises DecompositionFormatError, and one
+    whose clusters are all empty EmptyDecomposition.
 
     Both sweeps count a node's vertices met before as already on its path,
-    which cluster connectivity guarantees. Without it the counts can
-    differ from the path's union; the walked path can then be longer than
-    a sweep's, and the swept path not the heaviest.
+    and a contracted output's records sum the counts of each class's
+    members; cluster connectivity makes both exact. Without it the counts
+    can differ from the path's union; the walked path can then be longer
+    than a sweep's, and the swept path not the heaviest.
     """
-    norm = records = None
     if isinstance(td, Normalized):
         norm, td = td, td.td
         if norm.vertex_of is not None:
@@ -621,13 +629,12 @@ def heaviest_path(td, ops=None):
             if ops is not None:
                 ops.add(len(path))
             return path, WeightReport(td.graph_n, Fraction(1))
-        records, norm.first_sweep = norm.first_sweep, None
+        start, records = norm.heavy_end, norm.first_sweep
+        norm.first_sweep = None
     else:
         check_decomposition(td)
-    if records is None:
+        norm = None
         start, *records = _recording_sweep(td, min(td.nodes), ops)
-    else:
-        start = norm.heavy_end
     path, weight, preorder = _sweep_from(td, *records, start, ops)
     if not weight:
         raise EmptyDecomposition("every cluster is empty")

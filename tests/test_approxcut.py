@@ -15,7 +15,7 @@ from treecut.errors import (
     BadSize,
     DecompositionFormatError,
     GraphFormatError,
-    PartitionInvalid,
+    InvalidDecomposition,
 )
 from treecut.generators import (
     grid_graph,
@@ -30,6 +30,7 @@ from treecut.treedec import (
     TreeDecomposition,
     make_nonredundant,
     tree_to_width1_td,
+    validate,
 )
 from treecut.util import OpsCounter
 
@@ -158,8 +159,21 @@ def test_size_that_is_not_an_int_is_rejected(m):
 def test_graph_of_another_size_is_rejected():
     td = p6_td()
     for n in (5, 7):
-        with pytest.raises(PartitionInvalid):
+        with pytest.raises(InvalidDecomposition, match="%d vertices" % n):
             approximate_cut(td, 3, Fraction(1, 2), g=path_graph(n))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_graph_that_validates_but_has_another_size_is_rejected(m):
+    """validate accepts a graph_n above the graph's order when no cluster
+    holds the extra vertex; the cut still refuses the pair, naming both
+    sizes rather than the side array it would build."""
+    g = path_graph(3)
+    td = TreeDecomposition([1, 2], [(1, 2)], {1: [1, 2], 2: [2, 3]}, 4)
+    assert validate(g, td).ok
+    with pytest.raises(InvalidDecomposition,
+                       match="3 vertices .* graph_n is 4"):
+        approximate_cut(td, m, Fraction(1, 2), g)
 
 
 # a graph or decomposition of the wrong kind, not a malformed one

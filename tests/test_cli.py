@@ -298,3 +298,41 @@ def test_non_utf8_input_exits_2(tmp_path, which):
         fh.write(b"\xff\xfe\x00bad")
     res = CliRunner().invoke(main, ["bisect", "--graph", gp, "--td", tp])
     _assert_usage_error(res)
+
+
+@pytest.mark.parametrize("which", ["graph", "td"])
+def test_deeply_nested_json_exits_2(tmp_path, which):
+    gp, tp = _write_instance(tmp_path, path_graph(3),
+                             tree_to_width1_td(path_graph(3)))
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000)
+    paths = {"graph": gp, "td": tp, which: str(deep)}
+    res = CliRunner().invoke(main, ["validate", "--graph", paths["graph"],
+                                    "--td", paths["td"]])
+    _assert_usage_error(res)
+
+
+@pytest.mark.parametrize("args", [
+    ["validate", "--graph", "{dir}", "--td", "{td}"],
+    ["validate", "--graph", "{graph}", "--td", "{dir}"],
+    ["bisect", "--graph", "{dir}", "--td", "{td}"],
+    ["cut", "--graph", "{graph}", "--td", "{dir}", "--m", "2"],
+    ["approx-cut", "--td", "{dir}", "--m", "2", "--c", "1/2"],
+    ["approx-cut", "--td", "{td}", "--m", "2", "--c", "1/2",
+     "--graph", "{dir}"],
+    ["oracle", "--graph", "{dir}"],
+    ["gen", "--family", "path", "--n", "4", "--out-graph", "{dir}",
+     "--out-td", "{out}.json"],
+    ["gen", "--family", "path", "--n", "4", "--out-graph", "{out}.edges",
+     "--out-td", "{dir}"],
+    ["bench", "--families", "path", "--sizes", "10", "--out", "{dir}"],
+])
+def test_directory_where_a_file_belongs_exits_2(tmp_path, args):
+    g = path_graph(4)
+    gp, tp = _write_instance(tmp_path, g, tree_to_width1_td(g))
+    args = [a.format(graph=gp, td=tp, dir=tmp_path, out=tmp_path / "out")
+            for a in args]
+    res = CliRunner().invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert "is a directory" in res.output
+    assert "Traceback" not in res.output

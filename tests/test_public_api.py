@@ -13,6 +13,7 @@ from treecut.errors import (
     EmptyDecomposition,
     GraphFormatError,
 )
+from treecut.fileio import graph_from_json
 from treecut.generators import path_graph
 from treecut.labeling import PLabeling
 
@@ -83,8 +84,8 @@ def test_one_input_shape_per_function(func, params):
 
 
 # an object of the wrong kind, not a malformed one, handed to a public name;
-# and a decomposition whose clusters are all empty, which heaviest_path
-# rejects as normalization does
+# a decomposition whose clusters are all empty, which heaviest_path rejects
+# as normalization does; and JSON nested deeper than the decoder recurses
 @pytest.mark.parametrize("call, error", [
     (lambda: treecut.validate(None, p6_td()), GraphFormatError),
     (lambda: treecut.validate(path_graph(6), None), DecompositionFormatError),
@@ -96,9 +97,13 @@ def test_one_input_shape_per_function(func, params):
     (lambda: treecut.longest_path_in_tree(None), GraphFormatError),
     (lambda: treecut.heaviest_path(treecut.TreeDecomposition(
         [1, 2], [(1, 2)], {1: [], 2: []}, 0)), EmptyDecomposition),
+    (lambda: treecut.TreeDecomposition.from_json("[" * 100000),
+     DecompositionFormatError),
+    (lambda: graph_from_json("[" * 100000), GraphFormatError),
 ], ids=["validate-g", "validate-td", "make_nonredundant", "heaviest_path",
         "cut_width", "max_degree", "tree_to_width1_td",
-        "longest_path_in_tree", "heaviest_path-empty"])
+        "longest_path_in_tree", "heaviest_path-empty", "from_json-deep",
+        "graph_from_json-deep"])
 def test_public_names_reject_arguments_of_the_wrong_kind(call, error):
     with pytest.raises(error):
         call()

@@ -228,16 +228,59 @@ def _check_normalized(td):
     """normalize leaves no nested adjacent pair, and the record it hands to
     heaviest_path gives the same path as the sweeps from scratch on the
     public make_nonredundant's result, and as the two reference sweeps.
-    Returns whether the input passed through."""
+    Every record has its first sweep's endpoint, and only a covering one
+    lacks the sweep's records. Returns whether the input passed through."""
     rec = normalize(td)
     out = make_nonredundant(td)
     for a, b in out.edges():
         ca, cb = set(out.clusters[a]), set(out.clusters[b])
         assert not ca <= cb and not cb <= ca
-    assert (rec.heavy_end is not None) == (rec.td is td) == (out is td)
+    assert (rec.td is td) == (out is td)
+    assert rec.heavy_end is not None
+    assert (rec.first_sweep is None) == (rec.vertex_of is not None)
     handed = heaviest_path(rec)
     assert heaviest_path(out) == handed == _ref_heaviest_path(out)
     return out is td
+
+
+def _check_handed_records(td):
+    """On a contracting input with cluster connectivity, the record hands
+    the first sweep over the contracted output: the endpoint, fresh counts
+    and parents of a recording sweep over it from node 1, id by id.
+    Returns whether the input contracted."""
+    rec = normalize(td)
+    if rec.td is td:
+        return False
+    end, fresh, parent = treedec._recording_sweep(rec.td, 1)
+    handed_fresh, handed_parent = rec.first_sweep
+    assert rec.heavy_end == end
+    assert handed_fresh == [0, *map(fresh.get, rec.nodes)]
+    assert handed_parent == [None, *map(parent.get, rec.nodes)]
+    return True
+
+
+def test_contracting_records_match_a_recording_sweep_on_the_corpus():
+    assert any([_check_handed_records(td)
+                for _, _, td in acceptance_corpus()])
+
+
+@settings(max_examples=150, deadline=None)
+@given(redundant_tds())
+def test_contracting_records_match_a_recording_sweep_random(inst):
+    g, td = inst
+    assert validate(g, td).ok
+    _check_handed_records(td)
+
+
+def test_corpus_cuts_run_no_recording_sweep(monkeypatch):
+    """Normalization hands every cut its first sweep, so no cut reads the
+    clusters again for one."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cut ran a recording sweep")
+
+    monkeypatch.setattr(treedec, "_recording_sweep", refuse)
+    for _, g, td in acceptance_corpus():
+        exact_size_cut_linear(g, td, g.n // 2)
 
 
 def _check_node_sweep(td, rng):
@@ -340,13 +383,10 @@ def _sweeps(td):
 @given(path_tds())
 def test_covering_walk_gives_the_swept_path(td):
     """The walk that replaces the second sweep when normalization's sweep
-    covered every vertex returns the same nodes and weight as the sweep."""
-    rec = normalize(td)
-    walked = heaviest_path(rec)
-    rec = replace(rec, vertex_of=None, path_node_of=None)
-    assert heaviest_path(rec) == walked
-    rec = replace(rec, heavy_end=None)
-    assert heaviest_path(rec) == walked
+    covered every vertex returns the same nodes and weight as both sweeps
+    of the public heaviest_path on the normalized decomposition."""
+    assert heaviest_path(normalize(td)) == heaviest_path(
+        make_nonredundant(td))
 
 
 @pytest.mark.parametrize("name, reached", [
@@ -355,17 +395,19 @@ def test_covering_walk_gives_the_swept_path(td):
      lambda td: _sweeps(td) == (0, 1) and min(td.nodes) not in
      (td.nodes[0], td.nodes[-1])),
     ("sweep, graph_n above the covered vertices",
-     lambda td: _sweeps(td) == (1, 1) and normalize(td).td is td
+     lambda td: _sweeps(td) == (0, 1) and normalize(td).td is td
      and td.graph_n > vertex_count(td)),
     ("both sweeps, contracting input",
-     lambda td: _sweeps(td) == (1, 1) and normalize(td).td is not td),
+     lambda td: _sweeps(td) == (0, 1) and normalize(td).td is not td),
 ])
 def test_path_tds_reach_walk_and_sweep(name, reached):
-    """Path decompositions reach every way heaviest_path can run: the
-    walk; the node sweep alone, on the records normalization left when the
-    smallest node sits inside the path; and both the recording sweep and
-    the node sweep, on a pass-through path whose smallest node is an end
-    and on a contracted output."""
+    """Path decompositions reach every way heaviest_path can run on a
+    record: the walk, and the node sweep alone on the records
+    normalization's pass left as the first sweep, whether the smallest
+    node sits inside the path, is an end of a pass-through path that does
+    not cover, or the input contracted, where the pass's records and a
+    node sweep over the output make up the first sweep. None of them runs
+    the recording sweep."""
     find(path_tds(), reached,
          settings=settings(max_examples=1000, database=None,
                            phases=[Phase.generate]))
@@ -540,8 +582,11 @@ def test_make_nonredundant_matches_the_union_find_reference(td):
     object when nothing contracts, otherwise the same nodes, neighbor lists
     in the same order and the same cluster list objects, both in the
     public make_nonredundant's dicts and in the record's lists by id; the
-    same endpoint flags and the same ops count, and the largest cluster
-    size."""
+    same endpoint flags, and the largest cluster size. A pass-through
+    has the reference's endpoint and ops count. After a contraction the
+    endpoint is that of the reference sweep over the output from node 1,
+    when connectivity holds, and the ops count one more per output node,
+    for the node sweep that finds it."""
     ops_ref, ops_new = OpsCounter(), OpsCounter()
     try:
         ref, end, covers = uf_make_nonredundant(td, ops=ops_ref)
@@ -553,14 +598,18 @@ def test_make_nonredundant_matches_the_union_find_reference(td):
         return
     rec = normalize(td, ops=ops_new)
     out = rec.td
-    assert (out is td, rec.heavy_end, rec.vertex_of is not None) == (
-        ref is td, end, covers)
+    assert (out is td, rec.vertex_of is not None) == (ref is td, covers)
     assert rec.nodes is out.nodes
     assert rec.size == ref.width() + 1
     assert out.nodes == ref.nodes
     assert out.graph_n == ref.graph_n
-    assert ops_new.total == ops_ref.total
-    if out is not td:
+    if out is td:
+        assert rec.heavy_end == end
+        assert ops_new.total == ops_ref.total
+    else:
+        if _connected(td):
+            assert rec.heavy_end == ref_weight_sweep(out, 1)[0]
+        assert ops_new.total == ops_ref.total + len(out.nodes)
         assert out.nodes == list(range(1, len(out.nodes) + 1))
         assert len(out.neighbors) == len(out.clusters) == len(out.nodes) + 1
         assert out.neighbors[0] == [] and out.clusters[0] is None
