@@ -50,20 +50,23 @@ class RootedTree:
 
 @dataclass
 class SubtreeWeights:
-    root: int
-    total: dict          # vertices covered by the subtree at i
-    reduced: dict        # total minus the overlap with the parent cluster
-    children: dict       # children sorted by reduced weight, heaviest first
+    """Per-node lists indexed by walk position, 0 being the root."""
+    nodes: list          # node id at each position
+    clusters: list       # its cluster
+    total: list          # vertices covered by the subtree at the position
+    reduced: list        # total minus the overlap with the parent cluster
+    children: list       # child positions, heaviest reduced weight first
 
 
 def compute_subtree_weights(tree, ops=None):
     """Vertex counts per subtree, rooted at the smallest node id, with
     children pre-sorted for the greedy.
 
-    `total[i]` counts distinct vertices in clusters at or below i;
-    `reduced[i]` subtracts those shared with the parent cluster, so sibling
-    reduced weights add up disjointly. Sorting uses one counting sort over
-    all nodes; equal reduced weights keep reverse pair order. `tree` is a
+    `total[k]` counts distinct vertices in clusters at or below position
+    k; `reduced[k]` subtracts those shared with the parent cluster, so
+    sibling reduced weights add up disjointly. Position 0 is the root and
+    the others follow the pairs. Sorting uses one counting sort over all
+    nodes; equal reduced weights keep reverse pair order. `tree` is a
     RootedTree the package built, and its shape is trusted."""
     root, pairs, clusters = tree.root, tree.pairs, tree.clusters
     low = min((i for i, _ in pairs), default=root)
@@ -78,40 +81,40 @@ def compute_subtree_weights(tree, ops=None):
         pairs = [*zip(path[1:], path),
                  *((i, p) for i, p in pairs if i not in moved)]
         root = low
+    nodes = [root, *(i for i, _ in pairs)]
+    at = dict(zip(nodes, range(len(nodes))))
+    parent = [0, *map(at.__getitem__, (p for _, p in pairs))]
+    cls = list(map(clusters.__getitem__, nodes))
+    total = list(map(len, cls))  # then plus the children's reduced weights
     seen = [False] * (tree.graph_n + 1)
-    total = {}  # cluster sizes, then plus the children's reduced weights
-    overlap = {}
-    work = 0
-    for i in [root, *(i for i, _ in pairs)]:
-        cl = clusters[i]
+    reduced = []  # the overlap with the parent cluster, then reduced weights
+    for cl in cls:
         c = 0
         for x in cl:
             if seen[x]:
                 c += 1  # recurring vertex: already in the parent cluster
             else:
                 seen[x] = True
-        total[i] = len(cl)
-        overlap[i] = c
-        work += total[i] + 1
-    reduced = {}
-    for i, p in reversed(pairs):
-        reduced[i] = total[i] - overlap[i]
-        total[p] += reduced[i]
-    reduced[root] = total[root] - overlap[root]
-    work += 2 * len(total) - 1
+        reduced.append(c)
+    work = sum(total) + len(nodes)
+    for k in range(len(nodes) - 1, 0, -1):
+        r = reduced[k] = total[k] - reduced[k]
+        total[parent[k]] += r
+    reduced[0] = total[0] - reduced[0]
+    work += 2 * len(nodes) - 1
     if ops is not None:
         ops.add(work)
-    top = total[root]
+    top = total[0]
     buckets = [[] for _ in range(top + 1)]
-    for i, p in reversed(pairs):
-        buckets[reduced[i]].append((i, p))
-    children = {i: [] for i in total}
+    for k in range(len(nodes) - 1, 0, -1):
+        buckets[reduced[k]].append(k)
+    children = [[] for _ in nodes]
     for val in range(top, -1, -1):
-        for i, p in buckets[val]:
-            children[p].append(i)
+        for k in buckets[val]:
+            children[parent[k]].append(k)
     if ops is not None:
-        ops.add(top + len(total))
-    return SubtreeWeights(root, total, reduced, children)
+        ops.add(top + len(nodes))
+    return SubtreeWeights(nodes, cls, total, reduced, children)
 
 
 @dataclass
@@ -158,12 +161,11 @@ def _cut_tree(tree, m, c, g=None, ops=None):
     already checked; the doubling step calls it on a hanging tree."""
     sw = compute_subtree_weights(tree, ops=ops)
     n = tree.graph_n
-    y, yt, kids = sw.total, sw.reduced, sw.children
-    clusters = tree.clusters
-    if y[sw.root] < m:
-        raise BadSize("decomposition covers %d < m vertices" % y[sw.root])
-    # deepest node whose subtree still covers m vertices
-    i = sw.root
+    y, yt, kids, clusters = sw.total, sw.reduced, sw.children, sw.clusters
+    if y[0] < m:
+        raise BadSize("decomposition covers %d < m vertices" % y[0])
+    # deepest node whose subtree still covers m vertices, by position
+    i = 0
     while True:
         nxt = next((j for j in kids[i] if y[j] >= m), None)
         if nxt is None:

@@ -27,12 +27,15 @@ from .treedec import validate
 # a directory where a file belongs is a usage error, exit code 2
 _IN_FILE = click.Path(exists=True, dir_okay=False)
 _OUT_FILE = click.Path(dir_okay=False)
+_REPORT_FILE = click.Path(dir_okay=False, allow_dash=True)
 
 
 def _guard(fn):
     try:
         return fn()
-    except (TreecutError, click.BadParameter) as exc:
+    except (TreecutError, click.BadParameter, OSError) as exc:
+        # an OSError: a file that cannot be opened, say under a missing
+        # directory
         click.echo("error: %s" % exc, err=True)
         sys.exit(2)
 
@@ -132,7 +135,7 @@ def _print_report(rep, report_path):
 @click.option("--graph", "graph_path", required=True, type=_IN_FILE)
 @click.option("--td", "td_path", required=True, type=_IN_FILE)
 @click.option("--m", type=int, default=None, help="part size (default n//2)")
-@click.option("--report", "report_path", default=None,
+@click.option("--report", "report_path", default=None, type=_REPORT_FILE,
               help="write a JSON report here ('-' for stdout)")
 def bisect(graph_path, td_path, m, report_path):
     """Minimum-bisection style cut with a provable width bound."""
@@ -150,7 +153,7 @@ def bisect(graph_path, td_path, m, report_path):
 @click.option("--graph", "graph_path", required=True, type=_IN_FILE)
 @click.option("--td", "td_path", required=True, type=_IN_FILE)
 @click.option("--m", type=int, required=True)
-@click.option("--report", "report_path", default=None)
+@click.option("--report", "report_path", default=None, type=_REPORT_FILE)
 def cut(graph_path, td_path, m, report_path):
     """Cut with exactly m vertices on one side."""
     def run():

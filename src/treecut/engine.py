@@ -76,13 +76,13 @@ def doubling_step(pl, m, ops=None):
     Returns the vertices added to B and, unless the step was direct, the
     remainder set Z. The labeling then shrinks in place to the instance
     induced by Z (labels reassigned in ascending old-label order, path list
-    pruned, the anchor's hanging tree dropped); `pl.td` is left untouched.
+    pruned, the anchor's hanging tree dropped) by slicing its label
+    arrays; `pl.td` is left untouched.
     """
     n = pl.n
     if type(m) is not int or not 1 <= m <= n:
         raise BadSize("m=%r is not an int in 1..%d" % (m, n))
-    av, al, ap = pl.vertex_of, pl.label_of, pl.path_node_of
-    core = pl.core()
+    av, core, node_at = pl.vertex_of, pl.flags, pl.node_at
     rtot = core.count(1)
     w_before = Fraction(rtot, n)
     if ops is not None:
@@ -105,7 +105,7 @@ def doubling_step(pl, m, ops=None):
         raise InternalInvariant("direct case missed a crowded instance")
     if ops is not None:
         ops.add(4 * n)  # the failed direct scan, then the case scan
-    blocks = pl.blocks(core)
+    blocks = pl.blocks()
     behind = flags[n - m:] + flags[:n - m]  # the flag m labels earlier
     # node i's non-path labels are exactly a_i..rst_i-1, because a block
     # lists its hanging vertices first; the hits shifted by d bound Z
@@ -123,8 +123,8 @@ def doubling_step(pl, m, ops=None):
                 break
     else:
         raise InternalInvariant("no node admits an economical remainder")
-    anchor = ap[av[za]]
-    far = ap[av[zb]]
+    anchor = node_at[za]
+    far = node_at[zb]
     if kind == "back":
         # the partial cut runs from just after the far block to the block
         # preceding the split node; empty when that block is the far one
@@ -147,22 +147,29 @@ def doubling_step(pl, m, ops=None):
     if c == 0:
         b2 = []
     else:
-        local = {i: []}  # hanging vertices renumbered from 1 in label order
+        # hanging vertices renumbered from 1 in label order
+        loc = dict(zip(av[a_i:rst_i], range(1, s_size + 1)))
+        clusters = pl.td.clusters
+        local = {i: []}
+        work = 0
         for child, _ in pl.hang[i]:
-            cl = []
-            for x in pl.td.clusters[child]:
-                lab = al[x]
-                if a_i <= lab < rst_i and av[lab] == x:
-                    cl.append(lab - a_i + 1)
-            local[child] = cl
-            if ops is not None:
-                ops.add(len(pl.td.clusters[child]) + 1)
+            cl = clusters[child]
+            local[child] = list(filter(None, map(loc.get, cl)))
+            work += len(cl) + 1
+        if ops is not None:
+            ops.add(work)
         res = approximate_cut(RootedTree(i, pl.hang[i], local, s_size),
                               mt, c, ops=ops)
         b2 = [av[k + a_i - 1] for k in res.b_vertices]
     b = b1 + b2
     # Z in ascending old-label order, also when its labels wrap around
-    zverts = av[za:zb + 1] if za <= zb else av[1:zb + 1] + av[za:n + 1]
+    if za <= zb:
+        span = slice(za, zb + 1)
+        zverts, zflags, zat = av[span], core[span], node_at[span]
+    else:
+        zverts = av[1:zb + 1] + av[za:n + 1]
+        zflags = core[1:zb + 1] + core[za:n + 1]
+        zat = node_at[1:zb + 1] + node_at[za:n + 1]
     if not len(b) <= m <= len(b) + z_len:
         raise InternalInvariant("remainder cannot absorb the deficit")
     if 2 * z_len > n:
@@ -170,15 +177,15 @@ def doubling_step(pl, m, ops=None):
     w_after = Fraction(hits, z_len)
     if w_after < 2 * w_before:
         raise InternalInvariant("path weight share failed to double")
-    marked = set(ap[x] for x in zverts)
+    marked = set(zat)
     for p in pl.path_nodes:
         if p not in marked:
             pl.hang.pop(p, None)
     pl.hang[anchor] = []
     pl.path_nodes = [p for p in pl.path_nodes if p in marked]
-    for k, x in enumerate(zverts):
-        al[x] = k + 1
     pl.vertex_of = [0] + zverts
+    pl.flags = b"\0" + zflags
+    pl.node_at = [0] + zat
     pl.n = z_len
     if ops is not None:
         ops.add(z_len + len(marked))
@@ -258,6 +265,9 @@ def _check_kinds(g, td):
     check_decomposition(td)
 
 
+_FLIP = bytes([1, 0]) + bytes(range(2, 256))  # swaps the two sides
+
+
 def _finish(g, t, m, b_total, steps, r0, ops, t_start):
     if len(b_total) != m:
         raise InternalInvariant("cut has %d vertices, wanted %d"
@@ -272,7 +282,13 @@ def _finish(g, t, m, b_total, steps, r0, ops, t_start):
         if side[v]:
             raise InternalInvariant("duplicate vertices in the cut")
         side[v] = 1
-    width = cut_width(g, side) if 0 < m < n else 0
+    width = 0
+    if 0 < m < n:
+        small = side
+        if 2 * m > n:  # the same width, summed over the smaller side
+            small = side.translate(_FLIP)
+            small[0] = 0
+        width = cut_width(g, small)
     delta = max_degree(g)
     bound = bound_value(t, delta, r0)
     if width > bound:
@@ -280,7 +296,8 @@ def _finish(g, t, m, b_total, steps, r0, ops, t_start):
                                 % (width, bound))
     return CutReport(g.n, m, t, delta, r0, width, bound,
                      legible_bound(t, delta, r0), steps, ops.total,
-                     time.perf_counter() - t_start, sorted(b_total))
+                     time.perf_counter() - t_start,
+                     list(itertools.compress(range(n + 1), side)))
 
 
 @no_gc

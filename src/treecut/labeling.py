@@ -16,41 +16,35 @@ from .treedec import heaviest_path
 
 
 class PLabeling:
-    """Label arrays for one path of a decomposition.
+    """Label arrays for one path of a decomposition, all indexed by label.
 
-    Arrays are sized for the original vertex universe so the instance can
-    shrink in place: `n` is the current vertex count, `vertex_of` maps the
-    current labels back to vertices, and entries of `label_of` for departed
-    vertices go stale (membership checks go through `vertex_of`).
+    `n` is the current vertex count; `vertex_of[lab]` is the vertex with
+    label lab, `flags[lab]` is 1 when that vertex lies in a path cluster,
+    else 0, and `node_at[lab]` is the path node whose block holds the label
+    (index 0 of the three holds 0). A doubling step shrinks the instance
+    by slicing the three arrays to the remainder's labels.
     """
 
-    __slots__ = ("td", "n", "label_of", "vertex_of", "is_path_vertex",
-                 "path_node_of", "path_nodes", "hang")
+    __slots__ = ("td", "n", "vertex_of", "flags", "node_at", "path_nodes",
+                 "hang")
 
-    def __init__(self, td, n, label_of, vertex_of, is_path_vertex,
-                 path_node_of, path_nodes, hang):
+    def __init__(self, td, n, vertex_of, flags, node_at, path_nodes, hang):
         self.td = td
         self.n = n
-        self.label_of = label_of
         self.vertex_of = vertex_of
-        self.is_path_vertex = is_path_vertex
-        self.path_node_of = path_node_of
+        self.flags = flags
+        self.node_at = node_at
         self.path_nodes = path_nodes
         self.hang = hang
 
-    def core(self):
-        """Path flags by label: byte lab is 1 when the vertex labeled lab
-        lies in a path cluster, else 0; byte 0 is 0."""
-        return bytes(map(self.is_path_vertex.__getitem__, self.vertex_of))
-
-    def blocks(self, core):
+    def blocks(self):
         """Per path node: (first label, first cluster-vertex label, last label).
 
         Hanging vertices occupy the first span of a block, the node's fresh
         cluster vertices the rest. Blocks appear in path order, and their
-        labels run from 1 to n without a gap. `core` is `self.core()`.
+        labels run from 1 to n without a gap.
         """
-        node_at = list(map(self.path_node_of.__getitem__, self.vertex_of))
+        node_at, core = self.node_at, self.flags
         size = Counter(node_at)
         size[node_at[0]] -= 1  # label 0 is unused
         out = {}
@@ -72,7 +66,7 @@ class PLabeling:
         return out
 
     def relative_weight(self):
-        return Fraction(self.core().count(1), self.n)
+        return Fraction(self.flags.count(1), self.n)
 
 
 def build_plabeling(norm, ops=None):
@@ -107,12 +101,12 @@ def build_plabeling(norm, ops=None):
     norm.second_sweep = None  # gone before the label arrays are allocated
     clusters = td.clusters
     work = len(td.nodes) + sum(map(len, map(clusters.__getitem__, path)))
-    label_of, vertex_of, is_pv, path_node_of = _assign_labels(
-        clusters, td.graph_n, path, hang)
+    vertex_of, flags, node_at = _assign_labels(clusters, td.graph_n, path,
+                                               hang)
     if ops is not None:
         ops.add(work)
-    return PLabeling(td, len(vertex_of) - 1, label_of, vertex_of, is_pv,
-                     path_node_of, path, hang)
+    return PLabeling(td, len(vertex_of) - 1, vertex_of, flags, node_at, path,
+                     hang)
 
 
 def _hanging_trees(path, order, parents):
@@ -150,32 +144,29 @@ def _covering_labeling(norm, path, ops):
     of the normalization sweep that covered every vertex."""
     vertex_of = norm.vertex_of
     n = len(vertex_of) - 1
-    label_of = [0] * (n + 1)
-    for k, x in enumerate(vertex_of):
-        label_of[x] = k
-    is_pv = bytearray(b"\x01") * (n + 1)
-    is_pv[0] = 0
+    node_at = list(map(norm.path_node_of.__getitem__, vertex_of))
+    norm.path_node_of = None  # by vertex; the labeling keeps node_at only
     if ops is not None:
         ops.add(n + len(path))
-    return PLabeling(norm.td, n, label_of, vertex_of, is_pv,
-                     norm.path_node_of, path, {i: [] for i in path})
+    return PLabeling(norm.td, n, vertex_of, b"\0" + b"\1" * n, node_at, path,
+                     {i: [] for i in path})
 
 
 def _assign_labels(clusters, n0, path, hang):
-    """(label_of, vertex_of, is_path_vertex, path_node_of) for `path`.
+    """(vertex_of, flags, node_at) for `path`.
 
     Raises InvalidDecomposition, naming the node, when a path node adds no
     cluster vertex that no earlier node held, which cluster connectivity
-    rules out on a normalized decomposition."""
-    label_of = [0] * (n0 + 1)
-    path_node_of = [0] * (n0 + 1)
+    rules out on a normalized decomposition. The flags are read from the
+    path-vertex marks once every block is labeled."""
+    labeled = bytearray(n0 + 1)
     is_pv = bytearray(n0 + 1)
     vertex_of = [0]
+    node_at = [0]
     append = vertex_of.append
-    k = 0
     for i in path:
         cl = clusters[i]
-        hanging_end = k
+        start = hanging_end = len(vertex_of)
         if hang[i]:
             # hanging vertices first (deepest nodes first), then fresh
             # cluster vertices, so cluster vertices close the block; the
@@ -185,20 +176,18 @@ def _assign_labels(clusters, n0, path, hang):
                 is_pv[x] = 1
             for v, _ in reversed(hang[i]):
                 for x in clusters[v]:
-                    if not is_pv[x] and not label_of[x]:
-                        k += 1
+                    if not is_pv[x] and not labeled[x]:
+                        labeled[x] = 1
                         append(x)
-                        label_of[x] = k
-                        path_node_of[x] = i
-            hanging_end = k
+            hanging_end = len(vertex_of)
         for x in cl:
-            if not label_of[x]:
-                k += 1
+            if not labeled[x]:
+                labeled[x] = 1
                 append(x)
-                label_of[x] = k
-                path_node_of[x] = i
                 is_pv[x] = 1
-        if k == hanging_end:
+        end = len(vertex_of)
+        if end == hanging_end:
             raise InvalidDecomposition(
                 "path node %r adds no vertex: cluster connectivity fails" % i)
-    return label_of, vertex_of, is_pv, path_node_of
+        node_at += [i] * (end - start)
+    return vertex_of, bytes(map(is_pv.__getitem__, vertex_of)), node_at

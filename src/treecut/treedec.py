@@ -302,7 +302,8 @@ class Normalized:
     smallest node to `heavy_end`, and the sweep met the vertices in the
     order of that path's labeling oriented from the smallest node:
     `vertex_of` lists them from index 1, and `path_node_of[x]` is the node
-    that first held x (index 0 of both holds 0). Both are None otherwise.
+    that first held x (index 0 of both holds 0); build_plabeling reads
+    `path_node_of` by label and drops it. Both are None otherwise.
 
     The two sweep fields live only until the phase after the one that
     fills them. `first_sweep` holds that first sweep's records on every
@@ -383,8 +384,10 @@ def normalize(td, ops=None):
     folded node adds no vertex, and a vertex of a class's final cluster
     met before the class started lies in that starter's tree parent, so in
     the parent class's cluster: the class's sum is its fresh count in the
-    output. A sweep over the output's nodes alone (_node_dfs) then finds
-    `heavy_end` where a sweep reading the output's clusters would.
+    output. Summed down the class parents, these give each output node's
+    path weight from class 1; a unique maximum is `heavy_end`, and a tie
+    is broken by a sweep over the output's nodes alone (_node_dfs), which
+    finds `heavy_end` where a sweep reading the output's clusters would.
     """
     clusters, neighbors = td.clusters, td.neighbors
     if all(not clusters[i] for i in td.nodes):
@@ -466,7 +469,17 @@ def normalize(td, ops=None):
     out = _IdLists(ids, out_neighbors, [None, *heads], td.graph_n)
     fresh_of = [0, *fresh_of]
     up = [None, None, *map(id_of.__getitem__, up[1:])]
-    end = _node_dfs(out_neighbors, fresh_of, 1, ops)[0]
+    # class ids follow start order, so a parent class precedes its children
+    weight = fresh_of[:]
+    for c in range(2, len(weight)):
+        weight[c] += weight[up[c]]
+    top = max(weight)
+    if weight.count(top) == 1:
+        end = weight.index(top)
+        if ops is not None:
+            ops.add(len(ids))
+    else:  # a tie: the node sweep's discovery order breaks it
+        end = _node_dfs(out_neighbors, fresh_of, 1, ops)[0]
     return Normalized(out, ids, max(map(len, heads)), end,
                       first_sweep=(fresh_of, up))
 

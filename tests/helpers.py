@@ -54,8 +54,7 @@ def spider_fixture():
 
 def holds(pl, x):
     """Is vertex x still part of the current instance of labeling `pl`?"""
-    lab = pl.label_of[x]
-    return 1 <= lab <= pl.n and pl.vertex_of[lab] == x
+    return x in current_vertices(pl)
 
 
 def current_vertices(pl):
@@ -96,7 +95,7 @@ def decompose_by_node(g, td, pl, i):
     """Vertex parts left when the boundary edges of path node i are removed:
     the label prefix before i's block, the hanging vertices of i, the label
     suffix after the block, and each cluster vertex of i on its own."""
-    blocks = pl.blocks(pl.core())
+    blocks = pl.blocks()
     if i not in blocks:
         raise InternalInvariant("node %r is not a path node" % i)
     a, r, b = blocks[i]
@@ -148,7 +147,8 @@ def restricted_td(pl):
         for child, par in pl.hang[i]:
             nodes.append(child)
             edges.append((par, child))
-    clusters = {i: [x for x in pl.td.clusters[i] if holds(pl, x)]
+    current = set(current_vertices(pl))
+    clusters = {i: [x for x in pl.td.clusters[i] if x in current]
                 for i in nodes}
     return TreeDecomposition(nodes, edges, clusters, pl.td.graph_n)
 
@@ -156,10 +156,54 @@ def restricted_td(pl):
 def debug_dump(pl):
     """One line per path node of `pl` with the label spans of its block."""
     lines = []
-    for i, (a, r, b) in pl.blocks(pl.core()).items():
+    for i, (a, r, b) in pl.blocks().items():
         hang_part = "-" if r == a else "%d..%d" % (a, r - 1)
         lines.append("node %d: hanging %s cluster %d..%d" % (i, hang_part, r, b))
     return "\n".join(lines)
+
+
+@dataclass
+class VertexLabeling:
+    """A labeling's state by vertex, the form PLabeling kept before its
+    arrays were indexed by label: `label_of`, `is_path_vertex` and
+    `path_node_of` are indexed by vertex, `vertex_of` by label. Entries of
+    vertices that left the instance go stale, as they did then. The
+    reference step and scans below read and shrink this form."""
+    td: object
+    n: int
+    label_of: list
+    vertex_of: list
+    is_path_vertex: bytearray
+    path_node_of: list
+    path_nodes: list
+    hang: dict
+
+
+def per_vertex(pl):
+    """The VertexLabeling view of PLabeling `pl`: its label-indexed
+    `vertex_of`, `flags` and `node_at` turned into arrays by vertex, with
+    0 for every vertex outside the current instance. The lists are new,
+    the hanging trees `pl`'s own."""
+    n0 = pl.td.graph_n
+    label_of = [0] * (n0 + 1)
+    is_pv = bytearray(n0 + 1)
+    path_node_of = [0] * (n0 + 1)
+    for lab, x in enumerate(pl.vertex_of):
+        label_of[x] = lab
+        is_pv[x] = pl.flags[lab]
+        path_node_of[x] = pl.node_at[lab]
+    return VertexLabeling(pl.td, pl.n, label_of, list(pl.vertex_of), is_pv,
+                          path_node_of, list(pl.path_nodes), pl.hang)
+
+
+def by_label(ref):
+    """The PLabeling of VertexLabeling `ref`: flags and path nodes
+    gathered over its current labels."""
+    vertex_of = list(ref.vertex_of)
+    return PLabeling(ref.td, ref.n, vertex_of,
+                     bytes(map(ref.is_path_vertex.__getitem__, vertex_of)),
+                     list(map(ref.path_node_of.__getitem__, vertex_of)),
+                     ref.path_nodes, ref.hang)
 
 
 def two_pass_plabeling(td, path_nodes=None, ops=None):
@@ -168,7 +212,9 @@ def two_pass_plabeling(td, path_nodes=None, ops=None):
     package's labeling before it read each path cluster once; the
     differential tests compare the two. The package labels only a
     normalization record, so this also labels a bare decomposition, or an
-    explicit path of one, for the tests and the reference drivers."""
+    explicit path of one, for the tests and the reference drivers. It
+    builds the arrays by vertex and returns them as a PLabeling (see
+    by_label)."""
     if path_nodes is None:
         path_nodes, _ = heaviest_path(td, ops=ops)
     clusters, neighbors = td.clusters, td.neighbors
@@ -202,8 +248,9 @@ def two_pass_plabeling(td, path_nodes=None, ops=None):
     if ops is not None:
         ops.add(work)
     label_of, vertex_of, path_node_of = labels
-    return PLabeling(td, len(vertex_of) - 1, label_of, vertex_of, is_pv,
-                     path_node_of, path, hang)
+    return by_label(VertexLabeling(td, len(vertex_of) - 1, label_of,
+                                   vertex_of, is_pv, path_node_of, path,
+                                   hang))
 
 
 def _two_pass_assign(clusters, n0, path, is_pv, hang):
@@ -706,9 +753,11 @@ def ternary_bisection_lower_bound(h):
 
 
 # The doubling step and the label scans of PLabeling that read the labels
-# one at a time in Python, before they became bytes operations; kept
-# verbatim, with the methods taking the labeling as `self`, as the
-# reference of the differential test in test_engine.py.
+# one at a time in Python, before they became bytes operations and before
+# the labeling's state was indexed by label; kept verbatim, with the
+# methods taking the labeling as `self`, as the reference of the
+# differential test in test_engine.py. They read and shrink a
+# VertexLabeling (see per_vertex).
 def ref_blocks(self):
     """Per path node: (first label, first cluster-vertex label, last label).
 

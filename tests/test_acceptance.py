@@ -12,6 +12,7 @@ from helpers import (
     acceptance_corpus,
     brute_force_heaviest_path,
     exact_size_cut,
+    per_vertex,
     run_checked,
     small_fixtures,
     ternary_bisection_lower_bound,
@@ -200,9 +201,10 @@ def test_criterion_8_subroutine_contracts():
                                       rng.randint(0, 10 ** 6))
         pl = build_plabeling(normalize(td0))
         assert sorted(pl.vertex_of[1:]) == list(range(1, g.n + 1)), trial
-        for i, (a, r, b) in pl.blocks(pl.core()).items():
+        is_pv = per_vertex(pl).is_path_vertex
+        for i, (a, r, b) in pl.blocks().items():
             assert a <= r <= b, trial
-            assert all(pl.is_path_vertex[pl.vertex_of[lab]]
+            assert all(is_pv[pl.vertex_of[lab]]
                        for lab in range(r, b + 1)), trial
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0

@@ -35,22 +35,34 @@ from treecut.treedec import (
 from treecut.util import OpsCounter
 
 
+def _by_node(sw, values):
+    """A positional list of SubtreeWeights keyed by node id."""
+    return dict(zip(sw.nodes, values))
+
+
+def _children_by_node(sw):
+    """SubtreeWeights' child positions as node ids, keyed by node id."""
+    return {sw.nodes[k]: [sw.nodes[j] for j in kids]
+            for k, kids in enumerate(sw.children)}
+
+
 def test_subtree_weights_p6():
     td = p6_td()
     sw = compute_subtree_weights(RootedTree.of(td))
-    assert sw.total[1] == 6
+    total, reduced = _by_node(sw, sw.total), _by_node(sw, sw.reduced)
+    assert total[1] == 6
     # the leaf node {5,6} contributes vertex 6 only once its parent's
     # cluster vertex 5 is stripped
-    assert sw.reduced[5] == 1
-    assert sw.total[5] == 2
-    assert sw.root == 1
+    assert reduced[5] == 1
+    assert total[5] == 2
+    assert sw.nodes[0] == 1
 
 
 def test_subtree_weights_single_node():
     td = TreeDecomposition([1], [], {1: [1, 2, 3]}, 3)
     sw = compute_subtree_weights(RootedTree.of(td))
-    assert sw.total[1] == 3
-    assert sw.reduced[1] == 3
+    assert _by_node(sw, sw.total)[1] == 3
+    assert _by_node(sw, sw.reduced)[1] == 3
 
 
 def test_children_sorted_by_reduced_weight():
@@ -58,9 +70,10 @@ def test_children_sorted_by_reduced_weight():
         _, td0 = random_graph_with_td(22, 3, seed)
         td = make_nonredundant(td0)
         sw = compute_subtree_weights(RootedTree.of(td))
+        children, reduced = _children_by_node(sw), _by_node(sw, sw.reduced)
         for i in td.nodes:
-            kids = sw.children[i]
-            assert kids == sorted(kids, key=lambda j: -sw.reduced[j])
+            kids = children[i]
+            assert kids == sorted(kids, key=lambda j: -reduced[j])
 
 
 @st.composite
@@ -96,10 +109,11 @@ def _assert_same_weights(ref_td, tree):
     ops_ref, ops_new = OpsCounter(), OpsCounter()
     ref = dfs_subtree_weights(ref_td, ops=ops_ref)
     new = compute_subtree_weights(tree, ops=ops_new)
-    assert new.root == ref.root
-    assert new.total == ref.total
-    assert new.reduced == ref.reduced
-    assert new.children == ref.children
+    assert new.nodes[0] == ref.root
+    assert _by_node(new, new.total) == ref.total
+    assert _by_node(new, new.reduced) == ref.reduced
+    assert _children_by_node(new) == ref.children
+    assert new.clusters == [tree.clusters[i] for i in new.nodes]
     assert ops_new.total == ops_ref.total
 
 

@@ -326,6 +326,9 @@ def test_deeply_nested_json_exits_2(tmp_path, which):
     ["gen", "--family", "path", "--n", "4", "--out-graph", "{out}.edges",
      "--out-td", "{dir}"],
     ["bench", "--families", "path", "--sizes", "10", "--out", "{dir}"],
+    ["bisect", "--graph", "{graph}", "--td", "{td}", "--report", "{dir}"],
+    ["cut", "--graph", "{graph}", "--td", "{td}", "--m", "2",
+     "--report", "{dir}"],
 ])
 def test_directory_where_a_file_belongs_exits_2(tmp_path, args):
     g = path_graph(4)
@@ -336,3 +339,35 @@ def test_directory_where_a_file_belongs_exits_2(tmp_path, args):
     assert res.exit_code == 2, res.output
     assert "is a directory" in res.output
     assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("args", [
+    ["bisect", "--graph", "{graph}", "--td", "{td}", "--report", "{missing}"],
+    ["cut", "--graph", "{graph}", "--td", "{td}", "--m", "2",
+     "--report", "{missing}"],
+    ["gen", "--family", "path", "--n", "4", "--out-graph", "{missing}",
+     "--out-td", "{out}.json"],
+    ["gen", "--family", "path", "--n", "4", "--out-graph", "{out}.edges",
+     "--out-td", "{missing}"],
+    ["bench", "--families", "path", "--sizes", "10", "--out", "{missing}"],
+])
+def test_output_under_a_missing_directory_exits_2(tmp_path, args):
+    g = path_graph(4)
+    gp, tp = _write_instance(tmp_path, g, tree_to_width1_td(g))
+    missing = tmp_path / "no-such-dir" / "out.txt"
+    args = [a.format(graph=gp, td=tp, missing=missing, out=tmp_path / "out")
+            for a in args]
+    res = CliRunner().invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert "error:" in res.output and str(missing) in res.output
+    assert "Traceback" not in res.output
+    assert not missing.parent.exists()
+
+
+def test_report_dash_still_writes_to_stdout(tmp_path):
+    g = path_graph(4)
+    gp, tp = _write_instance(tmp_path, g, tree_to_width1_td(g))
+    res = CliRunner().invoke(main, ["bisect", "--graph", gp, "--td", tp,
+                                    "--report", "-"])
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output[res.output.index("{"):])["m"] == 2

@@ -9,8 +9,10 @@ from hypothesis import Phase, find, given, settings, strategies as st
 
 from helpers import (
     acceptance_corpus,
+    by_label,
     exact_size_cut,
     p6_td,
+    per_vertex,
     ref_doubling_step,
     run_checked,
     small_fixtures,
@@ -303,6 +305,29 @@ def test_finish_accepts_a_valid_cut():
     assert rep.b_vertices == [1, 2, 3]
 
 
+@pytest.mark.parametrize("b_total, width", [
+    ([5, 1, 2], 3), ([2, 6, 4, 3], 3), ([6, 1, 3, 5, 4], 2),
+    ([1, 2, 3, 4, 5], 1)])
+def test_finish_counts_the_width_over_the_smaller_side(monkeypatch,
+                                                      b_total, width):
+    """A cut of more than half the vertices hands cut_width the other
+    side, with byte 0 still 0; the width and the sorted B are those of
+    the cut itself."""
+    sides = []
+
+    def recording(g, side):
+        sides.append(bytes(side))
+        return cut_width(g, side)
+
+    monkeypatch.setattr(engine, "cut_width", recording)
+    rep = _finish_path6(b_total)
+    assert rep.width == width
+    assert rep.b_vertices == sorted(b_total)
+    marked = set(b_total) if 2 * len(b_total) <= 6 else \
+        set(range(1, 7)) - set(b_total)
+    assert sides == [bytes(x in marked for x in range(7))]
+
+
 @pytest.mark.parametrize("b_total", [[1, 2, 2], [4, 4, 4], [1, 2, 3, 4, 5, 5]])
 def test_finish_rejects_duplicate_vertices(b_total):
     with pytest.raises(InternalInvariant, match="duplicate"):
@@ -320,22 +345,31 @@ def test_finish_rejects_out_of_range_vertices(b_total):
 
 def _steps_agree(td, m):
     """Run the cut of size m step by step with doubling_step and with the
-    reference step on two labelings built alike, asserting after each step
-    the same StepResult, the same shrunk labeling and the same ops. Returns
-    each step's kind and whether its labels wrapped past n."""
-    pl, ref = build_plabeling(normalize(td)), build_plabeling(normalize(td))
+    reference step on two labelings built alike, the reference's in its
+    per-vertex form, asserting after each step the same StepResult, the
+    same shrunk labeling and the same ops. Returns each step's kind,
+    whether its labels wrapped past n and whether the flags it left read
+    differently backwards, where a reversed slice would show."""
+    pl = build_plabeling(normalize(td))
+    ref = per_vertex(build_plabeling(normalize(td)))
     seen = []
     while m > 0:
-        label_of = list(pl.label_of)
+        label_of = per_vertex(pl).label_of
         ops, ops_ref = OpsCounter(), OpsCounter()
         res = doubling_step(pl, m, ops=ops)
         assert res == ref_doubling_step(ref, m, ops=ops_ref)
-        assert (pl.n, pl.vertex_of, pl.path_nodes, pl.hang, pl.label_of) == (
-            ref.n, ref.vertex_of, ref.path_nodes, ref.hang, ref.label_of)
+        shrunk = by_label(ref)
+        assert (pl.n, pl.vertex_of, pl.flags, pl.node_at, pl.path_nodes,
+                pl.hang) == (shrunk.n, shrunk.vertex_of, shrunk.flags,
+                             shrunk.node_at, shrunk.path_nodes, shrunk.hang)
+        view = per_vertex(pl)
+        assert all(view.label_of[x] == ref.label_of[x] == lab
+                   for lab, x in enumerate(pl.vertex_of))
         assert ops.total == ops_ref.total
         labels = [label_of[x] for x in res.z_vertices or res.b_vertices]
         seen.append((res.kind, labels != sorted(labels)
-                     or labels != list(range(labels[0], labels[-1] + 1))))
+                     or labels != list(range(labels[0], labels[-1] + 1)),
+                     pl.flags[1:] != pl.flags[:0:-1]))
         m -= len(res.b_vertices)
         if res.kind == "direct":
             break
@@ -351,7 +385,7 @@ def test_doubling_step_matches_the_reference_at_every_size():
     fixtures = small_fixtures() + [("ternary3", *make_instance("ternary", h=3))]
     for _, g, td in fixtures:
         for m in range(1, g.n + 1):
-            for kind, wraps in _steps_agree(td, m):
+            for kind, wraps, _ in _steps_agree(td, m):
                 kinds.add(kind)
                 if wraps:
                     wrapped.add(kind == "direct")
@@ -372,6 +406,20 @@ def test_doubling_step_matches_the_reference_on_the_corpus(data):
     td = data.draw(st.sampled_from(_corpus_tds()))
     n = td.graph_n
     _steps_agree(td, data.draw(st.one_of(st.just(n), st.integers(1, n))))
+
+
+def test_doubling_step_matches_the_reference_on_small_random_instances():
+    """The random trees and random-td instances of the corpus, at m = 1,
+    n/3, n/2 and n, give the reference step's results step by step; some
+    remainder steps leave flags that read differently backwards."""
+    asymmetric = set()
+    for label, g, td in acceptance_corpus():
+        if label.startswith(("rtree-", "rtd-")):
+            n = g.n
+            for m in sorted({1, n // 3, n // 2, n}):
+                asymmetric.update(flip for kind, _, flip in _steps_agree(td, m)
+                                  if kind != "direct")
+    assert True in asymmetric
 
 
 @st.composite

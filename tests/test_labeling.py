@@ -10,6 +10,7 @@ from helpers import (
     decompose_by_node,
     holds,
     p6_td,
+    per_vertex,
     restrict,
     restricted_td,
     set_validate,
@@ -38,9 +39,9 @@ def test_p6_labels_follow_path_order():
     # the path is walked end to end, so labels follow path order
     assert pl.vertex_of == [0, 5, 6, 4, 3, 2, 1]
     assert pl.path_nodes == [5, 4, 3, 2, 1]
-    assert all(pl.is_path_vertex[v] for v in range(1, 7))
+    assert all(per_vertex(pl).is_path_vertex[v] for v in range(1, 7))
     assert pl.relative_weight() == 1
-    blocks = pl.blocks(pl.core())
+    blocks = pl.blocks()
     # every block is pure cluster vertices (no hanging part)
     assert all(a == r for a, r, _ in blocks.values())
 
@@ -49,6 +50,7 @@ def test_star_labeling_definitional():
     g = star_graph(4)
     td = make_instance("star", n=5)[1]
     pl = build_plabeling(normalize(td))
+    view = per_vertex(pl)
     # all vertices lie in path clusters here, and each vertex's assigned
     # node is the path node nearest the start whose cluster holds it
     covered = set()
@@ -56,16 +58,16 @@ def test_star_labeling_definitional():
         for x in td.clusters[i]:
             if x not in covered:
                 covered.add(x)
-                assert pl.path_node_of[x] == i
+                assert view.path_node_of[x] == i
     assert g.n >= pl.n == len(covered) + sum(
         1 for v in range(1, g.n + 1)
-        if holds(pl, v) and not pl.is_path_vertex[v])
+        if holds(pl, v) and not view.is_path_vertex[v])
 
 
 def test_spider_hanging_only_at_branch_node():
     g, td0 = spider_fixture()
     pl = build_plabeling(normalize(td0))
-    blocks = pl.blocks(pl.core())
+    blocks = pl.blocks()
     with_hang = [i for i, (a, r, _) in blocks.items() if r > a]
     # the heaviest path runs through two legs; the third leg hangs at the
     # single branch node (its innermost vertex is that node's own cluster
@@ -88,11 +90,12 @@ def test_blocks_cluster_vertices_close_each_block():
     for seed in range(10):
         g, td = random_graph_with_td(20, 3, seed + 50)
         pl = build_plabeling(normalize(td))
-        for i, (a, r, b) in pl.blocks(pl.core()).items():
+        is_pv = per_vertex(pl).is_path_vertex
+        for i, (a, r, b) in pl.blocks().items():
             for lab in range(a, r):
-                assert not pl.is_path_vertex[pl.vertex_of[lab]]
+                assert not is_pv[pl.vertex_of[lab]]
             for lab in range(r, b + 1):
-                assert pl.is_path_vertex[pl.vertex_of[lab]]
+                assert is_pv[pl.vertex_of[lab]]
 
 
 def test_boundary_edges_p6():
@@ -148,7 +151,7 @@ def test_decompose_spider_branch_node():
     g, td0 = spider_fixture()
     td = make_nonredundant(td0)
     pl = build_plabeling(normalize(td))
-    branch = [i for i, (a, r, _) in pl.blocks(pl.core()).items() if r > a][0]
+    branch = [i for i, (a, r, _) in pl.blocks().items() if r > a][0]
     parts = decompose_by_node(g, td, pl, branch)
     assert any(len(p) == 8 for p in parts)  # the hanging leg survives intact
     _check_parts_against_boundary(g, td, pl, branch)
@@ -190,17 +193,21 @@ def test_restricted_td_reproduces_current_state():
     assert set_validate(g, again, vertices=set(current_vertices(pl))).ok
     # rebuilding on the explicit restriction gives the same assignments
     fresh = two_pass_plabeling(again, pl.path_nodes)
-    assert fresh.path_node_of == pl.path_node_of
-    assert [bool(b) for b in fresh.is_path_vertex] == \
-        [bool(b) for b in pl.is_path_vertex]
+    view, fresh_view = per_vertex(pl), per_vertex(fresh)
+    assert fresh_view.path_node_of == view.path_node_of
+    assert [bool(b) for b in fresh_view.is_path_vertex] == \
+        [bool(b) for b in view.is_path_vertex]
 
 
 def _assert_same_arrays(pl, ref):
     assert pl.n == ref.n
-    assert pl.label_of == ref.label_of
     assert pl.vertex_of == ref.vertex_of
-    assert pl.path_node_of == ref.path_node_of
-    assert pl.is_path_vertex == ref.is_path_vertex
+    assert pl.flags == ref.flags
+    assert pl.node_at == ref.node_at
+    view, ref_view = per_vertex(pl), per_vertex(ref)
+    assert view.label_of == ref_view.label_of
+    assert view.path_node_of == ref_view.path_node_of
+    assert view.is_path_vertex == ref_view.is_path_vertex
     assert pl.path_nodes == ref.path_nodes
     assert pl.hang == ref.hang
 
@@ -225,7 +232,8 @@ def _labelings_agree(td):
     on_path = set()
     for i in pl.path_nodes:
         on_path.update(rec.td.clusters[i])
-    assert {x for x, b in enumerate(pl.is_path_vertex) if b} == on_path
+    assert {x for x, b in enumerate(per_vertex(pl).is_path_vertex)
+            if b} == on_path
     return pl
 
 

@@ -17,6 +17,7 @@ from helpers import (
     orient_path,
     p6_td,
     path_weight,
+    per_vertex,
     RedundantPath,
     ref_path,
     ref_weight_sweep,
@@ -272,6 +273,41 @@ def test_contracting_records_match_a_recording_sweep_random(inst):
     _check_handed_records(td)
 
 
+def _check_heavy_end(td):
+    """On a contracting input the record's heavy_end is the endpoint of the
+    node sweep over the output on the handed fresh counts from node 1.
+    normalize runs that sweep only when the greatest path weight is tied;
+    otherwise it takes the one node of that weight. Returns None on a
+    pass-through, else whether the greatest weight was tied."""
+    with mock.patch.object(treedec, "_node_dfs",
+                           wraps=treedec._node_dfs) as sweep:
+        rec = normalize(td)
+    if rec.td is td:
+        return None
+    fresh = rec.first_sweep[0]
+    end, top, order, parents = treedec._node_dfs(rec.td.neighbors, fresh, 1)
+    assert rec.heavy_end == end
+    weight = {None: 0}  # by node, from the root's parent on
+    for i, p in zip(order, parents):
+        weight[i] = weight[p] + fresh[i]
+    tied = [weight[i] for i in order].count(top) > 1
+    assert sweep.call_count == tied
+    return tied
+
+
+def test_heavy_end_matches_the_node_sweep_on_the_corpus():
+    """Every contracting corpus instance; both the unique maximum and the
+    tie reach the check."""
+    seen = {_check_heavy_end(td) for _, _, td in acceptance_corpus()}
+    assert {True, False} <= seen
+
+
+@settings(max_examples=150, deadline=None)
+@given(redundant_tds())
+def test_heavy_end_matches_the_node_sweep_random(inst):
+    _check_heavy_end(inst[1])
+
+
 def test_corpus_cuts_run_no_recording_sweep(monkeypatch):
     """Normalization hands every cut its first sweep, so no cut reads the
     clusters again for one."""
@@ -472,10 +508,13 @@ def test_covering_labeling_matches_two_pass_reference_from_the_smallest_node(
     ref = two_pass_plabeling(td, _path_from(td, min(td.nodes)))
     assert pl.td is ref.td is td
     assert pl.n == ref.n == td.graph_n
-    assert pl.label_of == ref.label_of
     assert pl.vertex_of == ref.vertex_of
-    assert pl.path_node_of == ref.path_node_of
-    assert pl.is_path_vertex == ref.is_path_vertex
+    assert pl.flags == ref.flags
+    assert pl.node_at == ref.node_at
+    view, ref_view = per_vertex(pl), per_vertex(ref)
+    assert view.label_of == ref_view.label_of
+    assert view.path_node_of == ref_view.path_node_of
+    assert view.is_path_vertex == ref_view.is_path_vertex
     assert pl.path_nodes == ref.path_nodes
     assert pl.hang == ref.hang
 
