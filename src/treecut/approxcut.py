@@ -67,23 +67,17 @@ def compute_subtree_weights(tree, ops=None):
     sibling reduced weights add up disjointly. Position 0 is the root and
     the others follow the pairs. Sorting uses one counting sort over all
     nodes; equal reduced weights keep reverse pair order. `tree` is a
-    RootedTree the package built, and its shape is trusted."""
+    RootedTree the package built, and its shape is trusted. The scaffolding
+    by node id and by vertex is gone before the children lists exist."""
     root, pairs, clusters = tree.root, tree.pairs, tree.clusters
     low = min((i for i, _ in pairs), default=root)
     if low < root:
-        # root at the smallest node: the pairs on the way from `low` up to
-        # `root` turn over and come first, the others keep their order
-        up = dict(pairs)
-        path = [low]
-        while path[-1] != root:
-            path.append(up[path[-1]])
-        moved = set(path)
-        pairs = [*zip(path[1:], path),
-                 *((i, p) for i, p in pairs if i not in moved)]
+        pairs = _rerooted(pairs, root, low)
         root = low
     nodes = [root, *(i for i, _ in pairs)]
     at = dict(zip(nodes, range(len(nodes))))
     parent = [0, *map(at.__getitem__, (p for _, p in pairs))]
+    del at, pairs
     cls = list(map(clusters.__getitem__, nodes))
     total = list(map(len, cls))  # then plus the children's reduced weights
     seen = [False] * (tree.graph_n + 1)
@@ -96,6 +90,7 @@ def compute_subtree_weights(tree, ops=None):
             else:
                 seen[x] = True
         reduced.append(c)
+    del seen
     work = sum(total) + len(nodes)
     for k in range(len(nodes) - 1, 0, -1):
         r = reduced[k] = total[k] - reduced[k]
@@ -105,16 +100,35 @@ def compute_subtree_weights(tree, ops=None):
     if ops is not None:
         ops.add(work)
     top = total[0]
-    buckets = [[] for _ in range(top + 1)]
-    for k in range(len(nodes) - 1, 0, -1):
-        buckets[reduced[k]].append(k)
+    # counting sort chained through two int lists: first[val] is the
+    # highest position of reduced weight val and after[k] the next lower
+    # one; 0, the root's position, ends a chain
+    first = [0] * (top + 1)
+    after = [0] * len(nodes)
+    for k in range(1, len(nodes)):
+        r = reduced[k]
+        after[k] = first[r]
+        first[r] = k
     children = [[] for _ in nodes]
-    for val in range(top, -1, -1):
-        for k in buckets[val]:
+    for k in reversed(first):
+        while k:
             children[parent[k]].append(k)
+            k = after[k]
     if ops is not None:
         ops.add(top + len(nodes))
     return SubtreeWeights(nodes, cls, total, reduced, children)
+
+
+def _rerooted(pairs, root, low):
+    """`pairs` rooted at `low` instead of `root`: the pairs on the way from
+    `low` up to `root` turn over and come first, the others keep their
+    order."""
+    up = dict(pairs)
+    path = [low]
+    while path[-1] != root:
+        path.append(up[path[-1]])
+    moved = set(path)
+    return [*zip(path[1:], path), *((i, p) for i, p in pairs if i not in moved)]
 
 
 @dataclass

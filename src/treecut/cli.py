@@ -5,6 +5,7 @@ violated, 1 on unexpected internal errors.
 """
 from __future__ import annotations
 
+import os
 import sys
 from fractions import Fraction
 
@@ -38,6 +39,24 @@ def _guard(fn):
         # directory
         click.echo("error: %s" % exc, err=True)
         sys.exit(2)
+
+
+def _claim(*paths):
+    """Open every output path before anything is written, so a command
+    whose output cannot be opened writes nothing: an OSError propagates,
+    and the files this created for the paths before it are removed
+    again. A file that exists is left as it is until it is written."""
+    made = []
+    try:
+        for path in paths:
+            new = not os.path.exists(path)
+            open(path, "a").close()
+            if new:
+                made.append(path)
+    except OSError:
+        for path in made:
+            os.remove(path)
+        raise
 
 
 def _load_valid(graph_path, td_path):
@@ -92,6 +111,7 @@ def gen(family, n, h, k, legs, spine, hairs, width, seed, out_graph, out_td):
         if legs is not None:
             kw["legs"] = _int_list(legs, "--legs")
         g, td = make_instance(family, **kw)
+        _claim(out_graph, out_td)
         save_graph(g, out_graph)
         save_td(td, out_td)
         click.echo("wrote %s (n=%d) and %s (size=%d, width=%d)"
@@ -118,7 +138,14 @@ def validate_cmd(graph_path, td_path):
     _guard(run)
 
 
-def _print_report(rep, report_path):
+def _print_report(rep, report_path, *lines):
+    """Echo `lines`, then the cut's summary line, then write its JSON
+    report to `report_path` ('-' for stdout); a report file is opened
+    before anything is echoed."""
+    if report_path and report_path != "-":
+        _claim(report_path)
+    for line in lines:
+        click.echo(line)
     click.echo("n=%d m=%d width=%d bound=%.2f legible=%.2f steps=%d r=%s"
                % (rep.n, rep.m, rep.width, rep.bound, rep.legible_bound,
                   len(rep.steps), rep.r))
@@ -159,8 +186,7 @@ def cut(graph_path, td_path, m, report_path):
     def run():
         g, td = _load_valid(graph_path, td_path)
         b, rep = exact_size_cut_linear(g, td, m)
-        click.echo("B = %s" % " ".join(map(str, b)))
-        _print_report(rep, report_path)
+        _print_report(rep, report_path, "B = %s" % " ".join(map(str, b)))
     _guard(run)
 
 

@@ -77,7 +77,7 @@ def doubling_step(pl, m, ops=None):
     remainder set Z. The labeling then shrinks in place to the instance
     induced by Z (labels reassigned in ascending old-label order, path list
     pruned, the anchor's hanging tree dropped) by slicing its label
-    arrays; `pl.td` is left untouched.
+    arrays; `pl.clusters` is left untouched.
     """
     n = pl.n
     if type(m) is not int or not 1 <= m <= n:
@@ -149,13 +149,14 @@ def doubling_step(pl, m, ops=None):
     else:
         # hanging vertices renumbered from 1 in label order
         loc = dict(zip(av[a_i:rst_i], range(1, s_size + 1)))
-        clusters = pl.td.clusters
+        clusters = pl.clusters
         local = {i: []}
         work = 0
         for child, _ in pl.hang[i]:
             cl = clusters[child]
             local[child] = list(filter(None, map(loc.get, cl)))
             work += len(cl) + 1
+        del loc  # dead before the approximate cut's peak
         if ops is not None:
             ops.add(work)
         res = approximate_cut(RootedTree(i, pl.hang[i], local, s_size),
@@ -246,7 +247,7 @@ class CutReport:
 
 
 def _check_coverage(pl, n):
-    if pl.td.graph_n > n and max(pl.vertex_of) > n:
+    if pl.graph_n > n and max(pl.vertex_of) > n:
         raise InvalidDecomposition("vertex %d lies outside the graph's 1..%d"
                                    % (max(pl.vertex_of), n))
     if pl.n != n:
@@ -317,7 +318,11 @@ def exact_size_cut_linear(g, td0, m):
     ops = OpsCounter()
     t_start = time.perf_counter()
     norm = make_nonredundant(td0, ops=ops)
+    t = norm.size
     pl = build_plabeling(norm, ops=ops)
+    # the record holds a contracted output's neighbor lists, which no
+    # later phase reads
+    del norm
     _check_coverage(pl, g.n)
     b_total = []
     steps = []
@@ -331,7 +336,7 @@ def exact_size_cut_linear(g, td0, m):
             break
     # the first step counts the path vertices of the whole instance
     r0 = steps[0].w_before if steps else pl.relative_weight()
-    report = _finish(g, norm.size, m, b_total, steps, r0, ops, t_start)
+    report = _finish(g, t, m, b_total, steps, r0, ops, t_start)
     return report.b_vertices, report
 
 

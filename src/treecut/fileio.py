@@ -16,6 +16,9 @@ from .util import no_gc
 
 @no_gc
 def parse_graph(text):
+    if not isinstance(text, str):
+        raise GraphFormatError("graph text must be a str, not %s"
+                               % type(text).__name__)
     edges = []
     n = m = None
     for raw in text.splitlines():

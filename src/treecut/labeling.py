@@ -22,14 +22,19 @@ class PLabeling:
     label lab, `flags[lab]` is 1 when that vertex lies in a path cluster,
     else 0, and `node_at[lab]` is the path node whose block holds the label
     (index 0 of the three holds 0). A doubling step shrinks the instance
-    by slicing the three arrays to the remainder's labels.
+    by slicing the three arrays to the remainder's labels. `clusters` and
+    `graph_n` are the labeled decomposition's; the labeling keeps no other
+    part of it, so a contracted output's neighbor lists die with the
+    normalization record.
     """
 
-    __slots__ = ("td", "n", "vertex_of", "flags", "node_at", "path_nodes",
-                 "hang")
+    __slots__ = ("clusters", "graph_n", "n", "vertex_of", "flags", "node_at",
+                 "path_nodes", "hang")
 
-    def __init__(self, td, n, vertex_of, flags, node_at, path_nodes, hang):
-        self.td = td
+    def __init__(self, clusters, graph_n, n, vertex_of, flags, node_at,
+                 path_nodes, hang):
+        self.clusters = clusters
+        self.graph_n = graph_n
         self.n = n
         self.vertex_of = vertex_of
         self.flags = flags
@@ -71,7 +76,7 @@ class PLabeling:
 
 def build_plabeling(norm, ops=None):
     """Construct the label arrays for the heaviest path of normalization's
-    record `norm`; the labeling's `td` is `norm.td`.
+    record `norm`; the labeling keeps `norm.td`'s clusters and graph_n.
 
     A record whose normalization sweep covered every vertex needs no
     cluster read: its tree is the heaviest path, labeled from the smallest
@@ -105,8 +110,8 @@ def build_plabeling(norm, ops=None):
                                                hang)
     if ops is not None:
         ops.add(work)
-    return PLabeling(td, len(vertex_of) - 1, vertex_of, flags, node_at, path,
-                     hang)
+    return PLabeling(clusters, td.graph_n, len(vertex_of) - 1, vertex_of,
+                     flags, node_at, path, hang)
 
 
 def _hanging_trees(path, order, parents):
@@ -148,8 +153,9 @@ def _covering_labeling(norm, path, ops):
     norm.path_node_of = None  # by vertex; the labeling keeps node_at only
     if ops is not None:
         ops.add(n + len(path))
-    return PLabeling(norm.td, n, vertex_of, b"\0" + b"\1" * n, node_at, path,
-                     {i: [] for i in path})
+    td = norm.td
+    return PLabeling(td.clusters, td.graph_n, n, vertex_of,
+                     b"\0" + b"\1" * n, node_at, path, {i: [] for i in path})
 
 
 def _assign_labels(clusters, n0, path, hang):

@@ -76,6 +76,7 @@ class TreeDecomposition:
                     stack.append(w)
         if len(seen) != len(nodes):
             raise DecompositionFormatError("decomposition tree is not connected")
+        del seen  # before the cluster copies
         cl = {}
         for i in nodes:
             try:
@@ -146,6 +147,7 @@ class TreeDecomposition:
             clusters = {rec["id"]: rec["cluster"] for rec in obj["nodes"]}
             edges = [tuple(e) for e in obj["edges"]]
             graph_n = obj.get("graph_n")
+            del obj  # its node records and edge lists, before the copies
             if graph_n is None:
                 graph_n = max((x for c in clusters.values() for x in c),
                               default=0)

@@ -148,9 +148,9 @@ def restricted_td(pl):
             nodes.append(child)
             edges.append((par, child))
     current = set(current_vertices(pl))
-    clusters = {i: [x for x in pl.td.clusters[i] if x in current]
+    clusters = {i: [x for x in pl.clusters[i] if x in current]
                 for i in nodes}
-    return TreeDecomposition(nodes, edges, clusters, pl.td.graph_n)
+    return TreeDecomposition(nodes, edges, clusters, pl.graph_n)
 
 
 def debug_dump(pl):
@@ -169,7 +169,8 @@ class VertexLabeling:
     `path_node_of` are indexed by vertex, `vertex_of` by label. Entries of
     vertices that left the instance go stale, as they did then. The
     reference step and scans below read and shrink this form."""
-    td: object
+    clusters: object
+    graph_n: int
     n: int
     label_of: list
     vertex_of: list
@@ -184,7 +185,7 @@ def per_vertex(pl):
     `vertex_of`, `flags` and `node_at` turned into arrays by vertex, with
     0 for every vertex outside the current instance. The lists are new,
     the hanging trees `pl`'s own."""
-    n0 = pl.td.graph_n
+    n0 = pl.graph_n
     label_of = [0] * (n0 + 1)
     is_pv = bytearray(n0 + 1)
     path_node_of = [0] * (n0 + 1)
@@ -192,15 +193,15 @@ def per_vertex(pl):
         label_of[x] = lab
         is_pv[x] = pl.flags[lab]
         path_node_of[x] = pl.node_at[lab]
-    return VertexLabeling(pl.td, pl.n, label_of, list(pl.vertex_of), is_pv,
-                          path_node_of, list(pl.path_nodes), pl.hang)
+    return VertexLabeling(pl.clusters, n0, pl.n, label_of, list(pl.vertex_of),
+                          is_pv, path_node_of, list(pl.path_nodes), pl.hang)
 
 
 def by_label(ref):
     """The PLabeling of VertexLabeling `ref`: flags and path nodes
     gathered over its current labels."""
     vertex_of = list(ref.vertex_of)
-    return PLabeling(ref.td, ref.n, vertex_of,
+    return PLabeling(ref.clusters, ref.graph_n, ref.n, vertex_of,
                      bytes(map(ref.is_path_vertex.__getitem__, vertex_of)),
                      list(map(ref.path_node_of.__getitem__, vertex_of)),
                      ref.path_nodes, ref.hang)
@@ -248,9 +249,9 @@ def two_pass_plabeling(td, path_nodes=None, ops=None):
     if ops is not None:
         ops.add(work)
     label_of, vertex_of, path_node_of = labels
-    return by_label(VertexLabeling(td, len(vertex_of) - 1, label_of,
-                                   vertex_of, is_pv, path_node_of, path,
-                                   hang))
+    return by_label(VertexLabeling(clusters, td.graph_n, len(vertex_of) - 1,
+                                   label_of, vertex_of, is_pv, path_node_of,
+                                   path, hang))
 
 
 def _two_pass_assign(clusters, n0, path, is_pv, hang):
@@ -801,7 +802,8 @@ def ref_doubling_step(pl, m, ops=None):
     Returns the vertices added to B and, unless the step was direct, the
     remainder set Z. The labeling then shrinks in place to the instance
     induced by Z (labels reassigned in ascending old-label order, path list
-    pruned, the anchor's hanging tree dropped); `pl.td` is left untouched.
+    pruned, the anchor's hanging tree dropped); `pl.clusters` is left
+    untouched.
     """
     n = pl.n
     if type(m) is not int or not 1 <= m <= n:
@@ -872,13 +874,13 @@ def ref_doubling_step(pl, m, ops=None):
         local = {i: []}  # hanging vertices renumbered from 1 in label order
         for child, _ in pl.hang[i]:
             cl = []
-            for x in pl.td.clusters[child]:
+            for x in pl.clusters[child]:
                 lab = al[x]
                 if a_i <= lab < rst_i and av[lab] == x:
                     cl.append(lab - a_i + 1)
             local[child] = cl
             if ops is not None:
-                ops.add(len(pl.td.clusters[child]) + 1)
+                ops.add(len(pl.clusters[child]) + 1)
         res = approximate_cut(RootedTree(i, pl.hang[i], local, s_size),
                               mt, c, ops=ops)
         b2 = [av[k + a_i - 1] for k in res.b_vertices]

@@ -25,7 +25,7 @@ from treecut.generators import (
     random_graph_with_td,
     random_tree,
 )
-from treecut.graph import cut_width, max_degree
+from treecut.graph import Graph, cut_width, max_degree
 from treecut.treedec import (
     TreeDecomposition,
     make_nonredundant,
@@ -130,6 +130,47 @@ def test_subtree_weights_match_the_dfs_reference(td, rnd):
                                    td.graph_n)
         _assert_same_weights(ref_td, RootedTree(w, pairs, td.clusters,
                                                 td.graph_n))
+
+
+def test_children_of_a_tie_heavy_rerooted_tree_follow_the_bucket_order():
+    """Many siblings of equal reduced weight under two hubs, listed from
+    node 100 but re-rooted at node 1 two levels down, and a total far above
+    the node count, so most weights hold no node: the chained counting sort
+    orders children as the reference's buckets do."""
+    clusters = {100: list(range(1, 301))}  # 300 vertices, far above 63 nodes
+    edges = []
+    nxt = 301
+
+    def add(node, parent, shared, fresh):
+        nonlocal nxt
+        clusters[node] = [shared, *range(nxt, nxt + fresh)]
+        edges.append((parent, node))
+        nxt += fresh
+
+    add(50, 100, 1, 1)                          # hub 1, vertex 301
+    for k in range(30):                         # reduced 3, every third 5
+        add(51 + k, 50, 301, 5 if k % 3 == 1 else 3)
+    for k in range(20):                         # hub 100: reduced 2 each
+        add(101 + k, 100, 2, 2)
+    add(3, 100, 3, 2)                           # re-rooting chain 1 - 3 - 100
+    add(1, 3, nxt - 1, 2)
+    own = nxt - 1
+    for k in range(8):                          # ties under the new root too
+        add(200 + k, 1, own, 1)
+    td = TreeDecomposition(list(clusters), edges, clusters, nxt - 1)
+    assert validate(Graph(nxt - 1, []), td).ok
+    pairs = _hanging_walk(td, 100)
+    ref_td = TreeDecomposition([100] + [c for c, _ in pairs],
+                               [(p, c) for c, p in pairs], clusters, nxt - 1)
+    tree = RootedTree(100, pairs, clusters, nxt - 1)
+    _assert_same_weights(ref_td, tree)
+    sw = compute_subtree_weights(tree)
+    reduced = _by_node(sw, sw.reduced)
+    assert sw.nodes[0] == 1
+    assert sw.total[0] > 5 * len(sw.nodes)
+    assert len(set(sw.reduced)) < len(sw.nodes) // 4
+    hub = _children_by_node(sw)[50]
+    assert [reduced[j] for j in hub] == [5] * 10 + [3] * 20
 
 
 def test_p6_half():

@@ -364,6 +364,42 @@ def test_output_under_a_missing_directory_exits_2(tmp_path, args):
     assert not missing.parent.exists()
 
 
+@pytest.mark.parametrize("args, echoed", [
+    (["gen", "--family", "path", "--n", "30", "--out-graph", "{out}.edges",
+      "--out-td", "{missing}"], "wrote"),
+    (["bisect", "--graph", "{graph}", "--td", "{td}", "--report",
+      "{missing}"], "width="),
+    (["cut", "--graph", "{graph}", "--td", "{td}", "--m", "2",
+      "--report", "{missing}"], "B ="),
+])
+def test_an_output_that_cannot_be_opened_writes_nothing(tmp_path, args,
+                                                        echoed):
+    """Every output is opened before any is written: a failing command
+    leaves no file behind and prints nothing on stdout."""
+    g = path_graph(30)
+    gp, tp = _write_instance(tmp_path, g, tree_to_width1_td(g))
+    missing = tmp_path / "no-such-dir" / "out.txt"
+    args = [a.format(graph=gp, td=tp, missing=missing, out=tmp_path / "out")
+            for a in args]
+    before = sorted(tmp_path.iterdir())
+    res = CliRunner().invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert "error:" in res.output
+    assert echoed not in res.output
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_gen_keeps_an_existing_output_when_another_cannot_be_opened(
+        tmp_path):
+    gp = tmp_path / "g.edges"
+    gp.write_text("kept")
+    res = CliRunner().invoke(main, [
+        "gen", "--family", "path", "--n", "4", "--out-graph", str(gp),
+        "--out-td", str(tmp_path / "no-such-dir" / "t.json")])
+    assert res.exit_code == 2, res.output
+    assert gp.read_text() == "kept"
+
+
 def test_report_dash_still_writes_to_stdout(tmp_path):
     g = path_graph(4)
     gp, tp = _write_instance(tmp_path, g, tree_to_width1_td(g))

@@ -111,8 +111,8 @@ RAISING = {
     "from_json": lambda p, mp: (
         mp.setattr(treedec, "json", SimpleNamespace(loads=p)),
         TreeDecomposition.from_json(TD_TEXT)),
-    "parse_graph": lambda p, mp: fileio.parse_graph(
-        SimpleNamespace(splitlines=p)),
+    "parse_graph": lambda p, mp: (mp.setattr(fileio, "Graph", p),
+                                  fileio.parse_graph(G_TEXT)),
     "graph_from_json": lambda p, mp: (
         mp.setattr(fileio, "json", SimpleNamespace(loads=p)),
         fileio.graph_from_json(G_JSON)),

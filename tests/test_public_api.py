@@ -13,7 +13,7 @@ from treecut.errors import (
     EmptyDecomposition,
     GraphFormatError,
 )
-from treecut.fileio import graph_from_json
+from treecut.fileio import graph_from_json, parse_graph
 from treecut.generators import path_graph
 from treecut.labeling import PLabeling
 
@@ -83,7 +83,8 @@ def test_one_input_shape_per_function(func, params):
     assert list(inspect.signature(func).parameters) == params
 
 
-# an object of the wrong kind, not a malformed one, handed to a public name;
+# an object of the wrong kind, not a malformed one, handed to a public name
+# (graph text that is not a str included);
 # a decomposition whose clusters are all empty, which heaviest_path rejects
 # as normalization does; and JSON nested deeper than the decoder recurses
 @pytest.mark.parametrize("call, error", [
@@ -100,10 +101,14 @@ def test_one_input_shape_per_function(func, params):
     (lambda: treecut.TreeDecomposition.from_json("[" * 100000),
      DecompositionFormatError),
     (lambda: graph_from_json("[" * 100000), GraphFormatError),
+    (lambda: parse_graph(b"2 1\n1 2\n"), GraphFormatError),
+    (lambda: parse_graph(None), GraphFormatError),
+    (lambda: parse_graph(5), GraphFormatError),
 ], ids=["validate-g", "validate-td", "make_nonredundant", "heaviest_path",
         "cut_width", "max_degree", "tree_to_width1_td",
         "longest_path_in_tree", "heaviest_path-empty", "from_json-deep",
-        "graph_from_json-deep"])
+        "graph_from_json-deep", "parse_graph-bytes", "parse_graph-None",
+        "parse_graph-int"])
 def test_public_names_reject_arguments_of_the_wrong_kind(call, error):
     with pytest.raises(error):
         call()

@@ -2,13 +2,21 @@ import copy
 import json
 import random
 import sys
+import weakref
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import Phase, find, given, settings, strategies as st
+from hypothesis import (
+    Phase,
+    assume,
+    find,
+    given,
+    settings,
+    strategies as st,
+)
 
 from helpers import (
     acceptance_corpus,
@@ -30,7 +38,7 @@ from helpers import (
     y_shaped_td,
 )
 from treecut import engine, treedec
-from treecut.engine import exact_size_cut_linear
+from treecut.engine import doubling_step, exact_size_cut_linear
 from treecut.errors import DecompositionFormatError, EmptyDecomposition
 from treecut.generators import (
     grid_td,
@@ -42,7 +50,7 @@ from treecut.generators import (
     ternary_tree,
 )
 from treecut.graph import Graph, longest_path_in_tree
-from treecut.labeling import build_plabeling
+from treecut.labeling import PLabeling, build_plabeling
 from treecut.treedec import (
     TreeDecomposition,
     WeightReport,
@@ -308,6 +316,57 @@ def test_heavy_end_matches_the_node_sweep_random(inst):
     _check_heavy_end(inst[1])
 
 
+def _reachable(pl):
+    """Ids of the containers reachable from labeling `pl` through its slots
+    and through lists, tuples, dicts and sets."""
+    seen = set()
+    stack = [getattr(pl, name) for name in PLabeling.__slots__]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or not isinstance(obj, (list, tuple, dict, set)):
+            continue
+        seen.add(id(obj))
+        stack.extend(obj.values() if isinstance(obj, dict) else obj)
+        if isinstance(obj, dict):
+            stack.extend(obj)
+    return seen
+
+
+@settings(max_examples=80, deadline=None)
+@given(redundant_tds(), st.data())
+def test_a_cut_keeps_no_neighbor_lists_past_the_labeling(inst, data):
+    """From its first doubling step on, a cut of a contracting input holds
+    neither normalization's record nor, through its labeling, any of the
+    contracted output's neighbor lists; and the caller's decomposition
+    comes out unchanged."""
+    g, td = inst
+    m = data.draw(st.integers(1, g.n))
+    before = copy.deepcopy((td.nodes, td.neighbors, td.clusters, td.graph_n))
+    seen = {"steps": 0}
+
+    def label(norm, ops=None):
+        seen["record"] = weakref.ref(norm)
+        seen["contracted"] = norm.td is not td
+        nbrs = norm.td.neighbors
+        seen["neighbors"] = [nbrs, *(nbrs.values() if isinstance(nbrs, dict)
+                                     else nbrs)]
+        return build_plabeling(norm, ops=ops)
+
+    def step(pl, m, ops=None):
+        seen["steps"] += 1
+        assert seen["record"]() is None
+        reachable = _reachable(pl)
+        assert not any(id(x) in reachable for x in seen["neighbors"])
+        return doubling_step(pl, m, ops=ops)
+
+    with mock.patch.object(engine, "build_plabeling", label), \
+            mock.patch.object(engine, "doubling_step", step):
+        exact_size_cut_linear(g, td, m)
+    assume(seen["contracted"])
+    assert seen["steps"] >= 1
+    assert (td.nodes, td.neighbors, td.clusters, td.graph_n) == before
+
+
 def test_corpus_cuts_run_no_recording_sweep(monkeypatch):
     """Normalization hands every cut its first sweep, so no cut reads the
     clusters again for one."""
@@ -506,7 +565,8 @@ def test_covering_labeling_matches_two_pass_reference_from_the_smallest_node(
         return
     pl = build_plabeling(rec)
     ref = two_pass_plabeling(td, _path_from(td, min(td.nodes)))
-    assert pl.td is ref.td is td
+    assert pl.clusters is ref.clusters is td.clusters
+    assert pl.graph_n == ref.graph_n == td.graph_n
     assert pl.n == ref.n == td.graph_n
     assert pl.vertex_of == ref.vertex_of
     assert pl.flags == ref.flags
