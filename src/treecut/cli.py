@@ -103,6 +103,9 @@ def main():
 def gen(family, n, h, k, legs, spine, hairs, width, seed, out_graph, out_td):
     """Generate an instance: a graph and a decomposition for it."""
     def run():
+        if os.path.realpath(out_graph) == os.path.realpath(out_td):
+            raise click.BadParameter("--out-graph and --out-td both name %s"
+                                     % out_td)
         kw = {"seed": seed}
         for key, val in (("n", n), ("h", h), ("k", k), ("spine", spine),
                          ("hairs", hairs), ("width", width)):

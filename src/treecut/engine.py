@@ -269,6 +269,13 @@ def _check_kinds(g, td):
 _FLIP = bytes([1, 0]) + bytes(range(2, 256))  # swaps the two sides
 
 
+def _other_side(side):
+    """The side array of the vertices that `side` leaves unmarked."""
+    other = side.translate(_FLIP)
+    other[0] = 0  # the unused id 0 stays on neither side
+    return other
+
+
 def _finish(g, t, m, b_total, steps, r0, ops, t_start):
     if len(b_total) != m:
         raise InternalInvariant("cut has %d vertices, wanted %d"
@@ -287,8 +294,7 @@ def _finish(g, t, m, b_total, steps, r0, ops, t_start):
     if 0 < m < n:
         small = side
         if 2 * m > n:  # the same width, summed over the smaller side
-            small = side.translate(_FLIP)
-            small[0] = 0
+            small = _other_side(side)
         width = cut_width(g, small)
     delta = max_degree(g)
     bound = bound_value(t, delta, r0)
@@ -298,11 +304,11 @@ def _finish(g, t, m, b_total, steps, r0, ops, t_start):
     return CutReport(g.n, m, t, delta, r0, width, bound,
                      legible_bound(t, delta, r0), steps, ops.total,
                      time.perf_counter() - t_start,
-                     list(itertools.compress(range(n + 1), side)))
+                     list(itertools.compress(range(n + 1), side))), side
 
 
 @no_gc
-def exact_size_cut_linear(g, td0, m):
+def exact_size_cut_linear(g, td0, m, *, _side=False):
     """Cut with exactly m vertices on one side, one labeling build.
 
     The labeling is constructed once and shrunk in place after every step,
@@ -310,7 +316,9 @@ def exact_size_cut_linear(g, td0, m):
     sorted cut side and a CutReport. A `g` that is not a Graph raises
     GraphFormatError, a `td0` that is not a TreeDecomposition
     DecompositionFormatError, and an m that is not an int in 0..n, a bool
-    included, BadSize. `td0` is not written to.
+    included, BadSize. `td0` is not written to. `_side`, which
+    minimum_bisection sets, returns in place of the cut side the array
+    that marks it (1 at each of its vertices, index 0 unused).
     """
     _check_kinds(g, td0)
     if type(m) is not int or not 0 <= m <= g.n:
@@ -320,9 +328,7 @@ def exact_size_cut_linear(g, td0, m):
     norm = make_nonredundant(td0, ops=ops)
     t = norm.size
     pl = build_plabeling(norm, ops=ops)
-    # the record holds a contracted output's neighbor lists, which no
-    # later phase reads
-    del norm
+    del norm  # no later phase reads the record
     _check_coverage(pl, g.n)
     b_total = []
     steps = []
@@ -336,8 +342,9 @@ def exact_size_cut_linear(g, td0, m):
             break
     # the first step counts the path vertices of the whole instance
     r0 = steps[0].w_before if steps else pl.relative_weight()
-    report = _finish(g, t, m, b_total, steps, r0, ops, t_start)
-    return report.b_vertices, report
+    del pl  # nothing after the steps reads the labeling
+    report, side = _finish(g, t, m, b_total, steps, r0, ops, t_start)
+    return side if _side else report.b_vertices, report
 
 
 def minimum_bisection(g, td):
@@ -346,10 +353,6 @@ def minimum_bisection(g, td):
     Raises like exact_size_cut_linear on a `g` or `td` of the wrong type.
     """
     _check_kinds(g, td)
-    b, report = exact_size_cut_linear(g, td, g.n // 2)
-    in_w = bytearray(b"\x01") * (g.n + 1)  # 0 marks B and the unused id 0
-    in_w[0] = 0
-    for v in b:
-        in_w[v] = 0
-    w = list(itertools.compress(range(g.n + 1), in_w))
-    return (b, w), report
+    side, report = exact_size_cut_linear(g, td, g.n // 2, _side=True)
+    w = itertools.compress(range(g.n + 1), _other_side(side))
+    return (report.b_vertices, list(w)), report

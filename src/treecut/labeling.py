@@ -22,10 +22,12 @@ class PLabeling:
     label lab, `flags[lab]` is 1 when that vertex lies in a path cluster,
     else 0, and `node_at[lab]` is the path node whose block holds the label
     (index 0 of the three holds 0). A doubling step shrinks the instance
-    by slicing the three arrays to the remainder's labels. `clusters` and
-    `graph_n` are the labeled decomposition's; the labeling keeps no other
-    part of it, so a contracted output's neighbor lists die with the
-    normalization record.
+    by slicing the three arrays to the remainder's labels. `path_nodes`
+    lists the path in label order, and `hang` maps a path node to the
+    (child, parent) pairs of the trees hanging from it; a node without a
+    key has none, as on a covering labeling, whose steps are all direct.
+    `clusters` and `graph_n` are the labeled decomposition's; the labeling
+    keeps no other part of it.
     """
 
     __slots__ = ("clusters", "graph_n", "n", "vertex_of", "flags", "node_at",
@@ -76,12 +78,14 @@ class PLabeling:
 
 def build_plabeling(norm, ops=None):
     """Construct the label arrays for the heaviest path of normalization's
-    record `norm`; the labeling keeps `norm.td`'s clusters and graph_n.
+    record `norm`; the labeling keeps `norm.td`'s clusters and graph_n,
+    and the record drops `td` once heaviest_path has run, so a contracted
+    output's neighbor lists die before the label arrays are allocated.
 
     A record whose normalization sweep covered every vertex needs no
     cluster read: its tree is the heaviest path, labeled from the smallest
-    node in the order the sweep met the vertices, with every vertex a path
-    vertex and no hanging tree.
+    node in the orders the sweep met the nodes and the vertices, with
+    every vertex a path vertex and no hanging tree.
 
     Otherwise the path is labeled in the orientation heaviest_path's second
     sweep found, and the hanging trees are cut from that sweep's preorder,
@@ -98,19 +102,18 @@ def build_plabeling(norm, ops=None):
     which can change the relative weight and the cut; the engine still
     raises InternalInvariant on a cut wider than its bound.
     """
-    td = norm.td
     path, _ = heaviest_path(norm, ops=ops)
+    clusters, graph_n = norm.td.clusters, norm.td.graph_n
+    norm.td = None
     if norm.vertex_of is not None:
-        return _covering_labeling(norm, path[::-1], ops)
+        return _covering_labeling(norm, clusters, graph_n, ops)
     hang = _hanging_trees(path, *norm.second_sweep)
     norm.second_sweep = None  # gone before the label arrays are allocated
-    clusters = td.clusters
-    work = len(td.nodes) + sum(map(len, map(clusters.__getitem__, path)))
-    vertex_of, flags, node_at = _assign_labels(clusters, td.graph_n, path,
-                                               hang)
+    work = len(norm.nodes) + sum(map(len, map(clusters.__getitem__, path)))
+    vertex_of, flags, node_at = _assign_labels(clusters, graph_n, path, hang)
     if ops is not None:
         ops.add(work)
-    return PLabeling(clusters, td.graph_n, len(vertex_of) - 1, vertex_of,
+    return PLabeling(clusters, graph_n, len(vertex_of) - 1, vertex_of,
                      flags, node_at, path, hang)
 
 
@@ -144,18 +147,18 @@ def _hanging_trees(path, order, parents):
     return hang
 
 
-def _covering_labeling(norm, path, ops):
-    """The labeling of a path from its smallest node, from the vertex order
-    of the normalization sweep that covered every vertex."""
-    vertex_of = norm.vertex_of
+def _covering_labeling(norm, clusters, graph_n, ops):
+    """The labeling of a path from its smallest node, from the node and
+    vertex orders of the normalization sweep that covered every vertex.
+    Every step on it is direct, so it holds no hanging trees."""
+    vertex_of, path = norm.vertex_of, norm.path
     n = len(vertex_of) - 1
     node_at = list(map(norm.path_node_of.__getitem__, vertex_of))
     norm.path_node_of = None  # by vertex; the labeling keeps node_at only
     if ops is not None:
         ops.add(n + len(path))
-    td = norm.td
-    return PLabeling(td.clusters, td.graph_n, n, vertex_of,
-                     b"\0" + b"\1" * n, node_at, path, {i: [] for i in path})
+    return PLabeling(clusters, graph_n, n, vertex_of, b"\0" + b"\1" * n,
+                     node_at, path, {})
 
 
 def _assign_labels(clusters, n0, path, hang):

@@ -303,20 +303,27 @@ class Normalized:
     also covered all graph_n vertices, the tree is the path from the
     smallest node to `heavy_end`, and the sweep met the vertices in the
     order of that path's labeling oriented from the smallest node:
-    `vertex_of` lists them from index 1, and `path_node_of[x]` is the node
-    that first held x (index 0 of both holds 0); build_plabeling reads
-    `path_node_of` by label and drops it. Both are None otherwise.
+    `vertex_of` lists them from index 1, `path_node_of[x]` is the node
+    that first held x (index 0 of both holds 0), and `path` lists the
+    nodes in the order the sweep met them, which is that path from the
+    smallest node; build_plabeling reads `path_node_of` by label and drops
+    it. All three are None otherwise.
 
-    The two sweep fields live only until the phase after the one that
-    fills them. `first_sweep` holds that first sweep's records on every
-    record that did not cover: each node's fresh count (the vertices it
-    added that no earlier node held) and its tree parent (None at the
-    smallest node), as dicts after a pass-through and as lists indexed by
-    id after a contraction; None on a covering record. heaviest_path reads
-    and drops it. `second_sweep` is what heaviest_path's node sweep leaves
-    for the labeling: its preorder from the path's first node and the
-    parent of each entry, as two lists aligned by position; build_plabeling
-    reads and drops it before it allocates its label arrays.
+    `td` and the two sweep fields live only until the phase after the one
+    that fills them; build_plabeling drops `td` once heaviest_path has
+    run. `first_sweep` holds that first sweep's records on every record
+    that did not cover, as a pair: each node's fresh count (the vertices
+    it added that no earlier node held) and tree parents (None at the
+    smallest node). After a contraction both are lists indexed by id.
+    After a pass-through the counts are a dict by node, and the parents a
+    dict over the chain from `heavy_end` up to the smallest node alone,
+    the only parents the second sweep reads; normalization finds that
+    chain by one backward scan of its pass order (_chain). None on a
+    covering record. heaviest_path reads and drops it. `second_sweep` is
+    what heaviest_path's node sweep leaves for the labeling: its preorder
+    from the path's first node and the parent of each entry, as two lists
+    aligned by position; build_plabeling reads and drops it before it
+    allocates its label arrays.
     """
     td: TreeDecomposition | _IdLists
     nodes: list
@@ -324,6 +331,7 @@ class Normalized:
     heavy_end: int | None = None
     vertex_of: list | None = None
     path_node_of: list | None = None
+    path: list | None = None
     first_sweep: tuple | None = None
     second_sweep: tuple | None = None
 
@@ -367,14 +375,18 @@ def normalize(td, ops=None):
     records of heaviest_path's first sweep, which the record keeps as
     `first_sweep`. When no node joined another's class, the record holds
     `td` itself. Every node then heads its own class, the pass is exactly
-    that first sweep, and its endpoint is the record's `heavy_end`. If its
-    weight reached graph_n, every node but the root added a vertex unseen
-    before, so all nodes lie on the path from the root to `heavy_end`: the
-    tree is that path, whether or not cluster connectivity holds, and the
-    pass met the vertices in that path's label order. The pass lists them
-    only when the node degrees allow that shape (the root's at most 1,
-    every other at most 2), so other trees pay nothing for it, and such a
-    covering record needs no sweep records.
+    that first sweep, and its endpoint is the record's `heavy_end`; of the
+    parents, the record keeps those on the chain from `heavy_end` up to
+    the root. If its weight reached graph_n, every node but the root added
+    a vertex unseen before, so all nodes lie on the path from the root to
+    `heavy_end`: the tree is that path, whether or not cluster
+    connectivity holds, and the pass met the nodes in that path's order
+    and the vertices in its label order. The pass lists the vertices only
+    when the node degrees allow that shape (the root's at most 1, every
+    other at most 2), so other trees pay nothing for it, and such a
+    covering record needs no sweep records. Every container of the pass
+    that the record does not keep dies before normalize returns, and a
+    contraction drops its node-to-class maps before the class weights.
 
     When some node joined another's class, the record holds a new
     decomposition with dense node ids 1..k, one per class in the order the
@@ -447,16 +459,19 @@ def normalize(td, ops=None):
                 push((j, i, w, c))
     if ops is not None:
         ops.add(work)
+    if not joined and best_w == td.graph_n and met is not None:
+        first[0] = 0
+        return Normalized(td, td.nodes, size, best, met, first, path=roots)
+    del first, met  # read by a covering record alone
     if not joined:
-        if best_w == td.graph_n and met is not None:
-            first[0] = 0
-            return Normalized(td, td.nodes, size, best, met, first)
-        fresh_of = dict(zip(roots, fresh_of))
-        up = dict(zip(roots, up))
-        return Normalized(td, td.nodes, size, best,
-                          first_sweep=(fresh_of, up))
+        # the only parents the second sweep reads: those up from `best`
+        chain = _chain(roots, up, roots.index(best))
+        del up
+        return Normalized(td, td.nodes, size, best, first_sweep=(
+            dict(zip(roots, fresh_of)), dict(zip(chain, [*chain[1:], None]))))
     ids = list(range(1, len(roots) + 1))
     id_of = {i: ids[c] for i, c in joined.items()}
+    del joined
     id_of.update(zip(roots, ids))
     out_neighbors = [[] for _ in range(len(roots) + 1)]
     for a in td.nodes:
@@ -468,9 +483,11 @@ def normalize(td, ops=None):
                     out_neighbors[fa].append(fb)
                     out_neighbors[fb].append(fa)
     heads = list(map(clusters.__getitem__, roots))
+    del roots
     out = _IdLists(ids, out_neighbors, [None, *heads], td.graph_n)
-    fresh_of = [0, *fresh_of]
     up = [None, None, *map(id_of.__getitem__, up[1:])]
+    del id_of
+    fresh_of = [0, *fresh_of]
     # class ids follow start order, so a parent class precedes its children
     weight = fresh_of[:]
     for c in range(2, len(weight)):
@@ -575,36 +592,49 @@ def _node_dfs(neighbors, fresh, start, ops=None):
 
 
 def _sweep_from(td, fresh, parent, start, ops=None):
-    """Heaviest path from `start`, from a recording sweep's records.
+    """Heaviest path from `start`, from a first sweep's records.
 
     Re-rooting at `start` changes the tree parent only on the chain from
-    `start` up to the records' root. There, under cluster connectivity,
-    a node j whose old child c becomes its parent has the fresh count
-    |C_j \\ C_c| = |C_j| - |C_c| + fresh_old(c), and `start` itself
-    |C_start|, so the records are turned around in place reading cluster
-    lengths only; the sweep that follows is _node_dfs. Returns (path,
-    weight, (preorder, parents)), the path from `start` to the sweep's end.
+    `start` up to the records' root, the only entries of `parent` read.
+    There, under cluster connectivity, a node j whose old child c becomes
+    its parent has the fresh count |C_j \\ C_c| = |C_j| - |C_c| +
+    fresh_old(c), and `start` itself |C_start|, so the fresh counts are
+    turned around in place reading cluster lengths only; no parent is
+    rewritten. The sweep that follows is _node_dfs, and the path from
+    `start` to its end is read back from that sweep's own preorder by one
+    backward scan (_chain). Returns (path, weight, (preorder, parents)).
     The ops count one per chain step and one per node swept.
     """
     clusters = td.clusters
     below, below_fresh = start, fresh[start]
     fresh[start] = len(clusters[start])
-    j, parent[start] = parent[start], None
+    j = parent[start]
     hops = 0
     while j is not None:
-        up, was = parent[j], fresh[j]
+        was = fresh[j]
         fresh[j] = len(clusters[j]) - len(clusters[below]) + below_fresh
-        parent[j] = below
-        below, below_fresh, j = j, was, up
+        below, below_fresh, j = j, was, parent[j]
         hops += 1
     if ops is not None:
         ops.add(hops)
     end, weight, order, parents = _node_dfs(td.neighbors, fresh, start, ops)
-    path = [end]
-    while path[-1] != start:
-        path.append(parent[path[-1]])
+    path = _chain(order, parents, order.index(end))
     path.reverse()
     return path, weight, (order, parents)
+
+
+def _chain(order, parents, q):
+    """`order[q]` and its tree ancestors up to `order[0]`, from a DFS
+    preorder and each entry's parent. A node's parent is the one entry
+    equal to it before the node, so it is found scanning backward from the
+    node, and all the ancestors by one backward scan from q."""
+    chain = [order[q]]
+    p = parents[q]
+    for k in range(q - 1, -1, -1):
+        if order[k] == p:
+            chain.append(p)
+            p = parents[k]
+    return chain
 
 
 def heaviest_path(td, ops=None):
@@ -621,26 +651,28 @@ def heaviest_path(td, ops=None):
     `td` is a TreeDecomposition, on which both sweeps run. Or it is the
     Normalized record of one, trusted as normalization built it, whose
     pass was the first sweep: the second sweep starts at its `heavy_end`
-    from its `first_sweep` records, and drops them. Its preorder and
-    parents go to the record's `second_sweep`, for the labeling to cut the
-    hanging trees from. When normalization's pass also covered every
-    vertex (the record's `vertex_of` is set), every node but the smallest
-    added a vertex, so weights rise strictly along the tree, which is the
-    path from `heavy_end` to the smallest node; a walk along
-    `td.neighbors` returns it without reading a cluster, and there is no
+    from its `first_sweep` records, and drops them; on a pass-through
+    those records hold parents along the re-rooted chain alone, and the
+    path is read back from the second sweep's preorder by a backward scan.
+    Its preorder and parents go to the record's `second_sweep`, for the
+    labeling to cut the hanging trees from. When normalization's pass also
+    covered every vertex (the record's `vertex_of` is set), every node but
+    the smallest added a vertex, so weights rise strictly along the tree,
+    which is the path from `heavy_end` to the smallest node: the record's
+    `path` reversed, returned without reading a cluster, and there is no
     preorder. Any other `td` raises DecompositionFormatError, and one
     whose clusters are all empty EmptyDecomposition.
 
     Both sweeps count a node's vertices met before as already on its path,
     and a contracted output's records sum the counts of each class's
     members; cluster connectivity makes both exact. Without it the counts
-    can differ from the path's union; the walked path can then be longer
+    can differ from the path's union; the covering path can then be longer
     than a sweep's, and the swept path not the heaviest.
     """
     if isinstance(td, Normalized):
         norm, td = td, td.td
         if norm.vertex_of is not None:
-            path = _walk_path(td, norm.heavy_end)
+            path = norm.path[::-1]
             if ops is not None:
                 ops.add(len(path))
             return path, WeightReport(td.graph_n, Fraction(1))
@@ -656,20 +688,6 @@ def heaviest_path(td, ops=None):
     if norm is not None:
         norm.second_sweep = preorder
     return path, WeightReport(weight, Fraction(weight, td.graph_n))
-
-
-def _walk_path(td, end):
-    """Nodes met walking the tree from `end` while each node has exactly one
-    neighbor not yet met; the whole tree when it is a path ending at `end`."""
-    neighbors = td.neighbors
-    path = [end]
-    prev, nbrs = None, neighbors[end]
-    while len(nbrs) - (prev is not None) == 1:
-        i = nbrs[0] if nbrs[0] != prev else nbrs[1]
-        prev = path[-1]
-        path.append(i)
-        nbrs = neighbors[i]
-    return path
 
 
 def tree_to_width1_td(g):

@@ -144,13 +144,19 @@ def restricted_td(pl):
         if k:
             edges.append((pl.path_nodes[k - 1], i))
         nodes.append(i)
-        for child, par in pl.hang[i]:
+        for child, par in pl.hang.get(i, ()):
             nodes.append(child)
             edges.append((par, child))
     current = set(current_vertices(pl))
     clusters = {i: [x for x in pl.clusters[i] if x in current]
                 for i in nodes}
     return TreeDecomposition(nodes, edges, clusters, pl.graph_n)
+
+
+def hanging_pairs(pl):
+    """Each path node of `pl` with its hanging (child, parent) pairs, in
+    path order; a node that `pl.hang` has no key for has none."""
+    return [(i, pl.hang.get(i, [])) for i in pl.path_nodes]
 
 
 def debug_dump(pl):
@@ -329,8 +335,8 @@ def exact_size_cut(g, td0, m):
                                 res.w_after))
         if res.kind == "direct":
             break
-    report = engine._finish(g, td.width() + 1, m, b_total, steps, r0, ops,
-                            t_start)
+    report, _ = engine._finish(g, td.width() + 1, m, b_total, steps, r0,
+                               ops, t_start)
     return report.b_vertices, report
 
 

@@ -407,3 +407,26 @@ def test_report_dash_still_writes_to_stdout(tmp_path):
                                     "--report", "-"])
     assert res.exit_code == 0, res.output
     assert json.loads(res.output[res.output.index("{"):])["m"] == 2
+
+
+@pytest.mark.parametrize("existing", [False, True])
+@pytest.mark.parametrize("second", ["x.json", "./x.json", "sub/../x.json"])
+def test_gen_refuses_one_file_for_both_outputs(tmp_path, monkeypatch,
+                                               existing, second):
+    """--out-graph and --out-td naming one file, however spelled, exit 2
+    with an error naming it and write nothing; a file already there keeps
+    its contents."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    if existing:
+        (tmp_path / "x.json").write_text("kept")
+    before = sorted(tmp_path.iterdir())
+    res = CliRunner().invoke(main, ["gen", "--family", "path", "--n", "5",
+                                    "--out-graph", "x.json",
+                                    "--out-td", second])
+    assert res.exit_code == 2, res.output
+    assert "error:" in res.output and second in res.output
+    assert "Traceback" not in res.output
+    assert sorted(tmp_path.iterdir()) == before
+    if existing:
+        assert (tmp_path / "x.json").read_text() == "kept"

@@ -2,6 +2,7 @@ import copy
 import functools
 import json
 import math
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,7 @@ from helpers import (
     tricut_width,
     two_pass_plabeling,
 )
-from treecut import engine
+from treecut import engine, labeling
 from treecut.engine import (
     bound_value,
     doubling_step,
@@ -47,7 +48,7 @@ from treecut.generators import (
     star_graph,
 )
 from treecut.graph import Graph, cut_width, max_degree
-from treecut.labeling import build_plabeling
+from treecut.labeling import PLabeling, build_plabeling
 from treecut.oracle import brute_force_min_cut_size_m
 from treecut.treedec import (
     TreeDecomposition,
@@ -293,10 +294,43 @@ def test_width_above_bound_is_an_internal_error(monkeypatch):
     assert exact_size_cut_linear(g, td, 0)[1].width == 0
 
 
+@pytest.mark.parametrize("family, kw", [
+    ("grid", {"k": 6}),  # a covering labeling
+    ("random-tree", {"n": 200, "seed": 3}),
+    ("random-td", {"n": 200, "width": 3, "seed": 3}),  # contracts
+])
+def test_no_labeling_outlives_the_steps(monkeypatch, family, kw):
+    """Once _finish runs, the labeling the cut built is freed: nothing
+    after the steps reads it."""
+    class Watched(PLabeling):
+        __slots__ = ("__weakref__",)
+
+    built, alive = [], []
+    build, finish = engine.build_plabeling, engine._finish
+
+    def label(norm, ops=None):
+        pl = build(norm, ops=ops)
+        built.append(weakref.ref(pl))
+        return pl
+
+    def at_finish(*args):
+        alive.extend(ref() is not None for ref in built)
+        return finish(*args)
+
+    monkeypatch.setattr(labeling, "PLabeling", Watched)
+    monkeypatch.setattr(engine, "build_plabeling", label)
+    monkeypatch.setattr(engine, "_finish", at_finish)
+    g, td = make_instance(family, **kw)
+    exact_size_cut_linear(g, td, g.n // 3)
+    assert alive == [False]
+
+
 def _finish_path6(b_total):
     g = path_graph(6)
-    return engine._finish(g, tree_to_width1_td(g).width() + 1, len(b_total),
-                          b_total, [], Fraction(1), OpsCounter(), 0.0)
+    report, _ = engine._finish(g, tree_to_width1_td(g).width() + 1,
+                               len(b_total), b_total, [], Fraction(1),
+                               OpsCounter(), 0.0)
+    return report
 
 
 def test_finish_accepts_a_valid_cut():

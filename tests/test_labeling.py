@@ -8,6 +8,7 @@ from helpers import (
     current_vertices,
     debug_dump,
     decompose_by_node,
+    hanging_pairs,
     holds,
     p6_td,
     per_vertex,
@@ -209,7 +210,8 @@ def _assert_same_arrays(pl, ref):
     assert view.path_node_of == ref_view.path_node_of
     assert view.is_path_vertex == ref_view.is_path_vertex
     assert pl.path_nodes == ref.path_nodes
-    assert pl.hang == ref.hang
+    assert set(pl.hang) <= set(pl.path_nodes)
+    assert hanging_pairs(pl) == hanging_pairs(ref)
 
 
 def _labelings_agree(td):
@@ -231,7 +233,7 @@ def _labelings_agree(td):
         assert new_ops.total == ref_ops.total
     on_path = set()
     for i in pl.path_nodes:
-        on_path.update(rec.td.clusters[i])
+        on_path.update(twin.td.clusters[i])
     assert {x for x, b in enumerate(per_vertex(pl).is_path_vertex)
             if b} == on_path
     return pl
