@@ -17,7 +17,7 @@ from .errors import (
 )
 from .graph import check_graph, cut_width
 from .treedec import check_decomposition
-from .util import no_gc
+from .util import UNCOUNTED, no_gc
 
 
 @dataclass
@@ -58,7 +58,7 @@ class SubtreeWeights:
     children: list       # child positions, heaviest reduced weight first
 
 
-def compute_subtree_weights(tree, ops=None):
+def compute_subtree_weights(tree, ops=UNCOUNTED):
     """Vertex counts per subtree, rooted at the smallest node id, with
     children pre-sorted for the greedy.
 
@@ -97,8 +97,7 @@ def compute_subtree_weights(tree, ops=None):
         total[parent[k]] += r
     reduced[0] = total[0] - reduced[0]
     work += 2 * len(nodes) - 1
-    if ops is not None:
-        ops.add(work)
+    ops.add(work)
     top = total[0]
     # counting sort chained through two int lists: first[val] is the
     # highest position of reduced weight val and after[k] the next lower
@@ -114,8 +113,7 @@ def compute_subtree_weights(tree, ops=None):
         while k:
             children[parent[k]].append(k)
             k = after[k]
-    if ops is not None:
-        ops.add(top + len(nodes))
+    ops.add(top + len(nodes))
     return SubtreeWeights(nodes, cls, total, reduced, children)
 
 
@@ -170,7 +168,7 @@ def approximate_cut(td, m, c, g=None):
     return _cut_tree(RootedTree.of(td), m, c, g)
 
 
-def _cut_tree(tree, m, c, g=None, ops=None):
+def _cut_tree(tree, m, c, g=None, ops=UNCOUNTED):
     """approximate_cut on a RootedTree the package built, with m and c
     already checked; the doubling step calls it on a hanging tree."""
     sw = compute_subtree_weights(tree, ops=ops)
@@ -210,15 +208,13 @@ def _cut_tree(tree, m, c, g=None, ops=None):
                         in_b[x] = 1
                         added += 1
                 stack.extend(kids[h])
-                if ops is not None:
-                    ops.add(len(clusters[h]) + 1)
+                ops.add(len(clusters[h]) + 1)
         # subtree sweeps also collected the current cluster; strip it
         for x in clusters[i]:
             if in_b[x]:
                 in_b[x] = 0
                 added -= 1
-        if ops is not None:
-            ops.add(len(clusters[i]))
+        ops.add(len(clusters[i]))
         if added != acc:
             raise InternalInvariant("reduced weights out of sync with sweep")
         bsize += added
@@ -240,11 +236,9 @@ def _cut_tree(tree, m, c, g=None, ops=None):
         while j is not None and y[j] >= rem:
             i = j
             j = kids[i][0] if kids[i] else None
-            if ops is not None:
-                ops.add(1)
+            ops.add(1)
     b = list(compress(range(n + 1), in_b))
-    if ops is not None:
-        ops.add(n)
+    ops.add(n)
     if not b or bsize > m:
         raise InternalInvariant("part size %d escaped (0, m]" % bsize)
     width = None if g is None else cut_width(g, in_b)

@@ -27,7 +27,7 @@ from .graph import check_graph, cut_width, max_degree
 from .labeling import build_plabeling
 # the record-returning normalizer, under the name perfbench traces
 from .treedec import check_decomposition, normalize as make_nonredundant
-from .util import OpsCounter, no_gc
+from .util import UNCOUNTED, OpsCounter, no_gc
 
 
 def _check_weight(r):
@@ -64,7 +64,7 @@ class StepResult:
     w_after: Fraction | None
 
 
-def doubling_step(pl, m, ops=None):
+def doubling_step(pl, m, ops=UNCOUNTED):
     """One step of the cut construction on the current labeling state.
 
     The step is direct when some path-cluster label has its m-shift in a
@@ -85,8 +85,7 @@ def doubling_step(pl, m, ops=None):
     av, core, node_at = pl.vertex_of, pl.flags, pl.node_at
     rtot = core.count(1)
     w_before = Fraction(rtot, n)
-    if ops is not None:
-        ops.add(n)
+    ops.add(n)
     # position p of `flags` holds the flag of label p + 1, and of `ahead`
     # the flag m labels later, read circularly
     flags = core[1:]
@@ -96,15 +95,13 @@ def doubling_step(pl, m, ops=None):
             & int.from_bytes(ahead, "little"))
     if both:
         lab = ((both & -both).bit_length() - 1) // 8 + 1
-        if ops is not None:
-            ops.add(n + m)
+        ops.add(n + m)
         return StepResult("direct", _circular(av, n, lab + 1, m), [],
                           w_before, None)
     # otherwise the path clusters cover at most half the vertices
     if 2 * rtot > n:
         raise InternalInvariant("direct case missed a crowded instance")
-    if ops is not None:
-        ops.add(4 * n)  # the failed direct scan, then the case scan
+    ops.add(4 * n)  # the failed direct scan, then the case scan
     blocks = pl.blocks()
     behind = flags[n - m:] + flags[:n - m]  # the flag m labels earlier
     # node i's non-path labels are exactly a_i..rst_i-1, because a block
@@ -138,8 +135,7 @@ def doubling_step(pl, m, ops=None):
         w = rst_i
         v = blocks[anchor][1]
         b1 = _circular(av, n, w, (v - w) % n)
-    if ops is not None:
-        ops.add(len(b1) + len(pl.path_nodes))
+    ops.add(len(b1) + len(pl.path_nodes))
     mt = m - len(b1)
     if not 1 <= mt <= s_size:
         raise InternalInvariant("remainder %d outside the hanging span" % mt)
@@ -157,8 +153,7 @@ def doubling_step(pl, m, ops=None):
             local[child] = list(filter(None, map(loc.get, cl)))
             work += len(cl) + 1
         del loc  # dead before the approximate cut's peak
-        if ops is not None:
-            ops.add(work)
+        ops.add(work)
         res = approximate_cut(RootedTree(i, pl.hang[i], local, s_size),
                               mt, c, ops=ops)
         b2 = [av[k + a_i - 1] for k in res.b_vertices]
@@ -188,8 +183,7 @@ def doubling_step(pl, m, ops=None):
     pl.flags = b"\0" + zflags
     pl.node_at = [0] + zat
     pl.n = z_len
-    if ops is not None:
-        ops.add(z_len + len(marked))
+    ops.add(z_len + len(marked))
     return StepResult(kind, b, zverts, w_before, w_after)
 
 

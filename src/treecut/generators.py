@@ -41,6 +41,8 @@ def caterpillar_graph(spine, hairs):
     """Path of `spine` vertices, each with `hairs` pendant leaves."""
     if spine < 1:
         raise BadSize("need a spine vertex")
+    if hairs < 0:
+        raise BadSize("negative hair count")
     edges = [(v, v + 1) for v in range(1, spine)]
     nxt = spine + 1
     for v in range(1, spine + 1):

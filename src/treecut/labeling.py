@@ -12,7 +12,9 @@ from collections import Counter
 from fractions import Fraction
 
 from .errors import InternalInvariant, InvalidDecomposition
-from .treedec import heaviest_path
+# the record's heaviest path, under the name perfbench traces
+from .treedec import _record_path as heaviest_path
+from .util import UNCOUNTED
 
 
 class PLabeling:
@@ -76,10 +78,10 @@ class PLabeling:
         return Fraction(self.flags.count(1), self.n)
 
 
-def build_plabeling(norm, ops=None):
+def build_plabeling(norm, ops=UNCOUNTED):
     """Construct the label arrays for the heaviest path of normalization's
     record `norm`; the labeling keeps `norm.td`'s clusters and graph_n,
-    and the record drops `td` once heaviest_path has run, so a contracted
+    and the record drops `td` once the path is found, so a contracted
     output's neighbor lists die before the label arrays are allocated.
 
     A record whose normalization sweep covered every vertex needs no
@@ -87,32 +89,31 @@ def build_plabeling(norm, ops=None):
     node in the orders the sweep met the nodes and the vertices, with
     every vertex a path vertex and no hanging tree.
 
-    Otherwise the path is labeled in the orientation heaviest_path's second
-    sweep found, and the hanging trees are cut from that sweep's preorder,
-    which the record hands on and this drops before the label arrays exist.
-    A path cluster is read once, or twice when hanging trees attach to its
-    node. This relies on cluster connectivity: a vertex is marked as a path
-    vertex when the first path node holding it labels it, and a hanging
-    vertex that also lies in a path cluster lies in the cluster of the path
-    node it hangs from, which is marked first. Since no normalized cluster
-    is nested in a neighbor's, connectivity also makes every path node add
-    a vertex no earlier node held; one that adds none raises
-    InvalidDecomposition. On other broken inputs a vertex shared between a
-    hanging tree and a later path cluster is labeled in the hanging span,
-    which can change the relative weight and the cut; the engine still
-    raises InternalInvariant on a cut wider than its bound.
+    Otherwise heaviest path hands on its path and its second sweep's
+    preorder; the path is labeled in that orientation, and the hanging
+    trees are cut from the preorder, which dies before the label arrays
+    exist. A path cluster is read once, or twice when hanging trees attach
+    to its node. This relies on cluster connectivity: a vertex is marked
+    as a path vertex when the first path node holding it labels it, and a
+    hanging vertex that also lies in a path cluster lies in the cluster of
+    the path node it hangs from, which is marked first. Since no
+    normalized cluster is nested in a neighbor's, connectivity also makes
+    every path node add a vertex no earlier node held; one that adds none
+    raises InvalidDecomposition. On other broken inputs a vertex shared
+    between a hanging tree and a later path cluster is labeled in the
+    hanging span, which can change the relative weight and the cut; the
+    engine still raises InternalInvariant on a cut wider than its bound.
     """
-    path, _ = heaviest_path(norm, ops=ops)
+    path, preorder = heaviest_path(norm, ops)
     clusters, graph_n = norm.td.clusters, norm.td.graph_n
     norm.td = None
-    if norm.vertex_of is not None:
+    if preorder is None:
         return _covering_labeling(norm, clusters, graph_n, ops)
-    hang = _hanging_trees(path, *norm.second_sweep)
-    norm.second_sweep = None  # gone before the label arrays are allocated
+    hang = _hanging_trees(path, *preorder)
+    del preorder  # gone before the label arrays are allocated
     work = len(norm.nodes) + sum(map(len, map(clusters.__getitem__, path)))
     vertex_of, flags, node_at = _assign_labels(clusters, graph_n, path, hang)
-    if ops is not None:
-        ops.add(work)
+    ops.add(work)
     return PLabeling(clusters, graph_n, len(vertex_of) - 1, vertex_of,
                      flags, node_at, path, hang)
 
@@ -155,8 +156,7 @@ def _covering_labeling(norm, clusters, graph_n, ops):
     n = len(vertex_of) - 1
     node_at = list(map(norm.path_node_of.__getitem__, vertex_of))
     norm.path_node_of = None  # by vertex; the labeling keeps node_at only
-    if ops is not None:
-        ops.add(n + len(path))
+    ops.add(n + len(path))
     return PLabeling(clusters, graph_n, n, vertex_of, b"\0" + b"\1" * n,
                      node_at, path, {})
 

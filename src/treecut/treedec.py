@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import pairwise
 
 from .errors import (
     DecompositionFormatError,
@@ -16,7 +17,7 @@ from .errors import (
     NotATree,
 )
 from .graph import check_graph, longest_path_in_tree
-from .util import no_gc
+from .util import UNCOUNTED, no_gc
 
 
 class TreeDecomposition:
@@ -37,8 +38,9 @@ class TreeDecomposition:
         for i in nodes:
             if type(i) is not int:
                 raise DecompositionFormatError("node id %r is not an int" % (i,))
-        if type(graph_n) is not int:
-            raise DecompositionFormatError("graph_n %r is not an int" % (graph_n,))
+        if type(graph_n) is not int or graph_n < 0:
+            raise DecompositionFormatError(
+                "graph_n %r is not a non-negative int" % (graph_n,))
         try:
             cluster_of = clusters.get
         except AttributeError:
@@ -298,45 +300,36 @@ class Normalized:
     unused), so every phase reads `clusters[i]` and `neighbors[i]` alike
     on both forms; only the public make_nonredundant turns it into a
     TreeDecomposition. `nodes` is `td.nodes` and `size` its largest
-    cluster size. `heavy_end` is the endpoint of heaviest_path's first
-    sweep over `td`, from its smallest node. When a pass-through's sweep
-    also covered all graph_n vertices, the tree is the path from the
-    smallest node to `heavy_end`, and the sweep met the vertices in the
-    order of that path's labeling oriented from the smallest node:
-    `vertex_of` lists them from index 1, `path_node_of[x]` is the node
-    that first held x (index 0 of both holds 0), and `path` lists the
-    nodes in the order the sweep met them, which is that path from the
-    smallest node; build_plabeling reads `path_node_of` by label and drops
-    it. All three are None otherwise.
+    cluster size. When a pass-through's sweep covered all graph_n
+    vertices, the tree is a path from the smallest node, and the sweep met
+    the vertices in the order of that path's labeling oriented from the
+    smallest node: `vertex_of` lists them from index 1, `path_node_of[x]`
+    is the node that first held x (index 0 of both holds 0), and `path`
+    lists the nodes in the order the sweep met them, which is that path
+    from the smallest node; build_plabeling reads `path_node_of` by label
+    and drops it. All three are None otherwise.
 
-    `td` and the two sweep fields live only until the phase after the one
-    that fills them; build_plabeling drops `td` once heaviest_path has
-    run. `first_sweep` holds that first sweep's records on every record
-    that did not cover, as a pair: each node's fresh count (the vertices
-    it added that no earlier node held) and tree parents (None at the
-    smallest node). After a contraction both are lists indexed by id.
-    After a pass-through the counts are a dict by node, and the parents a
-    dict over the chain from `heavy_end` up to the smallest node alone,
-    the only parents the second sweep reads; normalization finds that
-    chain by one backward scan of its pass order (_chain). None on a
-    covering record. heaviest_path reads and drops it. `second_sweep` is
-    what heaviest_path's node sweep leaves for the labeling: its preorder
-    from the path's first node and the parent of each entry, as two lists
-    aligned by position; build_plabeling reads and drops it before it
-    allocates its label arrays.
+    `first_sweep` holds, on every record that did not cover, the records
+    of heaviest path's first sweep over `td` from its smallest node, as a
+    pair: each node's fresh count (the vertices it added that no earlier
+    node held), and the chain from the sweep's endpoint, the heavy end, up
+    to the smallest node, the only tree parents the second sweep reads.
+    The counts are a list indexed by id after a contraction and a dict by
+    node after a pass-through. None on a covering record. `td` and
+    `first_sweep` live only until the labeling: its heaviest path takes
+    `first_sweep` off the record, and build_plabeling drops `td` once the
+    path is found.
     """
     td: TreeDecomposition | _IdLists
     nodes: list
     size: int
-    heavy_end: int | None = None
     vertex_of: list | None = None
     path_node_of: list | None = None
     path: list | None = None
     first_sweep: tuple | None = None
-    second_sweep: tuple | None = None
 
 
-def make_nonredundant(td, ops=None):
+def make_nonredundant(td, ops=UNCOUNTED):
     """Contract away nested adjacent clusters (see `normalize`).
 
     Returns `td` itself when nothing contracts, not a copy; callers must
@@ -359,7 +352,7 @@ def make_nonredundant(td, ops=None):
     return public
 
 
-def normalize(td, ops=None):
+def normalize(td, ops=UNCOUNTED):
     """Contract away nested adjacent clusters; returns a Normalized record.
 
     One depth-first pass from the smallest node id puts every node in a
@@ -372,21 +365,22 @@ def normalize(td, ops=None):
 
     The pass keeps, per class, the fresh counts of its members summed
     and the tree parent of the node that started it; these are the
-    records of heaviest_path's first sweep, which the record keeps as
+    records of heaviest path's first sweep, which the record keeps as
     `first_sweep`. When no node joined another's class, the record holds
-    `td` itself. Every node then heads its own class, the pass is exactly
-    that first sweep, and its endpoint is the record's `heavy_end`; of the
-    parents, the record keeps those on the chain from `heavy_end` up to
-    the root. If its weight reached graph_n, every node but the root added
-    a vertex unseen before, so all nodes lie on the path from the root to
-    `heavy_end`: the tree is that path, whether or not cluster
-    connectivity holds, and the pass met the nodes in that path's order
-    and the vertices in its label order. The pass lists the vertices only
-    when the node degrees allow that shape (the root's at most 1, every
-    other at most 2), so other trees pay nothing for it, and such a
-    covering record needs no sweep records. Every container of the pass
-    that the record does not keep dies before normalize returns, and a
-    contraction drops its node-to-class maps before the class weights.
+    `td` itself. Every node then heads its own class and the pass is
+    exactly that first sweep; of its parents, the record keeps the chain
+    from the pass's endpoint, the heavy end, up to the root, found by one
+    backward scan of the pass order (_chain). If its weight reached
+    graph_n, every node but the root added a vertex unseen before, so all
+    nodes lie on the path from the root to the heavy end: the tree is that
+    path, whether or not cluster connectivity holds, and the pass met the
+    nodes in that path's order and the vertices in its label order. The
+    pass lists the vertices only when the node degrees allow that shape
+    (the root's at most 1, every other at most 2), so other trees pay
+    nothing for it, and such a covering record needs no sweep records.
+    Every container of the pass that the record does not keep dies before
+    normalize returns, and a contraction drops its node-to-class maps
+    before the class weights.
 
     When some node joined another's class, the record holds a new
     decomposition with dense node ids 1..k, one per class in the order the
@@ -399,9 +393,11 @@ def normalize(td, ops=None):
     met before the class started lies in that starter's tree parent, so in
     the parent class's cluster: the class's sum is its fresh count in the
     output. Summed down the class parents, these give each output node's
-    path weight from class 1; a unique maximum is `heavy_end`, and a tie
+    path weight from class 1; a unique maximum is the heavy end, and a tie
     is broken by a sweep over the output's nodes alone (_node_dfs), which
-    finds `heavy_end` where a sweep reading the output's clusters would.
+    finds the heavy end where a sweep reading the output's clusters would.
+    The record keeps the chain up the class parents from the heavy end to
+    class 1, and the class parents die before normalize returns.
     """
     clusters, neighbors = td.clusters, td.neighbors
     if all(not clusters[i] for i in td.nodes):
@@ -457,18 +453,17 @@ def normalize(td, ops=None):
         for j in neighbors[i]:
             if j != tree_parent:
                 push((j, i, w, c))
-    if ops is not None:
-        ops.add(work)
+    ops.add(work)
     if not joined and best_w == td.graph_n and met is not None:
         first[0] = 0
-        return Normalized(td, td.nodes, size, best, met, first, path=roots)
+        return Normalized(td, td.nodes, size, met, first, roots)
     del first, met  # read by a covering record alone
     if not joined:
         # the only parents the second sweep reads: those up from `best`
         chain = _chain(roots, up, roots.index(best))
         del up
-        return Normalized(td, td.nodes, size, best, first_sweep=(
-            dict(zip(roots, fresh_of)), dict(zip(chain, [*chain[1:], None]))))
+        return Normalized(td, td.nodes, size, first_sweep=(
+            dict(zip(roots, fresh_of)), chain))
     ids = list(range(1, len(roots) + 1))
     id_of = {i: ids[c] for i, c in joined.items()}
     del joined
@@ -495,12 +490,14 @@ def normalize(td, ops=None):
     top = max(weight)
     if weight.count(top) == 1:
         end = weight.index(top)
-        if ops is not None:
-            ops.add(len(ids))
+        ops.add(len(ids))
     else:  # a tie: the node sweep's discovery order breaks it
         end = _node_dfs(out_neighbors, fresh_of, 1, ops)[0]
-    return Normalized(out, ids, max(map(len, heads)), end,
-                      first_sweep=(fresh_of, up))
+    chain = [end]
+    while chain[-1] != 1:
+        chain.append(up[chain[-1]])
+    return Normalized(out, ids, max(map(len, heads)),
+                      first_sweep=(fresh_of, chain))
 
 
 @dataclass(slots=True)
@@ -520,15 +517,15 @@ class WeightReport:
     relative_weight: Fraction
 
 
-def _recording_sweep(td, start, ops=None):
+def _recording_sweep(td, start, ops=UNCOUNTED):
     """The first sweep of the public heaviest_path(td), the one that reads
-    clusters: a DFS from `start`, returning (end, fresh, parent).
+    clusters: a DFS from `start`, returning (fresh, chain).
 
     `fresh` maps each node to the vertices of its cluster that no node met
-    before it held, `parent` each node to its tree parent (None at
-    `start`), and `end` is the first node in discovery order whose path
-    from `start` holds the most vertices. Under cluster connectivity a
-    vertex met before also lies in the parent's cluster, so `fresh[i]` is
+    before it held, and `chain` runs from the sweep's endpoint, the first
+    node in discovery order whose path from `start` holds the most
+    vertices, up to `start`. Under cluster connectivity a vertex met
+    before also lies in the parent's cluster, so `fresh[i]` is
     |C_i \\ C_parent|. A cut never runs it: normalization's pass hands
     these records on.
     """
@@ -556,12 +553,14 @@ def _recording_sweep(td, start, ops=None):
         for j in neighbors[i]:
             if j != p:
                 push((j, i, w))
-    if ops is not None:
-        ops.add(work)
-    return best, fresh, parent
+    ops.add(work)
+    chain = [best]
+    while chain[-1] != start:
+        chain.append(parent[chain[-1]])
+    return fresh, chain
 
 
-def _node_dfs(neighbors, fresh, start, ops=None):
+def _node_dfs(neighbors, fresh, start, ops=UNCOUNTED):
     """The one sweep over nodes only: a DFS from `start` that adds up
     `fresh` along tree paths, in the recording sweep's push order.
 
@@ -586,37 +585,33 @@ def _node_dfs(neighbors, fresh, start, ops=None):
         for j in neighbors[i]:
             if j != p:
                 push((j, i, w))
-    if ops is not None:
-        ops.add(len(order))
+    ops.add(len(order))
     return best, best_w, order, parents
 
 
-def _sweep_from(td, fresh, parent, start, ops=None):
-    """Heaviest path from `start`, from a first sweep's records.
+def _sweep_from(td, fresh, chain, ops=UNCOUNTED):
+    """Heaviest path from `chain[0]`, from a first sweep's records.
 
-    Re-rooting at `start` changes the tree parent only on the chain from
-    `start` up to the records' root, the only entries of `parent` read.
-    There, under cluster connectivity, a node j whose old child c becomes
-    its parent has the fresh count |C_j \\ C_c| = |C_j| - |C_c| +
-    fresh_old(c), and `start` itself |C_start|, so the fresh counts are
-    turned around in place reading cluster lengths only; no parent is
-    rewritten. The sweep that follows is _node_dfs, and the path from
-    `start` to its end is read back from that sweep's own preorder by one
-    backward scan (_chain). Returns (path, weight, (preorder, parents)).
-    The ops count one per chain step and one per node swept.
+    `chain` runs from the start up to the first sweep's root, and
+    re-rooting at the start changes the tree parent only along it. There,
+    under cluster connectivity, a node j whose old child c becomes its
+    parent has the fresh count |C_j \\ C_c| = |C_j| - |C_c| +
+    fresh_old(c), and the start itself |C_start|, so the fresh counts are
+    turned around in place reading cluster lengths only. The sweep that
+    follows is _node_dfs, and the path from the start to its end is read
+    back from that sweep's own preorder by one backward scan (_chain).
+    Returns (path, weight, (preorder, parents)). The ops count one per
+    chain step and one per node swept.
     """
     clusters = td.clusters
-    below, below_fresh = start, fresh[start]
+    start = chain[0]
+    below_fresh = fresh[start]
     fresh[start] = len(clusters[start])
-    j = parent[start]
-    hops = 0
-    while j is not None:
+    for below, j in pairwise(chain):
         was = fresh[j]
         fresh[j] = len(clusters[j]) - len(clusters[below]) + below_fresh
-        below, below_fresh, j = j, was, parent[j]
-        hops += 1
-    if ops is not None:
-        ops.add(hops)
+        below_fresh = was
+    ops.add(len(chain) - 1)
     end, weight, order, parents = _node_dfs(td.neighbors, fresh, start, ops)
     path = _chain(order, parents, order.index(end))
     path.reverse()
@@ -637,57 +632,57 @@ def _chain(order, parents, q):
     return chain
 
 
-def heaviest_path(td, ops=None):
+def heaviest_path(td, ops=UNCOUNTED):
     """Tree path maximizing the union of its clusters, via two DFS sweeps.
 
     The first sweep runs from the smallest node id and is the only one
-    that reads clusters: it records each node's fresh count and tree
-    parent. The second runs from the first one's endpoint over the nodes
-    alone, with the records re-rooted there (see _sweep_from), and its
-    endpoint closes the path. Ties stick with the first maximum in
-    discovery order. Returns the node sequence, from the second sweep's
-    start, and a weight report relative to the host graph order.
+    that reads clusters: it records each node's fresh count and the chain
+    from its endpoint up to the smallest node. The second runs from that
+    endpoint over the nodes alone, with the records re-rooted there (see
+    _sweep_from), and its endpoint closes the path. Ties stick with the
+    first maximum in discovery order. Returns the node sequence, from the
+    second sweep's start, and a weight report relative to the host graph
+    order. A `td` that is not a TreeDecomposition, normalization's record
+    included, raises DecompositionFormatError, and one whose clusters are
+    all empty EmptyDecomposition.
 
-    `td` is a TreeDecomposition, on which both sweeps run. Or it is the
-    Normalized record of one, trusted as normalization built it, whose
-    pass was the first sweep: the second sweep starts at its `heavy_end`
-    from its `first_sweep` records, and drops them; on a pass-through
-    those records hold parents along the re-rooted chain alone, and the
-    path is read back from the second sweep's preorder by a backward scan.
-    Its preorder and parents go to the record's `second_sweep`, for the
-    labeling to cut the hanging trees from. When normalization's pass also
-    covered every vertex (the record's `vertex_of` is set), every node but
-    the smallest added a vertex, so weights rise strictly along the tree,
-    which is the path from `heavy_end` to the smallest node: the record's
-    `path` reversed, returned without reading a cluster, and there is no
-    preorder. Any other `td` raises DecompositionFormatError, and one
-    whose clusters are all empty EmptyDecomposition.
-
-    Both sweeps count a node's vertices met before as already on its path,
-    and a contracted output's records sum the counts of each class's
-    members; cluster connectivity makes both exact. Without it the counts
-    can differ from the path's union; the covering path can then be longer
-    than a sweep's, and the swept path not the heaviest.
+    Both sweeps count a node's vertices met before as already on its path;
+    cluster connectivity makes that exact. Without it the counts can
+    differ from the path's union, and the swept path need not be the
+    heaviest.
     """
-    if isinstance(td, Normalized):
-        norm, td = td, td.td
-        if norm.vertex_of is not None:
-            path = norm.path[::-1]
-            if ops is not None:
-                ops.add(len(path))
-            return path, WeightReport(td.graph_n, Fraction(1))
-        start, records = norm.heavy_end, norm.first_sweep
-        norm.first_sweep = None
-    else:
-        check_decomposition(td)
-        norm = None
-        start, *records = _recording_sweep(td, min(td.nodes), ops)
-    path, weight, preorder = _sweep_from(td, *records, start, ops)
+    check_decomposition(td)
+    path, weight, _ = _sweep_from(
+        td, *_recording_sweep(td, min(td.nodes), ops), ops)
     if not weight:
         raise EmptyDecomposition("every cluster is empty")
-    if norm is not None:
-        norm.second_sweep = preorder
     return path, WeightReport(weight, Fraction(weight, td.graph_n))
+
+
+def _record_path(norm, ops):
+    """heaviest_path on normalization's record `norm`, trusted as
+    normalization built it; returns (path, preorder) for the labeling.
+
+    Normalization's pass was the first sweep, so only the second runs,
+    from the heavy end on the record's `first_sweep`, which this takes off
+    the record; a contracted output's records sum the counts of each
+    class's members, which cluster connectivity makes exact. `preorder`
+    is that sweep's preorder from the path's first node and the parent of
+    each entry, as two lists aligned by position, for the labeling to cut
+    the hanging trees from. When normalization's pass covered every vertex
+    (the record's `vertex_of` is set), every node but the smallest added a
+    vertex, so the tree is the heaviest path: the record's `path`, from
+    the smallest node, is returned as it is, without reading a cluster,
+    and `preorder` is None. Without cluster connectivity the covering path
+    can be longer than a sweep's.
+    """
+    if norm.vertex_of is not None:
+        ops.add(len(norm.path))
+        return norm.path, None
+    records = norm.first_sweep
+    norm.first_sweep = None
+    path, _, preorder = _sweep_from(norm.td, *records, ops)
+    return path, preorder
 
 
 def tree_to_width1_td(g):

@@ -21,6 +21,16 @@ class OpsCounter:
         self.total += k
 
 
+class _Uncounted:
+    """A counter that keeps no count, for callers that have none to pass."""
+
+    def add(self, k):
+        pass
+
+
+UNCOUNTED = _Uncounted()
+
+
 def no_gc(fn):
     """Run `fn` with the cyclic garbage collector paused.
 

@@ -25,7 +25,7 @@ from treecut.treedec import (
     ValidityReport,
     make_nonredundant,
 )
-from treecut.util import OpsCounter
+from treecut.util import UNCOUNTED, OpsCounter
 
 
 def p6_td():
@@ -213,7 +213,7 @@ def by_label(ref):
                      ref.path_nodes, ref.hang)
 
 
-def two_pass_plabeling(td, path_nodes=None, ops=None):
+def two_pass_plabeling(td, path_nodes=None, ops=UNCOUNTED):
     """Reference labeling that reads every path cluster twice: a first pass
     marks the path vertices, a second assigns the labels. This is the
     package's labeling before it read each path cluster once; the
@@ -252,8 +252,7 @@ def two_pass_plabeling(td, path_nodes=None, ops=None):
         labels = _two_pass_assign(clusters, td.graph_n, path, is_pv, hang)
         if labels is None:
             raise RedundantPath("neither end of the path is a nonredundant start")
-    if ops is not None:
-        ops.add(work)
+    ops.add(work)
     label_of, vertex_of, path_node_of = labels
     return by_label(VertexLabeling(clusters, td.graph_n, len(vertex_of) - 1,
                                    label_of, vertex_of, is_pv, path_node_of,
@@ -796,7 +795,7 @@ def ref_core_count(self):
                if self.is_path_vertex[self.vertex_of[lab]])
 
 
-def ref_doubling_step(pl, m, ops=None):
+def ref_doubling_step(pl, m, ops=UNCOUNTED):
     """One step of the cut construction on the current labeling state.
 
     The step is direct when some path-cluster label has its m-shift in a
@@ -818,20 +817,17 @@ def ref_doubling_step(pl, m, ops=None):
     ar, ap = pl.is_path_vertex, pl.path_node_of
     rtot = ref_core_count(pl)
     w_before = Fraction(rtot, n)
-    if ops is not None:
-        ops.add(n)
+    ops.add(n)
     # direct case: some path-cluster vertex has its m-shift in a path cluster
     for lab in range(1, n + 1):
         if ar[av[lab]] and ar[av[(lab - 1 + m) % n + 1]]:
             b = [av[(lab - 1 + k) % n + 1] for k in range(1, m + 1)]
-            if ops is not None:
-                ops.add(n + m)
+            ops.add(n + m)
             return StepResult("direct", b, [], w_before, None)
     # otherwise the path clusters cover at most half the vertices
     if 2 * rtot > n:
         raise InternalInvariant("direct case missed a crowded instance")
-    if ops is not None:
-        ops.add(4 * n)  # the failed direct scan, then the case scan
+    ops.add(4 * n)  # the failed direct scan, then the case scan
     blocks = ref_blocks(pl)
     # node i's non-path labels are exactly a_i..rst_i-1, because a block
     # lists its hanging vertices first; the hits shifted by d bound Z
@@ -868,8 +864,7 @@ def ref_doubling_step(pl, m, ops=None):
         w = rst_i
         v = blocks[anchor][1]
         b1 = [av[(w - 1 + k) % n + 1] for k in range((v - w) % n)]
-    if ops is not None:
-        ops.add(len(b1) + len(pl.path_nodes))
+    ops.add(len(b1) + len(pl.path_nodes))
     mt = m - len(b1)
     if not 1 <= mt <= s_size:
         raise InternalInvariant("remainder %d outside the hanging span" % mt)
@@ -885,8 +880,7 @@ def ref_doubling_step(pl, m, ops=None):
                 if a_i <= lab < rst_i and av[lab] == x:
                     cl.append(lab - a_i + 1)
             local[child] = cl
-            if ops is not None:
-                ops.add(len(pl.clusters[child]) + 1)
+            ops.add(len(pl.clusters[child]) + 1)
         res = approximate_cut(RootedTree(i, pl.hang[i], local, s_size),
                               mt, c, ops=ops)
         b2 = [av[k + a_i - 1] for k in res.b_vertices]
@@ -913,8 +907,7 @@ def ref_doubling_step(pl, m, ops=None):
         al[x] = k + 1
     pl.vertex_of = [0] + zverts
     pl.n = z_len
-    if ops is not None:
-        ops.add(z_len + len(marked))
+    ops.add(z_len + len(marked))
     return StepResult(kind, b, zverts, w_before, w_after)
 
 

@@ -259,6 +259,8 @@ def _assert_usage_error(res):
     ["bench", "--families", ","],
     ["bench", "--families", ",", "--json"],
     ["bench", "--families", " , ", "--sizes", "10"],
+    ["gen", "--family", "caterpillar", "--spine", "3", "--hairs", "-1",
+     "--out-graph", "{out}.edges", "--out-td", "{out}.json"],
 ])
 def test_bad_arguments_exit_2(tmp_path, args):
     g = path_graph(4)
@@ -288,6 +290,19 @@ def test_non_int_node_id_exits_2(tmp_path):
                    "edges": [[1, "b"]]}, fh)
     res = CliRunner().invoke(main, ["bisect", "--graph", gp, "--td", tp])
     _assert_usage_error(res)
+
+
+def test_negative_graph_n_exits_2(tmp_path):
+    gp = str(tmp_path / "g.edges")
+    with open(gp, "w") as fh:
+        fh.write("0 0\n")
+    tp = str(tmp_path / "t.json")
+    with open(tp, "w") as fh:
+        json.dump({"graph_n": -3, "nodes": [{"id": 1, "cluster": []}],
+                   "edges": []}, fh)
+    res = CliRunner().invoke(main, ["validate", "--graph", gp, "--td", tp])
+    _assert_usage_error(res)
+    assert "graph_n" in res.output
 
 
 @pytest.mark.parametrize("which", ["graph", "td"])

@@ -261,7 +261,7 @@ def test_doubling_step_hands_over_a_local_rooted_tree(monkeypatch):
     original = engine.approximate_cut
     handed = []
 
-    def checked(tree, m, c, g=None, ops=None):
+    def checked(tree, m, c, ops):
         assert tree.clusters[tree.root] == []
         listed = {tree.root}
         for child, parent in tree.pairs:
@@ -276,7 +276,7 @@ def test_doubling_step_hands_over_a_local_rooted_tree(monkeypatch):
             union.update(cl)
         assert union == set(range(1, tree.graph_n + 1))
         handed.append(tree)
-        return original(tree, m, c, g=g, ops=ops)
+        return original(tree, m, c, ops=ops)
 
     monkeypatch.setattr(engine, "approximate_cut", checked)
     for label, g, td in acceptance_corpus():
@@ -308,7 +308,7 @@ def test_no_labeling_outlives_the_steps(monkeypatch, family, kw):
     built, alive = [], []
     build, finish = engine.build_plabeling, engine._finish
 
-    def label(norm, ops=None):
+    def label(norm, ops):
         pl = build(norm, ops=ops)
         built.append(weakref.ref(pl))
         return pl

@@ -9,6 +9,7 @@ from treecut.errors import (
     PartitionInvalid,
 )
 from treecut.generators import (
+    caterpillar_graph,
     path_graph,
     random_tree,
     spider_graph,
@@ -105,6 +106,12 @@ def test_spider_rejects_negative_leg():
     with pytest.raises(BadSize):
         spider_graph([-2, 3])
     assert spider_graph([0, 2]).n == 3
+
+
+def test_caterpillar_rejects_negative_hairs():
+    with pytest.raises(BadSize):
+        caterpillar_graph(3, -1)
+    assert caterpillar_graph(3, 0).n == 3
 
 
 def test_longest_path_p6_is_whole_path():

@@ -18,6 +18,7 @@ from helpers import (
     spider_fixture,
     two_pass_plabeling,
 )
+from treecut import treedec
 from treecut.generators import (
     make_instance,
     path_graph,
@@ -224,9 +225,7 @@ def _labelings_agree(td):
     rec, twin = normalize(td), normalize(td)
     new_ops, ref_ops = OpsCounter(), OpsCounter()
     pl = build_plabeling(rec, ops=new_ops)
-    path, _ = heaviest_path(twin, ops=ref_ops)
-    if twin.vertex_of is not None:
-        path.reverse()  # a covering path is labeled from its smallest node
+    path, _ = treedec._record_path(twin, ref_ops)
     ref = two_pass_plabeling(twin.td, path, ops=ref_ops)
     _assert_same_arrays(pl, ref)
     if rec.vertex_of is None:

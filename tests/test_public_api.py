@@ -16,6 +16,7 @@ from treecut.errors import (
 from treecut.fileio import graph_from_json, parse_graph
 from treecut.generators import path_graph
 from treecut.labeling import PLabeling
+from treecut.treedec import normalize
 
 EXPECTED = [
     "ApproxCutResult",
@@ -86,7 +87,9 @@ def test_one_input_shape_per_function(func, params):
 # an object of the wrong kind, not a malformed one, handed to a public name
 # (graph text that is not a str included);
 # a decomposition whose clusters are all empty, which heaviest_path rejects
-# as normalization does; and JSON nested deeper than the decoder recurses
+# as normalization does; normalization's record, which heaviest_path does
+# not take; a negative graph_n; and JSON nested deeper than the decoder
+# recurses
 @pytest.mark.parametrize("call, error", [
     (lambda: treecut.validate(None, p6_td()), GraphFormatError),
     (lambda: treecut.validate(path_graph(6), None), DecompositionFormatError),
@@ -98,6 +101,10 @@ def test_one_input_shape_per_function(func, params):
     (lambda: treecut.longest_path_in_tree(None), GraphFormatError),
     (lambda: treecut.heaviest_path(treecut.TreeDecomposition(
         [1, 2], [(1, 2)], {1: [], 2: []}, 0)), EmptyDecomposition),
+    (lambda: treecut.heaviest_path(normalize(p6_td())),
+     DecompositionFormatError),
+    (lambda: treecut.TreeDecomposition([1], [], {1: []}, -5),
+     DecompositionFormatError),
     (lambda: treecut.TreeDecomposition.from_json("[" * 100000),
      DecompositionFormatError),
     (lambda: graph_from_json("[" * 100000), GraphFormatError),
@@ -106,7 +113,9 @@ def test_one_input_shape_per_function(func, params):
     (lambda: parse_graph(5), GraphFormatError),
 ], ids=["validate-g", "validate-td", "make_nonredundant", "heaviest_path",
         "cut_width", "max_degree", "tree_to_width1_td",
-        "longest_path_in_tree", "heaviest_path-empty", "from_json-deep",
+        "longest_path_in_tree", "heaviest_path-empty",
+        "heaviest_path-record", "TreeDecomposition-negative-graph_n",
+        "from_json-deep",
         "graph_from_json-deep", "parse_graph-bytes", "parse_graph-None",
         "parse_graph-int"])
 def test_public_names_reject_arguments_of_the_wrong_kind(call, error):

@@ -31,6 +31,7 @@ def test_tracer_finds_every_layer_and_count(monkeypatch):
     tracer.install()
     normalized = {}  # family -> counts of its make_nonredundant spans
     per_cut = []  # (non-direct steps, approximate cuts, subtree weights)
+    paths = []  # heaviest-path spans per cut
     try:
         for family, params, m in (
                 ("ternary", {"h": 4}, 60),
@@ -48,6 +49,8 @@ def test_tracer_finds_every_layer_and_count(monkeypatch):
                 sum(1 for s in spans if s[0] == "approxcut.approximate_cut"),
                 sum(1 for s in spans
                     if s[0] == "approxcut.compute_subtree_weights")))
+            paths.append(sum(1 for s in spans
+                             if s[0] == "treedec.heaviest_path"))
         assert treedec.validate(g, td).ok  # the grid; ingest times this layer
     finally:
         tracer.uninstall()
@@ -61,9 +64,12 @@ def test_tracer_finds_every_layer_and_count(monkeypatch):
     for steps, cuts, weights in per_cut:
         assert steps == cuts == weights
     assert any(cuts for _, cuts, _ in per_cut)
+    # every labeling finds its path through the traced name, once per cut
+    assert paths == [1, 1, 1]
     seen = {s[0] for s in tracer.spans}
     for name in ("engine.exact_size_cut_linear", "treedec.make_nonredundant",
-                 "labeling.build_plabeling", "engine.doubling_step",
+                 "labeling.build_plabeling", "treedec.heaviest_path",
+                 "engine.doubling_step",
                  "approxcut.approximate_cut",
                  "approxcut.compute_subtree_weights", "graph.cut_width",
                  "treedec.validate"):

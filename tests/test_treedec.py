@@ -235,21 +235,41 @@ def _ref_heaviest_path(td):
         weight, Fraction(weight, td.graph_n))
 
 
+def _handed_path(rec):
+    """What heaviest path makes of normalization's record `rec`, in the
+    public heaviest_path's terms: the path from the heavy end, and its
+    weight report. The path is the one the labeling gets, turned around
+    on a covering record, whose walk runs from the smallest node and
+    weighs graph_n; otherwise the weight is that of the second sweep on a
+    copy of the handed records, and the path starts at the head of the
+    handed chain."""
+    td = rec.td
+    if rec.vertex_of is None:
+        fresh, chain = rec.first_sweep
+        _, weight, _ = treedec._sweep_from(td, copy.copy(fresh), chain)
+    path, preorder = treedec._record_path(rec, OpsCounter())
+    assert (preorder is None) == (rec.vertex_of is not None)
+    if preorder is None:
+        path, weight = path[::-1], td.graph_n
+    else:
+        assert path[0] == chain[0]
+    return path, WeightReport(weight, Fraction(weight, td.graph_n))
+
+
 def _check_normalized(td):
     """normalize leaves no nested adjacent pair, and the record it hands to
-    heaviest_path gives the same path as the sweeps from scratch on the
+    heaviest path gives the same path as the sweeps from scratch on the
     public make_nonredundant's result, and as the two reference sweeps.
-    Every record has its first sweep's endpoint, and only a covering one
-    lacks the sweep's records. Returns whether the input passed through."""
+    Only a covering record lacks the first sweep's records. Returns
+    whether the input passed through."""
     rec = normalize(td)
     out = make_nonredundant(td)
     for a, b in out.edges():
         ca, cb = set(out.clusters[a]), set(out.clusters[b])
         assert not ca <= cb and not cb <= ca
     assert (rec.td is td) == (out is td)
-    assert rec.heavy_end is not None
     assert (rec.first_sweep is None) == (rec.vertex_of is not None)
-    handed = heaviest_path(rec)
+    handed = _handed_path(rec)
     assert heaviest_path(out) == handed == _ref_heaviest_path(out)
     return out is td
 
@@ -286,7 +306,7 @@ def test_handed_first_sweep_finds_the_reference_path_on_tied_trees(td):
     the two reference sweeps."""
     rec = normalize(td)
     assert rec.td is td
-    assert heaviest_path(rec) == _ref_heaviest_path(td)
+    assert _handed_path(rec) == _ref_heaviest_path(td)
 
 
 def test_chain_reads_each_preorder_position_at_most_once():
@@ -309,18 +329,21 @@ def test_chain_reads_each_preorder_position_at_most_once():
 
 
 def _check_handed_records(td):
-    """On a contracting input with cluster connectivity, the record hands
-    the first sweep over the contracted output: the endpoint, fresh counts
-    and parents of a recording sweep over it from node 1, id by id.
-    Returns whether the input contracted."""
+    """On an input with cluster connectivity whose record does not cover,
+    the record hands the first sweep over the normalized decomposition:
+    the fresh counts of a recording sweep over it from its smallest node,
+    by id after a contraction, and the chain from that sweep's endpoint up
+    to the smallest node. Returns whether the input contracted."""
     rec = normalize(td)
-    if rec.td is td:
+    if rec.vertex_of is not None:
         return False
-    end, fresh, parent = treedec._recording_sweep(rec.td, 1)
-    handed_fresh, handed_parent = rec.first_sweep
-    assert rec.heavy_end == end
+    fresh, chain = treedec._recording_sweep(rec.td, min(rec.nodes))
+    handed_fresh, handed_chain = rec.first_sweep
+    assert handed_chain == chain
+    if rec.td is td:
+        assert handed_fresh == fresh
+        return False
     assert handed_fresh == [0, *map(fresh.get, rec.nodes)]
-    assert handed_parent == [None, *map(parent.get, rec.nodes)]
     return True
 
 
@@ -338,8 +361,9 @@ def test_contracting_records_match_a_recording_sweep_random(inst):
 
 
 def _check_heavy_end(td):
-    """On a contracting input the record's heavy_end is the endpoint of the
-    node sweep over the output on the handed fresh counts from node 1.
+    """On a contracting input the handed chain starts at the heavy end, the
+    endpoint of the node sweep over the output on the handed fresh counts
+    from node 1.
     normalize runs that sweep only when the greatest path weight is tied;
     otherwise it takes the one node of that weight. Returns None on a
     pass-through, else whether the greatest weight was tied."""
@@ -348,9 +372,9 @@ def _check_heavy_end(td):
         rec = normalize(td)
     if rec.td is td:
         return None
-    fresh = rec.first_sweep[0]
+    fresh, chain = rec.first_sweep
     end, top, order, parents = treedec._node_dfs(rec.td.neighbors, fresh, 1)
-    assert rec.heavy_end == end
+    assert chain == treedec._chain(order, parents, order.index(end))
     weight = {None: 0}  # by node, from the root's parent on
     for i, p in zip(order, parents):
         weight[i] = weight[p] + fresh[i]
@@ -400,7 +424,7 @@ def test_a_cut_keeps_no_neighbor_lists_past_the_labeling(inst, data):
     before = copy.deepcopy((td.nodes, td.neighbors, td.clusters, td.graph_n))
     seen = {"steps": 0}
 
-    def label(norm, ops=None):
+    def label(norm, ops):
         seen["record"] = weakref.ref(norm)
         seen["contracted"] = norm.td is not td
         nbrs = norm.td.neighbors
@@ -408,7 +432,7 @@ def test_a_cut_keeps_no_neighbor_lists_past_the_labeling(inst, data):
                                      else nbrs)]
         return build_plabeling(norm, ops=ops)
 
-    def step(pl, m, ops=None):
+    def step(pl, m, ops):
         seen["steps"] += 1
         assert seen["record"]() is None
         reachable = _reachable(pl)
@@ -439,23 +463,22 @@ def _check_node_sweep(td, rng):
     phases read (a TreeDecomposition, or a contracted output's id-indexed
     lists): the recording sweep from the smallest node ends where the
     reference sweep does, with each node's fresh count |C_i \\ C_parent|
-    and the reference's parents. From its end and from a random node, the
-    node sweep on its records re-rooted there finds the reference's
-    endpoint, weight and path, and returns every node once in a preorder
-    with the reference's parents."""
+    under the reference's parents, and its chain is the reference's path
+    from its end up to the smallest node. From its end and from a random
+    node, the node sweep on its counts re-rooted along the chain from
+    there finds the reference's endpoint, weight and path, and returns
+    every node once in a preorder with the reference's parents."""
     root = min(td.nodes)
-    end, fresh, parent = treedec._recording_sweep(td, root)
-    ref_end, _, ref_parent = ref_weight_sweep(td, root)
-    assert end == ref_end
-    assert parent[root] is None
+    fresh, chain = treedec._recording_sweep(td, root)
+    end, _, up = ref_weight_sweep(td, root)
+    assert chain == ref_path(root, end, up)[::-1]
+    assert sorted(fresh) == sorted(td.nodes)
     for i in td.nodes:
-        if i != root:
-            assert parent[i] == ref_parent[i]
-        above = set(td.clusters[parent[i]]) if i != root else set()
+        above = set(td.clusters[up[i]]) if i != root else set()
         assert fresh[i] == len(set(td.clusters[i]) - above)
     for start in (end, rng.choice(td.nodes)):
         path, weight, (order, parents) = treedec._sweep_from(
-            td, copy.copy(fresh), copy.copy(parent), start)
+            td, copy.copy(fresh), ref_path(root, start, up)[::-1])
         ref_end, ref_w, ref_parent = ref_weight_sweep(td, start)
         assert (path[-1], weight) == (ref_end, ref_w)
         assert path == ref_path(start, ref_end, ref_parent)
@@ -519,14 +542,14 @@ def test_node_sweep_matches_the_reference_sweep_random(td, rng):
 
 
 def _sweeps(td):
-    """(cluster-reading sweeps, node sweeps) that heaviest_path runs on the
+    """(cluster-reading sweeps, node sweeps) that heaviest path runs on the
     normalization record."""
     rec = normalize(td)
     with mock.patch.object(treedec, "_recording_sweep",
                            wraps=treedec._recording_sweep) as recording, \
             mock.patch.object(treedec, "_node_dfs",
                               wraps=treedec._node_dfs) as node_sweep:
-        heaviest_path(rec)
+        treedec._record_path(rec, OpsCounter())
     return recording.call_count, node_sweep.call_count
 
 
@@ -536,7 +559,7 @@ def test_covering_walk_gives_the_swept_path(td):
     """The walk that replaces the second sweep when normalization's sweep
     covered every vertex returns the same nodes and weight as both sweeps
     of the public heaviest_path on the normalized decomposition."""
-    assert heaviest_path(normalize(td)) == heaviest_path(
+    assert _handed_path(normalize(td)) == heaviest_path(
         make_nonredundant(td))
 
 
@@ -658,13 +681,14 @@ def test_covering_path_decomposition_cut_reads_no_cluster_in_heaviest_path(
     covering labeling's n label stores against the labeling's cluster
     pass, which reads every cluster entry and every node."""
     g, td = make_instance("grid", k=20)
-    records = treedec._recording_sweep(td, min(td.nodes))[1:]
+    records = (treedec._recording_sweep(td, min(td.nodes))[0],
+               [min(td.nodes)])
     normalize = engine.make_nonredundant
 
-    def with_records(td0, ops=None):
+    def with_records(td0, ops):
         rec = normalize(td0, ops=ops)
-        return replace(rec, heavy_end=min(rec.nodes), vertex_of=None,
-                       path_node_of=None, first_sweep=records)
+        return replace(rec, vertex_of=None, path_node_of=None,
+                       first_sweep=records)
 
     with mock.patch.object(treedec, "_recording_sweep",
                            wraps=treedec._recording_sweep) as recording, \
@@ -759,12 +783,14 @@ def test_make_nonredundant_matches_the_union_find_reference(td):
     assert rec.size == ref.width() + 1
     assert out.nodes == ref.nodes
     assert out.graph_n == ref.graph_n
+    heavy_end = (rec.path[-1] if rec.vertex_of is not None
+                 else rec.first_sweep[1][0])
     if out is td:
-        assert rec.heavy_end == end
+        assert heavy_end == end
         assert ops_new.total == ops_ref.total
     else:
         if _connected(td):
-            assert rec.heavy_end == ref_weight_sweep(out, 1)[0]
+            assert heavy_end == ref_weight_sweep(out, 1)[0]
         assert ops_new.total == ops_ref.total + len(out.nodes)
         assert out.nodes == list(range(1, len(out.nodes) + 1))
         assert len(out.neighbors) == len(out.clusters) == len(out.nodes) + 1
