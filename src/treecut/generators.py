@@ -158,6 +158,7 @@ def random_graph_with_td(n, width, seed=0, edge_prob=0.5):
 
 _SIZE_KEY = {"path": "n", "star": "n", "random-tree": "n", "random-td": "n",
              "ternary": "h", "grid": "k"}
+_SIZES = ("n", "h", "k", "spine", "hairs", "width")
 
 
 @no_gc
@@ -167,11 +168,16 @@ def make_instance(family, **kw):
     Families: path, star, spider, caterpillar, ternary, random-tree, grid,
     random-td. Trees get their width-1 longest-path-aligned decomposition.
     A family that needs a size (`n`, `h` or `k`) raises TreecutError
-    without it.
+    without it, and a size (`n`, `h`, `k`, `spine`, `hairs`, `width` or a
+    leg) that is not an int, a bool included, raises BadSize.
     """
     size = _SIZE_KEY.get(family)
     if size is not None and kw.get(size) is None:
         raise TreecutError("family %r needs --%s" % (family, size))
+    sizes = [kw[key] for key in _SIZES if kw.get(key) is not None]
+    for val in sizes + list(kw.get("legs") or ()):
+        if type(val) is not int:
+            raise BadSize("size %r is not an int" % (val,))
     seed = kw.get("seed", 0)
     if family == "path":
         g = path_graph(kw["n"])

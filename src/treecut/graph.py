@@ -62,9 +62,9 @@ class Graph:
                     yield (u, v)
 
     def is_connected(self):
-        if self.n == 0:
-            return True
-        return len(_component(self, 1)) == self.n
+        """One BFS from vertex 1 (none when n = 0): connected when it
+        reaches all n vertices."""
+        return self.n == 0 or _farthest(self, 1)[2] == self.n
 
     def is_tree(self):
         return self.n >= 1 and self.m_edges == self.n - 1 and self.is_connected()
@@ -74,21 +74,6 @@ def check_graph(g):
     """Raise GraphFormatError unless g is a Graph."""
     if not isinstance(g, Graph):
         raise GraphFormatError("g must be a Graph, not %s" % type(g).__name__)
-
-
-def _component(g, s):
-    out = [s]
-    seen = [False] * (g.n + 1)
-    seen[s] = True
-    head = 0
-    while head < len(out):
-        v = out[head]
-        head += 1
-        for w in g.adj[v]:
-            if not seen[w]:
-                seen[w] = True
-                out.append(w)
-    return out
 
 
 def cut_width(g, side):
@@ -118,41 +103,55 @@ def max_degree(g):
 
 
 def _farthest(g, s):
-    """BFS from s; return (vertex, dist, parents), smallest-id tie-break."""
-    dist = [-1] * (g.n + 1)
-    parent = [0] * (g.n + 1)
-    dist[s] = 0
+    """One BFS from s, level by level. Return the smallest vertex of its
+    last level, the BFS parents (0 at s, -1 off s's component) and the
+    number of vertices it reached."""
+    parent = [-1] * (g.n + 1)
+    parent[s] = 0
     frontier = [s]
-    order = []
+    reached = 0
     while frontier:
-        order.extend(frontier)
-        nxt = []
-        for v in frontier:
+        reached += len(frontier)
+        last = frontier
+        frontier = []
+        for v in last:
             for w in g.adj[v]:
-                if dist[w] == -1:
-                    dist[w] = dist[v] + 1
+                if parent[w] == -1:
                     parent[w] = v
-                    nxt.append(w)
-        frontier = nxt
-    best = s
-    for v in order:
-        if dist[v] > dist[best] or (dist[v] == dist[best] and v < best):
-            best = v
-    return best, dist[best], parent
+                    frontier.append(w)
+    return min(last), parent, reached
 
 
-def longest_path_in_tree(g):
-    """Vertex sequence of a longest path, found by two BFS sweeps.
+def _tree_path(g):
+    """A longest path of g and the tree's parents rooted at the path's
+    first vertex, from two BFS sweeps and no other walk.
 
-    Ties are broken toward smaller vertex ids at both sweeps.
+    The first sweep runs from vertex 1 and doubles as the tree check: with
+    n - 1 edges, g is a tree when that sweep reaches all n vertices, and
+    otherwise NotATree is raised. The second sweep runs from the first
+    one's farthest vertex a, and its parents lead back to a from its own
+    farthest vertex b. Ties go to smaller vertex ids at both sweeps.
     """
     check_graph(g)
-    if not g.is_tree():
-        raise NotATree("longest_path_in_tree needs a connected acyclic graph")
-    a, _, _ = _farthest(g, 1)
-    b, _, parent = _farthest(g, a)
+    if g.n < 1 or g.m_edges != g.n - 1:
+        raise NotATree("g must be a connected acyclic graph")
+    a, _, reached = _farthest(g, 1)
+    if reached != g.n:
+        raise NotATree("g must be a connected acyclic graph")
+    b, parent, _ = _farthest(g, a)
     path = [b]
     while path[-1] != a:
         path.append(parent[path[-1]])
     path.reverse()
-    return path
+    return path, parent
+
+
+def longest_path_in_tree(g):
+    """Vertex sequence of a longest path of tree g, from a to b: two BFS
+    sweeps, the first from vertex 1 to its farthest vertex a, which also
+    checks that g is a tree, the second from a to its farthest vertex b.
+
+    Ties are broken toward smaller vertex ids at both sweeps. A g that is
+    not a tree raises NotATree.
+    """
+    return _tree_path(g)[0]

@@ -9,6 +9,7 @@ the vertex "m positions later".
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InternalInvariant, InvalidDecomposition
@@ -17,6 +18,7 @@ from .treedec import _record_path as heaviest_path
 from .util import UNCOUNTED
 
 
+@dataclass(slots=True)
 class PLabeling:
     """Label arrays for one path of a decomposition, all indexed by label.
 
@@ -32,19 +34,14 @@ class PLabeling:
     keeps no other part of it.
     """
 
-    __slots__ = ("clusters", "graph_n", "n", "vertex_of", "flags", "node_at",
-                 "path_nodes", "hang")
-
-    def __init__(self, clusters, graph_n, n, vertex_of, flags, node_at,
-                 path_nodes, hang):
-        self.clusters = clusters
-        self.graph_n = graph_n
-        self.n = n
-        self.vertex_of = vertex_of
-        self.flags = flags
-        self.node_at = node_at
-        self.path_nodes = path_nodes
-        self.hang = hang
+    clusters: list | dict
+    graph_n: int
+    n: int
+    vertex_of: list
+    flags: bytes
+    node_at: list
+    path_nodes: list
+    hang: dict
 
     def blocks(self):
         """Per path node: (first label, first cluster-vertex label, last label).
@@ -60,8 +57,6 @@ class PLabeling:
         a = 1
         for i in self.path_nodes:
             k = size[i]
-            if not k:
-                continue  # the node holds no current vertex
             b = a + k - 1
             if node_at[a:b + 1].count(i) != k:
                 raise InternalInvariant("blocks out of path order")

@@ -8,6 +8,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import BadSize, NotATree, TreecutError
+from .graph import check_graph
 
 
 _BRUTE_LIMIT = 24
@@ -27,7 +28,9 @@ def _check_size(m, n):
 def brute_force_min_cut_size_m(g, m):
     """Minimum width over all cuts with exactly m black vertices.
 
-    An m that is not an int in 0..n raises BadSize."""
+    A g that is not a Graph raises GraphFormatError, an m that is not an
+    int in 0..n BadSize."""
+    check_graph(g)
     n = g.n
     if n > _BRUTE_LIMIT:
         raise TreecutError("exhaustive search capped at n=%d" % _BRUTE_LIMIT)
@@ -48,6 +51,7 @@ def brute_force_min_cut_size_m(g, m):
 
 def brute_force_min_bisection(g):
     """Minimum bisection width by exhaustive search (n <= 24)."""
+    check_graph(g)
     return brute_force_min_cut_size_m(g, g.n // 2)
 
 
@@ -57,8 +61,10 @@ def tree_dp_min_bisection(g, m=None):
     States are (black count in subtree, color of the subtree root); merging
     works like a knapsack over children. Quadratic overall, capped at
     n=5000. `m` is the black vertex count, n//2 when omitted; one that is
-    not an int in 0..n raises BadSize.
+    not an int in 0..n raises BadSize, a g that is not a Graph
+    GraphFormatError.
     """
+    check_graph(g)
     if not g.is_tree():
         raise NotATree("the dynamic program needs a tree")
     n = g.n

@@ -11,12 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import pairwise
 
-from .errors import (
-    DecompositionFormatError,
-    EmptyDecomposition,
-    NotATree,
-)
-from .graph import check_graph, longest_path_in_tree
+from .errors import DecompositionFormatError, EmptyDecomposition
+from .graph import _tree_path, check_graph
 from .util import UNCOUNTED, no_gc
 
 
@@ -689,43 +685,34 @@ def tree_to_width1_td(g):
     """Width-1 decomposition of a tree: one node per edge, clusters are the
     edge endpoints, and a longest path of the tree maps onto a tree path of
     the decomposition (so its relative weight is at least the relative
-    diameter). A `g` that is not a Graph raises GraphFormatError."""
-    check_graph(g)
-    if not g.is_tree():
-        raise NotATree("input must be a connected acyclic graph")
+    diameter).
+
+    The tree is walked three times: the two BFS sweeps of
+    `longest_path_in_tree`, the first of which checks that g is a tree,
+    then one DFS from the path's first vertex over the second sweep's
+    parents, which numbers the nodes in its preorder. A `g` that is not a
+    Graph raises GraphFormatError, one that is not a tree NotATree."""
+    spine, parent = _tree_path(g)
     if g.n == 1:
         return TreeDecomposition._trusted([1], [], {1: [1]}, 1)
-    spine = longest_path_in_tree(g)
     root = spine[0]
-    # DFS from the longest-path end; each non-root vertex owns its parent edge
-    parent = [0] * (g.n + 1)
-    order = []
-    visited = [False] * (g.n + 1)
-    visited[root] = True
-    # visit the spine successor first so spine edges get consecutive ids
+    # each non-root vertex owns its parent edge; a child is any neighbor
+    # but the parent, and the spine successor comes first so spine edges
+    # get consecutive ids
     stack = [w for w in reversed(g.adj[root]) if w != spine[1]] + [spine[1]]
-    for w in g.adj[root]:
-        parent[w] = root
+    order = []
     while stack:
         v = stack.pop()
-        if visited[v]:
-            continue
-        visited[v] = True
         order.append(v)
-        for w in g.adj[v]:
-            if not visited[w]:
-                parent[w] = v
-                stack.append(w)
-    node_of = {v: k + 1 for k, v in enumerate(order)}
-    clusters = {node_of[v]: [parent[v], v] for v in order}
-    anchor = node_of[spine[1]]  # stand-in for the root, which owns no edge
-    edges = []
-    for v in order:
         p = parent[v]
-        if p == root:
-            if node_of[v] != anchor:
-                edges.append((node_of[v], anchor))
-        else:
-            edges.append((node_of[v], node_of[p]))
-    return TreeDecomposition._trusted(list(range(1, len(order) + 1)), edges,
-                                      clusters, g.n)
+        for w in g.adj[v]:
+            if w != p:
+                stack.append(w)
+    # the root owns no edge; node 1, its spine successor's, stands in for it
+    node_of = [1] * (g.n + 1)
+    for k, v in enumerate(order, 1):
+        node_of[v] = k
+    edges = [(node_of[v], node_of[parent[v]]) for v in order[1:]]
+    clusters = {k: [parent[v], v] for k, v in enumerate(order, 1)}
+    return TreeDecomposition._trusted(list(range(1, g.n)), edges, clusters,
+                                      g.n)

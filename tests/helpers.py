@@ -14,6 +14,7 @@ from treecut.errors import (
     BadSize,
     EmptyDecomposition,
     InternalInvariant,
+    NotATree,
     TreecutError,
 )
 from treecut.generators import make_instance, random_graph_with_td
@@ -923,3 +924,114 @@ def double_loop_cut_width(g, side):
             if side[v] != c:
                 crossing += 1
     return crossing // 2  # each crossing edge is seen from both ends
+
+
+# The second BFS that Graph.is_connected ran, the diameter sweep that
+# returned its distance too, and the longest path and width-1 decomposition
+# of a tree that checked tree-ness through that BFS before sweeping and
+# rebuilt the tree's parents in a DFS of their own; kept verbatim, with the
+# check of Graph.is_tree spelled out over ref_component, as the references
+# of the differential test in test_graph.py.
+def ref_component(g, s):
+    out = [s]
+    seen = [False] * (g.n + 1)
+    seen[s] = True
+    head = 0
+    while head < len(out):
+        v = out[head]
+        head += 1
+        for w in g.adj[v]:
+            if not seen[w]:
+                seen[w] = True
+                out.append(w)
+    return out
+
+
+def ref_is_tree(g):
+    return (g.n >= 1 and g.m_edges == g.n - 1
+            and len(ref_component(g, 1)) == g.n)
+
+
+def ref_farthest(g, s):
+    """BFS from s; return (vertex, dist, parents), smallest-id tie-break."""
+    dist = [-1] * (g.n + 1)
+    parent = [0] * (g.n + 1)
+    dist[s] = 0
+    frontier = [s]
+    order = []
+    while frontier:
+        order.extend(frontier)
+        nxt = []
+        for v in frontier:
+            for w in g.adj[v]:
+                if dist[w] == -1:
+                    dist[w] = dist[v] + 1
+                    parent[w] = v
+                    nxt.append(w)
+        frontier = nxt
+    best = s
+    for v in order:
+        if dist[v] > dist[best] or (dist[v] == dist[best] and v < best):
+            best = v
+    return best, dist[best], parent
+
+
+def ref_longest_path_in_tree(g):
+    """Vertex sequence of a longest path, found by two BFS sweeps.
+
+    Ties are broken toward smaller vertex ids at both sweeps.
+    """
+    if not ref_is_tree(g):
+        raise NotATree("longest_path_in_tree needs a connected acyclic graph")
+    a, _, _ = ref_farthest(g, 1)
+    b, _, parent = ref_farthest(g, a)
+    path = [b]
+    while path[-1] != a:
+        path.append(parent[path[-1]])
+    path.reverse()
+    return path
+
+
+def ref_tree_to_width1_td(g):
+    """Width-1 decomposition of a tree: one node per edge, clusters are the
+    edge endpoints, and a longest path of the tree maps onto a tree path of
+    the decomposition (so its relative weight is at least the relative
+    diameter)."""
+    if not ref_is_tree(g):
+        raise NotATree("input must be a connected acyclic graph")
+    if g.n == 1:
+        return TreeDecomposition._trusted([1], [], {1: [1]}, 1)
+    spine = ref_longest_path_in_tree(g)
+    root = spine[0]
+    # DFS from the longest-path end; each non-root vertex owns its parent edge
+    parent = [0] * (g.n + 1)
+    order = []
+    visited = [False] * (g.n + 1)
+    visited[root] = True
+    # visit the spine successor first so spine edges get consecutive ids
+    stack = [w for w in reversed(g.adj[root]) if w != spine[1]] + [spine[1]]
+    for w in g.adj[root]:
+        parent[w] = root
+    while stack:
+        v = stack.pop()
+        if visited[v]:
+            continue
+        visited[v] = True
+        order.append(v)
+        for w in g.adj[v]:
+            if not visited[w]:
+                parent[w] = v
+                stack.append(w)
+    node_of = {v: k + 1 for k, v in enumerate(order)}
+    clusters = {node_of[v]: [parent[v], v] for v in order}
+    anchor = node_of[spine[1]]  # stand-in for the root, which owns no edge
+    edges = []
+    for v in order:
+        p = parent[v]
+        if p == root:
+            if node_of[v] != anchor:
+                edges.append((node_of[v], anchor))
+        else:
+            edges.append((node_of[v], node_of[p]))
+    return TreeDecomposition._trusted(list(range(1, len(order) + 1)), edges,
+                                      clusters, g.n)

@@ -1,7 +1,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import double_loop_cut_width
+from helpers import (
+    double_loop_cut_width,
+    ref_component,
+    ref_is_tree,
+    ref_longest_path_in_tree,
+    ref_tree_to_width1_td,
+)
 from treecut.errors import (
     BadSize,
     GraphFormatError,
@@ -10,10 +16,12 @@ from treecut.errors import (
 )
 from treecut.generators import (
     caterpillar_graph,
+    make_instance,
     path_graph,
     random_tree,
     spider_graph,
     star_graph,
+    ternary_tree,
 )
 from treecut.graph import (
     Graph,
@@ -21,6 +29,7 @@ from treecut.graph import (
     longest_path_in_tree,
     max_degree,
 )
+from treecut.treedec import tree_to_width1_td
 
 
 def side_of(g, b):
@@ -114,6 +123,21 @@ def test_caterpillar_rejects_negative_hairs():
     assert caterpillar_graph(3, 0).n == 3
 
 
+@pytest.mark.parametrize("family, kw", [
+    ("path", {"n": 2.5}),
+    ("grid", {"k": 2.5}),
+    ("random-td", {"n": 10, "width": 2.5}),
+    ("caterpillar", {"spine": 3, "hairs": 1.5}),
+    ("spider", {"legs": [2, "a"]}),
+    ("star", {"n": "3"}),
+    ("ternary", {"h": True}),
+], ids=["path-n", "grid-k", "random-td-width", "caterpillar-hairs",
+        "spider-leg", "star-n", "ternary-h-bool"])
+def test_make_instance_rejects_sizes_that_are_not_ints(family, kw):
+    with pytest.raises(BadSize):
+        make_instance(family, **kw)
+
+
 def test_longest_path_p6_is_whole_path():
     assert longest_path_in_tree(path_graph(6)) in ([1, 2, 3, 4, 5, 6],
                                                    [6, 5, 4, 3, 2, 1])
@@ -128,6 +152,86 @@ def test_longest_path_spider():
 def test_longest_path_rejects_non_tree():
     with pytest.raises(NotATree):
         longest_path_in_tree(Graph(3, [(1, 2), (2, 3), (1, 3)]))
+
+
+@pytest.mark.parametrize("g", [
+    Graph(0, []),
+    Graph(5, [(1, 2), (3, 4), (4, 5)]),
+    Graph(4, [(1, 2), (2, 3), (1, 3)]),
+], ids=["empty", "forest", "triangle-and-isolated-vertex"])
+def test_non_trees_are_rejected_by_every_tree_check(g):
+    """The triangle plus an isolated vertex has n - 1 edges, so only the
+    first sweep's reach shows it is no tree."""
+    assert not g.is_tree()
+    with pytest.raises(NotATree):
+        longest_path_in_tree(g)
+    with pytest.raises(NotATree):
+        tree_to_width1_td(g)
+
+
+@st.composite
+def trees(draw):
+    """A tree of one of the generator families, its vertices relabeled by
+    a random permutation and its edges listed in a random order half of
+    the time, so that ties and neighbor orders vary."""
+    family = draw(st.sampled_from(["random-tree", "path", "star", "spider",
+                                   "caterpillar", "ternary"]))
+    if family == "random-tree":
+        g = random_tree(draw(st.integers(1, 120)), draw(st.integers(0, 99)))
+    elif family == "path":
+        g = path_graph(draw(st.integers(1, 40)))
+    elif family == "star":
+        g = star_graph(draw(st.integers(0, 20)))
+    elif family == "spider":
+        g = spider_graph(draw(st.lists(st.integers(0, 6), max_size=5)))
+    elif family == "caterpillar":
+        g = caterpillar_graph(draw(st.integers(1, 12)),
+                              draw(st.integers(0, 3)))
+    else:
+        g = ternary_tree(draw(st.integers(0, 4)))
+    if draw(st.booleans()):
+        label = [0] + draw(st.permutations(range(1, g.n + 1)))
+        edges = [(label[u], label[v]) for u, v in g.edges()]
+        g = Graph(g.n, draw(st.permutations(edges)))
+    return g
+
+
+@settings(max_examples=300, deadline=None)
+@given(trees())
+def test_longest_path_and_width1_td_match_the_five_walk_references(g):
+    """The two sweeps and the DFS over their parents give the path and the
+    decomposition that the tree checks, sweeps and own DFS gave: the same
+    nodes, neighbor lists in the same order, clusters and graph_n."""
+    assert longest_path_in_tree(g) == ref_longest_path_in_tree(g)
+    td, ref = tree_to_width1_td(g), ref_tree_to_width1_td(g)
+    assert td.nodes == ref.nodes
+    assert list(td.neighbors.items()) == list(ref.neighbors.items())
+    assert list(td.clusters.items()) == list(ref.clusters.items())
+    assert td.graph_n == ref.graph_n
+
+
+@st.composite
+def graphs(draw):
+    """A random graph on 0..12 vertices."""
+    n = draw(st.integers(0, 12))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph(n, edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs())
+def test_tree_checks_match_the_component_reference(g):
+    """On any graph, connectivity and tree-ness read from one sweep's
+    reach agree with the component BFS they replaced, and the longest
+    path raises NotATree exactly off trees."""
+    assert g.is_connected() == (g.n == 0 or len(ref_component(g, 1)) == g.n)
+    assert g.is_tree() == ref_is_tree(g)
+    if ref_is_tree(g):
+        assert longest_path_in_tree(g) == ref_longest_path_in_tree(g)
+    else:
+        with pytest.raises(NotATree):
+            longest_path_in_tree(g)
 
 
 def test_max_degree():

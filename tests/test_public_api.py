@@ -16,6 +16,11 @@ from treecut.errors import (
 from treecut.fileio import graph_from_json, parse_graph
 from treecut.generators import path_graph
 from treecut.labeling import PLabeling
+from treecut.oracle import (
+    brute_force_min_bisection,
+    brute_force_min_cut_size_m,
+    tree_dp_min_bisection,
+)
 from treecut.treedec import normalize
 
 EXPECTED = [
@@ -88,8 +93,9 @@ def test_one_input_shape_per_function(func, params):
 # (graph text that is not a str included);
 # a decomposition whose clusters are all empty, which heaviest_path rejects
 # as normalization does; normalization's record, which heaviest_path does
-# not take; a negative graph_n; and JSON nested deeper than the decoder
-# recurses
+# not take; a negative graph_n; JSON nested deeper than the decoder
+# recurses; and a graph of the wrong kind handed to an oracle, which
+# `treecut oracle` calls
 @pytest.mark.parametrize("call, error", [
     (lambda: treecut.validate(None, p6_td()), GraphFormatError),
     (lambda: treecut.validate(path_graph(6), None), DecompositionFormatError),
@@ -111,13 +117,17 @@ def test_one_input_shape_per_function(func, params):
     (lambda: parse_graph(b"2 1\n1 2\n"), GraphFormatError),
     (lambda: parse_graph(None), GraphFormatError),
     (lambda: parse_graph(5), GraphFormatError),
+    (lambda: tree_dp_min_bisection(None), GraphFormatError),
+    (lambda: brute_force_min_cut_size_m(None, 1), GraphFormatError),
+    (lambda: brute_force_min_bisection([1, 2]), GraphFormatError),
 ], ids=["validate-g", "validate-td", "make_nonredundant", "heaviest_path",
         "cut_width", "max_degree", "tree_to_width1_td",
         "longest_path_in_tree", "heaviest_path-empty",
         "heaviest_path-record", "TreeDecomposition-negative-graph_n",
         "from_json-deep",
         "graph_from_json-deep", "parse_graph-bytes", "parse_graph-None",
-        "parse_graph-int"])
+        "parse_graph-int", "tree_dp_min_bisection",
+        "brute_force_min_cut_size_m", "brute_force_min_bisection"])
 def test_public_names_reject_arguments_of_the_wrong_kind(call, error):
     with pytest.raises(error):
         call()
