@@ -40,18 +40,29 @@ def _check_weight(r):
         raise BadFraction("path weight %r is not in (0, 1]" % (r,))
 
 
+def _check_bound_args(t, delta, r):
+    """Raise BadSize unless t and delta are non-negative ints, a bool
+    excluded, and BadFraction unless r is a real number in (0, 1]."""
+    for name, val in (("t", t), ("delta", delta)):
+        if type(val) is not int or val < 0:
+            raise BadSize("%s=%r is not a non-negative int" % (name, val))
+    _check_weight(r)
+
+
 def bound_value(t, delta, r):
     """Guaranteed cut width: t*delta/2 * (log2(1/r)^2 + 9 log2(1/r) + 8).
 
-    An r that is not a real number in (0, 1] raises BadFraction."""
-    _check_weight(r)
+    A t or delta that is not a non-negative int raises BadSize, and an r
+    that is not a real number in (0, 1] BadFraction."""
+    _check_bound_args(t, delta, r)
     lg = math.log2(1.0 / float(r))
     return 0.5 * t * delta * (lg * lg + 9.0 * lg + 8.0)
 
 
 def legible_bound(t, delta, r):
-    """Weaker closed form 8 t delta / r; r is checked as in bound_value."""
-    _check_weight(r)
+    """Weaker closed form 8 t delta / r; the arguments are checked as in
+    bound_value."""
+    _check_bound_args(t, delta, r)
     return 8.0 * t * delta / float(r)
 
 
@@ -76,8 +87,8 @@ def doubling_step(pl, m, ops=UNCOUNTED):
     Returns the vertices added to B and, unless the step was direct, the
     remainder set Z. The labeling then shrinks in place to the instance
     induced by Z (labels reassigned in ascending old-label order, path list
-    pruned, the anchor's hanging tree dropped) by slicing its label
-    arrays; `pl.clusters` is left untouched.
+    pruned, the anchor's hanging trees dropped) by slicing its label
+    arrays; `pl.clusters`, `pl.order` and `pl.parents` are left untouched.
     """
     n = pl.n
     if type(m) is not int or not 1 <= m <= n:
@@ -143,18 +154,30 @@ def doubling_step(pl, m, ops=UNCOUNTED):
     if c == 0:
         b2 = []
     else:
+        # the split node's hanging trees as (child, parent) pairs, every
+        # parent before its children: its spans in stored order, the trees
+        # of each from last to first, each tree in preorder
+        order, parents = pl.order, pl.parents
+        pairs = []
+        spans = pl.hang.get(i, ())
+        for k in range(0, len(spans), 2):
+            end = spans[k + 1]
+            for q in range(end - 1, spans[k] - 1, -1):
+                if parents[q] == i:
+                    pairs += zip(order[q:end], parents[q:end])
+                    end = q
         # hanging vertices renumbered from 1 in label order
         loc = dict(zip(av[a_i:rst_i], range(1, s_size + 1)))
         clusters = pl.clusters
         local = {i: []}
         work = 0
-        for child, _ in pl.hang[i]:
+        for child, _ in pairs:
             cl = clusters[child]
             local[child] = list(filter(None, map(loc.get, cl)))
             work += len(cl) + 1
         del loc  # dead before the approximate cut's peak
         ops.add(work)
-        res = approximate_cut(RootedTree(i, pl.hang[i], local, s_size),
+        res = approximate_cut(RootedTree(i, pairs, local, s_size),
                               mt, c, ops=ops)
         b2 = [av[k + a_i - 1] for k in res.b_vertices]
     b = b1 + b2
@@ -177,7 +200,7 @@ def doubling_step(pl, m, ops=UNCOUNTED):
     for p in pl.path_nodes:
         if p not in marked:
             pl.hang.pop(p, None)
-    pl.hang[anchor] = []
+    pl.hang.pop(anchor, None)
     pl.path_nodes = [p for p in pl.path_nodes if p in marked]
     pl.vertex_of = [0] + zverts
     pl.flags = b"\0" + zflags

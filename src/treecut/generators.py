@@ -4,7 +4,7 @@ from __future__ import annotations
 import heapq
 import random
 
-from .errors import BadSize, TreecutError
+from .errors import BadFraction, BadSize, TreecutError
 from .graph import Graph
 from .treedec import TreeDecomposition, tree_to_width1_td
 from .util import no_gc
@@ -168,23 +168,41 @@ def make_instance(family, **kw):
     Families: path, star, spider, caterpillar, ternary, random-tree, grid,
     random-td. Trees get their width-1 longest-path-aligned decomposition.
     A family that needs a size (`n`, `h` or `k`) raises TreecutError
-    without it, and a size (`n`, `h`, `k`, `spine`, `hairs`, `width` or a
-    leg) that is not an int, a bool included, raises BadSize.
+    without it. A given size (`n`, `h`, `k`, `spine`, `hairs`, `width` or
+    a leg) that is not an int, a bool or None included, a `legs` that is
+    not a list or tuple, and a `seed` that `random.Random` refuses raise
+    BadSize; an `edge_prob` that is not a number in [0, 1] raises
+    BadFraction.
     """
     size = _SIZE_KEY.get(family)
     if size is not None and kw.get(size) is None:
         raise TreecutError("family %r needs --%s" % (family, size))
-    sizes = [kw[key] for key in _SIZES if kw.get(key) is not None]
-    for val in sizes + list(kw.get("legs") or ()):
+    legs = kw.get("legs", ())
+    if type(legs) not in (list, tuple):
+        raise BadSize("legs %r is not a list of ints" % (legs,))
+    for val in [kw[key] for key in _SIZES if key in kw] + list(legs):
         if type(val) is not int:
             raise BadSize("size %r is not an int" % (val,))
+    edge_prob = kw.get("edge_prob", 0.5)
+    try:
+        ok = 0 <= edge_prob <= 1
+    except TypeError:  # a string, None, a dict...
+        ok = False
+    if not ok:
+        raise BadFraction("edge_prob %r is not a number in [0, 1]"
+                          % (edge_prob,))
     seed = kw.get("seed", 0)
+    try:
+        random.Random(seed)
+    except TypeError:
+        raise BadSize("seed %r is not a seed random accepts"
+                      % (seed,)) from None
     if family == "path":
         g = path_graph(kw["n"])
     elif family == "star":
         g = star_graph(kw["n"] - 1)
     elif family == "spider":
-        g = spider_graph(kw.get("legs") or [3, 3, 3])
+        g = spider_graph(legs or [3, 3, 3])
     elif family == "caterpillar":
         g = caterpillar_graph(kw.get("spine", 5), kw.get("hairs", 2))
     elif family == "ternary":
@@ -195,7 +213,7 @@ def make_instance(family, **kw):
         return grid_graph(kw["k"]), grid_td(kw["k"])
     elif family == "random-td":
         return random_graph_with_td(kw["n"], kw.get("width", 3), seed,
-                                    kw.get("edge_prob", 0.5))
+                                    edge_prob)
     else:
         raise TreecutError("unknown family %r" % family)
     return g, tree_to_width1_td(g)

@@ -27,11 +27,17 @@ class PLabeling:
     else 0, and `node_at[lab]` is the path node whose block holds the label
     (index 0 of the three holds 0). A doubling step shrinks the instance
     by slicing the three arrays to the remainder's labels. `path_nodes`
-    lists the path in label order, and `hang` maps a path node to the
-    (child, parent) pairs of the trees hanging from it; a node without a
-    key has none, as on a covering labeling, whose steps are all direct.
-    `clusters` and `graph_n` are the labeled decomposition's; the labeling
-    keeps no other part of it.
+    lists the path in label order. `order` and `parents` are heaviest
+    path's second sweep, a preorder from the path's first node and each
+    entry's tree parent, and `hang` maps a path node to the spans of
+    `order` that hold the trees hanging from it, as a flat tuple of one or
+    two (start, end) pairs, `(s, e)` or `(s1, e1, s2, e2)`: the trees
+    visited after the next path node's subtree, then those visited before
+    it. A tree's root is a position whose parent is the node. A node
+    without a key has none, as on a covering labeling, whose steps are all
+    direct and whose `order` and `parents` are None. `clusters` and
+    `graph_n` are the labeled decomposition's; the labeling keeps no other
+    part of it.
     """
 
     clusters: list | dict
@@ -42,6 +48,8 @@ class PLabeling:
     node_at: list
     path_nodes: list
     hang: dict
+    order: list | None
+    parents: list | None
 
     def blocks(self):
         """Per path node: (first label, first cluster-vertex label, last label).
@@ -86,8 +94,8 @@ def build_plabeling(norm, ops=UNCOUNTED):
 
     Otherwise heaviest path hands on its path and its second sweep's
     preorder; the path is labeled in that orientation, and the hanging
-    trees are cut from the preorder, which dies before the label arrays
-    exist. A path cluster is read once, or twice when hanging trees attach
+    trees are cut from the preorder as spans of it, which the labeling
+    keeps. A path cluster is read once, or twice when hanging trees attach
     to its node. This relies on cluster connectivity: a vertex is marked
     as a path vertex when the first path node holding it labels it, and a
     hanging vertex that also lies in a path cluster lies in the cluster of
@@ -104,42 +112,46 @@ def build_plabeling(norm, ops=UNCOUNTED):
     norm.td = None
     if preorder is None:
         return _covering_labeling(norm, clusters, graph_n, ops)
-    hang = _hanging_trees(path, *preorder)
-    del preorder  # gone before the label arrays are allocated
+    order, parents = preorder
+    hang = _hanging_trees(path, order, parents)
     work = len(norm.nodes) + sum(map(len, map(clusters.__getitem__, path)))
-    vertex_of, flags, node_at = _assign_labels(clusters, graph_n, path, hang)
+    vertex_of, flags, node_at = _assign_labels(clusters, graph_n, path, hang,
+                                               order, parents)
     ops.add(work)
     return PLabeling(clusters, graph_n, len(vertex_of) - 1, vertex_of,
-                     flags, node_at, path, hang)
+                     flags, node_at, path, hang, order, parents)
 
 
 def _hanging_trees(path, order, parents):
     """Hanging trees: the components of the tree minus the path's edges,
-    keyed by the path node they attach to, each as (child, parent) pairs
-    in DFS order from that node.
+    keyed by the path node they attach to, each node's as a flat tuple of
+    one or two (start, end) spans of `order`.
 
     `order` and `parents` are a DFS preorder rooted at `path[0]` and each
     entry's parent. Every hanging tree is a contiguous run of it that
     starts at a child of a path node and ends at the next path node or the
-    next run's start. A node's runs come in the reverse of its `neighbors`
-    order, so the preorder is cut from its end, which appends each node's
-    runs to its list in `neighbors` order.
+    next run's start. A node's runs sit on the two sides of the next path
+    node's subtree, so they make at most two spans: the preorder is cut
+    from its end, and a run that ends where the node's last span starts
+    extends that span. A node without hanging trees gets no key.
     """
     on_path = set(path)
-    hang = {i: [] for i in path}
-    end = len(order)
+    hang = {}
+    node = None  # the node whose span is being cut, from `start` to `stop`
+    end = stop = start = len(order)
     for q in range(end - 1, 0, -1):
-        v = order[q]
-        if v in on_path:
+        if order[q] in on_path:
             end = q
             continue
         p = parents[q]
         if p in on_path:
-            if end - q == 1:  # a leaf, the common case on caterpillars
-                hang[p].append((v, p))
-            else:
-                hang[p] += zip(order[q:end], parents[q:end])
-            end = q
+            if p != node or end != start:  # not adjacent: a new span
+                if node is not None:
+                    hang[node] = hang.get(node, ()) + (start, stop)
+                node, stop = p, end
+            start = end = q
+    if node is not None:
+        hang[node] = hang.get(node, ()) + (start, stop)
     return hang
 
 
@@ -153,13 +165,18 @@ def _covering_labeling(norm, clusters, graph_n, ops):
     norm.path_node_of = None  # by vertex; the labeling keeps node_at only
     ops.add(n + len(path))
     return PLabeling(clusters, graph_n, n, vertex_of, b"\0" + b"\1" * n,
-                     node_at, path, {})
+                     node_at, path, {}, None, None)
 
 
-def _assign_labels(clusters, n0, path, hang):
-    """(vertex_of, flags, node_at) for `path`.
+def _assign_labels(clusters, n0, path, hang, order, parents):
+    """(vertex_of, flags, node_at) for `path`, whose hanging trees `hang`
+    holds as spans of `order`.
 
-    Raises InvalidDecomposition, naming the node, when a path node adds no
+    A node's hanging vertices are labeled deepest first: its spans in
+    preorder, the trees of each in preorder, and each tree walked from its
+    last preorder position back to its root, the next tree starting at
+    the next position whose parent is the node. Raises
+    InvalidDecomposition, naming the node, when a path node adds no
     cluster vertex that no earlier node held, which cluster connectivity
     rules out on a normalized decomposition. The flags are read from the
     path-vertex marks once every block is labeled."""
@@ -171,18 +188,31 @@ def _assign_labels(clusters, n0, path, hang):
     for i in path:
         cl = clusters[i]
         start = hanging_end = len(vertex_of)
-        if hang[i]:
+        spans = hang.get(i)
+        if spans:
             # hanging vertices first (deepest nodes first), then fresh
             # cluster vertices, so cluster vertices close the block; the
             # node's own cluster is marked first, so a hanging vertex that
             # also lies in it waits for the cluster part
             for x in cl:
                 is_pv[x] = 1
-            for v, _ in reversed(hang[i]):
-                for x in clusters[v]:
-                    if not is_pv[x] and not labeled[x]:
-                        labeled[x] = 1
-                        append(x)
+            k = len(spans)
+            while k:  # the spans in preorder: the last stored first
+                e = spans[k - 1]
+                k -= 2
+                q = spans[k]
+                while q < e:  # the tree rooted at q ends at r
+                    r = q + 1
+                    while r < e and parents[r] != i:
+                        r += 1
+                    t = r
+                    while t > q:
+                        t -= 1
+                        for x in clusters[order[t]]:
+                            if not is_pv[x] and not labeled[x]:
+                                labeled[x] = 1
+                                append(x)
+                    q = r
             hanging_end = len(vertex_of)
         for x in cl:
             if not labeled[x]:

@@ -311,7 +311,9 @@ class Normalized:
     node held), and the chain from the sweep's endpoint, the heavy end, up
     to the smallest node, the only tree parents the second sweep reads.
     The counts are a list indexed by id after a contraction and a dict by
-    node after a pass-through. None on a covering record. `td` and
+    node after a pass-through, sized once as a copy of the input's
+    `neighbors` with every value replaced, so it never holds two tables
+    while it grows. None on a covering record. `td` and
     `first_sweep` live only until the labeling: its heaviest path takes
     `first_sweep` off the record, and build_plabeling drops `td` once the
     path is found.
@@ -325,20 +327,25 @@ class Normalized:
     first_sweep: tuple | None = None
 
 
-def make_nonredundant(td, ops=UNCOUNTED):
+def make_nonredundant(td):
     """Contract away nested adjacent clusters (see `normalize`).
 
     Returns `td` itself when nothing contracts, not a copy; callers must
     not mutate the result. Otherwise returns a new TreeDecomposition with
-    dense node ids 1..k, whose neighbor and cluster dicts are built from
-    normalization's id-indexed lists and hold the same list objects. The
-    input is never written to. A `td` that is not a TreeDecomposition
-    raises DecompositionFormatError.
+    dense node ids 1..k (see _public). The input is never written to. A
+    `td` that is not a TreeDecomposition raises DecompositionFormatError.
     """
     check_decomposition(td)
-    out = normalize(td, ops).td
-    if out is td:
-        return td
+    return _public(normalize(td).td)
+
+
+def _public(out):
+    """normalize's output decomposition `out` as a TreeDecomposition: the
+    input itself when nothing contracted, else a new one whose neighbor
+    and cluster dicts are built from the id-indexed lists and hold the
+    same list objects."""
+    if not isinstance(out, _IdLists):
+        return out
     ids = out.nodes
     public = TreeDecomposition.__new__(TreeDecomposition)
     public.nodes = ids
@@ -458,8 +465,11 @@ def normalize(td, ops=UNCOUNTED):
         # the only parents the second sweep reads: those up from `best`
         chain = _chain(roots, up, roots.index(best))
         del up
-        return Normalized(td, td.nodes, size, first_sweep=(
-            dict(zip(roots, fresh_of)), chain))
+        # every node heads its class, so the counts by node fill a copy
+        # of `neighbors`, which is sized once; each value is replaced
+        fresh = neighbors.copy()
+        fresh.update(zip(roots, fresh_of))
+        return Normalized(td, td.nodes, size, first_sweep=(fresh, chain))
     ids = list(range(1, len(roots) + 1))
     id_of = {i: ids[c] for i, c in joined.items()}
     del joined
@@ -628,7 +638,7 @@ def _chain(order, parents, q):
     return chain
 
 
-def heaviest_path(td, ops=UNCOUNTED):
+def heaviest_path(td):
     """Tree path maximizing the union of its clusters, via two DFS sweeps.
 
     The first sweep runs from the smallest node id and is the only one
@@ -648,8 +658,7 @@ def heaviest_path(td, ops=UNCOUNTED):
     heaviest.
     """
     check_decomposition(td)
-    path, weight, _ = _sweep_from(
-        td, *_recording_sweep(td, min(td.nodes), ops), ops)
+    path, weight, _ = _sweep_from(td, *_recording_sweep(td, min(td.nodes)))
     if not weight:
         raise EmptyDecomposition("every cluster is empty")
     return path, WeightReport(weight, Fraction(weight, td.graph_n))

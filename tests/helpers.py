@@ -7,7 +7,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from treecut import engine
+from treecut import engine, treedec
 from treecut.approxcut import RootedTree, _cut_tree as approximate_cut
 from treecut.engine import StepRecord, StepResult, doubling_step
 from treecut.errors import (
@@ -22,7 +22,6 @@ from treecut.graph import max_degree
 from treecut.labeling import PLabeling
 from treecut.treedec import (
     TreeDecomposition,
-    heaviest_path,
     ValidityReport,
     make_nonredundant,
 )
@@ -145,7 +144,7 @@ def restricted_td(pl):
         if k:
             edges.append((pl.path_nodes[k - 1], i))
         nodes.append(i)
-        for child, par in pl.hang.get(i, ()):
+        for child, par in span_pairs(pl, i):
             nodes.append(child)
             edges.append((par, child))
     current = set(current_vertices(pl))
@@ -156,8 +155,49 @@ def restricted_td(pl):
 
 def hanging_pairs(pl):
     """Each path node of `pl` with its hanging (child, parent) pairs, in
-    path order; a node that `pl.hang` has no key for has none."""
-    return [(i, pl.hang.get(i, [])) for i in pl.path_nodes]
+    path order, rebuilt from the spans (see span_pairs)."""
+    return [(i, span_pairs(pl, i)) for i in pl.path_nodes]
+
+
+def span_pairs(pl, i):
+    """The (child, parent) pairs of the trees hanging from path node i,
+    rebuilt from its spans of `pl.order`: the spans in stored order, the
+    trees of each from last to first, each tree top-down, a tree running
+    from a position whose parent is i to the next such position or the
+    span's end. [] when `pl.hang` has no key for i."""
+    spans = pl.hang.get(i, ())
+    pairs = []
+    for s, e in zip(spans[0::2], spans[1::2]):
+        roots = [q for q in range(s, e) if pl.parents[q] == i]
+        for a, b in reversed(list(zip(roots, roots[1:] + [e]))):
+            pairs += zip(pl.order[a:b], pl.parents[a:b])
+    return pairs
+
+
+def span_form(path, pairs_of):
+    """(order, parents, hang): the hanging trees of `pairs_of`, which maps
+    a path node to its (child, parent) pairs in DFS order from it, as the
+    spans a PLabeling holds, over an order made up for them. Each path
+    node is followed by its trees, last to first, each top-down, as one
+    span, so span_pairs gives the pairs back; a node with no pairs gets no
+    key."""
+    order, parents, hang = [], [], {}
+    for i in path:
+        order.append(i)
+        parents.append(None)
+        trees = []
+        for child, par in pairs_of[i]:
+            if par == i:
+                trees.append([])
+            trees[-1].append((child, par))
+        start = len(order)
+        for tree in reversed(trees):
+            for child, par in tree:
+                order.append(child)
+                parents.append(par)
+        if trees:
+            hang[i] = (start, len(order))
+    return order, parents, hang
 
 
 def debug_dump(pl):
@@ -185,6 +225,8 @@ class VertexLabeling:
     path_node_of: list
     path_nodes: list
     hang: dict
+    order: list | None
+    parents: list | None
 
 
 def per_vertex(pl):
@@ -201,7 +243,8 @@ def per_vertex(pl):
         is_pv[x] = pl.flags[lab]
         path_node_of[x] = pl.node_at[lab]
     return VertexLabeling(pl.clusters, n0, pl.n, label_of, list(pl.vertex_of),
-                          is_pv, path_node_of, list(pl.path_nodes), pl.hang)
+                          is_pv, path_node_of, list(pl.path_nodes), pl.hang,
+                          pl.order, pl.parents)
 
 
 def by_label(ref):
@@ -211,7 +254,7 @@ def by_label(ref):
     return PLabeling(ref.clusters, ref.graph_n, ref.n, vertex_of,
                      bytes(map(ref.is_path_vertex.__getitem__, vertex_of)),
                      list(map(ref.path_node_of.__getitem__, vertex_of)),
-                     ref.path_nodes, ref.hang)
+                     ref.path_nodes, ref.hang, ref.order, ref.parents)
 
 
 def two_pass_plabeling(td, path_nodes=None, ops=UNCOUNTED):
@@ -222,9 +265,12 @@ def two_pass_plabeling(td, path_nodes=None, ops=UNCOUNTED):
     normalization record, so this also labels a bare decomposition, or an
     explicit path of one, for the tests and the reference drivers. It
     builds the arrays by vertex and returns them as a PLabeling (see
-    by_label)."""
+    by_label), its hanging trees in the span form over an order made up
+    for them (span_form), checked to give back the DFS pairs."""
     if path_nodes is None:
-        path_nodes, _ = heaviest_path(td, ops=ops)
+        # the public heaviest_path's two sweeps, counted into `ops`
+        path_nodes = treedec._sweep_from(
+            td, *treedec._recording_sweep(td, min(td.nodes), ops), ops)[0]
     clusters, neighbors = td.clusters, td.neighbors
     path_set = set(path_nodes)
     is_pv = bytearray(td.graph_n + 1)
@@ -255,9 +301,12 @@ def two_pass_plabeling(td, path_nodes=None, ops=UNCOUNTED):
             raise RedundantPath("neither end of the path is a nonredundant start")
     ops.add(work)
     label_of, vertex_of, path_node_of = labels
-    return by_label(VertexLabeling(clusters, td.graph_n, len(vertex_of) - 1,
-                                   label_of, vertex_of, is_pv, path_node_of,
-                                   path, hang))
+    order, parents, spans = span_form(path, hang)
+    ref = VertexLabeling(clusters, td.graph_n, len(vertex_of) - 1, label_of,
+                         vertex_of, is_pv, path_node_of, path, spans, order,
+                         parents)
+    assert all(span_pairs(ref, i) == hang[i] for i in path)
+    return by_label(ref)
 
 
 def _two_pass_assign(clusters, n0, path, is_pv, hang):
@@ -303,6 +352,12 @@ def restrict(td, keep_nodes=None, vertex_filter=None):
     return TreeDecomposition(keep_nodes, edges, clusters, td.graph_n)
 
 
+def counted_nonredundant(td, ops):
+    """The public make_nonredundant(td), its normalization counted into
+    `ops`."""
+    return treedec._public(treedec.normalize(td, ops).td)
+
+
 def exact_size_cut(g, td0, m):
     """Reference driver: rebuilds path and labeling from scratch each round.
 
@@ -316,7 +371,7 @@ def exact_size_cut(g, td0, m):
         raise BadSize("m=%r outside 0..%d" % (m, g.n))
     ops = OpsCounter()
     t_start = time.perf_counter()
-    td = make_nonredundant(td0, ops=ops)
+    td = counted_nonredundant(td0, ops)
     pl = two_pass_plabeling(td, ops=ops)
     engine._check_coverage(pl, g.n)
     r0 = pl.relative_weight()
@@ -325,8 +380,8 @@ def exact_size_cut(g, td0, m):
     steps = []
     while len(b_total) < m:
         if steps:
-            cur_td = make_nonredundant(restrict(cur_td, None, set(res.z_vertices)),
-                                       ops=ops)
+            cur_td = counted_nonredundant(
+                restrict(cur_td, None, set(res.z_vertices)), ops)
             pl = two_pass_plabeling(cur_td, ops=ops)
         res = doubling_step(pl, m - len(b_total), ops=ops)
         b_total.extend(res.b_vertices)
@@ -763,8 +818,9 @@ def ternary_bisection_lower_bound(h):
 # one at a time in Python, before they became bytes operations and before
 # the labeling's state was indexed by label; kept verbatim, with the
 # methods taking the labeling as `self`, as the reference of the
-# differential test in test_engine.py. They read and shrink a
-# VertexLabeling (see per_vertex).
+# differential test in test_engine.py, except that the step reads the
+# hanging trees through span_pairs and drops the anchor's key. They read
+# and shrink a VertexLabeling (see per_vertex).
 def ref_blocks(self):
     """Per path node: (first label, first cluster-vertex label, last label).
 
@@ -874,7 +930,8 @@ def ref_doubling_step(pl, m, ops=UNCOUNTED):
         b2 = []
     else:
         local = {i: []}  # hanging vertices renumbered from 1 in label order
-        for child, _ in pl.hang[i]:
+        pairs = span_pairs(pl, i)
+        for child, _ in pairs:
             cl = []
             for x in pl.clusters[child]:
                 lab = al[x]
@@ -882,7 +939,7 @@ def ref_doubling_step(pl, m, ops=UNCOUNTED):
                     cl.append(lab - a_i + 1)
             local[child] = cl
             ops.add(len(pl.clusters[child]) + 1)
-        res = approximate_cut(RootedTree(i, pl.hang[i], local, s_size),
+        res = approximate_cut(RootedTree(i, pairs, local, s_size),
                               mt, c, ops=ops)
         b2 = [av[k + a_i - 1] for k in res.b_vertices]
     b = b1 + b2
@@ -902,7 +959,7 @@ def ref_doubling_step(pl, m, ops=UNCOUNTED):
     for p in pl.path_nodes:
         if p not in marked:
             pl.hang.pop(p, None)
-    pl.hang[anchor] = []
+    pl.hang.pop(anchor, None)
     pl.path_nodes = [p for p in pl.path_nodes if p in marked]
     for k, x in enumerate(zverts):
         al[x] = k + 1

@@ -250,6 +250,39 @@ def test_labeling_matches_two_pass_reference_on_corpus():
     assert covering == {False, True}
 
 
+def test_hanging_spans_partition_the_preorder_off_the_path():
+    """On every corpus decomposition, the labeling holds each path node's
+    hanging trees as one or two non-empty spans of its preorder, the later
+    span first; a node without a hanging tree in the two-pass reference
+    gets no key; and the spans partition the preorder positions of the
+    nodes off the path. A covering labeling holds no preorder and no
+    spans. Both span shapes occur."""
+    shapes = set()
+    for _, _, td in acceptance_corpus():
+        rec, twin = normalize(td), normalize(td)
+        pl = build_plabeling(rec)
+        if pl.order is None:
+            assert pl.parents is None and pl.hang == {}
+            continue
+        path, _ = treedec._record_path(twin, OpsCounter())
+        ref = two_pass_plabeling(twin.td, path)
+        assert set(pl.hang) == {i for i, pairs in hanging_pairs(ref) if pairs}
+        assert len(pl.order) == len(pl.parents) == len(twin.nodes)
+        positions = []
+        for spans in pl.hang.values():
+            assert len(spans) in (2, 4)
+            shapes.add(len(spans))
+            if len(spans) == 4:
+                assert spans[3] < spans[0]
+            for s, e in zip(spans[0::2], spans[1::2]):
+                assert 0 < s < e <= len(pl.order)
+                positions.extend(range(s, e))
+        on_path = set(pl.path_nodes)
+        assert sorted(positions) == [q for q, i in enumerate(pl.order)
+                                     if i not in on_path]
+    assert shapes == {2, 4}
+
+
 @st.composite
 def hanging_paths(draw):
     """A normalized decomposition with hanging trees, node ids shuffled into

@@ -9,12 +9,14 @@ import treecut
 from helpers import p6_td
 from treecut.cli import main
 from treecut.errors import (
+    BadFraction,
+    BadSize,
     DecompositionFormatError,
     EmptyDecomposition,
     GraphFormatError,
 )
 from treecut.fileio import graph_from_json, parse_graph
-from treecut.generators import path_graph
+from treecut.generators import make_instance, path_graph
 from treecut.labeling import PLabeling
 from treecut.oracle import (
     brute_force_min_bisection,
@@ -84,6 +86,8 @@ def test_test_only_members_are_gone(owner, name):
     (treecut.validate, ["g", "td"]),
     (treecut.cut_width, ["g", "side"]),
     (treecut.approximate_cut, ["td", "m", "c", "g"]),
+    (treecut.heaviest_path, ["td"]),
+    (treecut.make_nonredundant, ["td"]),
 ])
 def test_one_input_shape_per_function(func, params):
     assert list(inspect.signature(func).parameters) == params
@@ -94,8 +98,10 @@ def test_one_input_shape_per_function(func, params):
 # a decomposition whose clusters are all empty, which heaviest_path rejects
 # as normalization does; normalization's record, which heaviest_path does
 # not take; a negative graph_n; JSON nested deeper than the decoder
-# recurses; and a graph of the wrong kind handed to an oracle, which
-# `treecut oracle` calls
+# recurses; a graph of the wrong kind handed to an oracle, which
+# `treecut oracle` calls; a make_instance argument that is no size, leg
+# list, edge probability or seed; and a t or delta of a bound that is not
+# a non-negative int
 @pytest.mark.parametrize("call, error", [
     (lambda: treecut.validate(None, p6_td()), GraphFormatError),
     (lambda: treecut.validate(path_graph(6), None), DecompositionFormatError),
@@ -120,6 +126,29 @@ def test_one_input_shape_per_function(func, params):
     (lambda: tree_dp_min_bisection(None), GraphFormatError),
     (lambda: brute_force_min_cut_size_m(None, 1), GraphFormatError),
     (lambda: brute_force_min_bisection([1, 2]), GraphFormatError),
+    (lambda: make_instance("spider", legs=5), BadSize),
+    (lambda: make_instance("spider", legs=2.5), BadSize),
+    (lambda: make_instance("spider", legs=True), BadSize),
+    (lambda: make_instance("spider", legs=object()), BadSize),
+    (lambda: make_instance("spider", legs="33"), BadSize),
+    (lambda: make_instance("spider", legs=[3, None]), BadSize),
+    (lambda: make_instance("caterpillar", spine=None), BadSize),
+    (lambda: make_instance("caterpillar", hairs=None), BadSize),
+    (lambda: make_instance("random-td", n=10, edge_prob="x"), BadFraction),
+    (lambda: make_instance("random-td", n=10, edge_prob={}), BadFraction),
+    (lambda: make_instance("random-td", n=10, edge_prob=None), BadFraction),
+    (lambda: make_instance("random-td", n=10, edge_prob=1.5), BadFraction),
+    (lambda: make_instance("random-td", n=10, seed={}), BadSize),
+    (lambda: make_instance("random-tree", n=10, seed=[1]), BadSize),
+    (lambda: make_instance("random-tree", n=10, seed=object()), BadSize),
+    (lambda: treecut.bound_value("2", 2, 1), BadSize),
+    (lambda: treecut.bound_value(2, None, 1), BadSize),
+    (lambda: treecut.bound_value(2.0, 2, 1), BadSize),
+    (lambda: treecut.bound_value(-1, 2, 1), BadSize),
+    (lambda: treecut.bound_value(2, True, 1), BadSize),
+    (lambda: treecut.legible_bound([2], 2, 1), BadSize),
+    (lambda: treecut.legible_bound(2, -3, 1), BadSize),
+    (lambda: treecut.legible_bound(2, 1j, 1), BadSize),
 ], ids=["validate-g", "validate-td", "make_nonredundant", "heaviest_path",
         "cut_width", "max_degree", "tree_to_width1_td",
         "longest_path_in_tree", "heaviest_path-empty",
@@ -127,7 +156,19 @@ def test_one_input_shape_per_function(func, params):
         "from_json-deep",
         "graph_from_json-deep", "parse_graph-bytes", "parse_graph-None",
         "parse_graph-int", "tree_dp_min_bisection",
-        "brute_force_min_cut_size_m", "brute_force_min_bisection"])
+        "brute_force_min_cut_size_m", "brute_force_min_bisection",
+        "make_instance-legs-int", "make_instance-legs-float",
+        "make_instance-legs-bool", "make_instance-legs-object",
+        "make_instance-legs-str", "make_instance-leg-None",
+        "make_instance-spine-None", "make_instance-hairs-None",
+        "make_instance-edge_prob-str", "make_instance-edge_prob-dict",
+        "make_instance-edge_prob-None", "make_instance-edge_prob-above-1",
+        "make_instance-seed-dict", "make_instance-seed-list",
+        "make_instance-seed-object", "bound_value-t-str",
+        "bound_value-delta-None", "bound_value-t-float",
+        "bound_value-t-negative", "bound_value-delta-bool",
+        "legible_bound-t-list", "legible_bound-delta-negative",
+        "legible_bound-delta-complex"])
 def test_public_names_reject_arguments_of_the_wrong_kind(call, error):
     with pytest.raises(error):
         call()
