@@ -154,18 +154,7 @@ def doubling_step(pl, m, ops=UNCOUNTED):
     if c == 0:
         b2 = []
     else:
-        # the split node's hanging trees as (child, parent) pairs, every
-        # parent before its children: its spans in stored order, the trees
-        # of each from last to first, each tree in preorder
-        order, parents = pl.order, pl.parents
-        pairs = []
-        spans = pl.hang.get(i, ())
-        for k in range(0, len(spans), 2):
-            end = spans[k + 1]
-            for q in range(end - 1, spans[k] - 1, -1):
-                if parents[q] == i:
-                    pairs += zip(order[q:end], parents[q:end])
-                    end = q
+        pairs = pl.hanging_pairs(i)
         # hanging vertices renumbered from 1 in label order
         loc = dict(zip(av[a_i:rst_i], range(1, s_size + 1)))
         clusters = pl.clusters

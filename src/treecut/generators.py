@@ -159,6 +159,7 @@ def random_graph_with_td(n, width, seed=0, edge_prob=0.5):
 _SIZE_KEY = {"path": "n", "star": "n", "random-tree": "n", "random-td": "n",
              "ternary": "h", "grid": "k"}
 _SIZES = ("n", "h", "k", "spine", "hairs", "width")
+_SEED_TYPES = (int, float, str, bytes, bytearray)
 
 
 @no_gc
@@ -170,9 +171,9 @@ def make_instance(family, **kw):
     A family that needs a size (`n`, `h` or `k`) raises TreecutError
     without it. A given size (`n`, `h`, `k`, `spine`, `hairs`, `width` or
     a leg) that is not an int, a bool or None included, a `legs` that is
-    not a list or tuple, and a `seed` that `random.Random` refuses raise
-    BadSize; an `edge_prob` that is not a number in [0, 1] raises
-    BadFraction.
+    not a list or tuple, and a `seed` that is not None, an int, a float, a
+    str, bytes or a bytearray raise BadSize; an `edge_prob` that is not a
+    number in [0, 1] raises BadFraction.
     """
     size = _SIZE_KEY.get(family)
     if size is not None and kw.get(size) is None:
@@ -192,11 +193,9 @@ def make_instance(family, **kw):
         raise BadFraction("edge_prob %r is not a number in [0, 1]"
                           % (edge_prob,))
     seed = kw.get("seed", 0)
-    try:
-        random.Random(seed)
-    except TypeError:
-        raise BadSize("seed %r is not a seed random accepts"
-                      % (seed,)) from None
+    # the types every supported Python seeds from without a warning
+    if seed is not None and type(seed) not in _SEED_TYPES:
+        raise BadSize("seed %r is not an int, float, str or bytes" % (seed,))
     if family == "path":
         g = path_graph(kw["n"])
     elif family == "star":

@@ -80,6 +80,22 @@ class PLabeling:
     def relative_weight(self):
         return Fraction(self.flags.count(1), self.n)
 
+    def hanging_pairs(self, i):
+        """The trees hanging from path node i as (child, parent) pairs,
+        every parent before its children: its spans in stored order, the
+        trees of each from last to first, each tree top-down. [] when i
+        has none."""
+        order, parents = self.order, self.parents
+        pairs = []
+        spans = self.hang.get(i, ())
+        for k in range(0, len(spans), 2):
+            end = spans[k + 1]
+            for q in range(end - 1, spans[k] - 1, -1):
+                if parents[q] == i:  # a tree's root
+                    pairs += zip(order[q:end], parents[q:end])
+                    end = q
+        return pairs
+
 
 def build_plabeling(norm, ops=UNCOUNTED):
     """Construct the label arrays for the heaviest path of normalization's

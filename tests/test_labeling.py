@@ -15,6 +15,7 @@ from helpers import (
     restrict,
     restricted_td,
     set_validate,
+    span_pairs,
     spider_fixture,
     two_pass_plabeling,
 )
@@ -255,8 +256,9 @@ def test_hanging_spans_partition_the_preorder_off_the_path():
     hanging trees as one or two non-empty spans of its preorder, the later
     span first; a node without a hanging tree in the two-pass reference
     gets no key; and the spans partition the preorder positions of the
-    nodes off the path. A covering labeling holds no preorder and no
-    spans. Both span shapes occur."""
+    nodes off the path; and PLabeling.hanging_pairs rebuilds from them
+    the pairs the test decoder span_pairs rebuilds. A covering labeling
+    holds no preorder and no spans. Both span shapes occur."""
     shapes = set()
     for _, _, td in acceptance_corpus():
         rec, twin = normalize(td), normalize(td)
@@ -277,6 +279,8 @@ def test_hanging_spans_partition_the_preorder_off_the_path():
             for s, e in zip(spans[0::2], spans[1::2]):
                 assert 0 < s < e <= len(pl.order)
                 positions.extend(range(s, e))
+        for i in pl.path_nodes:
+            assert pl.hanging_pairs(i) == span_pairs(pl, i)
         on_path = set(pl.path_nodes)
         assert sorted(positions) == [q for q, i in enumerate(pl.order)
                                      if i not in on_path]

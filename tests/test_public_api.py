@@ -1,6 +1,7 @@
 """The package's public surface: what it exports and what it no longer has."""
 import importlib
 import inspect
+import warnings
 
 import pytest
 from click.testing import CliRunner
@@ -141,6 +142,7 @@ def test_one_input_shape_per_function(func, params):
     (lambda: make_instance("random-td", n=10, seed={}), BadSize),
     (lambda: make_instance("random-tree", n=10, seed=[1]), BadSize),
     (lambda: make_instance("random-tree", n=10, seed=object()), BadSize),
+    (lambda: make_instance("random-tree", n=10, seed=True), BadSize),
     (lambda: treecut.bound_value("2", 2, 1), BadSize),
     (lambda: treecut.bound_value(2, None, 1), BadSize),
     (lambda: treecut.bound_value(2.0, 2, 1), BadSize),
@@ -164,7 +166,8 @@ def test_one_input_shape_per_function(func, params):
         "make_instance-edge_prob-str", "make_instance-edge_prob-dict",
         "make_instance-edge_prob-None", "make_instance-edge_prob-above-1",
         "make_instance-seed-dict", "make_instance-seed-list",
-        "make_instance-seed-object", "bound_value-t-str",
+        "make_instance-seed-object", "make_instance-seed-bool",
+        "bound_value-t-str",
         "bound_value-delta-None", "bound_value-t-float",
         "bound_value-t-negative", "bound_value-delta-bool",
         "legible_bound-t-list", "legible_bound-delta-negative",
@@ -172,6 +175,16 @@ def test_one_input_shape_per_function(func, params):
 def test_public_names_reject_arguments_of_the_wrong_kind(call, error):
     with pytest.raises(error):
         call()
+
+
+# every seed type make_instance accepts seeds random without a warning, so
+# the same seeds pass on every supported Python, `-W error` included
+@pytest.mark.parametrize("seed", [None, 7, 2.5, "s", b"s", bytearray(b"s")])
+def test_make_instance_takes_every_accepted_seed_type(seed):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g, td = make_instance("random-tree", n=10, seed=seed)
+    assert g.n == 10
 
 
 @pytest.mark.parametrize("command", ["bisect", "cut"])
