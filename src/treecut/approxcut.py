@@ -21,68 +21,29 @@ from .util import UNCOUNTED, no_gc
 
 
 @dataclass
-class RootedTree:
-    """A decomposition tree listed top-down, built by the package, not checked.
-
-    `pairs` are (child, parent) pairs in which every parent is listed
-    before its children; `root` is the one node that is nobody's child.
-    `clusters` maps every node to a list of distinct vertices in
-    1..graph_n.
-    """
-    root: int
-    pairs: list
-    clusters: dict
-    graph_n: int
-
-    @classmethod
-    def of(cls, td):
-        """Depth-first walk of `td` from its smallest node, children in
-        `td.neighbors` order."""
-        root = min(td.nodes)
-        pairs = []
-        stack = [(j, root) for j in reversed(td.neighbors[root])]
-        while stack:
-            i, p = stack.pop()
-            pairs.append((i, p))
-            stack.extend((j, i) for j in reversed(td.neighbors[i]) if j != p)
-        return cls(root, pairs, td.clusters, td.graph_n)
-
-
-@dataclass
 class SubtreeWeights:
-    """Per-node lists indexed by walk position, 0 being the root."""
-    nodes: list          # node id at each position
-    clusters: list       # its cluster
+    """Per-node lists indexed by tree position, 0 being the root."""
     total: list          # vertices covered by the subtree at the position
     reduced: list        # total minus the overlap with the parent cluster
     children: list       # child positions, heaviest reduced weight first
 
 
-def compute_subtree_weights(tree, ops=UNCOUNTED):
-    """Vertex counts per subtree, rooted at the smallest node id, with
-    children pre-sorted for the greedy.
+def compute_subtree_weights(parent, clusters, graph_n, ops=UNCOUNTED):
+    """Vertex counts per subtree, with children pre-sorted for the greedy.
 
-    `total[k]` counts distinct vertices in clusters at or below position
-    k; `reduced[k]` subtracts those shared with the parent cluster, so
-    sibling reduced weights add up disjointly. Position 0 is the root and
-    the others follow the pairs. Sorting uses one counting sort over all
-    nodes; equal reduced weights keep reverse pair order. `tree` is a
-    RootedTree the package built, and its shape is trusted. The scaffolding
-    by node id and by vertex is gone before the children lists exist."""
-    root, pairs, clusters = tree.root, tree.pairs, tree.clusters
-    low = min((i for i, _ in pairs), default=root)
-    if low < root:
-        pairs = _rerooted(pairs, root, low)
-        root = low
-    nodes = [root, *(i for i, _ in pairs)]
-    at = dict(zip(nodes, range(len(nodes))))
-    parent = [0, *map(at.__getitem__, (p for _, p in pairs))]
-    del at, pairs
-    cls = list(map(clusters.__getitem__, nodes))
-    total = list(map(len, cls))  # then plus the children's reduced weights
-    seen = [False] * (tree.graph_n + 1)
+    The tree is two lists aligned by position: `parent[k]` is the position
+    of k's parent, which comes before k, and `clusters[k]` lists distinct
+    vertices in 1..graph_n; position 0 is the root, whose parent entry is
+    not read. `total[k]` counts distinct vertices in clusters at or below
+    position k; `reduced[k]` subtracts those shared with the parent
+    cluster, so sibling reduced weights add up disjointly. Sorting uses one
+    counting sort over all nodes; equal reduced weights keep reverse
+    position order. The package built the tree, and its shape is trusted."""
+    size = len(parent)
+    total = list(map(len, clusters))  # plus the children's reduced weights
+    seen = [False] * (graph_n + 1)
     reduced = []  # the overlap with the parent cluster, then reduced weights
-    for cl in cls:
+    for cl in clusters:
         c = 0
         for x in cl:
             if seen[x]:
@@ -91,42 +52,30 @@ def compute_subtree_weights(tree, ops=UNCOUNTED):
                 seen[x] = True
         reduced.append(c)
     del seen
-    work = sum(total) + len(nodes)
-    for k in range(len(nodes) - 1, 0, -1):
+    work = sum(total) + size
+    for k in range(size - 1, 0, -1):
         r = reduced[k] = total[k] - reduced[k]
         total[parent[k]] += r
     reduced[0] = total[0] - reduced[0]
-    work += 2 * len(nodes) - 1
+    work += 2 * size - 1
     ops.add(work)
     top = total[0]
     # counting sort chained through two int lists: first[val] is the
     # highest position of reduced weight val and after[k] the next lower
     # one; 0, the root's position, ends a chain
     first = [0] * (top + 1)
-    after = [0] * len(nodes)
-    for k in range(1, len(nodes)):
+    after = [0] * size
+    for k in range(1, size):
         r = reduced[k]
         after[k] = first[r]
         first[r] = k
-    children = [[] for _ in nodes]
+    children = [[] for _ in range(size)]
     for k in reversed(first):
         while k:
             children[parent[k]].append(k)
             k = after[k]
-    ops.add(top + len(nodes))
-    return SubtreeWeights(nodes, cls, total, reduced, children)
-
-
-def _rerooted(pairs, root, low):
-    """`pairs` rooted at `low` instead of `root`: the pairs on the way from
-    `low` up to `root` turn over and come first, the others keep their
-    order."""
-    up = dict(pairs)
-    path = [low]
-    while path[-1] != root:
-        path.append(up[path[-1]])
-    moved = set(path)
-    return [*zip(path[1:], path), *((i, p) for i, p in pairs if i not in moved)]
+    ops.add(top + size)
+    return SubtreeWeights(total, reduced, children)
 
 
 @dataclass
@@ -146,8 +95,8 @@ def approximate_cut(td, m, c, g=None):
     is optional and only used to report the realized boundary width; one
     whose order is not graph_n raises InvalidDecomposition. Every vertex
     of 1..graph_n must be covered by td. A `g` that is neither None nor a
-    Graph raises GraphFormatError, and a `td` of another type, a
-    RootedTree included, DecompositionFormatError.
+    Graph raises GraphFormatError, and a `td` of another type
+    DecompositionFormatError.
     """
     if g is not None:
         check_graph(g)
@@ -165,15 +114,25 @@ def approximate_cut(td, m, c, g=None):
         c_ok = False
     if not c_ok:
         raise BadFraction("balance parameter %r is not in (0, 1)" % (c,))
-    return _cut_tree(RootedTree.of(td), m, c, g)
+    # depth first from the smallest node, children in `td.neighbors` order
+    nbrs, cls = td.neighbors, td.clusters
+    root = min(td.nodes)
+    parent, clusters = [0], [cls[root]]
+    stack = [(j, root, 0) for j in reversed(nbrs[root])]
+    while stack:
+        i, p, at = stack.pop()
+        stack.extend((j, i, len(parent)) for j in reversed(nbrs[i]) if j != p)
+        parent.append(at)
+        clusters.append(cls[i])
+    return _cut_tree(parent, clusters, n, m, c, g)
 
 
-def _cut_tree(tree, m, c, g=None, ops=UNCOUNTED):
-    """approximate_cut on a RootedTree the package built, with m and c
+def _cut_tree(parent, clusters, n, m, c, g=None, ops=UNCOUNTED):
+    """approximate_cut on a tree the package built, in the form
+    compute_subtree_weights reads, covering vertices 1..n, with m and c
     already checked; the doubling step calls it on a hanging tree."""
-    sw = compute_subtree_weights(tree, ops=ops)
-    n = tree.graph_n
-    y, yt, kids, clusters = sw.total, sw.reduced, sw.children, sw.clusters
+    sw = compute_subtree_weights(parent, clusters, n, ops=ops)
+    y, yt, kids = sw.total, sw.reduced, sw.children
     if y[0] < m:
         raise BadSize("decomposition covers %d < m vertices" % y[0])
     # deepest node whose subtree still covers m vertices, by position

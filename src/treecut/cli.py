@@ -31,14 +31,21 @@ _OUT_FILE = click.Path(dir_okay=False)
 _REPORT_FILE = click.Path(dir_okay=False, allow_dash=True)
 
 
-def _guard(fn):
-    try:
-        return fn()
-    except (TreecutError, click.BadParameter, OSError) as exc:
-        # an OSError: a file that cannot be opened, say under a missing
-        # directory
-        click.echo("error: %s" % exc, err=True)
-        sys.exit(2)
+class _Command(click.Command):
+    """A command that ends malformed input, a broken contract or a file
+    that cannot be opened (say under a missing directory) with
+    `error: ...` on stderr and exit code 2."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (TreecutError, click.BadParameter, OSError) as exc:
+            click.echo("error: %s" % exc, err=True)
+            sys.exit(2)
+
+
+class _Group(click.Group):
+    command_class = _Command
 
 
 def _claim(*paths):
@@ -81,7 +88,7 @@ def _int_list(text, option):
                                  % (option, text)) from None
 
 
-@click.group()
+@click.group(cls=_Group)
 def main():
     """Balanced cuts and minimum bisections from tree decompositions."""
 
@@ -102,24 +109,22 @@ def main():
 @click.option("--out-td", required=True, type=_OUT_FILE)
 def gen(family, n, h, k, legs, spine, hairs, width, seed, out_graph, out_td):
     """Generate an instance: a graph and a decomposition for it."""
-    def run():
-        if os.path.realpath(out_graph) == os.path.realpath(out_td):
-            raise click.BadParameter("--out-graph and --out-td both name %s"
-                                     % out_td)
-        kw = {"seed": seed}
-        for key, val in (("n", n), ("h", h), ("k", k), ("spine", spine),
-                         ("hairs", hairs), ("width", width)):
-            if val is not None:
-                kw[key] = val
-        if legs is not None:
-            kw["legs"] = _int_list(legs, "--legs")
-        g, td = make_instance(family, **kw)
-        _claim(out_graph, out_td)
-        save_graph(g, out_graph)
-        save_td(td, out_td)
-        click.echo("wrote %s (n=%d) and %s (size=%d, width=%d)"
-                   % (out_graph, g.n, out_td, td.size(), td.width()))
-    _guard(run)
+    if os.path.realpath(out_graph) == os.path.realpath(out_td):
+        raise click.BadParameter("--out-graph and --out-td both name %s"
+                                 % out_td)
+    kw = {"seed": seed}
+    for key, val in (("n", n), ("h", h), ("k", k), ("spine", spine),
+                     ("hairs", hairs), ("width", width)):
+        if val is not None:
+            kw[key] = val
+    if legs is not None:
+        kw["legs"] = _int_list(legs, "--legs")
+    g, td = make_instance(family, **kw)
+    _claim(out_graph, out_td)
+    save_graph(g, out_graph)
+    save_td(td, out_td)
+    click.echo("wrote %s (n=%d) and %s (size=%d, width=%d)"
+               % (out_graph, g.n, out_td, td.size(), td.width()))
 
 
 @main.command("validate")
@@ -127,18 +132,16 @@ def gen(family, n, h, k, legs, spine, hairs, width, seed, out_graph, out_td):
 @click.option("--td", "td_path", required=True, type=_IN_FILE)
 def validate_cmd(graph_path, td_path):
     """Check the decomposition properties against the graph."""
-    def run():
-        g = load_graph(graph_path)
-        td = load_td(td_path)
-        rep = validate(g, td)
-        click.echo("vertex cover: %s" % ("ok" if rep.vertex_cover_ok else "FAIL"))
-        click.echo("edge cover:   %s" % ("ok" if rep.edge_cover_ok else "FAIL"))
-        click.echo("connectivity: %s" % ("ok" if rep.connectivity_ok else "FAIL"))
-        click.echo("width: %d" % rep.width)
-        if not rep.ok:
-            click.echo("witness: %s" % rep.witness, err=True)
-            sys.exit(2)
-    _guard(run)
+    g = load_graph(graph_path)
+    td = load_td(td_path)
+    rep = validate(g, td)
+    click.echo("vertex cover: %s" % ("ok" if rep.vertex_cover_ok else "FAIL"))
+    click.echo("edge cover:   %s" % ("ok" if rep.edge_cover_ok else "FAIL"))
+    click.echo("connectivity: %s" % ("ok" if rep.connectivity_ok else "FAIL"))
+    click.echo("width: %d" % rep.width)
+    if not rep.ok:
+        click.echo("witness: %s" % rep.witness, err=True)
+        sys.exit(2)
 
 
 def _print_report(rep, report_path, *lines):
@@ -169,14 +172,12 @@ def _print_report(rep, report_path, *lines):
               help="write a JSON report here ('-' for stdout)")
 def bisect(graph_path, td_path, m, report_path):
     """Minimum-bisection style cut with a provable width bound."""
-    def run():
-        g, td = _load_valid(graph_path, td_path)
-        if m is None:
-            _, rep = minimum_bisection(g, td)
-        else:
-            _, rep = exact_size_cut_linear(g, td, m)
-        _print_report(rep, report_path)
-    _guard(run)
+    g, td = _load_valid(graph_path, td_path)
+    if m is None:
+        _, rep = minimum_bisection(g, td)
+    else:
+        _, rep = exact_size_cut_linear(g, td, m)
+    _print_report(rep, report_path)
 
 
 @main.command()
@@ -186,11 +187,9 @@ def bisect(graph_path, td_path, m, report_path):
 @click.option("--report", "report_path", default=None, type=_REPORT_FILE)
 def cut(graph_path, td_path, m, report_path):
     """Cut with exactly m vertices on one side."""
-    def run():
-        g, td = _load_valid(graph_path, td_path)
-        b, rep = exact_size_cut_linear(g, td, m)
-        _print_report(rep, report_path, "B = %s" % " ".join(map(str, b)))
-    _guard(run)
+    g, td = _load_valid(graph_path, td_path)
+    b, rep = exact_size_cut_linear(g, td, m)
+    _print_report(rep, report_path, "B = %s" % " ".join(map(str, b)))
 
 
 @main.command("approx-cut")
@@ -201,19 +200,17 @@ def cut(graph_path, td_path, m, report_path):
 @click.option("--graph", "graph_path", default=None, type=_IN_FILE)
 def approx_cut_cmd(td_path, m, c_str, graph_path):
     """Cut with c*m < |B| <= m opening few clusters."""
-    def run():
-        g, td = _load_valid(graph_path, td_path)
-        try:
-            c = Fraction(c_str)
-        except (ValueError, ZeroDivisionError):
-            raise click.BadParameter("--c wants a decimal or p/q, got %r"
-                                     % c_str) from None
-        res = approximate_cut(td, m, c, g=g)
-        click.echo("B = %s" % " ".join(map(str, res.b_vertices)))
-        click.echo("size=%d rounds=%d width=%s"
-                   % (len(res.b_vertices), res.rounds,
-                      "-" if res.width is None else res.width))
-    _guard(run)
+    g, td = _load_valid(graph_path, td_path)
+    try:
+        c = Fraction(c_str)
+    except (ValueError, ZeroDivisionError):
+        raise click.BadParameter("--c wants a decimal or p/q, got %r"
+                                 % c_str) from None
+    res = approximate_cut(td, m, c, g=g)
+    click.echo("B = %s" % " ".join(map(str, res.b_vertices)))
+    click.echo("size=%d rounds=%d width=%s"
+               % (len(res.b_vertices), res.rounds,
+                  "-" if res.width is None else res.width))
 
 
 @main.command("oracle")
@@ -223,19 +220,17 @@ def approx_cut_cmd(td_path, m, c_str, graph_path):
               default="auto")
 def oracle_cmd(graph_path, m, method):
     """Exact minimum cut width by exhaustive search or tree DP."""
-    def run():
-        g = load_graph(graph_path)
-        if method == "tree-dp" or (method == "auto" and g.n > 24):
-            width = tree_dp_min_bisection(g, m)
-            click.echo("min width: %d (tree DP)" % width)
+    g = load_graph(graph_path)
+    if method == "tree-dp" or (method == "auto" and g.n > 24):
+        width = tree_dp_min_bisection(g, m)
+        click.echo("min width: %d (tree DP)" % width)
+    else:
+        if m is None:
+            width, bset = brute_force_min_bisection(g)
         else:
-            if m is None:
-                width, bset = brute_force_min_bisection(g)
-            else:
-                width, bset = brute_force_min_cut_size_m(g, m)
-            click.echo("min width: %d" % width)
-            click.echo("witness B = %s" % " ".join(map(str, sorted(bset))))
-    _guard(run)
+            width, bset = brute_force_min_cut_size_m(g, m)
+        click.echo("min width: %d" % width)
+        click.echo("witness B = %s" % " ".join(map(str, sorted(bset))))
 
 
 @main.command("bench")
@@ -248,21 +243,19 @@ def oracle_cmd(graph_path, m, method):
 @click.option("--out", "out_path", default=None, type=_OUT_FILE)
 def bench_cmd(families, sizes, seed, with_oracle, as_json, out_path):
     """Sweep the families and report widths, bounds and runtimes."""
-    def run():
-        names = [f.strip() for f in families.split(",") if f.strip()]
-        if not names:
-            raise click.BadParameter("--families names no family, got %r"
-                                     % families)
-        rows = run_bench(names, _int_list(sizes, "--sizes"), seed=seed,
-                         with_oracle=with_oracle)
-        text = rows_to_json(rows) if as_json else rows_to_csv(rows)
-        if out_path:
-            with open(out_path, "w") as fh:
-                fh.write(text)
-            click.echo("wrote %s (%d rows)" % (out_path, len(rows)))
-        else:
-            click.echo(text, nl=False)
-    _guard(run)
+    names = [f.strip() for f in families.split(",") if f.strip()]
+    if not names:
+        raise click.BadParameter("--families names no family, got %r"
+                                 % families)
+    rows = run_bench(names, _int_list(sizes, "--sizes"), seed=seed,
+                     with_oracle=with_oracle)
+    text = rows_to_json(rows) if as_json else rows_to_csv(rows)
+    if out_path:
+        with open(out_path, "w") as fh:
+            fh.write(text)
+        click.echo("wrote %s (%d rows)" % (out_path, len(rows)))
+    else:
+        click.echo(text, nl=False)
 
 
 if __name__ == "__main__":

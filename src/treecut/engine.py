@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 # the unchecked hanging-tree cut, under the name perfbench traces
-from .approxcut import RootedTree, _cut_tree as approximate_cut
+from .approxcut import _cut_tree as approximate_cut
 from .errors import (
     BadFraction,
     BadSize,
@@ -154,20 +154,8 @@ def doubling_step(pl, m, ops=UNCOUNTED):
     if c == 0:
         b2 = []
     else:
-        pairs = pl.hanging_pairs(i)
-        # hanging vertices renumbered from 1 in label order
-        loc = dict(zip(av[a_i:rst_i], range(1, s_size + 1)))
-        clusters = pl.clusters
-        local = {i: []}
-        work = 0
-        for child, _ in pairs:
-            cl = clusters[child]
-            local[child] = list(filter(None, map(loc.get, cl)))
-            work += len(cl) + 1
-        del loc  # dead before the approximate cut's peak
-        ops.add(work)
-        res = approximate_cut(RootedTree(i, pairs, local, s_size),
-                              mt, c, ops=ops)
+        parent, local = pl.hanging_tree(i, a_i, rst_i, ops)
+        res = approximate_cut(parent, local, s_size, mt, c, ops=ops)
         b2 = [av[k + a_i - 1] for k in res.b_vertices]
     b = b1 + b2
     # Z in ascending old-label order, also when its labels wrap around
@@ -310,11 +298,11 @@ def _finish(g, t, m, b_total, steps, r0, ops, t_start):
     return CutReport(g.n, m, t, delta, r0, width, bound,
                      legible_bound(t, delta, r0), steps, ops.total,
                      time.perf_counter() - t_start,
-                     list(itertools.compress(range(n + 1), side))), side
+                     list(itertools.compress(range(n + 1), side)))
 
 
 @no_gc
-def exact_size_cut_linear(g, td0, m, *, _side=False):
+def exact_size_cut_linear(g, td0, m):
     """Cut with exactly m vertices on one side, one labeling build.
 
     The labeling is constructed once and shrunk in place after every step,
@@ -322,9 +310,7 @@ def exact_size_cut_linear(g, td0, m, *, _side=False):
     sorted cut side and a CutReport. A `g` that is not a Graph raises
     GraphFormatError, a `td0` that is not a TreeDecomposition
     DecompositionFormatError, and an m that is not an int in 0..n, a bool
-    included, BadSize. `td0` is not written to. `_side`, which
-    minimum_bisection sets, returns in place of the cut side the array
-    that marks it (1 at each of its vertices, index 0 unused).
+    included, BadSize. `td0` is not written to.
     """
     _check_kinds(g, td0)
     if type(m) is not int or not 0 <= m <= g.n:
@@ -349,8 +335,8 @@ def exact_size_cut_linear(g, td0, m, *, _side=False):
     # the first step counts the path vertices of the whole instance
     r0 = steps[0].w_before if steps else pl.relative_weight()
     del pl  # nothing after the steps reads the labeling
-    report, side = _finish(g, t, m, b_total, steps, r0, ops, t_start)
-    return side if _side else report.b_vertices, report
+    report = _finish(g, t, m, b_total, steps, r0, ops, t_start)
+    return report.b_vertices, report
 
 
 def minimum_bisection(g, td):
@@ -359,6 +345,8 @@ def minimum_bisection(g, td):
     Raises like exact_size_cut_linear on a `g` or `td` of the wrong type.
     """
     _check_kinds(g, td)
-    side, report = exact_size_cut_linear(g, td, g.n // 2, _side=True)
-    w = itertools.compress(range(g.n + 1), _other_side(side))
-    return (report.b_vertices, list(w)), report
+    b, report = exact_size_cut_linear(g, td, g.n // 2)
+    other = bytearray(b"\0" + b"\1" * g.n)  # 1 marks a vertex of W
+    for v in b:
+        other[v] = 0
+    return (b, list(itertools.compress(range(g.n + 1), other))), report

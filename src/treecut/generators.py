@@ -175,7 +175,7 @@ def make_instance(family, **kw):
     str, bytes or a bytearray raise BadSize; an `edge_prob` that is not a
     number in [0, 1] raises BadFraction.
     """
-    size = _SIZE_KEY.get(family)
+    size = _SIZE_KEY.get(family) if type(family) is str else None
     if size is not None and kw.get(size) is None:
         raise TreecutError("family %r needs --%s" % (family, size))
     legs = kw.get("legs", ())
@@ -214,5 +214,5 @@ def make_instance(family, **kw):
         return random_graph_with_td(kw["n"], kw.get("width", 3), seed,
                                     edge_prob)
     else:
-        raise TreecutError("unknown family %r" % family)
+        raise TreecutError("unknown family %r" % (family,))
     return g, tree_to_width1_td(g)

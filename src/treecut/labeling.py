@@ -80,21 +80,52 @@ class PLabeling:
     def relative_weight(self):
         return Fraction(self.flags.count(1), self.n)
 
-    def hanging_pairs(self, i):
-        """The trees hanging from path node i as (child, parent) pairs,
-        every parent before its children: its spans in stored order, the
-        trees of each from last to first, each tree top-down. [] when i
-        has none."""
-        order, parents = self.order, self.parents
-        pairs = []
+    def hanging_tree(self, i, a, b, ops=UNCOUNTED):
+        """The trees hanging from path node i, which hold labels a..b-1, as
+        one tree in the form the approximate cut reads: `parent[k]` is the
+        position of k's parent, every parent before its children, and
+        `clusters[k]` is k's cluster renumbered to local labels 1..b-a in
+        label order, the other vertices dropped.
+
+        Node i comes first, with an empty cluster, then its spans in
+        stored order, the trees of each from last to first, each tree
+        top-down. The tree is then rooted at its smallest node: the nodes
+        from there up to i come first, bottom-up, the others keep their
+        order."""
+        order, parents, cls = self.order, self.parents, self.clusters
+        loc = dict(zip(self.vertex_of[a:b], range(1, b - a + 1)))
+        ids, up, clusters = [i], [0], [[]]
+        anc = [0]  # positions from i down to the last node listed
         spans = self.hang.get(i, ())
         for k in range(0, len(spans), 2):
             end = spans[k + 1]
             for q in range(end - 1, spans[k] - 1, -1):
-                if parents[q] == i:  # a tree's root
-                    pairs += zip(order[q:end], parents[q:end])
-                    end = q
-        return pairs
+                if parents[q] != i:  # not a tree's root
+                    continue
+                for r in range(q, end):  # the tree rooted at q
+                    while ids[anc[-1]] != parents[r]:
+                        anc.pop()
+                    up.append(anc[-1])
+                    anc.append(len(ids))
+                    ids.append(order[r])
+                    clusters.append(list(filter(None, map(loc.get,
+                                                          cls[order[r]]))))
+                end = q
+        ops.add(sum(map(len, map(cls.__getitem__, ids[1:]))) + len(ids) - 1)
+        low = ids.index(min(ids))
+        if not low:
+            return up, clusters
+        chain = [low]  # positions from the smallest node up to i
+        while chain[-1]:
+            chain.append(up[chain[-1]])
+        on = set(chain)
+        new = chain + [k for k in range(len(up)) if k not in on]
+        at = [0] * len(up)  # the new position of each old one
+        for k, old in enumerate(new):
+            at[old] = k
+        parent = [0, *range(len(chain) - 1),
+                  *(at[up[old]] for old in new[len(chain):])]
+        return parent, [clusters[old] for old in new]
 
 
 def build_plabeling(norm, ops=UNCOUNTED):

@@ -28,7 +28,11 @@ class TreeDecomposition:
 
     @no_gc
     def __init__(self, nodes, edges, clusters, graph_n):
-        nodes = list(nodes)
+        try:
+            nodes = list(nodes)
+        except TypeError:
+            raise DecompositionFormatError(
+                "nodes %r are not a list" % (nodes,)) from None
         if not nodes:
             raise DecompositionFormatError("a decomposition needs at least one node")
         for i in nodes:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from treecut import engine, treedec
-from treecut.approxcut import RootedTree, _cut_tree as approximate_cut
+from treecut.approxcut import _cut_tree as approximate_cut
 from treecut.engine import StepRecord, StepResult, doubling_step
 from treecut.errors import (
     BadSize,
@@ -172,6 +172,53 @@ def span_pairs(pl, i):
         for a, b in reversed(list(zip(roots, roots[1:] + [e]))):
             pairs += zip(pl.order[a:b], pl.parents[a:b])
     return pairs
+
+
+# The listing the approximate cut read before the labeling wrote its tree by
+# position: the split node's (child, parent) pairs with its clusters
+# renumbered to local labels, as engine.doubling_step built them from
+# PLabeling.hanging_pairs (now span_pairs), then re-rooted at the smallest
+# node and numbered through a node-to-position dict, as
+# approxcut.compute_subtree_weights did with a RootedTree; kept verbatim as
+# the reference of PLabeling.hanging_tree in test_labeling.py and of the
+# public listing in test_approxcut.py.
+def ref_hanging_tree(pl, i, a, b):
+    """(nodes, parent, clusters) of the trees hanging from path node i of
+    `pl`, whose labels are a..b-1, listed as rerooted_listing lists them."""
+    pairs = span_pairs(pl, i)
+    # hanging vertices renumbered from 1 in label order
+    loc = dict(zip(pl.vertex_of[a:b], range(1, b - a + 1)))
+    local = {i: []}
+    for child, _ in pairs:
+        local[child] = list(filter(None, map(loc.get, pl.clusters[child])))
+    return rerooted_listing(i, pairs, local)
+
+
+def rerooted_listing(root, pairs, clusters):
+    """(nodes, parent, clusters) by position of the tree `root` plus the
+    (child, parent) pairs, every parent listed before its children, rooted
+    at its smallest node: position 0 is the root and the others follow the
+    pairs; `parent` holds positions, 0 for the root."""
+    low = min((i for i, _ in pairs), default=root)
+    if low < root:
+        pairs = _rerooted(pairs, root, low)
+        root = low
+    nodes = [root, *(i for i, _ in pairs)]
+    at = dict(zip(nodes, range(len(nodes))))
+    parent = [0, *map(at.__getitem__, (p for _, p in pairs))]
+    return nodes, parent, list(map(clusters.__getitem__, nodes))
+
+
+def _rerooted(pairs, root, low):
+    """`pairs` rooted at `low` instead of `root`: the pairs on the way from
+    `low` up to `root` turn over and come first, the others keep their
+    order."""
+    up = dict(pairs)
+    path = [low]
+    while path[-1] != root:
+        path.append(up[path[-1]])
+    moved = set(path)
+    return [*zip(path[1:], path), *((i, p) for i, p in pairs if i not in moved)]
 
 
 def span_form(path, pairs_of):
@@ -390,8 +437,8 @@ def exact_size_cut(g, td0, m):
                                 res.w_after))
         if res.kind == "direct":
             break
-    report, _ = engine._finish(g, td.width() + 1, m, b_total, steps, r0,
-                               ops, t_start)
+    report = engine._finish(g, td.width() + 1, m, b_total, steps, r0, ops,
+                            t_start)
     return report.b_vertices, report
 
 
@@ -819,7 +866,8 @@ def ternary_bisection_lower_bound(h):
 # the labeling's state was indexed by label; kept verbatim, with the
 # methods taking the labeling as `self`, as the reference of the
 # differential test in test_engine.py, except that the step reads the
-# hanging trees through span_pairs and drops the anchor's key. They read
+# hanging trees through span_pairs, lists them for the approximate cut
+# through rerooted_listing and drops the anchor's key. They read
 # and shrink a VertexLabeling (see per_vertex).
 def ref_blocks(self):
     """Per path node: (first label, first cluster-vertex label, last label).
@@ -939,8 +987,8 @@ def ref_doubling_step(pl, m, ops=UNCOUNTED):
                     cl.append(lab - a_i + 1)
             local[child] = cl
             ops.add(len(pl.clusters[child]) + 1)
-        res = approximate_cut(RootedTree(i, pairs, local, s_size),
-                              mt, c, ops=ops)
+        _, parent, clusters = rerooted_listing(i, pairs, local)
+        res = approximate_cut(parent, clusters, s_size, mt, c, ops=ops)
         b2 = [av[k + a_i - 1] for k in res.b_vertices]
     b = b1 + b2
     if za <= zb:

@@ -4,12 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import dfs_subtree_weights, p6_td
-from treecut.approxcut import (
-    RootedTree,
-    approximate_cut,
-    compute_subtree_weights,
-)
+from helpers import dfs_subtree_weights, p6_td, rerooted_listing
+from treecut import approxcut
+from treecut.approxcut import approximate_cut, compute_subtree_weights
 from treecut.errors import (
     BadFraction,
     BadSize,
@@ -35,42 +32,63 @@ from treecut.treedec import (
 from treecut.util import OpsCounter
 
 
-def _by_node(sw, values):
+def _public_walk(td):
+    """(child, parent) pairs of td walked depth first from its smallest
+    node, children in `td.neighbors` order, the listing the public cut
+    writes by position (RootedTree.of before it)."""
+    root = min(td.nodes)
+    pairs = []
+    stack = [(j, root) for j in reversed(td.neighbors[root])]
+    while stack:
+        i, p = stack.pop()
+        pairs.append((i, p))
+        stack.extend((j, i) for j in reversed(td.neighbors[i]) if j != p)
+    return pairs
+
+
+def _weights(td):
+    """(nodes, SubtreeWeights) of td as the public cut lists it."""
+    nodes, parent, clusters = rerooted_listing(min(td.nodes), _public_walk(td),
+                                               td.clusters)
+    return nodes, compute_subtree_weights(parent, clusters, td.graph_n)
+
+
+def _by_node(nodes, values):
     """A positional list of SubtreeWeights keyed by node id."""
-    return dict(zip(sw.nodes, values))
+    return dict(zip(nodes, values))
 
 
-def _children_by_node(sw):
+def _children_by_node(nodes, sw):
     """SubtreeWeights' child positions as node ids, keyed by node id."""
-    return {sw.nodes[k]: [sw.nodes[j] for j in kids]
+    return {nodes[k]: [nodes[j] for j in kids]
             for k, kids in enumerate(sw.children)}
 
 
 def test_subtree_weights_p6():
-    td = p6_td()
-    sw = compute_subtree_weights(RootedTree.of(td))
-    total, reduced = _by_node(sw, sw.total), _by_node(sw, sw.reduced)
+    nodes, sw = _weights(p6_td())
+    total, reduced = _by_node(nodes, sw.total), _by_node(nodes, sw.reduced)
     assert total[1] == 6
     # the leaf node {5,6} contributes vertex 6 only once its parent's
     # cluster vertex 5 is stripped
     assert reduced[5] == 1
     assert total[5] == 2
-    assert sw.nodes[0] == 1
+    assert nodes[0] == 1
 
 
 def test_subtree_weights_single_node():
     td = TreeDecomposition([1], [], {1: [1, 2, 3]}, 3)
-    sw = compute_subtree_weights(RootedTree.of(td))
-    assert _by_node(sw, sw.total)[1] == 3
-    assert _by_node(sw, sw.reduced)[1] == 3
+    nodes, sw = _weights(td)
+    assert _by_node(nodes, sw.total)[1] == 3
+    assert _by_node(nodes, sw.reduced)[1] == 3
 
 
 def test_children_sorted_by_reduced_weight():
     for seed in range(15):
         _, td0 = random_graph_with_td(22, 3, seed)
         td = make_nonredundant(td0)
-        sw = compute_subtree_weights(RootedTree.of(td))
-        children, reduced = _children_by_node(sw), _by_node(sw, sw.reduced)
+        nodes, sw = _weights(td)
+        children = _children_by_node(nodes, sw)
+        reduced = _by_node(nodes, sw.reduced)
         for i in td.nodes:
             kids = children[i]
             assert kids == sorted(kids, key=lambda j: -reduced[j])
@@ -105,31 +123,49 @@ def _hanging_walk(td, w):
     return pairs
 
 
-def _assert_same_weights(ref_td, tree):
+def _assert_same_weights(ref_td, root, pairs):
+    """compute_subtree_weights on the tree `root` plus `pairs` over ref_td's
+    clusters, rooted at its smallest node (see rerooted_listing), equals
+    the DFS reference on ref_td, ops included."""
     ops_ref, ops_new = OpsCounter(), OpsCounter()
     ref = dfs_subtree_weights(ref_td, ops=ops_ref)
-    new = compute_subtree_weights(tree, ops=ops_new)
-    assert new.nodes[0] == ref.root
-    assert _by_node(new, new.total) == ref.total
-    assert _by_node(new, new.reduced) == ref.reduced
-    assert _children_by_node(new) == ref.children
-    assert new.clusters == [tree.clusters[i] for i in new.nodes]
+    nodes, parent, clusters = rerooted_listing(root, pairs, ref_td.clusters)
+    new = compute_subtree_weights(parent, clusters, ref_td.graph_n,
+                                  ops=ops_new)
+    assert nodes[0] == ref.root
+    assert _by_node(nodes, new.total) == ref.total
+    assert _by_node(nodes, new.reduced) == ref.reduced
+    assert _children_by_node(nodes, new) == ref.children
     assert ops_new.total == ops_ref.total
+    return nodes, new
 
 
 @settings(max_examples=100, deadline=None)
 @given(decompositions(), st.randoms(use_true_random=False))
 def test_subtree_weights_match_the_dfs_reference(td, rnd):
     # public path: a decomposition walked from its smallest node
-    _assert_same_weights(td, RootedTree.of(td))
+    _assert_same_weights(td, min(td.nodes), _public_walk(td))
     # driver path: a hanging tree as the labeling lists it, from any node
     for w in rnd.sample(td.nodes, min(3, len(td.nodes))):
         pairs = _hanging_walk(td, w)
         ref_td = TreeDecomposition([w] + [c for c, _ in pairs],
                                    [(p, c) for c, p in pairs], td.clusters,
                                    td.graph_n)
-        _assert_same_weights(ref_td, RootedTree(w, pairs, td.clusters,
-                                                td.graph_n))
+        _assert_same_weights(ref_td, w, pairs)
+
+
+@settings(max_examples=50, deadline=None)
+@given(decompositions())
+def test_public_cut_lists_the_decomposition_as_the_pair_walk_does(td):
+    """approximate_cut hands its cut the tree that the depth-first (child,
+    parent) walk from the smallest node gives, position for position."""
+    handed = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(approxcut, "_cut_tree", lambda *args: handed.append(args))
+        approximate_cut(td, 1, 0.5)
+    _, parent, clusters = rerooted_listing(min(td.nodes), _public_walk(td),
+                                           td.clusters)
+    assert handed == [(parent, clusters, td.graph_n, 1, 0.5, None)]
 
 
 def test_children_of_a_tie_heavy_rerooted_tree_follow_the_bucket_order():
@@ -162,14 +198,12 @@ def test_children_of_a_tie_heavy_rerooted_tree_follow_the_bucket_order():
     pairs = _hanging_walk(td, 100)
     ref_td = TreeDecomposition([100] + [c for c, _ in pairs],
                                [(p, c) for c, p in pairs], clusters, nxt - 1)
-    tree = RootedTree(100, pairs, clusters, nxt - 1)
-    _assert_same_weights(ref_td, tree)
-    sw = compute_subtree_weights(tree)
-    reduced = _by_node(sw, sw.reduced)
-    assert sw.nodes[0] == 1
-    assert sw.total[0] > 5 * len(sw.nodes)
-    assert len(set(sw.reduced)) < len(sw.nodes) // 4
-    hub = _children_by_node(sw)[50]
+    nodes, sw = _assert_same_weights(ref_td, 100, pairs)
+    reduced = _by_node(nodes, sw.reduced)
+    assert nodes[0] == 1
+    assert sw.total[0] > 5 * len(nodes)
+    assert len(set(sw.reduced)) < len(nodes) // 4
+    hub = _children_by_node(nodes, sw)[50]
     assert [reduced[j] for j in hub] == [5] * 10 + [3] * 20
 
 
@@ -238,7 +272,8 @@ def test_graph_that_validates_but_has_another_size_is_rejected(m):
     ("x", path_graph(6), DecompositionFormatError),
     (p6_td(), "x", GraphFormatError),
     (p6_td(), p6_td(), GraphFormatError),
-    (RootedTree.of(p6_td()), None, DecompositionFormatError),
+    # a tree in the (parent, clusters) form the approximate cut reads
+    (([0, 0], [[1, 2], [2, 3]]), None, DecompositionFormatError),
 ])
 def test_arguments_of_the_wrong_kind_are_rejected(td, g, error):
     with pytest.raises(error):

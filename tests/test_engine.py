@@ -29,7 +29,6 @@ from treecut.engine import (
     legible_bound,
     minimum_bisection,
 )
-from treecut.approxcut import RootedTree
 from treecut.errors import (
     BadFraction,
     BadSize,
@@ -123,7 +122,8 @@ WRONG_KINDS = [
     (p6_td(), p6_td(), GraphFormatError),
     (path_graph(6), None, DecompositionFormatError),
     (path_graph(6), [1], DecompositionFormatError),
-    (path_graph(6), RootedTree.of(p6_td()), DecompositionFormatError),
+    # a tree in the (parent, clusters) form the approximate cut reads
+    (path_graph(6), ([0, 0], [[1, 2], [2, 3]]), DecompositionFormatError),
 ]
 
 
@@ -256,27 +256,24 @@ def test_exact_cut_property(n, width, seed):
 
 def test_doubling_step_hands_over_a_local_rooted_tree(monkeypatch):
     """Every hanging tree the doubling step passes to the approximate cut
-    lists each node once, parents first, under an empty root cluster, and
-    its local clusters are lists of distinct ints covering 1..graph_n."""
+    lists each node's parent before it, the split node with an empty
+    cluster, and its local clusters are lists of distinct ints covering
+    1..graph_n."""
     original = engine.approximate_cut
     handed = []
 
-    def checked(tree, m, c, ops):
-        assert tree.clusters[tree.root] == []
-        listed = {tree.root}
-        for child, parent in tree.pairs:
-            assert parent in listed and child not in listed
-            listed.add(child)
-        assert listed == set(tree.clusters)
+    def checked(parent, clusters, n, m, c, ops):
+        assert len(parent) == len(clusters)
+        assert all(0 <= parent[k] < k for k in range(1, len(parent)))
+        assert [] in clusters
         union = set()
-        for i in listed:
-            cl = tree.clusters[i]
+        for cl in clusters:
             assert all(type(x) is int for x in cl)
             assert len(set(cl)) == len(cl)
             union.update(cl)
-        assert union == set(range(1, tree.graph_n + 1))
-        handed.append(tree)
-        return original(tree, m, c, ops=ops)
+        assert union == set(range(1, n + 1))
+        handed.append(parent)
+        return original(parent, clusters, n, m, c, ops=ops)
 
     monkeypatch.setattr(engine, "approximate_cut", checked)
     for label, g, td in acceptance_corpus():
@@ -327,10 +324,8 @@ def test_no_labeling_outlives_the_steps(monkeypatch, family, kw):
 
 def _finish_path6(b_total):
     g = path_graph(6)
-    report, _ = engine._finish(g, tree_to_width1_td(g).width() + 1,
-                               len(b_total), b_total, [], Fraction(1),
-                               OpsCounter(), 0.0)
-    return report
+    return engine._finish(g, tree_to_width1_td(g).width() + 1, len(b_total),
+                          b_total, [], Fraction(1), OpsCounter(), 0.0)
 
 
 def test_finish_accepts_a_valid_cut():

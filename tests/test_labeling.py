@@ -12,14 +12,15 @@ from helpers import (
     holds,
     p6_td,
     per_vertex,
+    ref_hanging_tree,
     restrict,
     restricted_td,
     set_validate,
-    span_pairs,
     spider_fixture,
     two_pass_plabeling,
 )
 from treecut import treedec
+from treecut.engine import doubling_step
 from treecut.generators import (
     make_instance,
     path_graph,
@@ -256,9 +257,8 @@ def test_hanging_spans_partition_the_preorder_off_the_path():
     hanging trees as one or two non-empty spans of its preorder, the later
     span first; a node without a hanging tree in the two-pass reference
     gets no key; and the spans partition the preorder positions of the
-    nodes off the path; and PLabeling.hanging_pairs rebuilds from them
-    the pairs the test decoder span_pairs rebuilds. A covering labeling
-    holds no preorder and no spans. Both span shapes occur."""
+    nodes off the path. A covering labeling holds no preorder and no
+    spans. Both span shapes occur."""
     shapes = set()
     for _, _, td in acceptance_corpus():
         rec, twin = normalize(td), normalize(td)
@@ -279,12 +279,40 @@ def test_hanging_spans_partition_the_preorder_off_the_path():
             for s, e in zip(spans[0::2], spans[1::2]):
                 assert 0 < s < e <= len(pl.order)
                 positions.extend(range(s, e))
-        for i in pl.path_nodes:
-            assert pl.hanging_pairs(i) == span_pairs(pl, i)
         on_path = set(pl.path_nodes)
         assert sorted(positions) == [q for q, i in enumerate(pl.order)
                                      if i not in on_path]
     assert shapes == {2, 4}
+
+
+def test_hanging_tree_matches_the_rerooted_pair_listing():
+    """On every corpus decomposition, and on each remainder the doubling
+    steps of a bisection leave, PLabeling.hanging_tree lists each path
+    node's hanging trees as the reference does from the pairs span_pairs
+    rebuilds, re-rooted at the smallest node through a node-to-position
+    dict: the same positions, parents and renumbered clusters, so equal
+    reduced weights tie in the same order, and the same count of work.
+    Trees that keep the path node as their root and trees re-rooted below
+    it both occur."""
+    rerooted = set()
+    for _, g, td in acceptance_corpus():
+        pl = build_plabeling(normalize(td))
+        m = g.n // 2
+        while m:
+            blocks = pl.blocks()
+            for i in pl.hang:
+                a, r, _ = blocks[i]
+                nodes, parent, clusters = ref_hanging_tree(pl, i, a, r)
+                ops = OpsCounter()
+                assert pl.hanging_tree(i, a, r, ops) == (parent, clusters)
+                assert ops.total == sum(len(pl.clusters[j]) + 1
+                                        for j in nodes if j != i)
+                rerooted.add(nodes[0] != i)
+            res = doubling_step(pl, m)
+            if res.kind == "direct":
+                break
+            m -= len(res.b_vertices)
+    assert rerooted == {False, True}
 
 
 @st.composite

@@ -2,9 +2,11 @@
 import importlib
 import inspect
 import warnings
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 import treecut
 from helpers import p6_td
@@ -15,8 +17,9 @@ from treecut.errors import (
     DecompositionFormatError,
     EmptyDecomposition,
     GraphFormatError,
+    TreecutError,
 )
-from treecut.fileio import graph_from_json, parse_graph
+from treecut.fileio import graph_from_json, graph_to_json, parse_graph
 from treecut.generators import make_instance, path_graph
 from treecut.labeling import PLabeling
 from treecut.oracle import (
@@ -24,7 +27,7 @@ from treecut.oracle import (
     brute_force_min_cut_size_m,
     tree_dp_min_bisection,
 )
-from treecut.treedec import normalize
+from treecut.treedec import TreeDecomposition, normalize
 
 EXPECTED = [
     "ApproxCutResult",
@@ -89,6 +92,8 @@ def test_test_only_members_are_gone(owner, name):
     (treecut.approximate_cut, ["td", "m", "c", "g"]),
     (treecut.heaviest_path, ["td"]),
     (treecut.make_nonredundant, ["td"]),
+    (treecut.exact_size_cut_linear, ["g", "td0", "m"]),
+    (treecut.minimum_bisection, ["g", "td"]),
 ])
 def test_one_input_shape_per_function(func, params):
     assert list(inspect.signature(func).parameters) == params
@@ -98,11 +103,12 @@ def test_one_input_shape_per_function(func, params):
 # (graph text that is not a str included);
 # a decomposition whose clusters are all empty, which heaviest_path rejects
 # as normalization does; normalization's record, which heaviest_path does
-# not take; a negative graph_n; JSON nested deeper than the decoder
-# recurses; a graph of the wrong kind handed to an oracle, which
-# `treecut oracle` calls; a make_instance argument that is no size, leg
-# list, edge probability or seed; and a t or delta of a bound that is not
-# a non-negative int
+# not take; a negative graph_n; decomposition nodes that are not
+# iterable; JSON nested deeper than the decoder recurses; a graph of the
+# wrong kind handed to an oracle, which `treecut oracle` calls; a
+# make_instance family that is not a str, or an argument that is no size,
+# leg list, edge probability or seed; and a t or delta of a bound that is
+# not a non-negative int
 @pytest.mark.parametrize("call, error", [
     (lambda: treecut.validate(None, p6_td()), GraphFormatError),
     (lambda: treecut.validate(path_graph(6), None), DecompositionFormatError),
@@ -118,6 +124,12 @@ def test_one_input_shape_per_function(func, params):
      DecompositionFormatError),
     (lambda: treecut.TreeDecomposition([1], [], {1: []}, -5),
      DecompositionFormatError),
+    (lambda: treecut.TreeDecomposition(None, [], {}, 1),
+     DecompositionFormatError),
+    (lambda: treecut.TreeDecomposition(5, [], {}, 1),
+     DecompositionFormatError),
+    (lambda: treecut.TreeDecomposition(path_graph(3), [], {}, 3),
+     DecompositionFormatError),
     (lambda: treecut.TreeDecomposition.from_json("[" * 100000),
      DecompositionFormatError),
     (lambda: graph_from_json("[" * 100000), GraphFormatError),
@@ -127,6 +139,8 @@ def test_one_input_shape_per_function(func, params):
     (lambda: tree_dp_min_bisection(None), GraphFormatError),
     (lambda: brute_force_min_cut_size_m(None, 1), GraphFormatError),
     (lambda: brute_force_min_bisection([1, 2]), GraphFormatError),
+    (lambda: make_instance(["path"], n=3), TreecutError),
+    (lambda: make_instance((2, 3)), TreecutError),
     (lambda: make_instance("spider", legs=5), BadSize),
     (lambda: make_instance("spider", legs=2.5), BadSize),
     (lambda: make_instance("spider", legs=True), BadSize),
@@ -155,10 +169,13 @@ def test_one_input_shape_per_function(func, params):
         "cut_width", "max_degree", "tree_to_width1_td",
         "longest_path_in_tree", "heaviest_path-empty",
         "heaviest_path-record", "TreeDecomposition-negative-graph_n",
+        "TreeDecomposition-nodes-None", "TreeDecomposition-nodes-int",
+        "TreeDecomposition-nodes-Graph",
         "from_json-deep",
         "graph_from_json-deep", "parse_graph-bytes", "parse_graph-None",
         "parse_graph-int", "tree_dp_min_bisection",
         "brute_force_min_cut_size_m", "brute_force_min_bisection",
+        "make_instance-family-list", "make_instance-family-tuple",
         "make_instance-legs-int", "make_instance-legs-float",
         "make_instance-legs-bool", "make_instance-legs-object",
         "make_instance-legs-str", "make_instance-leg-None",
@@ -192,3 +209,66 @@ def test_no_impl_option(command):
     res = CliRunner().invoke(main, [command, "--help"])
     assert res.exit_code == 0
     assert "--impl" not in res.output
+
+
+# Small atoms for the drawn calls below, each made afresh per draw. Sizes
+# stay small on purpose: a drawn size of 10**30 exhausts memory inside
+# make_instance, where sizes have no upper bound.
+ATOMS = [
+    lambda: None, lambda: True, lambda: False, lambda: -1, lambda: 0,
+    lambda: 1, lambda: 2, lambda: 3, lambda: 6, lambda: 1.5,
+    lambda: float("nan"), lambda: Fraction(1, 2), lambda: 1j, lambda: "",
+    lambda: "x", lambda: b"x", lambda: bytearray(4), lambda: bytearray(7),
+    lambda: [], lambda: [1, 2], lambda: [(1, 2)], lambda: [[1, 2], 3],
+    lambda: {}, lambda: {1: [1, 2]}, lambda: {1, 2}, lambda: (2, 3),
+    lambda: object(), lambda: path_graph(3), lambda: path_graph(6),
+    lambda: p6_td(),
+    # connectivity fails: vertex 1 skips node 2
+    lambda: TreeDecomposition([1, 2, 3], [(1, 2), (2, 3)],
+                              {1: [1, 2], 2: [2, 3], 3: [1, 3]}, 3),
+    lambda: normalize(p6_td()),
+    lambda: "3 2\n1 2\n2 3\n", lambda: graph_to_json(path_graph(3)),
+    lambda: p6_td().to_json(), lambda: "[" * 5000,
+    *(lambda f=f: f for f in ["path", "star", "spider", "caterpillar",
+                             "ternary", "random-tree", "grid",
+                             "random-td"]),
+]
+atoms = st.sampled_from(ATOMS).map(lambda make: make())
+
+# every name in __all__, the front end and the oracles
+CALLABLES = {name: getattr(treecut, name) for name in treecut.__all__}
+CALLABLES.update({
+    "make_instance": make_instance,
+    "parse_graph": parse_graph,
+    "graph_from_json": graph_from_json,
+    "TreeDecomposition.from_json": TreeDecomposition.from_json,
+    "brute_force_min_bisection": brute_force_min_bisection,
+    "brute_force_min_cut_size_m": brute_force_min_cut_size_m,
+    "tree_dp_min_bisection": tree_dp_min_bisection,
+})
+MAKE_INSTANCE_KEYS = ["n", "h", "k", "legs", "spine", "hairs", "width",
+                      "seed", "edge_prob"]
+
+
+@pytest.mark.parametrize("name", CALLABLES)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_drawn_arguments_raise_nothing_but_a_treecut_error(name, data):
+    """Each public callable, given as many positional arguments as it
+    takes (its optional ones or not) drawn from small atoms, and
+    make_instance also keyword arguments, returns or raises a
+    TreecutError, never a bare exception."""
+    fn = CALLABLES[name]
+    params = inspect.signature(fn).parameters.values()
+    positional = [p for p in params if p.kind is p.POSITIONAL_OR_KEYWORD]
+    required = sum(p.default is p.empty for p in positional)
+    k = data.draw(st.integers(required, len(positional)))
+    args = data.draw(st.lists(atoms, min_size=k, max_size=k))
+    kwargs = {}
+    if any(p.kind is p.VAR_KEYWORD for p in params):
+        kwargs = data.draw(st.dictionaries(
+            st.sampled_from(MAKE_INSTANCE_KEYS), atoms, max_size=3))
+    try:
+        fn(*args, **kwargs)
+    except TreecutError:
+        pass
