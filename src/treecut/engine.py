@@ -12,6 +12,8 @@ import itertools
 import json
 import math
 import time
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -88,12 +90,20 @@ def doubling_step(pl, m, ops=UNCOUNTED):
     remainder set Z. The labeling then shrinks in place to the instance
     induced by Z (labels reassigned in ascending old-label order, path list
     pruned, the anchor's hanging trees dropped) by slicing its label
-    arrays; `pl.clusters`, `pl.order` and `pl.parents` are left untouched.
+    arrays, and its path nodes and block ends by block, the blocks of Z's
+    first and last labels found by bisecting the ends; `pl.clusters`,
+    `pl.order` and `pl.parents` are left untouched. A Z whose labels wrap
+    around inside one block raises InternalInvariant, though the step
+    rules it out: Z holds no more labels than the split node's hanging
+    span, and its first and last labels, za and zb, are path-cluster
+    labels, which no hanging span holds. With both in one block and the
+    labels outside Z between them, Z would hold the split node's whole
+    block, or the whole span and that block's first path-cluster label.
     """
     n = pl.n
     if type(m) is not int or not 1 <= m <= n:
         raise BadSize("m=%r is not an int in 1..%d" % (m, n))
-    av, core, node_at = pl.vertex_of, pl.flags, pl.node_at
+    av, core, nodes, ends = pl.vertex_of, pl.flags, pl.path_nodes, pl.ends
     rtot = core.count(1)
     w_before = Fraction(rtot, n)
     ops.add(n)
@@ -118,7 +128,7 @@ def doubling_step(pl, m, ops=UNCOUNTED):
     # node i's non-path labels are exactly a_i..rst_i-1, because a block
     # lists its hanging vertices first; the hits shifted by d bound Z
     cases = (("back", -m, behind), ("forward", m, ahead))
-    for i, (kind, d, shifted) in itertools.product(pl.path_nodes, cases):
+    for i, (kind, d, shifted) in itertools.product(nodes, cases):
         a_i, rst_i, _ = blocks[i]
         s_size = rst_i - a_i
         hits = shifted.count(1, a_i - 1, rst_i - 1)
@@ -131,22 +141,18 @@ def doubling_step(pl, m, ops=UNCOUNTED):
                 break
     else:
         raise InternalInvariant("no node admits an economical remainder")
-    anchor = node_at[za]
-    far = node_at[zb]
+    # the blocks of the anchor, which holds za, and of the far node, zb's
+    ja, jb = bisect_left(ends, za), bisect_left(ends, zb)
     if kind == "back":
-        # the partial cut runs from just after the far block to the block
-        # preceding the split node; empty when that block is the far one
-        jprev = pl.path_nodes[pl.path_nodes.index(i) - 1]
-        v = blocks[far][2]
-        w = blocks[jprev][2]
-        b1 = _circular(av, n, v + 1, (w - v) % n)
+        # the partial cut runs from just after the far block to the end of
+        # the block preceding the split node; empty when that is the far one
+        start, stop = ends[jb] + 1, a_i
     else:
         # mirrored: from the split node's first cluster vertex up to just
         # before the anchor's first cluster vertex; empty when i is the anchor
-        w = rst_i
-        v = blocks[anchor][1]
-        b1 = _circular(av, n, w, (v - w) % n)
-    ops.add(len(b1) + len(pl.path_nodes))
+        start, stop = rst_i, blocks[nodes[ja]][1]
+    b1 = _circular(av, n, start, (stop - start) % n)
+    ops.add(len(b1) + len(nodes))
     mt = m - len(b1)
     if not 1 <= mt <= s_size:
         raise InternalInvariant("remainder %d outside the hanging span" % mt)
@@ -158,14 +164,6 @@ def doubling_step(pl, m, ops=UNCOUNTED):
         res = approximate_cut(parent, local, s_size, mt, c, ops=ops)
         b2 = [av[k + a_i - 1] for k in res.b_vertices]
     b = b1 + b2
-    # Z in ascending old-label order, also when its labels wrap around
-    if za <= zb:
-        span = slice(za, zb + 1)
-        zverts, zflags, zat = av[span], core[span], node_at[span]
-    else:
-        zverts = av[1:zb + 1] + av[za:n + 1]
-        zflags = core[1:zb + 1] + core[za:n + 1]
-        zat = node_at[1:zb + 1] + node_at[za:n + 1]
     if not len(b) <= m <= len(b) + z_len:
         raise InternalInvariant("remainder cannot absorb the deficit")
     if 2 * z_len > n:
@@ -173,17 +171,30 @@ def doubling_step(pl, m, ops=UNCOUNTED):
     w_after = Fraction(hits, z_len)
     if w_after < 2 * w_before:
         raise InternalInvariant("path weight share failed to double")
-    marked = set(zat)
-    for p in pl.path_nodes:
-        if p not in marked:
-            pl.hang.pop(p, None)
-    pl.hang.pop(anchor, None)
-    pl.path_nodes = [p for p in pl.path_nodes if p in marked]
+    # Z in ascending old-label order: the blocks from za's to zb's or, when
+    # its labels wrap around, those up to zb's, then those from za's,
+    # relabelled to follow; zb's block ends at zb. The anchor's hanging
+    # trees go with the blocks outside Z
+    if za <= zb:
+        zverts, zflags = av[za:zb + 1], core[za:zb + 1]
+        kept, gone = nodes[ja:jb + 1], nodes[:ja + 1] + nodes[jb + 1:]
+        zends = array("l", [e - za + 1 for e in ends[ja:jb]] + [z_len])
+    elif ja == jb:  # ruled out by the step itself: see the docstring
+        raise InternalInvariant("remainder wraps inside one block")
+    else:
+        zverts = av[1:zb + 1] + av[za:n + 1]
+        zflags = core[1:zb + 1] + core[za:n + 1]
+        kept, gone = nodes[:jb + 1] + nodes[ja:], nodes[jb + 1:ja + 1]
+        zends = ends[:jb] + array("l", [zb, *(e - za + 1 + zb
+                                              for e in ends[ja:])])
+    for p in gone:
+        pl.hang.pop(p, None)
+    pl.path_nodes = kept
+    pl.ends = zends
     pl.vertex_of = [0] + zverts
     pl.flags = b"\0" + zflags
-    pl.node_at = [0] + zat
     pl.n = z_len
-    ops.add(z_len + len(marked))
+    ops.add(z_len + len(kept))
     return StepResult(kind, b, zverts, w_before, w_after)
 
 
@@ -225,7 +236,7 @@ class CutReport:
     def to_json(self):
         return json.dumps({
             "n": self.n, "m": self.m, "t": self.t, "delta": self.delta,
-            "r": "%d/%d" % (self.r.numerator, self.r.denominator),
+            "r": _ratio(self.r),
             "width": self.width,
             "bound": self.bound,
             "legible_bound": self.legible_bound,
@@ -234,10 +245,15 @@ class CutReport:
             "b_vertices": self.b_vertices,
             "steps": [{"case": s.kind, "b_added": s.b_added,
                        "z_size": s.z_size,
-                       "w_star": "%d/%d" % (s.w_before.numerator,
-                                            s.w_before.denominator)}
+                       "w_star": _ratio(s.w_before),
+                       "w_after": _ratio(s.w_after)}
                       for s in self.steps],
         }, indent=2)
+
+
+def _ratio(x):
+    """A Fraction as "p/q" for the JSON report; None stays None."""
+    return None if x is None else "%d/%d" % (x.numerator, x.denominator)
 
 
 def _check_coverage(pl, n):
@@ -310,7 +326,9 @@ def exact_size_cut_linear(g, td0, m):
     sorted cut side and a CutReport. A `g` that is not a Graph raises
     GraphFormatError, a `td0` that is not a TreeDecomposition
     DecompositionFormatError, and an m that is not an int in 0..n, a bool
-    included, BadSize. `td0` is not written to.
+    included, BadSize. A `td0` whose clusters are all empty, the empty
+    graph's included, raises EmptyDecomposition, also at m = 0: the path
+    weight r is undefined at n = 0. `td0` is not written to.
     """
     _check_kinds(g, td0)
     if type(m) is not int or not 0 <= m <= g.n:
@@ -342,7 +360,8 @@ def exact_size_cut_linear(g, td0, m):
 def minimum_bisection(g, td):
     """Partition into floor(n/2) and ceil(n/2) vertices of bounded width.
 
-    Raises like exact_size_cut_linear on a `g` or `td` of the wrong type.
+    Raises like exact_size_cut_linear on a `g` or `td` of the wrong type,
+    and EmptyDecomposition on the empty graph, where r is undefined.
     """
     _check_kinds(g, td)
     b, report = exact_size_cut_linear(g, td, g.n // 2)

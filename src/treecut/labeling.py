@@ -8,7 +8,7 @@ the vertex "m positions later".
 """
 from __future__ import annotations
 
-from collections import Counter
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,11 +23,13 @@ class PLabeling:
     """Label arrays for one path of a decomposition, all indexed by label.
 
     `n` is the current vertex count; `vertex_of[lab]` is the vertex with
-    label lab, `flags[lab]` is 1 when that vertex lies in a path cluster,
-    else 0, and `node_at[lab]` is the path node whose block holds the label
-    (index 0 of the three holds 0). A doubling step shrinks the instance
-    by slicing the three arrays to the remainder's labels. `path_nodes`
-    lists the path in label order. `order` and `parents` are heaviest
+    label lab and `flags[lab]` is 1 when that vertex lies in a path
+    cluster, else 0 (index 0 of both holds 0). `path_nodes` lists the path
+    in label order, and `ends`, aligned with it, the last label of each
+    node's block: the blocks partition 1..n in path order, so their ends
+    describe them. A doubling step shrinks the instance by slicing the
+    label arrays to the remainder's labels and the two path arrays to its
+    blocks. `order` and `parents` are heaviest
     path's second sweep, a preorder from the path's first node and each
     entry's tree parent, and `hang` maps a path node to the spans of
     `order` that hold the trees hanging from it, as a flat tuple of one or
@@ -45,8 +47,8 @@ class PLabeling:
     n: int
     vertex_of: list
     flags: bytes
-    node_at: list
     path_nodes: list
+    ends: array
     hang: dict
     order: list | None
     parents: list | None
@@ -58,23 +60,16 @@ class PLabeling:
         cluster vertices the rest. Blocks appear in path order, and their
         labels run from 1 to n without a gap.
         """
-        node_at, core = self.node_at, self.flags
-        size = Counter(node_at)
-        size[node_at[0]] -= 1  # label 0 is unused
-        out = {}
-        a = 1
-        for i in self.path_nodes:
-            k = size[i]
-            b = a + k - 1
-            if node_at[a:b + 1].count(i) != k:
-                raise InternalInvariant("blocks out of path order")
+        core, out, a = self.flags, {}, 1
+        for i, b in zip(self.path_nodes, self.ends):
             r = core.find(1, a, b + 1)
             if r < 0:
                 raise InternalInvariant("path node %r holds no cluster vertex" % i)
             out[i] = (a, r, b)
             a = b + 1
         if a != self.n + 1:
-            raise InternalInvariant("blocks out of path order")
+            raise InternalInvariant("blocks end at label %d, not at n = %d"
+                                    % (a - 1, self.n))
         return out
 
     def relative_weight(self):
@@ -162,11 +157,11 @@ def build_plabeling(norm, ops=UNCOUNTED):
     order, parents = preorder
     hang = _hanging_trees(path, order, parents)
     work = len(norm.nodes) + sum(map(len, map(clusters.__getitem__, path)))
-    vertex_of, flags, node_at = _assign_labels(clusters, graph_n, path, hang,
-                                               order, parents)
+    vertex_of, flags, ends = _assign_labels(clusters, graph_n, path, hang,
+                                            order, parents)
     ops.add(work)
     return PLabeling(clusters, graph_n, len(vertex_of) - 1, vertex_of,
-                     flags, node_at, path, hang, order, parents)
+                     flags, path, ends, hang, order, parents)
 
 
 def _hanging_trees(path, order, parents):
@@ -208,16 +203,14 @@ def _covering_labeling(norm, clusters, graph_n, ops):
     Every step on it is direct, so it holds no hanging trees."""
     vertex_of, path = norm.vertex_of, norm.path
     n = len(vertex_of) - 1
-    node_at = list(map(norm.path_node_of.__getitem__, vertex_of))
-    norm.path_node_of = None  # by vertex; the labeling keeps node_at only
     ops.add(n + len(path))
     return PLabeling(clusters, graph_n, n, vertex_of, b"\0" + b"\1" * n,
-                     node_at, path, {}, None, None)
+                     path, norm.ends, {}, None, None)
 
 
 def _assign_labels(clusters, n0, path, hang, order, parents):
-    """(vertex_of, flags, node_at) for `path`, whose hanging trees `hang`
-    holds as spans of `order`.
+    """(vertex_of, flags, ends) for `path`, whose hanging trees `hang`
+    holds as spans of `order`; `ends` holds each node's last label.
 
     A node's hanging vertices are labeled deepest first: its spans in
     preorder, the trees of each in preorder, and each tree walked from its
@@ -230,11 +223,11 @@ def _assign_labels(clusters, n0, path, hang, order, parents):
     labeled = bytearray(n0 + 1)
     is_pv = bytearray(n0 + 1)
     vertex_of = [0]
-    node_at = [0]
+    ends = array("l")
     append = vertex_of.append
     for i in path:
         cl = clusters[i]
-        start = hanging_end = len(vertex_of)
+        hanging_end = len(vertex_of)
         spans = hang.get(i)
         if spans:
             # hanging vertices first (deepest nodes first), then fresh
@@ -270,5 +263,5 @@ def _assign_labels(clusters, n0, path, hang, order, parents):
         if end == hanging_end:
             raise InvalidDecomposition(
                 "path node %r adds no vertex: cluster connectivity fails" % i)
-        node_at += [i] * (end - start)
-    return vertex_of, bytes(map(is_pv.__getitem__, vertex_of)), node_at
+        ends.append(end - 1)
+    return vertex_of, bytes(map(is_pv.__getitem__, vertex_of)), ends

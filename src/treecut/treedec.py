@@ -7,9 +7,10 @@ the clusters, so the host graph is passed in only where edges matter.
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import pairwise
+from itertools import accumulate, pairwise
 
 from .errors import DecompositionFormatError, EmptyDecomposition
 from .graph import _tree_path, check_graph
@@ -135,7 +136,7 @@ class TreeDecomposition:
     def to_json(self):
         return json.dumps({
             "graph_n": self.graph_n,
-            "nodes": [{"id": i, "cluster": sorted(self.clusters[i])}
+            "nodes": [{"id": i, "cluster": self.clusters[i]}
                       for i in self.nodes],
             "edges": [[a, b] for a, b in self.edges()],
         })
@@ -303,11 +304,11 @@ class Normalized:
     cluster size. When a pass-through's sweep covered all graph_n
     vertices, the tree is a path from the smallest node, and the sweep met
     the vertices in the order of that path's labeling oriented from the
-    smallest node: `vertex_of` lists them from index 1, `path_node_of[x]`
-    is the node that first held x (index 0 of both holds 0), and `path`
-    lists the nodes in the order the sweep met them, which is that path
-    from the smallest node; build_plabeling reads `path_node_of` by label
-    and drops it. All three are None otherwise.
+    smallest node: `vertex_of` lists them from index 1 (index 0 holds 0),
+    `path` lists the nodes in the order the sweep met them, which is that
+    path from the smallest node, and `ends`, aligned with `path`, the
+    running sums of their fresh counts, the last label of each node's
+    block, which the labeling keeps. All three are None otherwise.
 
     `first_sweep` holds, on every record that did not cover, the records
     of heaviest path's first sweep over `td` from its smallest node, as a
@@ -326,8 +327,8 @@ class Normalized:
     nodes: list
     size: int
     vertex_of: list | None = None
-    path_node_of: list | None = None
     path: list | None = None
+    ends: array | None = None
     first_sweep: tuple | None = None
 
 
@@ -337,7 +338,9 @@ def make_nonredundant(td):
     Returns `td` itself when nothing contracts, not a copy; callers must
     not mutate the result. Otherwise returns a new TreeDecomposition with
     dense node ids 1..k (see _public). The input is never written to. A
-    `td` that is not a TreeDecomposition raises DecompositionFormatError.
+    `td` that is not a TreeDecomposition raises DecompositionFormatError,
+    and one whose clusters are all empty, the empty graph's included,
+    EmptyDecomposition.
     """
     check_decomposition(td)
     return _public(normalize(td).td)
@@ -462,9 +465,10 @@ def normalize(td, ops=UNCOUNTED):
                 push((j, i, w, c))
     ops.add(work)
     if not joined and best_w == td.graph_n and met is not None:
-        first[0] = 0
-        return Normalized(td, td.nodes, size, met, first, roots)
-    del first, met  # read by a covering record alone
+        del first, up  # before the ends are built
+        return Normalized(td, td.nodes, size, met, roots,
+                          array("l", accumulate(fresh_of)))
+    del first, met  # the vertex order is read by a covering record alone
     if not joined:
         # the only parents the second sweep reads: those up from `best`
         chain = _chain(roots, up, roots.index(best))
@@ -654,7 +658,8 @@ def heaviest_path(td):
     second sweep's start, and a weight report relative to the host graph
     order. A `td` that is not a TreeDecomposition, normalization's record
     included, raises DecompositionFormatError, and one whose clusters are
-    all empty EmptyDecomposition.
+    all empty, the empty graph's included (its relative weight is
+    undefined), EmptyDecomposition.
 
     Both sweeps count a node's vertices met before as already on its path;
     cluster connectivity makes that exact. Without it the counts can

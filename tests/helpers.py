@@ -4,6 +4,7 @@ and exact references that only tests use."""
 import itertools
 import math
 import time
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -278,9 +279,9 @@ class VertexLabeling:
 
 def per_vertex(pl):
     """The VertexLabeling view of PLabeling `pl`: its label-indexed
-    `vertex_of`, `flags` and `node_at` turned into arrays by vertex, with
-    0 for every vertex outside the current instance. The lists are new,
-    the hanging trees `pl`'s own."""
+    `vertex_of` and `flags`, and the blocks its `ends` bound, turned into
+    arrays by vertex, with 0 for every vertex outside the current
+    instance. The lists are new, the hanging trees `pl`'s own."""
     n0 = pl.graph_n
     label_of = [0] * (n0 + 1)
     is_pv = bytearray(n0 + 1)
@@ -288,20 +289,29 @@ def per_vertex(pl):
     for lab, x in enumerate(pl.vertex_of):
         label_of[x] = lab
         is_pv[x] = pl.flags[lab]
-        path_node_of[x] = pl.node_at[lab]
+    a = 1
+    for i, b in zip(pl.path_nodes, pl.ends, strict=True):
+        for x in pl.vertex_of[a:b + 1]:
+            path_node_of[x] = i
+        a = b + 1
     return VertexLabeling(pl.clusters, n0, pl.n, label_of, list(pl.vertex_of),
                           is_pv, path_node_of, list(pl.path_nodes), pl.hang,
                           pl.order, pl.parents)
 
 
 def by_label(ref):
-    """The PLabeling of VertexLabeling `ref`: flags and path nodes
-    gathered over its current labels."""
+    """The PLabeling of VertexLabeling `ref`: flags gathered over its
+    current labels, and the last label of each run of labels whose
+    vertices share a path node, asserted to be one run per path node, in
+    path order."""
     vertex_of = list(ref.vertex_of)
+    owner = list(map(ref.path_node_of.__getitem__, vertex_of)) + [None]
+    ends = array("l", [lab for lab in range(1, ref.n + 1)
+                       if owner[lab + 1] != owner[lab]])
+    assert [owner[lab] for lab in ends] == ref.path_nodes
     return PLabeling(ref.clusters, ref.graph_n, ref.n, vertex_of,
                      bytes(map(ref.is_path_vertex.__getitem__, vertex_of)),
-                     list(map(ref.path_node_of.__getitem__, vertex_of)),
-                     ref.path_nodes, ref.hang, ref.order, ref.parents)
+                     ref.path_nodes, ends, ref.hang, ref.order, ref.parents)
 
 
 def two_pass_plabeling(td, path_nodes=None, ops=UNCOUNTED):

@@ -236,6 +236,33 @@ def test_graph_json_roundtrip(tmp_path):
     assert td2.graph_n == td.graph_n
 
 
+@pytest.mark.parametrize("n, width, seed", [(12, 2, 3), (20, 3, 1)])
+def test_decomposition_json_roundtrip_keeps_the_cut(tmp_path, n, width, seed):
+    """A decomposition saved and loaded again keeps each cluster's order,
+    which decides the cut's ties, so it is cut as the one in memory is;
+    with the clusters written sorted, both instances were cut otherwise."""
+    g, td = random_graph_with_td(n, width, seed)
+    _, tp = _write_instance(tmp_path, g, td)
+    td2 = load_td(tp)
+    assert td2.clusters == td.clusters
+    assert (engine.minimum_bisection(g, td2)[0]
+            == engine.minimum_bisection(g, td)[0])
+
+
+@pytest.mark.parametrize("args", [["bisect"], ["cut", "--m", "0"]])
+def test_empty_graph_exits_2(tmp_path, args):
+    """The empty graph's one-node decomposition passes validate, but r is
+    undefined at n = 0, so bisect and cut refuse it."""
+    gp, tp = _write_instance(tmp_path, Graph(0, []),
+                             TreeDecomposition([1], [], {1: []}, 0))
+    runner = CliRunner()
+    res = runner.invoke(main, ["validate", "--graph", gp, "--td", tp])
+    assert res.exit_code == 0, res.output
+    res = runner.invoke(main, args + ["--graph", gp, "--td", tp])
+    _assert_usage_error(res)
+    assert "every cluster is empty" in res.output
+
+
 def _assert_usage_error(res):
     assert res.exit_code == 2, res.output
     assert res.output.count("error:") == 1

@@ -1,14 +1,18 @@
 import copy
 import functools
+import itertools
 import json
 import math
+import re
 import weakref
+from array import array
 from fractions import Fraction
 
 import pytest
 from hypothesis import Phase, find, given, settings, strategies as st
 
 from helpers import (
+    VertexLabeling,
     acceptance_corpus,
     by_label,
     exact_size_cut,
@@ -17,6 +21,7 @@ from helpers import (
     ref_doubling_step,
     run_checked,
     small_fixtures,
+    span_form,
     spider_fixture,
     tricut_width,
     two_pass_plabeling,
@@ -33,6 +38,7 @@ from treecut.errors import (
     BadFraction,
     BadSize,
     DecompositionFormatError,
+    EmptyDecomposition,
     GraphFormatError,
     InternalInvariant,
     InvalidDecomposition,
@@ -51,6 +57,8 @@ from treecut.labeling import PLabeling, build_plabeling
 from treecut.oracle import brute_force_min_cut_size_m
 from treecut.treedec import (
     TreeDecomposition,
+    heaviest_path,
+    make_nonredundant,
     normalize,
     tree_to_width1_td,
     validate,
@@ -223,16 +231,52 @@ def test_tricut_width():
     assert tricut_width(g, {1, 2, 3, 4}, {1, 2}, set()) == 1
 
 
+def _fraction(text):
+    num, den = text.split("/")
+    return Fraction(int(num), int(den))
+
+
 def test_report_json():
+    """The JSON report holds every field, and each step record's case,
+    sizes and path-weight shares before and after it: the remainder's
+    share as "p/q", null on a direct step. The path's bisection takes one
+    direct step, the ternary tree's one back step."""
     g = path_graph(10)
-    _, rep = minimum_bisection(g, tree_to_width1_td(g))
+    for (g, td), kinds in (((g, tree_to_width1_td(g)), ["direct"]),
+                           (make_instance("ternary", h=3), ["back"])):
+        _check_report_json(minimum_bisection(g, td)[1], kinds)
+
+
+def _check_report_json(rep, kinds):
+    assert [s.kind for s in rep.steps] == kinds
     d = json.loads(rep.to_json())
     for key in ("n", "m", "t", "delta", "r", "width", "bound",
                 "legible_bound", "steps", "ops", "seconds",
                 "b_vertices"):
         assert key in d
-    num, den = d["r"].split("/")
-    assert Fraction(int(num), int(den)) == rep.r
+    assert _fraction(d["r"]) == rep.r
+    assert len(d["steps"]) == len(rep.steps)
+    for row, s in zip(d["steps"], rep.steps):
+        assert set(row) == {"case", "b_added", "z_size", "w_star", "w_after"}
+        assert (row["case"], row["b_added"], row["z_size"]) == \
+            (s.kind, s.b_added, s.z_size)
+        assert _fraction(row["w_star"]) == s.w_before
+        if s.w_after is None:
+            assert row["w_after"] is None
+        else:
+            assert _fraction(row["w_after"]) == s.w_after
+
+
+def test_empty_graph_has_no_cut():
+    """The empty graph's one-node decomposition passes validate, but r is
+    undefined at n = 0, so every function that needs it refuses it."""
+    g, td = Graph(0, []), TreeDecomposition([1], [], {1: []}, 0)
+    assert validate(g, td).ok
+    for call in (lambda: minimum_bisection(g, td),
+                 lambda: exact_size_cut_linear(g, td, 0),
+                 lambda: make_nonredundant(td), lambda: heaviest_path(td)):
+        with pytest.raises(EmptyDecomposition, match="every cluster is empty"):
+            call()
 
 
 def test_step_budget_and_doubling_on_random_instances():
@@ -388,9 +432,10 @@ def _steps_agree(td, m):
         res = doubling_step(pl, m, ops=ops)
         assert res == ref_doubling_step(ref, m, ops=ops_ref)
         shrunk = by_label(ref)
-        assert (pl.n, pl.vertex_of, pl.flags, pl.node_at, pl.path_nodes,
+        assert (pl.n, pl.vertex_of, pl.flags, pl.ends, pl.path_nodes,
                 pl.hang) == (shrunk.n, shrunk.vertex_of, shrunk.flags,
-                             shrunk.node_at, shrunk.path_nodes, shrunk.hang)
+                             shrunk.ends, shrunk.path_nodes, shrunk.hang)
+        assert pl.ends.typecode == "l"
         view = per_vertex(pl)
         assert all(view.label_of[x] == ref.label_of[x] == lab
                    for lab, x in enumerate(pl.vertex_of))
@@ -420,6 +465,125 @@ def test_doubling_step_matches_the_reference_at_every_size():
                     wrapped.add(kind == "direct")
     assert kinds == {"direct", "back", "forward"}
     assert wrapped == {False, True}
+
+
+def _hand_built(blocks):
+    """A labeling in the reference's per-vertex form, built by hand from
+    `blocks`, one string of label flags per path node. The path nodes are
+    101, 102, ..., the vertex at label lab is n + 1 - lab, and a path
+    node's cluster holds its block's flagged vertices. Each unflagged
+    vertex x is the one vertex of hanging node x, and a block's hanging
+    nodes are paired off into trees of two under its path node, so the
+    approximate cut re-roots them at a hanging node. A block need not
+    hold its 0s before its 1s, as a labeling build_plabeling makes does."""
+    n = sum(map(len, blocks))
+    vertex_of = [0, *range(n, 0, -1)]
+    label_of = vertex_of[:]  # lab <-> n + 1 - lab is its own inverse
+    is_pv, owner = bytearray(n + 1), [0] * (n + 1)
+    clusters, pairs_of = {}, {}
+    path = list(range(101, 101 + len(blocks)))
+    x = n + 1
+    for i, flags in zip(path, blocks):
+        clusters[i], pairs = [], []
+        for f in flags:
+            x -= 1
+            owner[x] = i
+            if f == "1":
+                is_pv[x] = 1
+                clusters[i].append(x)
+            else:
+                clusters[x] = [x]
+                pairs.append((x, pairs[-1][0] if len(pairs) % 2 else i))
+        pairs_of[i] = pairs
+    order, parents, hang = span_form(path, pairs_of)
+    return VertexLabeling(clusters, n, n, label_of, vertex_of, is_pv, owner,
+                          path, hang, order, parents)
+
+
+def _hand_built_step_agrees(blocks, m):
+    """One doubling_step on a hand-built labeling against the reference
+    step on a second build of it: the same result or the same
+    InternalInvariant, the same shrunk labeling and the same ops. Returns
+    "raise", "direct", or where the remainder's labels lay: "inside"
+    1..n, or, when they wrapped past n, "two blocks" or "one block" by
+    whether its first label, za, and its last, zb, lay in one block."""
+    ref, pl = _hand_built(blocks), by_label(_hand_built(blocks))
+    owner = ref.path_node_of[:]
+    ops, ops_ref = OpsCounter(), OpsCounter()
+    try:
+        want = ref_doubling_step(ref, m, ops=ops_ref)
+    except InternalInvariant as exc:
+        with pytest.raises(InternalInvariant,
+                           match="^%s$" % re.escape(str(exc))):
+            doubling_step(pl, m, ops=ops)
+        return "raise"
+    assert doubling_step(pl, m, ops=ops) == want
+    shrunk = by_label(ref)
+    assert (pl.n, pl.vertex_of, pl.flags, pl.ends, pl.path_nodes,
+            pl.hang) == (shrunk.n, shrunk.vertex_of, shrunk.flags,
+                         shrunk.ends, shrunk.path_nodes, shrunk.hang)
+    assert ops.total == ops_ref.total
+    if want.kind == "direct":
+        return "direct"
+    labels = [ref.n + 1 - x for x in want.z_vertices]  # ascending
+    gap = next((k for k in range(1, len(labels))
+                if labels[k] != labels[k - 1] + 1), None)
+    if gap is None:
+        return "inside"
+    za, zb = want.z_vertices[gap], want.z_vertices[gap - 1]
+    return "one block" if owner[za] == owner[zb] else "two blocks"
+
+
+@pytest.mark.parametrize("blocks, m, where", [
+    (["0001", "1"], 3, "inside"),
+    (["001", "1", "001"], 2, "inside"),
+    (["1", "0001"], 3, "two blocks"),
+    (["1", "001", "001"], 5, "two blocks"),
+])
+def test_hand_built_remainder_shrinks_as_the_reference(blocks, m, where):
+    """A remainder inside 1..n and one that wraps past n across two
+    blocks, by a back and by a forward step each, with fewer path-cluster
+    labels than half, so the approximate cut runs: the shrunk blocks,
+    their ends relabelled, match the reference's."""
+    assert _hand_built_step_agrees(blocks, m) == where
+
+
+def test_blocks_check_their_ends():
+    """PLabeling.blocks reads the blocks off the ends and raises
+    InternalInvariant when a block holds no flagged label or the last
+    block does not end at n."""
+    pl = by_label(_hand_built(["01", "011"]))
+    assert pl.blocks() == {101: (1, 2, 2), 102: (3, 4, 5)}
+    pl.ends = array("l", [2, 4])
+    with pytest.raises(InternalInvariant,
+                       match="end at label 4, not at n = 5"):
+        pl.blocks()
+    pl.ends = array("l", [1, 5])
+    with pytest.raises(InternalInvariant, match="node 101 holds no cluster"):
+        pl.blocks()
+
+
+def test_no_remainder_wraps_inside_one_block():
+    """Every hand-built labeling of up to 7 labels, any flags, any split
+    into blocks that each hold a flagged label, at every m: the step
+    agrees with the reference, and no remainder's labels wrap past n with
+    za and zb in one block, the case the step raises InternalInvariant
+    on. It cannot occur (see doubling_step): Z holds no more labels than
+    the split node's hanging span, which holds no flagged label, while za
+    and zb are flagged. In another node's block they would leave the
+    split node's whole block inside Z; in the split node's own, after its
+    span, the whole span and more."""
+    seen = set()
+    for n in range(1, 8):
+        for flags in itertools.product("01", repeat=n):
+            for cuts in itertools.product((False, True), repeat=n - 1):
+                bounds = [0, *(k for k, cut in enumerate(cuts, 1) if cut), n]
+                blocks = ["".join(flags[a:b])
+                          for a, b in itertools.pairwise(bounds)]
+                if all("1" in block for block in blocks):
+                    seen.update(_hand_built_step_agrees(blocks, m)
+                                for m in range(1, n + 1))
+    assert seen == {"raise", "direct", "inside", "two blocks"}
 
 
 @functools.cache

@@ -207,7 +207,8 @@ def _assert_same_arrays(pl, ref):
     assert pl.n == ref.n
     assert pl.vertex_of == ref.vertex_of
     assert pl.flags == ref.flags
-    assert pl.node_at == ref.node_at
+    assert pl.ends == ref.ends
+    assert pl.ends.typecode == "l" and len(pl.ends) == len(pl.path_nodes)
     view, ref_view = per_vertex(pl), per_vertex(ref)
     assert view.label_of == ref_view.label_of
     assert view.path_node_of == ref_view.path_node_of

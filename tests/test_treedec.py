@@ -649,7 +649,8 @@ def test_covering_labeling_matches_two_pass_reference_from_the_smallest_node(
     assert pl.n == ref.n == td.graph_n
     assert pl.vertex_of == ref.vertex_of
     assert pl.flags == ref.flags
-    assert pl.node_at == ref.node_at
+    assert pl.ends == ref.ends
+    assert pl.ends.typecode == "l" and len(pl.ends) == len(pl.path_nodes)
     view, ref_view = per_vertex(pl), per_vertex(ref)
     assert view.label_of == ref_view.label_of
     assert view.path_node_of == ref_view.path_node_of
@@ -687,7 +688,7 @@ def test_covering_path_decomposition_cut_reads_no_cluster_in_heaviest_path(
 
     def with_records(td0, ops):
         rec = normalize(td0, ops=ops)
-        return replace(rec, vertex_of=None, path_node_of=None,
+        return replace(rec, vertex_of=None, ends=None,
                        first_sweep=records)
 
     with mock.patch.object(treedec, "_recording_sweep",
