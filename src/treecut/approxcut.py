@@ -17,7 +17,7 @@ from .errors import (
 )
 from .graph import check_graph, cut_width
 from .treedec import check_decomposition
-from .util import UNCOUNTED, no_gc
+from .util import UNCOUNTED, check_int, holds, no_gc
 
 
 @dataclass
@@ -106,13 +106,8 @@ def approximate_cut(td, m, c, g=None):
         raise InvalidDecomposition(
             "the graph has %d vertices but the decomposition's graph_n is %d"
             % (g.n, n))
-    if type(m) is not int or not 1 <= m <= n:
-        raise BadSize("m=%r is not an int in 1..%d" % (m, n))
-    try:
-        c_ok = 0 < c < 1
-    except TypeError:  # a string, None, a complex number...
-        c_ok = False
-    if not c_ok:
+    check_int(BadSize, "m", m, 1, n)
+    if not holds(lambda: 0 < c < 1):
         raise BadFraction("balance parameter %r is not in (0, 1)" % (c,))
     # depth first from the smallest node, children in `td.neighbors` order
     nbrs, cls = td.neighbors, td.clusters

@@ -10,6 +10,7 @@ from .engine import exact_size_cut_linear
 from .errors import BadSize
 from .generators import make_instance
 from .oracle import brute_force_min_bisection, tree_dp_min_bisection
+from .util import check_int
 
 
 @dataclass
@@ -49,8 +50,7 @@ def _params_for(family, n):
 
 def run_bench(families, sizes, seed=0, with_oracle=False):
     for n in sizes:
-        if n < 1:
-            raise BadSize("bench size %r is below 1" % (n,))
+        check_int(BadSize, "bench size", n, 1)
     rows = []
     for family in families:
         for n in sizes:

@@ -29,43 +29,47 @@ from .graph import check_graph, cut_width, max_degree
 from .labeling import build_plabeling
 # the record-returning normalizer, under the name perfbench traces
 from .treedec import check_decomposition, normalize as make_nonredundant
-from .util import UNCOUNTED, OpsCounter, no_gc
-
-
-def _check_weight(r):
-    """Raise BadFraction unless r is a real number in (0, 1]."""
-    try:
-        ok = 0 < r <= 1
-    except TypeError:  # a string, None, a complex number...
-        ok = False
-    if not ok:
-        raise BadFraction("path weight %r is not in (0, 1]" % (r,))
+from .util import UNCOUNTED, OpsCounter, check_int, holds, no_gc
 
 
 def _check_bound_args(t, delta, r):
-    """Raise BadSize unless t and delta are non-negative ints, a bool
-    excluded, and BadFraction unless r is a real number in (0, 1]."""
-    for name, val in (("t", t), ("delta", delta)):
-        if type(val) is not int or val < 0:
-            raise BadSize("%s=%r is not a non-negative int" % (name, val))
-    _check_weight(r)
+    """r's exact ratio (p, q) of ints, r = p / q. Raises BadSize unless t
+    and delta are non-negative ints, a bool excluded, and BadFraction
+    unless r is a real number in (0, 1]."""
+    check_int(BadSize, "t", t, 0)
+    check_int(BadSize, "delta", delta, 0)
+    if not holds(lambda: 0 < r <= 1):
+        raise BadFraction("path weight %r is not in (0, 1]" % (r,))
+    return r.as_integer_ratio()
 
 
 def bound_value(t, delta, r):
     """Guaranteed cut width: t*delta/2 * (log2(1/r)^2 + 9 log2(1/r) + 8).
 
-    A t or delta that is not a non-negative int raises BadSize, and an r
-    that is not a real number in (0, 1] BadFraction."""
-    _check_bound_args(t, delta, r)
-    lg = math.log2(1.0 / float(r))
-    return 0.5 * t * delta * (lg * lg + 9.0 * lg + 8.0)
+    log2(1/r) is taken from r's exact ratio, so an r below float range
+    still gives a finite bound; inf is returned only where the bound
+    itself exceeds float range. A t or delta that is not a non-negative
+    int raises BadSize, and an r that is not a real number in (0, 1]
+    BadFraction."""
+    p, q = _check_bound_args(t, delta, r)
+    try:
+        lg = math.log2(q / p)
+    except OverflowError:  # 1/r beyond float range
+        lg = math.log2(q) - math.log2(p)
+    try:
+        return t * delta * 0.5 * (lg * lg + 9.0 * lg + 8.0)
+    except OverflowError:
+        return math.inf
 
 
 def legible_bound(t, delta, r):
-    """Weaker closed form 8 t delta / r; the arguments are checked as in
-    bound_value."""
-    _check_bound_args(t, delta, r)
-    return 8.0 * t * delta / float(r)
+    """Weaker closed form 8 t delta / r, from r's exact ratio; inf where it
+    exceeds float range. The arguments are checked as in bound_value."""
+    p, q = _check_bound_args(t, delta, r)
+    try:
+        return 8 * t * delta * q / p
+    except OverflowError:
+        return math.inf
 
 
 @dataclass
@@ -101,8 +105,7 @@ def doubling_step(pl, m, ops=UNCOUNTED):
     block, or the whole span and that block's first path-cluster label.
     """
     n = pl.n
-    if type(m) is not int or not 1 <= m <= n:
-        raise BadSize("m=%r is not an int in 1..%d" % (m, n))
+    check_int(BadSize, "m", m, 1, n)
     av, core, nodes, ends = pl.vertex_of, pl.flags, pl.path_nodes, pl.ends
     rtot = core.count(1)
     w_before = Fraction(rtot, n)
@@ -265,17 +268,6 @@ def _check_coverage(pl, n):
             "clusters cover %d of %d vertices" % (pl.n, n))
 
 
-def _step_budget_ok(r0, steps):
-    # step count never exceeds log2(1/r0) + 1, checked exactly
-    return steps <= 1 or Fraction(2) ** (steps - 1) <= 1 / r0
-
-
-def _check_kinds(g, td):
-    """Raise unless g is a Graph and td a TreeDecomposition."""
-    check_graph(g)
-    check_decomposition(td)
-
-
 _FLIP = bytes([1, 0]) + bytes(range(2, 256))  # swaps the two sides
 
 
@@ -290,7 +282,8 @@ def _finish(g, t, m, b_total, steps, r0, ops, t_start):
     if len(b_total) != m:
         raise InternalInvariant("cut has %d vertices, wanted %d"
                                 % (len(b_total), m))
-    if not _step_budget_ok(r0, len(steps)):
+    # the step count never exceeds log2(1/r0) + 1, checked exactly
+    if len(steps) > 1 and Fraction(2) ** (len(steps) - 1) > 1 / r0:
         raise InternalInvariant("step budget exceeded")
     n = g.n
     side = bytearray(n + 1)  # 1 marks a vertex of the cut side B
@@ -330,9 +323,9 @@ def exact_size_cut_linear(g, td0, m):
     graph's included, raises EmptyDecomposition, also at m = 0: the path
     weight r is undefined at n = 0. `td0` is not written to.
     """
-    _check_kinds(g, td0)
-    if type(m) is not int or not 0 <= m <= g.n:
-        raise BadSize("m=%r is not an int in 0..%d" % (m, g.n))
+    check_graph(g)
+    check_decomposition(td0)
+    check_int(BadSize, "m", m, 0, g.n)
     ops = OpsCounter()
     t_start = time.perf_counter()
     norm = make_nonredundant(td0, ops=ops)
@@ -363,7 +356,7 @@ def minimum_bisection(g, td):
     Raises like exact_size_cut_linear on a `g` or `td` of the wrong type,
     and EmptyDecomposition on the empty graph, where r is undefined.
     """
-    _check_kinds(g, td)
+    check_graph(g)  # g.n is read before the cut checks g and td
     b, report = exact_size_cut_linear(g, td, g.n // 2)
     other = bytearray(b"\0" + b"\1" * g.n)  # 1 marks a vertex of W
     for v in b:

@@ -42,9 +42,10 @@ class Graph:
                 seen.add(key)
                 adj[u].append(v)
                 adj[v].append(u)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, ArithmeticError) as exc:
             # `edges` not iterable, a pair of another length, or an endpoint
-            # that is not an int (a float fails at the adj index)
+            # that is not an int (a float fails at the adj index, a Decimal
+            # NaN at the range check with decimal.InvalidOperation)
             raise GraphFormatError("bad edge list: %s" % exc) from None
         self.n = n
         self.adj = adj

@@ -9,6 +9,7 @@ import itertools
 
 from .errors import BadSize, NotATree, TreecutError
 from .graph import check_graph
+from .util import check_int
 
 
 _BRUTE_LIMIT = 24
@@ -17,12 +18,6 @@ _DP_LIMIT = 5000
 
 def _adj_masks(g):
     return [0] + [sum(1 << (w - 1) for w in g.adj[v]) for v in g.vertices]
-
-
-def _check_size(m, n):
-    """Raise BadSize unless m is an int in 0..n; a bool is not an int here."""
-    if type(m) is not int or not 0 <= m <= n:
-        raise BadSize("m=%r is not an int in 0..%d" % (m, n))
 
 
 def brute_force_min_cut_size_m(g, m):
@@ -34,7 +29,7 @@ def brute_force_min_cut_size_m(g, m):
     n = g.n
     if n > _BRUTE_LIMIT:
         raise TreecutError("exhaustive search capped at n=%d" % _BRUTE_LIMIT)
-    _check_size(m, n)
+    check_int(BadSize, "m", m, 0, n)
     masks = _adj_masks(g)
     best = None
     best_set = None
@@ -72,7 +67,7 @@ def tree_dp_min_bisection(g, m=None):
         raise TreecutError("tree DP capped at n=%d" % _DP_LIMIT)
     if m is None:
         m = n // 2
-    _check_size(m, n)
+    check_int(BadSize, "m", m, 0, n)
     inf = float("inf")
     root = 1
     parent = [0] * (n + 1)

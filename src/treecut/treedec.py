@@ -14,7 +14,7 @@ from itertools import accumulate, pairwise
 
 from .errors import DecompositionFormatError, EmptyDecomposition
 from .graph import _tree_path, check_graph
-from .util import UNCOUNTED, no_gc
+from .util import UNCOUNTED, check_int, no_gc
 
 
 class TreeDecomposition:
@@ -39,9 +39,7 @@ class TreeDecomposition:
         for i in nodes:
             if type(i) is not int:
                 raise DecompositionFormatError("node id %r is not an int" % (i,))
-        if type(graph_n) is not int or graph_n < 0:
-            raise DecompositionFormatError(
-                "graph_n %r is not a non-negative int" % (graph_n,))
+        check_int(DecompositionFormatError, "graph_n", graph_n, 0)
         try:
             cluster_of = clusters.get
         except AttributeError:
@@ -332,6 +330,7 @@ class Normalized:
     first_sweep: tuple | None = None
 
 
+@no_gc
 def make_nonredundant(td):
     """Contract away nested adjacent clusters (see `normalize`).
 
@@ -699,6 +698,7 @@ def _record_path(norm, ops):
     return path, preorder
 
 
+@no_gc
 def tree_to_width1_td(g):
     """Width-1 decomposition of a tree: one node per edge, clusters are the
     edge endpoints, and a longest path of the tree maps onto a tree path of

@@ -31,6 +31,24 @@ class _Uncounted:
 UNCOUNTED = _Uncounted()
 
 
+def check_int(error, name, value, lo, hi=None):
+    """Raise `error` unless `value` is an int, a bool excluded, in lo..hi,
+    or at least lo when hi is None."""
+    if type(value) is not int or value < lo or hi is not None and value > hi:
+        span = ">= %d" % lo if hi is None else "in %d..%d" % (lo, hi)
+        raise error("%s=%r is not an int %s" % (name, value, span))
+
+
+def holds(test):
+    """test(), or False where it raises TypeError, as a comparison with a
+    str, None or a complex number does, or ArithmeticError, as one with a
+    Decimal NaN does (decimal.InvalidOperation)."""
+    try:
+        return test()
+    except (TypeError, ArithmeticError):
+        return False
+
+
 def no_gc(fn):
     """Run `fn` with the cyclic garbage collector paused.
 

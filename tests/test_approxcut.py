@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -283,7 +284,7 @@ def test_arguments_of_the_wrong_kind_are_rejected(td, g, error):
 def test_bad_fraction():
     td = p6_td()
     for c in (Fraction(0), Fraction(1), Fraction(3, 2), Fraction(-1, 4),
-              "1/2", None, 0.5j):
+              "1/2", None, 0.5j, Decimal("nan")):
         with pytest.raises(BadFraction):
             approximate_cut(td, 3, c)
 

@@ -186,7 +186,8 @@ def test_bench_csv(tmp_path):
 
 
 def test_run_bench_rejects_sizes_below_1():
-    for n in (0, -4):
+    # and sizes that are not ints, a str and None included
+    for n in (0, -4, "5", None, 2.5, True):
         with pytest.raises(BadSize):
             run_bench(["path"], [10, n])
 

@@ -6,6 +6,7 @@ import math
 import re
 import weakref
 from array import array
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -74,9 +75,27 @@ def test_bound_values():
     assert legible_bound(1, 3, Fraction(1, 4)) == 8 * 3 / Fraction(1, 4)
 
 
+# weights in (0, 1] below float range, whose 1/r is taken from r's exact
+# ratio: log2(1/r) is about 1063 for 1e-320 and 1329 for the others
+@pytest.mark.parametrize("r", [Fraction(1, 10**400), Decimal("1e-400"),
+                               1e-320])
+def test_bounds_take_a_weight_below_float_range(r):
+    assert bound_value(0, 1, r) == 0 and legible_bound(0, 1, r) == 0
+    assert 5e5 < bound_value(1, 1, r) < 1e6
+    assert legible_bound(1, 1, r) == math.inf  # 8 / r is beyond float range
+
+
+def test_bounds_are_inf_only_beyond_float_range():
+    assert bound_value(10**400, 1, 1) == math.inf
+    assert legible_bound(1, 10**400, 1) == math.inf
+    assert bound_value(10**308, 1, 1) == math.inf
+    assert bound_value(0, 10**400, 1) == 0
+    assert legible_bound(1, 1, Fraction(1, 2**1000)) == 8.0 * 2**1000
+
+
 @pytest.mark.parametrize("fn", [bound_value, legible_bound])
 @pytest.mark.parametrize("r", [0, Fraction(0), -1, 2, Fraction(3, 2), "x",
-                               None, 0.5j, float("nan")])
+                               None, 0.5j, float("nan"), Decimal("nan")])
 def test_bounds_reject_a_weight_outside_the_unit_interval(fn, r):
     with pytest.raises(BadFraction):
         fn(1, 1, r)

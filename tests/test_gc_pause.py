@@ -15,9 +15,15 @@ from treecut.engine import exact_size_cut_linear, minimum_bisection
 from treecut.errors import TreecutError
 from treecut.generators import make_instance
 from treecut.graph import Graph
-from treecut.treedec import TreeDecomposition, validate
+from treecut.treedec import (
+    TreeDecomposition,
+    make_nonredundant,
+    tree_to_width1_td,
+    validate,
+)
 
 G, TD = make_instance("random-td", n=40, width=2, seed=3)
+TREE = make_instance("random-tree", n=40, seed=3)[0]
 EDGES = list(G.edges())
 G_TEXT = fileio.format_graph(G)
 G_JSON = fileio.graph_to_json(G)
@@ -42,6 +48,8 @@ ENTRIES = {
                         lambda: approximate_cut(TD, 13, 0.5, g=G)),
     "make_instance": (make_instance,
                       lambda: make_instance("random-td", n=40, width=2)),
+    "tree_to_width1_td": (tree_to_width1_td, lambda: tree_to_width1_td(TREE)),
+    "make_nonredundant": (make_nonredundant, lambda: make_nonredundant(TD)),
 }
 
 
@@ -129,6 +137,10 @@ RAISING = {
     "make_instance": lambda p, mp: (
         mp.setattr(generators, "random_graph_with_td", p),
         make_instance("random-td", n=40)),
+    "tree_to_width1_td": lambda p, mp: (mp.setattr(treedec, "_tree_path", p),
+                                        tree_to_width1_td(TREE)),
+    "make_nonredundant": lambda p, mp: (mp.setattr(treedec, "normalize", p),
+                                        make_nonredundant(TD)),
 }
 
 

@@ -1,3 +1,5 @@
+from decimal import Decimal
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,6 +11,7 @@ from helpers import (
     ref_tree_to_width1_td,
 )
 from treecut.errors import (
+    BadFraction,
     BadSize,
     GraphFormatError,
     NotATree,
@@ -16,8 +19,11 @@ from treecut.errors import (
 )
 from treecut.generators import (
     caterpillar_graph,
+    grid_graph,
+    grid_td,
     make_instance,
     path_graph,
+    random_graph_with_td,
     random_tree,
     spider_graph,
     star_graph,
@@ -62,9 +68,11 @@ def test_construction_rejects_garbage():
     (2, [(True, 2)]),
     (2, [(2, True)]),
     (2, [(False, 2)]),
+    (3, [(Decimal("nan"), 1)]),
 ], ids=["n-str", "n-float", "n-none", "edges-none", "short-pair",
         "long-pair", "endpoint-str", "endpoint-float", "float-first",
-        "endpoint-true", "true-second", "endpoint-false"])
+        "endpoint-true", "true-second", "endpoint-false",
+        "endpoint-decimal-nan"])
 def test_construction_rejects_malformed_input(n, edges):
     with pytest.raises(GraphFormatError):
         Graph(n, edges)
@@ -121,6 +129,56 @@ def test_caterpillar_rejects_negative_hairs():
     with pytest.raises(BadSize):
         caterpillar_graph(3, -1)
     assert caterpillar_graph(3, 0).n == 3
+
+
+# each family function checks its own arguments, grid_td's side k >= 1
+# included: without it k = 0 gives no node and k = -2 six empty clusters
+@pytest.mark.parametrize("call, error", [
+    (lambda: path_graph(2.5), BadSize),
+    (lambda: path_graph(0), BadSize),
+    (lambda: star_graph(None), BadSize),
+    (lambda: star_graph(-1), BadSize),
+    (lambda: spider_graph(5), BadSize),
+    (lambda: spider_graph([2, True]), BadSize),
+    (lambda: caterpillar_graph(2, None), BadSize),
+    (lambda: caterpillar_graph(0, 1), BadSize),
+    (lambda: ternary_tree(1.0), BadSize),
+    (lambda: random_tree("5"), BadSize),
+    (lambda: random_tree(5, seed={}), BadSize),
+    (lambda: random_tree(1, seed=True), BadSize),
+    (lambda: grid_graph(None), BadSize),
+    (lambda: grid_td(0), BadSize),
+    (lambda: grid_td(-2), BadSize),
+    (lambda: grid_td(2.0), BadSize),
+    (lambda: random_graph_with_td(10, 2, 0, "x"), BadFraction),
+    (lambda: random_graph_with_td(10, 2, 0, -0.5), BadFraction),
+    (lambda: random_graph_with_td(10, 2, 0, Decimal("nan")), BadFraction),
+    (lambda: random_graph_with_td(10, -1), BadSize),
+    (lambda: random_graph_with_td(10, 2, [1]), BadSize),
+], ids=["path-float", "path-0", "star-None", "star-negative", "spider-int",
+        "spider-bool-leg", "caterpillar-hairs-None", "caterpillar-spine-0",
+        "ternary-float", "random_tree-str", "random_tree-seed-dict",
+        "random_tree-seed-bool", "grid-None", "grid_td-0", "grid_td-negative",
+        "grid_td-float", "random-td-edge_prob-str",
+        "random-td-edge_prob-negative", "random-td-edge_prob-decimal-nan",
+        "random-td-width-negative", "random-td-seed-list"])
+def test_family_functions_check_their_own_arguments(call, error):
+    with pytest.raises(error):
+        call()
+
+
+def test_make_instance_names_the_size_it_was_given():
+    # star_graph(n - 1) would name its own argument, leaves=-1
+    with pytest.raises(BadSize, match="^n=0 is not an int >= 1$"):
+        make_instance("star", n=0)
+    with pytest.raises(BadSize, match="^width=-1 "):
+        make_instance("path", n=3, width=-1)
+
+
+def test_an_empty_leg_list_is_the_one_vertex_spider():
+    g, td = make_instance("spider", legs=[])
+    assert g.n == 1 and td.clusters == {1: [1]}
+    assert make_instance("spider")[0].n == 10  # legs 3, 3, 3 when not given
 
 
 @pytest.mark.parametrize("family, kw", [

@@ -2,6 +2,7 @@
 import importlib
 import inspect
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import treecut
 from helpers import p6_td
+from treecut import generators
 from treecut.cli import main
 from treecut.errors import (
     BadFraction,
@@ -217,7 +219,9 @@ def test_no_impl_option(command):
 ATOMS = [
     lambda: None, lambda: True, lambda: False, lambda: -1, lambda: 0,
     lambda: 1, lambda: 2, lambda: 3, lambda: 6, lambda: 1.5,
-    lambda: float("nan"), lambda: Fraction(1, 2), lambda: 1j, lambda: "",
+    lambda: float("nan"), lambda: Fraction(1, 2),
+    lambda: Fraction(1, 10**400), lambda: Decimal("nan"), lambda: 1j,
+    lambda: "",
     lambda: "x", lambda: b"x", lambda: bytearray(4), lambda: bytearray(7),
     lambda: [], lambda: [1, 2], lambda: [(1, 2)], lambda: [[1, 2], 3],
     lambda: {}, lambda: {1: [1, 2]}, lambda: {1, 2}, lambda: (2, 3),
@@ -235,8 +239,12 @@ ATOMS = [
 ]
 atoms = st.sampled_from(ATOMS).map(lambda make: make())
 
-# every name in __all__, the front end and the oracles
+# every name in __all__, the front end, the oracles and the generators
 CALLABLES = {name: getattr(treecut, name) for name in treecut.__all__}
+CALLABLES.update({name: getattr(generators, name) for name in [
+    "path_graph", "star_graph", "spider_graph", "caterpillar_graph",
+    "ternary_tree", "random_tree", "grid_graph", "grid_td",
+    "random_graph_with_td"]})
 CALLABLES.update({
     "make_instance": make_instance,
     "parse_graph": parse_graph,
