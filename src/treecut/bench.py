@@ -4,7 +4,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .engine import exact_size_cut_linear
 from .errors import BadSize
@@ -74,7 +74,7 @@ def run_bench(families, sizes, seed=0, with_oracle=False):
 
 def rows_to_csv(rows):
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(asdict(rows[0])))
+    writer = csv.DictWriter(buf, fieldnames=[f.name for f in fields(BenchRow)])
     writer.writeheader()
     for row in rows:
         writer.writerow(asdict(row))

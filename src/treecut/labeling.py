@@ -1,10 +1,10 @@
 """Circular vertex labelings aligned with a decomposition path.
 
 For a chosen tree path, vertices get labels 1..n so that for every path
-node the vertices hanging below it plus its own fresh cluster vertices form
-one consecutive block, with the cluster vertices at the block's end. Labels
-are read circularly, so shifting a label by the target part size lands on
-the vertex "m positions later".
+node the vertices hanging below it, in any order, plus its own fresh
+cluster vertices form one consecutive block, with the cluster vertices at
+the block's end. Labels are read circularly, so shifting a label by the
+target part size lands on the vertex "m positions later".
 """
 from __future__ import annotations
 
@@ -27,19 +27,21 @@ class PLabeling:
     cluster, else 0 (index 0 of both holds 0). `path_nodes` lists the path
     in label order, and `ends`, aligned with it, the last label of each
     node's block: the blocks partition 1..n in path order, so their ends
-    describe them. A doubling step shrinks the instance by slicing the
-    label arrays to the remainder's labels and the two path arrays to its
-    blocks. `order` and `parents` are heaviest
-    path's second sweep, a preorder from the path's first node and each
-    entry's tree parent, and `hang` maps a path node to the spans of
-    `order` that hold the trees hanging from it, as a flat tuple of one or
-    two (start, end) pairs, `(s, e)` or `(s1, e1, s2, e2)`: the trees
-    visited after the next path node's subtree, then those visited before
-    it. A tree's root is a position whose parent is the node. A node
-    without a key has none, as on a covering labeling, whose steps are all
-    direct and whose `order` and `parents` are None. `clusters` and
-    `graph_n` are the labeled decomposition's; the labeling keeps no other
-    part of it.
+    describe them. A block holds the node's hanging part first, in any
+    order (built in reverse preorder), then its fresh cluster vertices;
+    no step reads the order inside a hanging part. A doubling step
+    shrinks the instance by slicing the label arrays to the remainder's
+    labels and the two path arrays to its blocks. `order` and `parents`
+    are heaviest path's second sweep, a preorder from the path's first
+    node and each entry's tree parent, and `hang` maps a path node to the
+    spans of `order` that hold the trees hanging from it, as a flat tuple
+    of one or two (start, end) pairs, `(s, e)` or `(s1, e1, s2, e2)`: the
+    trees visited after the next path node's subtree, then those visited
+    before it. A tree's root is a position whose parent is the node. A
+    node without a key has none, as on a covering labeling, whose steps
+    are all direct and whose `order` and `parents` are None. `clusters`
+    and `graph_n` are the labeled decomposition's; the labeling keeps no
+    other part of it.
     """
 
     clusters: list | dict
@@ -132,33 +134,41 @@ def build_plabeling(norm, ops=UNCOUNTED):
     A record whose normalization sweep covered every vertex needs no
     cluster read: its tree is the heaviest path, labeled from the smallest
     node in the orders the sweep met the nodes and the vertices, with
-    every vertex a path vertex and no hanging tree.
+    every vertex a path vertex and no hanging tree, so every step on it is
+    direct.
 
     Otherwise heaviest path hands on its path and its second sweep's
     preorder; the path is labeled in that orientation, and the hanging
     trees are cut from the preorder as spans of it, which the labeling
-    keeps. A path cluster is read once, or twice when hanging trees attach
-    to its node. This relies on cluster connectivity: a vertex is marked
-    as a path vertex when the first path node holding it labels it, and a
-    hanging vertex that also lies in a path cluster lies in the cluster of
-    the path node it hangs from, which is marked first. Since no
-    normalized cluster is nested in a neighbor's, connectivity also makes
-    every path node add a vertex no earlier node held; one that adds none
-    raises InvalidDecomposition. On other broken inputs a vertex shared
-    between a hanging tree and a later path cluster is labeled in the
-    hanging span, which can change the relative weight and the cut; the
-    engine still raises InternalInvariant on a cut wider than its bound.
+    keeps. Each node's block holds its hanging part first, in any order
+    (built in reverse preorder), then its fresh cluster vertices. A path
+    cluster is read twice: once to mark its vertices as path vertices,
+    before the node's hanging part is labeled, and once to label them.
+    This relies on cluster connectivity: a hanging vertex that also lies
+    in a path cluster lies in the cluster of the path node it hangs from,
+    which is marked first, so it is labeled with that node's cluster
+    vertices. Since no normalized cluster is nested in a neighbor's,
+    connectivity also makes every path node add a vertex no earlier node
+    held; one that adds none raises InvalidDecomposition. On other broken
+    inputs a vertex shared between a hanging tree and a later path cluster
+    is labeled in the hanging span but flagged as a path vertex, which can
+    change the relative weight and the cut; the engine still raises
+    InternalInvariant on a cut wider than its bound.
     """
     path, preorder = heaviest_path(norm, ops)
     clusters, graph_n = norm.td.clusters, norm.td.graph_n
     norm.td = None
     if preorder is None:
-        return _covering_labeling(norm, clusters, graph_n, ops)
+        vertex_of = norm.vertex_of
+        n = len(vertex_of) - 1
+        ops.add(n + len(path))
+        return PLabeling(clusters, graph_n, n, vertex_of, b"\0" + b"\1" * n,
+                         path, norm.ends, {}, None, None)
     order, parents = preorder
     hang = _hanging_trees(path, order, parents)
     work = len(norm.nodes) + sum(map(len, map(clusters.__getitem__, path)))
     vertex_of, flags, ends = _assign_labels(clusters, graph_n, path, hang,
-                                            order, parents)
+                                            order)
     ops.add(work)
     return PLabeling(clusters, graph_n, len(vertex_of) - 1, vertex_of,
                      flags, path, ends, hang, order, parents)
@@ -197,29 +207,19 @@ def _hanging_trees(path, order, parents):
     return hang
 
 
-def _covering_labeling(norm, clusters, graph_n, ops):
-    """The labeling of a path from its smallest node, from the node and
-    vertex orders of the normalization sweep that covered every vertex.
-    Every step on it is direct, so it holds no hanging trees."""
-    vertex_of, path = norm.vertex_of, norm.path
-    n = len(vertex_of) - 1
-    ops.add(n + len(path))
-    return PLabeling(clusters, graph_n, n, vertex_of, b"\0" + b"\1" * n,
-                     path, norm.ends, {}, None, None)
-
-
-def _assign_labels(clusters, n0, path, hang, order, parents):
+def _assign_labels(clusters, n0, path, hang, order):
     """(vertex_of, flags, ends) for `path`, whose hanging trees `hang`
     holds as spans of `order`; `ends` holds each node's last label.
 
-    A node's hanging vertices are labeled deepest first: its spans in
-    preorder, the trees of each in preorder, and each tree walked from its
-    last preorder position back to its root, the next tree starting at
-    the next position whose parent is the node. Raises
-    InvalidDecomposition, naming the node, when a path node adds no
-    cluster vertex that no earlier node held, which cluster connectivity
-    rules out on a normalized decomposition. The flags are read from the
-    path-vertex marks once every block is labeled."""
+    A node's block holds its hanging part first, in any order, built here
+    in reverse preorder (its spans in stored order, each walked from its
+    end), then its fresh cluster vertices; the node's cluster is marked
+    as path vertices before its hanging part, so a hanging vertex that
+    also lies in it waits for the cluster part. Raises InvalidDecomposition, naming the node, when a
+    path node adds no cluster vertex that no earlier node held, which
+    cluster connectivity rules out on a normalized decomposition. The
+    flags are read from the path-vertex marks once every block is
+    labeled."""
     labeled = bytearray(n0 + 1)
     is_pv = bytearray(n0 + 1)
     vertex_of = [0]
@@ -227,38 +227,20 @@ def _assign_labels(clusters, n0, path, hang, order, parents):
     append = vertex_of.append
     for i in path:
         cl = clusters[i]
+        for x in cl:
+            is_pv[x] = 1
+        spans = hang.get(i, ())
+        for k in range(0, len(spans), 2):
+            for q in range(spans[k + 1] - 1, spans[k] - 1, -1):
+                for x in clusters[order[q]]:
+                    if not is_pv[x] and not labeled[x]:
+                        labeled[x] = 1
+                        append(x)
         hanging_end = len(vertex_of)
-        spans = hang.get(i)
-        if spans:
-            # hanging vertices first (deepest nodes first), then fresh
-            # cluster vertices, so cluster vertices close the block; the
-            # node's own cluster is marked first, so a hanging vertex that
-            # also lies in it waits for the cluster part
-            for x in cl:
-                is_pv[x] = 1
-            k = len(spans)
-            while k:  # the spans in preorder: the last stored first
-                e = spans[k - 1]
-                k -= 2
-                q = spans[k]
-                while q < e:  # the tree rooted at q ends at r
-                    r = q + 1
-                    while r < e and parents[r] != i:
-                        r += 1
-                    t = r
-                    while t > q:
-                        t -= 1
-                        for x in clusters[order[t]]:
-                            if not is_pv[x] and not labeled[x]:
-                                labeled[x] = 1
-                                append(x)
-                    q = r
-            hanging_end = len(vertex_of)
         for x in cl:
             if not labeled[x]:
                 labeled[x] = 1
                 append(x)
-                is_pv[x] = 1
         end = len(vertex_of)
         if end == hanging_end:
             raise InvalidDecomposition(

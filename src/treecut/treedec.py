@@ -146,9 +146,9 @@ class TreeDecomposition:
             obj = json.loads(text)
             nodes = [rec["id"] for rec in obj["nodes"]]
             clusters = {rec["id"]: rec["cluster"] for rec in obj["nodes"]}
-            edges = [tuple(e) for e in obj["edges"]]
+            edges = obj["edges"]
             graph_n = obj.get("graph_n")
-            del obj  # its node records and edge lists, before the copies
+            del obj  # its node records, before the copies
             if graph_n is None:
                 graph_n = max((x for c in clusters.values() for x in c),
                               default=0)

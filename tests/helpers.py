@@ -315,13 +315,14 @@ def by_label(ref):
 
 
 def two_pass_plabeling(td, path_nodes=None, ops=UNCOUNTED):
-    """Reference labeling that reads every path cluster twice: a first pass
-    marks the path vertices, a second assigns the labels. This is the
-    package's labeling before it read each path cluster once; the
-    differential tests compare the two. The package labels only a
-    normalization record, so this also labels a bare decomposition, or an
-    explicit path of one, for the tests and the reference drivers. It
-    builds the arrays by vertex and returns them as a PLabeling (see
+    """Reference labeling in two passes: the first marks the vertices of
+    every path cluster, the second assigns the labels, with the hanging
+    trees walked as (child, parent) pairs. The package marks each path
+    cluster just before labeling that node's block and walks spans of a
+    preorder; the differential tests compare the two. The package labels
+    only a normalization record, so this also labels a bare decomposition,
+    or an explicit path of one, for the tests and the reference drivers.
+    It builds the arrays by vertex and returns them as a PLabeling (see
     by_label), its hanging trees in the span form over an order made up
     for them (span_form), checked to give back the DFS pairs."""
     if path_nodes is None:
@@ -375,15 +376,19 @@ def _two_pass_assign(clusters, n0, path, is_pv, hang):
     append = vertex_of.append
     k = 0
     for i in path:
-        # hanging vertices first (deepest nodes first), then fresh cluster
-        # vertices, so cluster vertices close the block
-        for v, _ in reversed(hang[i]):
-            for x in clusters[v]:
-                if not is_pv[x] and not label_of[x]:
-                    k += 1
-                    append(x)
-                    label_of[x] = k
-                    path_node_of[x] = i
+        # hanging vertices first, in the package's reverse preorder: the
+        # trees in pairs order, each bottom-up; then fresh cluster vertices,
+        # so cluster vertices close the block
+        pairs = hang[i]
+        roots = [q for q, (_, p) in enumerate(pairs) if p == i]
+        for q, r in zip(roots, roots[1:] + [len(pairs)]):
+            for v, _ in reversed(pairs[q:r]):
+                for x in clusters[v]:
+                    if not is_pv[x] and not label_of[x]:
+                        k += 1
+                        append(x)
+                        label_of[x] = k
+                        path_node_of[x] = i
         hanging_end = k
         for x in clusters[i]:
             if not label_of[x]:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -5,7 +6,7 @@ from click.testing import CliRunner
 
 from treecut import engine
 from treecut.cli import main
-from treecut.bench import run_bench
+from treecut.bench import BenchRow, rows_to_csv, rows_to_json, run_bench
 from treecut.errors import BadSize, GraphFormatError
 from treecut.fileio import (
     load_graph,
@@ -190,6 +191,15 @@ def test_run_bench_rejects_sizes_below_1():
     for n in (0, -4, "5", None, 2.5, True):
         with pytest.raises(BadSize):
             run_bench(["path"], [10, n])
+
+
+def test_an_empty_bench_gives_a_header_only_csv():
+    header = ",".join(f.name for f in dataclasses.fields(BenchRow))
+    for rows in (run_bench([], [10]), run_bench(["path"], [])):
+        assert rows == []
+        assert rows_to_csv(rows) == header + "\r\n"
+        assert rows_to_json(rows) == "[]"
+    assert rows_to_csv(run_bench(["path"], [10])).startswith(header + "\r\n")
 
 
 def test_dimacs_input(tmp_path):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
@@ -19,8 +20,8 @@ from helpers import (
     spider_fixture,
     two_pass_plabeling,
 )
-from treecut import treedec
-from treecut.engine import doubling_step
+from treecut import engine, treedec
+from treecut.engine import doubling_step, exact_size_cut_linear
 from treecut.generators import (
     make_instance,
     path_graph,
@@ -359,3 +360,95 @@ def test_reference_strategy_has_hanging_trees():
 
     probe()
     assert found == {"hanging"}
+
+
+_CORPUS = []  # (g, td, the sizes whose first step splits) per instance
+
+
+def _split_sizes(g, td):
+    """The sizes m whose first step on td's fresh labeling is not direct:
+    no path-cluster label has its m-shift in a path cluster."""
+    flags = build_plabeling(normalize(td)).flags[1:]
+    x = int.from_bytes(flags, "little")
+    return [m for m in range(1, g.n)
+            if not x & int.from_bytes(flags[m:] + flags[:m], "little")]
+
+
+@st.composite
+def valid_cuts(draw):
+    """A valid instance and a size m: half the draws take a corpus instance
+    and an m whose first step splits at a path node, the others any m in
+    0..n on a corpus instance or one drawn at random."""
+    if not _CORPUS:
+        _CORPUS.extend((g, td, _split_sizes(g, td))
+                       for _, g, td in acceptance_corpus())
+    if draw(st.booleans()):
+        g, td, split = draw(st.sampled_from([c for c in _CORPUS if c[2]]))
+        return g, td, draw(st.sampled_from(split))
+    kind = draw(st.sampled_from(["corpus", "ternary", "random-tree",
+                                 "random-td"]))
+    if kind == "corpus":
+        g, td, _ = draw(st.sampled_from(_CORPUS))
+    elif kind == "ternary":
+        g, td = make_instance("ternary", h=draw(st.integers(1, 6)))
+    elif kind == "random-tree":
+        g, td = make_instance("random-tree", n=draw(st.integers(1, 200)),
+                              seed=draw(st.integers(0, 10 ** 6)))
+    else:
+        g, td = random_graph_with_td(draw(st.integers(3, 100)),
+                                     draw(st.integers(1, 4)),
+                                     draw(st.integers(0, 10 ** 6)))
+    return g, td, draw(st.integers(0, g.n))
+
+
+def _shuffled_cut(g, td, m, rnd):
+    """exact_size_cut_linear(g, td, m) with the vertices of each hanging
+    part of the fresh labeling shuffled by `rnd` before the steps run,
+    after checking that every label of a hanging part has flag 0. Returns
+    the cut and how many hanging parts hold two labels or more."""
+    build, moved = engine.build_plabeling, []
+
+    def shuffled(norm, ops):
+        pl = build(norm, ops=ops)
+        for a, r, _ in pl.blocks().values():
+            assert pl.flags[a:r] == bytes(r - a)
+            part = pl.vertex_of[a:r]
+            rnd.shuffle(part)
+            pl.vertex_of[a:r] = part
+            moved.append(r - a > 1)
+        return pl
+
+    with mock.patch.object(engine, "build_plabeling", shuffled):
+        b, report = exact_size_cut_linear(g, td, m)
+    return b, report, sum(moved)
+
+
+@settings(max_examples=120, deadline=None)
+@given(valid_cuts(), st.randoms(use_true_random=False))
+def test_order_inside_a_hanging_part_decides_no_cut(cut, rnd):
+    """The labeling may list a hanging part in any order: on a fresh
+    labeling of a valid instance every hanging label has flag 0, and
+    shuffling each hanging part before the steps run leaves the sorted B,
+    the step records and the ops as they were."""
+    g, td, m = cut
+    b, report = exact_size_cut_linear(g, td, m)
+    b2, report2, _ = _shuffled_cut(g, td, m, rnd)
+    assert b2 == b  # both sorted
+    assert report2.steps == report.steps
+    assert report2.ops == report.ops
+
+
+def test_shuffle_strategy_reaches_split_steps():
+    """The shuffle test above sees cuts whose first step splits at a node
+    while some hanging part of two labels or more was shuffled."""
+    found = set()
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(valid_cuts(), st.randoms(use_true_random=False))
+    def probe(cut, rnd):
+        _, report, moved = _shuffled_cut(*cut, rnd)
+        if moved and report.steps and report.steps[0].kind != "direct":
+            found.add("split")
+
+    probe()
+    assert found == {"split"}

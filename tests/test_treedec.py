@@ -129,6 +129,20 @@ def test_from_json_rejects_non_int_node_ids(node_id):
         TreeDecomposition.from_json(json.dumps(obj))
 
 
+@pytest.mark.parametrize("edges, message", [
+    ([[1, 2, 3]], "bad tree edge [1, 2, 3]"),
+    ([5], "bad tree edge 5"),
+    (5, "edges must be a list of node pairs, not int"),
+], ids=["three-ends", "bare-int", "int-edges"])
+def test_from_json_rejects_malformed_edges(edges, message):
+    obj = {"nodes": [{"id": 1, "cluster": [1, 2]},
+                     {"id": 2, "cluster": [2, 3]}],
+           "edges": edges}
+    with pytest.raises(DecompositionFormatError) as err:
+        TreeDecomposition.from_json(json.dumps(obj))
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("node_id", NON_INT_IDS)
 def test_constructor_rejects_non_int_node_ids(node_id):
     with pytest.raises(DecompositionFormatError):
