@@ -239,6 +239,15 @@ def test_bad_size():
         approximate_cut(td, 7, Fraction(1, 2))
 
 
+def test_size_above_the_covered_vertices_is_rejected():
+    """m may not exceed the vertices the clusters cover, even within
+    graph_n."""
+    td = TreeDecomposition([1, 2], [(1, 2)], {1: [1, 2], 2: [2, 3]}, 5)
+    assert approximate_cut(td, 3, Fraction(1, 2)).b_vertices == [1, 2, 3]
+    with pytest.raises(BadSize, match="covers 3 < m vertices"):
+        approximate_cut(td, 4, Fraction(1, 2))
+
+
 # sizes that are not ints; bools too, as TreeDecomposition refuses them
 @pytest.mark.parametrize("m", [1.5, 2.0, Fraction(3), "3", None, True])
 def test_size_that_is_not_an_int_is_rejected(m):

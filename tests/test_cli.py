@@ -81,6 +81,18 @@ def test_bisect_report(tmp_path):
     assert d["width"] <= d["bound"]
 
 
+def test_bisect_m_cuts_the_given_size(tmp_path):
+    g, td = random_graph_with_td(15, 2, 3)
+    gp, tp = _write_instance(tmp_path, g, td)
+    res = CliRunner().invoke(main, ["bisect", "--graph", gp, "--td", tp,
+                                    "--m", "4", "--report", "-"])
+    assert res.exit_code == 0, res.output
+    assert "n=15 m=4 " in res.output
+    report = json.loads(res.output[res.output.index("{"):])
+    b, _ = engine.exact_size_cut_linear(g, td, 4)
+    assert report["m"] == 4 and report["b_vertices"] == b
+
+
 def _split_subtree_instance(tmp_path):
     """Vertex 5 sits in clusters 3 and 4, which the tree does not join
     through a node holding 5; every edge and vertex is covered."""
@@ -184,6 +196,28 @@ def test_bench_csv(tmp_path):
     lines = res.output.strip().splitlines()
     assert lines[0].startswith("family,")
     assert len(lines) == 5  # header + 2 families * 2 sizes
+
+
+def test_bench_oracle_out_sizes_each_family(tmp_path):
+    """`bench --oracle --out` sizes each family from the size asked for and
+    fills the oracle width wherever an exact oracle runs: brute force up to
+    16 vertices, the tree DP on larger trees, none on a larger grid."""
+    out = tmp_path / "rows.json"
+    res = CliRunner().invoke(main, [
+        "bench", "--families", "ternary,grid,spider,caterpillar",
+        "--sizes", "10,30", "--oracle", "--json", "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    assert "(8 rows)" in res.output
+    rows = json.loads(out.read_text())
+    assert [(r["family"], r["n"]) for r in rows] == [
+        ("ternary", 4), ("ternary", 13), ("grid", 9), ("grid", 25),
+        ("spider", 10), ("spider", 28), ("caterpillar", 9),
+        ("caterpillar", 30)]
+    for r in rows:
+        if r["family"] == "grid" and r["n"] > 16:
+            assert r["oracle_width"] is None
+        else:
+            assert 0 < r["oracle_width"] <= r["width"]
 
 
 def test_run_bench_rejects_sizes_below_1():

@@ -8,6 +8,7 @@ from helpers import (
     ternary_bisection_lower_bound,
     y_shaped_td,
 )
+from treecut import oracle
 from treecut.errors import BadSize, NotATree, TreecutError
 from treecut.generators import (
     make_instance,
@@ -81,6 +82,15 @@ def test_ternary_lower_bound():
         lb = ternary_bisection_lower_bound(h)
         assert lb == h - math.log(h, 3)
         assert tree_dp_min_bisection(ternary_tree(h)) >= lb
+
+
+def test_tree_dp_is_capped_at_5000_vertices(monkeypatch):
+    with pytest.raises(TreecutError, match="tree DP capped at n=5000"):
+        tree_dp_min_bisection(path_graph(5001), 1)
+    monkeypatch.setattr(oracle, "_DP_LIMIT", 10)  # the cap is inclusive
+    assert tree_dp_min_bisection(path_graph(10)) == 1
+    with pytest.raises(TreecutError, match="tree DP capped at n=10"):
+        tree_dp_min_bisection(path_graph(11))
 
 
 def test_guards():

@@ -173,6 +173,24 @@ def test_constructor_rejects_malformed_containers(args, what):
         TreeDecomposition(*args)
 
 
+@pytest.mark.parametrize("args, message", [
+    (([1, 2, 1], [(1, 2), (2, 1)], {1: [1], 2: [1]}, 1),
+     "duplicate node ids"),
+    (([1, 2, 3], [(1, 2)], {1: [1], 2: [1], 3: [1]}, 1),
+     "node/edge counts do not form a tree"),
+    (([1, 2, 3, 4], [(1, 2), (2, 3), (3, 1)],
+      {1: [1], 2: [1], 3: [1], 4: [1]}, 1),
+     "decomposition tree is not connected"),
+    (([1, 2], [(1, 2)], {1: [1, 2], 2: [2, 3, 2]}, 3),
+     "duplicate vertex in cluster 2"),
+], ids=["duplicate-node", "too-few-edges", "cycle-and-isolated-node",
+        "duplicate-vertex"])
+def test_constructor_rejects_structural_errors(args, message):
+    with pytest.raises(DecompositionFormatError) as err:
+        TreeDecomposition(*args)
+    assert str(err.value) == message
+
+
 def test_trusted_decompositions_pass_the_validating_constructor(monkeypatch):
     """Every decomposition the package builds unchecked comes out the same
     from the validating constructor: those `_trusted` builds, and those the
