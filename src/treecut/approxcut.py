@@ -109,11 +109,11 @@ def approximate_cut(td, m, c, g=None):
     check_int(BadSize, "m", m, 1, n)
     if not holds(lambda: 0 < c < 1):
         raise BadFraction("balance parameter %r is not in (0, 1)" % (c,))
-    # depth first from the smallest node, children in `td.neighbors` order
-    nbrs, cls = td.neighbors, td.clusters
-    root = min(td.nodes)
-    parent, clusters = [0], [cls[root]]
-    stack = [(j, root, 0) for j in reversed(nbrs[root])]
+    # depth first from the smallest node, children in `td.neighbors` order,
+    # over td's positional form
+    form = td._form
+    nbrs, cls = form.neighbors, form.clusters
+    parent, clusters, stack = [], [], [(form.root, None, 0)]
     while stack:
         i, p, at = stack.pop()
         stack.extend((j, i, len(parent)) for j in reversed(nbrs[i]) if j != p)

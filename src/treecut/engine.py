@@ -259,10 +259,12 @@ def _ratio(x):
     return None if x is None else "%d/%d" % (x.numerator, x.denominator)
 
 
-def _check_coverage(pl, n):
-    if pl.graph_n > n and max(pl.vertex_of) > n:
+def _check_coverage(pl, top, n):
+    """Raise InvalidDecomposition unless the labeling `pl`, whose largest
+    cluster vertex is `top`, labels exactly the graph's vertices 1..n."""
+    if top > n:
         raise InvalidDecomposition("vertex %d lies outside the graph's 1..%d"
-                                   % (max(pl.vertex_of), n))
+                                   % (top, n))
     if pl.n != n:
         raise InvalidDecomposition(
             "clusters cover %d of %d vertices" % (pl.n, n))
@@ -329,10 +331,11 @@ def exact_size_cut_linear(g, td0, m):
     ops = OpsCounter()
     t_start = time.perf_counter()
     norm = make_nonredundant(td0, ops=ops)
-    t = norm.size
+    # t is the normalized decomposition's largest cluster size
+    t, top = max(map(len, norm.form.clusters)), norm.form.top
     pl = build_plabeling(norm, ops=ops)
     del norm  # no later phase reads the record
-    _check_coverage(pl, g.n)
+    _check_coverage(pl, top, g.n)
     b_total = []
     steps = []
     while len(b_total) < m:

@@ -24,28 +24,28 @@ class PLabeling:
 
     `n` is the current vertex count; `vertex_of[lab]` is the vertex with
     label lab and `flags[lab]` is 1 when that vertex lies in a path
-    cluster, else 0 (index 0 of both holds 0). `path_nodes` lists the path
-    in label order, and `ends`, aligned with it, the last label of each
-    node's block: the blocks partition 1..n in path order, so their ends
-    describe them. A block holds the node's hanging part first, in any
-    order (built in reverse preorder), then its fresh cluster vertices;
-    no step reads the order inside a hanging part. A doubling step
-    shrinks the instance by slicing the label arrays to the remainder's
-    labels and the two path arrays to its blocks. `order` and `parents`
-    are heaviest path's second sweep, a preorder from the path's first
-    node and each entry's tree parent, and `hang` maps a path node to the
-    spans of `order` that hold the trees hanging from it, as a flat tuple
-    of one or two (start, end) pairs, `(s, e)` or `(s1, e1, s2, e2)`: the
-    trees visited after the next path node's subtree, then those visited
-    before it. A tree's root is a position whose parent is the node. A
-    node without a key has none, as on a covering labeling, whose steps
-    are all direct and whose `order` and `parents` are None. `clusters`
-    and `graph_n` are the labeled decomposition's; the labeling keeps no
-    other part of it.
+    cluster, else 0 (index 0 of both holds 0). Nodes are positions of the
+    labeled decomposition's positional form, whose `clusters` and `ids`
+    the labeling keeps and no other part of it. `path_nodes` lists the
+    path in label order, and `ends`, aligned with it, the last label of
+    each node's block: the blocks partition 1..n in path order, so their
+    ends describe them. A block holds the node's hanging part first, in
+    any order (built in reverse preorder), then its fresh cluster
+    vertices; no step reads the order inside a hanging part. A doubling
+    step shrinks the instance by slicing the label arrays to the
+    remainder's labels and the two path arrays to its blocks. `order` and
+    `parents` are heaviest path's second sweep, a preorder from the path's
+    first node and each entry's tree parent, and `hang` maps a path node
+    to the spans of `order` that hold the trees hanging from it, as a flat
+    tuple of one or two (start, end) pairs, `(s, e)` or `(s1, e1, s2,
+    e2)`: the trees visited after the next path node's subtree, then those
+    visited before it. A tree's root is a position whose parent is the
+    node. A node without a key has none, as on a covering labeling, whose
+    steps are all direct and whose `order` and `parents` are None.
     """
 
-    clusters: list | dict
-    graph_n: int
+    clusters: list
+    ids: range | list
     n: int
     vertex_of: list
     flags: bytes
@@ -66,7 +66,8 @@ class PLabeling:
         for i, b in zip(self.path_nodes, self.ends):
             r = core.find(1, a, b + 1)
             if r < 0:
-                raise InternalInvariant("path node %r holds no cluster vertex" % i)
+                raise InternalInvariant("path node %r holds no cluster vertex"
+                                        % self.ids[i])
             out[i] = (a, r, b)
             a = b + 1
         if a != self.n + 1:
@@ -86,12 +87,12 @@ class PLabeling:
 
         Node i comes first, with an empty cluster, then its spans in
         stored order, the trees of each from last to first, each tree
-        top-down. The tree is then rooted at its smallest node: the nodes
-        from there up to i come first, bottom-up, the others keep their
-        order."""
+        top-down. The tree is then rooted at its node of smallest id: the
+        nodes from there up to i come first, bottom-up, the others keep
+        their order."""
         order, parents, cls = self.order, self.parents, self.clusters
         loc = dict(zip(self.vertex_of[a:b], range(1, b - a + 1)))
-        ids, up, clusters = [i], [0], [[]]
+        nodes, up, clusters = [i], [0], [[]]
         anc = [0]  # positions from i down to the last node listed
         spans = self.hang.get(i, ())
         for k in range(0, len(spans), 2):
@@ -100,16 +101,16 @@ class PLabeling:
                 if parents[q] != i:  # not a tree's root
                     continue
                 for r in range(q, end):  # the tree rooted at q
-                    while ids[anc[-1]] != parents[r]:
+                    while nodes[anc[-1]] != parents[r]:
                         anc.pop()
                     up.append(anc[-1])
-                    anc.append(len(ids))
-                    ids.append(order[r])
+                    anc.append(len(nodes))
+                    nodes.append(order[r])
                     clusters.append(list(filter(None, map(loc.get,
                                                           cls[order[r]]))))
                 end = q
-        ops.add(sum(map(len, map(cls.__getitem__, ids[1:]))) + len(ids) - 1)
-        low = ids.index(min(ids))
+        ops.add(sum(map(len, map(cls.__getitem__, nodes[1:]))) + len(nodes) - 1)
+        low = nodes.index(min(nodes, key=self.ids.__getitem__))
         if not low:
             return up, clusters
         chain = [low]  # positions from the smallest node up to i
@@ -127,8 +128,8 @@ class PLabeling:
 
 def build_plabeling(norm, ops=UNCOUNTED):
     """Construct the label arrays for the heaviest path of normalization's
-    record `norm`; the labeling keeps `norm.td`'s clusters and graph_n,
-    and the record drops `td` once the path is found, so a contracted
+    record `norm`; the labeling keeps the clusters and ids of `norm.form`,
+    and the record drops its form once the path is found, so a contracted
     output's neighbor lists die before the label arrays are allocated.
 
     A record whose normalization sweep covered every vertex needs no
@@ -156,22 +157,21 @@ def build_plabeling(norm, ops=UNCOUNTED):
     InternalInvariant on a cut wider than its bound.
     """
     path, preorder = heaviest_path(norm, ops)
-    clusters, graph_n = norm.td.clusters, norm.td.graph_n
-    norm.td = None
+    clusters, ids, top = norm.form.clusters, norm.form.ids, norm.form.top
+    norm.form = None
     if preorder is None:
         vertex_of = norm.vertex_of
         n = len(vertex_of) - 1
         ops.add(n + len(path))
-        return PLabeling(clusters, graph_n, n, vertex_of, b"\0" + b"\1" * n,
+        return PLabeling(clusters, ids, n, vertex_of, b"\0" + b"\1" * n,
                          path, norm.ends, {}, None, None)
     order, parents = preorder
     hang = _hanging_trees(path, order, parents)
-    work = len(norm.nodes) + sum(map(len, map(clusters.__getitem__, path)))
-    vertex_of, flags, ends = _assign_labels(clusters, graph_n, path, hang,
+    vertex_of, flags, ends = _assign_labels(clusters, ids, top, path, hang,
                                             order)
-    ops.add(work)
-    return PLabeling(clusters, graph_n, len(vertex_of) - 1, vertex_of,
-                     flags, path, ends, hang, order, parents)
+    ops.add(len(norm.nodes) + sum(map(len, map(clusters.__getitem__, path))))
+    return PLabeling(clusters, ids, len(vertex_of) - 1, vertex_of, flags,
+                     path, ends, hang, order, parents)
 
 
 def _hanging_trees(path, order, parents):
@@ -207,21 +207,22 @@ def _hanging_trees(path, order, parents):
     return hang
 
 
-def _assign_labels(clusters, n0, path, hang, order):
+def _assign_labels(clusters, ids, top, path, hang, order):
     """(vertex_of, flags, ends) for `path`, whose hanging trees `hang`
-    holds as spans of `order`; `ends` holds each node's last label.
+    holds as spans of `order`; `ends` holds each node's last label, and
+    `top` is the largest vertex of any cluster.
 
     A node's block holds its hanging part first, in any order, built here
     in reverse preorder (its spans in stored order, each walked from its
     end), then its fresh cluster vertices; the node's cluster is marked
     as path vertices before its hanging part, so a hanging vertex that
-    also lies in it waits for the cluster part. Raises InvalidDecomposition, naming the node, when a
-    path node adds no cluster vertex that no earlier node held, which
-    cluster connectivity rules out on a normalized decomposition. The
-    flags are read from the path-vertex marks once every block is
-    labeled."""
-    labeled = bytearray(n0 + 1)
-    is_pv = bytearray(n0 + 1)
+    also lies in it waits for the cluster part. Raises
+    InvalidDecomposition, naming the node by its id, when a path node adds
+    no cluster vertex that no earlier node held, which cluster
+    connectivity rules out on a normalized decomposition. The flags are
+    read from the path-vertex marks once every block is labeled."""
+    labeled = bytearray(top + 1)
+    is_pv = bytearray(top + 1)
     vertex_of = [0]
     ends = array("l")
     append = vertex_of.append
@@ -244,6 +245,7 @@ def _assign_labels(clusters, n0, path, hang, order):
         end = len(vertex_of)
         if end == hanging_end:
             raise InvalidDecomposition(
-                "path node %r adds no vertex: cluster connectivity fails" % i)
+                "path node %r adds no vertex: cluster connectivity fails"
+                % ids[i])
         ends.append(end - 1)
     return vertex_of, bytes(map(is_pv.__getitem__, vertex_of)), ends

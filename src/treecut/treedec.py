@@ -2,15 +2,19 @@
 
 A decomposition holds a tree over node ids plus one vertex cluster per node.
 Vertices refer to a host graph on 1..graph_n, but most operations only need
-the clusters, so the host graph is passed in only where edges matter.
+the clusters, so the host graph is passed in only where edges matter. The
+constructor also lays the tree out by position (_Form), the one form that
+validation, normalization, heaviest path, the labeling and the approximate
+cut read; node ids reach them only through its position-to-id list.
 """
 from __future__ import annotations
 
+import itertools
 import json
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, pairwise
+from itertools import accumulate, islice, pairwise
 
 from .errors import DecompositionFormatError, EmptyDecomposition
 from .graph import _tree_path, check_graph
@@ -22,10 +26,13 @@ class TreeDecomposition:
 
     Immutable by convention: no function of the package writes to a
     decomposition it is handed. Node ids are arbitrary ints; freshly built
-    decompositions use dense ids starting at 1.
+    decompositions use dense ids starting at 1. `nodes`, `neighbors`,
+    `clusters` and `graph_n` are the public view by node id; every phase
+    of a cut reads the positional form (_Form) the constructor builds
+    beside it in the same walk.
     """
 
-    __slots__ = ("nodes", "neighbors", "clusters", "graph_n")
+    __slots__ = ("nodes", "neighbors", "clusters", "graph_n", "_form")
 
     @no_gc
     def __init__(self, nodes, edges, clusters, graph_n):
@@ -93,10 +100,7 @@ class TreeDecomposition:
             if len(set(c)) != len(c):
                 raise DecompositionFormatError("duplicate vertex in cluster %r" % i)
             cl[i] = c
-        self.nodes = nodes
-        self.neighbors = neighbors
-        self.clusters = cl
-        self.graph_n = graph_n
+        self._set(nodes, neighbors, cl, graph_n)
 
     @classmethod
     def _trusted(cls, nodes, edges, clusters, graph_n):
@@ -104,19 +108,37 @@ class TreeDecomposition:
 
         The caller guarantees what __init__ checks: `nodes` is a list of
         distinct ints, `edges` form a tree over them, and `clusters` maps
-        every node to a list of distinct ints in 1..graph_n. The lists are
-        kept, not copied.
+        every node, in `nodes` order, to a list of distinct ints in
+        1..graph_n. The lists are kept, not copied.
         """
         td = cls.__new__(cls)
         neighbors = {i: [] for i in nodes}
         for a, b in edges:
             neighbors[a].append(b)
             neighbors[b].append(a)
-        td.nodes = nodes
-        td.neighbors = neighbors
-        td.clusters = clusters
-        td.graph_n = graph_n
+        td._set(nodes, neighbors, clusters, graph_n)
         return td
+
+    def _set(self, nodes, neighbors, clusters, graph_n):
+        """Fill the slots from the neighbor and cluster dicts, both in
+        `nodes` order, and build the positional form from them: position p
+        holds `nodes[p - 1]` and its lists. Where the ids are 1..k in that
+        order they are the positions, and the form holds the neighbor
+        dict's own lists; otherwise it maps them through one id to position
+        dict."""
+        k = len(nodes)
+        if nodes == [*range(1, k + 1)]:
+            ids, adj = range(k + 1), [[], *neighbors.values()]
+        else:
+            ids, at = [None, *nodes], dict(zip(nodes, range(1, k + 1)))
+            adj = [[], *([at[j] for j in neighbors[i]] for i in nodes)]
+        by_position = [(), *clusters.values()]
+        top = max(itertools.chain.from_iterable(by_position), default=0)
+        self._form = _Form(ids, adj, by_position, ids.index(min(nodes)), top)
+        self.nodes = nodes
+        self.neighbors = neighbors
+        self.clusters = clusters
+        self.graph_n = graph_n
 
     def edges(self):
         for a in self.nodes:
@@ -157,6 +179,28 @@ class TreeDecomposition:
             raise DecompositionFormatError("bad decomposition JSON: %s" % exc)
 
 
+@dataclass(slots=True)
+class _Form:
+    """A decomposition tree by position 1..k, the one form every phase of
+    a cut reads: `ids[p]` is the node id at position p (a range when the
+    ids are the positions), `neighbors[p]` lists the positions adjacent to
+    p in the order of the tree's edges, and `clusters[p]` is its cluster;
+    index 0 of each is unused, its lists empty. `root` is the position of
+    the smallest id, and `top` the largest vertex of any cluster (0 when
+    there is none), which sizes every per-vertex array of a cut.
+
+    A TreeDecomposition's form lists its nodes in `nodes` order and shares
+    their cluster lists. Normalization's contracted output is a form of
+    its own, its ids the positions, with no TreeDecomposition around it
+    inside a cut.
+    """
+    ids: range | list
+    neighbors: list
+    clusters: list
+    root: int
+    top: int
+
+
 def check_decomposition(td):
     """Raise DecompositionFormatError unless td is a TreeDecomposition."""
     if not isinstance(td, TreeDecomposition):
@@ -189,24 +233,24 @@ def validate(g, td):
     fits exactly when the cluster at the later of its endpoints' tops holds
     the other endpoint (Gavril's subtree-intersection lemma); that is tested
     right after the cluster is read. Once connectivity fails, the edge check
-    falls back to cluster sets. A `g` that is not a Graph raises
-    GraphFormatError, and a `td` that is not a TreeDecomposition
-    DecompositionFormatError.
+    falls back to cluster sets. The walk reads td's positional form, and
+    its stamps span the graph's order and the largest cluster entry, not
+    graph_n. A `g` that is not a Graph raises GraphFormatError, and a `td`
+    that is not a TreeDecomposition DecompositionFormatError.
     """
     check_graph(g)
     check_decomposition(td)
     gn, adj = g.n, g.adj
-    n = max(gn, td.graph_n)
-    clusters, neighbors = td.clusters, td.neighbors
+    form = td._form
+    n = max(gn, form.top)
+    clusters, neighbors = form.clusters, form.neighbors
     top = [0] * (n + 1)   # walk position of the node heading x's first subtree
     mark = [0] * (n + 1)  # position of the parent whose children are scanned
     own = [0] * (n + 1)   # position of the child scanned last
     extra = []  # vertices met at a second or later head
     misfit = None
-    root = td.nodes[0]
-    order, parent_of = [root], [None]  # breadth-first order from the root
-    width = len(clusters[root])
-    for x in clusters[root]:
+    order, parent_of = [1], [None]  # breadth-first order from td.nodes[0]
+    for x in clusters[1]:
         top[x] = 1
     q = 0
     while q < len(order):
@@ -223,11 +267,8 @@ def validate(g, td):
             order.append(j)
             parent_of.append(i)
             t = len(order)
-            cj = clusters[j]
-            if len(cj) > width:
-                width = len(cj)
             heads = []
-            for x in cj:
+            for x in clusters[j]:
                 if mark[x] != q:
                     if top[x]:
                         extra.append(x)
@@ -249,14 +290,14 @@ def validate(g, td):
     uncovered = [x for x in range(1, gn + 1) if not top[x]] \
         if 0 in top[1:gn + 1] else []
     if extra:
-        misfit = _misfit_by_sets(g, td)
+        misfit = _misfit_by_sets(g, clusters)
     elif misfit is None:
         # an edge at an uncovered endpoint fits nowhere
         misfit = next(((x, w) if x < w else (w, x)
                        for x in uncovered for w in adj[x]), None)
     if foreign is not None:
         witness = "cluster %r holds foreign vertex %r" % (
-            order[top[foreign] - 1], foreign)
+            form.ids[order[top[foreign] - 1]], foreign)
     elif uncovered:
         witness = "vertex %r in no cluster" % (uncovered[0],)
     elif misfit is not None:
@@ -268,19 +309,19 @@ def validate(g, td):
     else:
         witness = ""
     return ValidityReport(foreign is None and not uncovered, misfit is None,
-                          not extra, witness, width - 1)
+                          not extra, witness, max(map(len, clusters)) - 1)
 
 
-def _misfit_by_sets(g, td):
-    """First edge of g that no cluster holds, or None.
+def _misfit_by_sets(g, clusters):
+    """First edge of g that no cluster of the list `clusters` holds, or
+    None.
 
     Correct whether or not cluster connectivity holds; validate falls back
     to it once connectivity has failed.
     """
     homes = {}
-    cluster_sets = {}
-    for i in td.nodes:
-        s = cluster_sets[i] = set(td.clusters[i])
+    cluster_sets = list(map(set, clusters))
+    for i, s in enumerate(cluster_sets):
         for x in s:
             homes.setdefault(x, []).append(i)
     for u, v in g.edges():
@@ -293,37 +334,31 @@ def _misfit_by_sets(g, td):
 class Normalized:
     """What normalization found, handed on to the labeling of one cut.
 
-    `td` is the nonredundant decomposition: the input itself when nothing
-    contracted, otherwise the contracted one with dense node ids 1..k and
-    its `neighbors` and `clusters` as lists indexed by id (index 0
-    unused), so every phase reads `clusters[i]` and `neighbors[i]` alike
-    on both forms; only the public make_nonredundant turns it into a
-    TreeDecomposition. `nodes` is `td.nodes` and `size` its largest
-    cluster size. When a pass-through's sweep covered all graph_n
-    vertices, the tree is a path from the smallest node, and the sweep met
-    the vertices in the order of that path's labeling oriented from the
-    smallest node: `vertex_of` lists them from index 1 (index 0 holds 0),
-    `path` lists the nodes in the order the sweep met them, which is that
-    path from the smallest node, and `ends`, aligned with `path`, the
-    running sums of their fresh counts, the last label of each node's
-    block, which the labeling keeps. All three are None otherwise.
+    `form` is the nonredundant decomposition's positional form: the
+    input's own when nothing contracted, otherwise the contracted one,
+    whose ids 1..k are its positions. `nodes` is the node list (a range
+    after a contraction). When a
+    pass-through's sweep covered all graph_n vertices, the tree is a path
+    from the smallest node, and the sweep met the vertices in the order of
+    that path's labeling oriented from the smallest node: `vertex_of`
+    lists them from index 1 (index 0 holds 0), `path` lists the positions
+    in the order the sweep met them, which is that path from the smallest
+    node, and `ends`, aligned with `path`, the running sums of their fresh
+    counts, the last label of each node's block, which the labeling keeps.
+    All three are None otherwise.
 
     `first_sweep` holds, on every record that did not cover, the records
-    of heaviest path's first sweep over `td` from its smallest node, as a
-    pair: each node's fresh count (the vertices it added that no earlier
-    node held), and the chain from the sweep's endpoint, the heavy end, up
-    to the smallest node, the only tree parents the second sweep reads.
-    The counts are a list indexed by id after a contraction and a dict by
-    node after a pass-through, sized once as a copy of the input's
-    `neighbors` with every value replaced, so it never holds two tables
-    while it grows. None on a covering record. `td` and
+    of heaviest path's first sweep over `form` from its root, as a pair:
+    each position's fresh count (the vertices it added that no earlier
+    node held), as a list by position, and the chain from the sweep's
+    endpoint, the heavy end, up to the root, the only tree parents the
+    second sweep reads. None on a covering record. `form` and
     `first_sweep` live only until the labeling: its heaviest path takes
-    `first_sweep` off the record, and build_plabeling drops `td` once the
-    path is found.
+    `first_sweep` off the record, and build_plabeling drops `form` once
+    the path is found.
     """
-    td: TreeDecomposition | _IdLists
-    nodes: list
-    size: int
+    form: _Form
+    nodes: list | range
     vertex_of: list | None = None
     path: list | None = None
     ends: array | None = None
@@ -336,67 +371,60 @@ def make_nonredundant(td):
 
     Returns `td` itself when nothing contracts, not a copy; callers must
     not mutate the result. Otherwise returns a new TreeDecomposition with
-    dense node ids 1..k (see _public). The input is never written to. A
-    `td` that is not a TreeDecomposition raises DecompositionFormatError,
-    and one whose clusters are all empty, the empty graph's included,
-    EmptyDecomposition.
+    dense node ids 1..k around normalization's contracted form, whose
+    neighbor and cluster dicts hold the form's own lists. The input is
+    never written to. A `td` that is not a TreeDecomposition raises
+    DecompositionFormatError, and one whose clusters are all empty, the
+    empty graph's included, EmptyDecomposition.
     """
     check_decomposition(td)
-    return _public(normalize(td).td)
-
-
-def _public(out):
-    """normalize's output decomposition `out` as a TreeDecomposition: the
-    input itself when nothing contracted, else a new one whose neighbor
-    and cluster dicts are built from the id-indexed lists and hold the
-    same list objects."""
-    if not isinstance(out, _IdLists):
-        return out
-    ids = out.nodes
-    public = TreeDecomposition.__new__(TreeDecomposition)
-    public.nodes = ids
-    public.neighbors = dict(zip(ids, out.neighbors[1:]))
-    public.clusters = dict(zip(ids, out.clusters[1:]))
-    public.graph_n = out.graph_n
-    return public
+    form = normalize(td).form
+    if form is td._form:
+        return td
+    out = TreeDecomposition.__new__(TreeDecomposition)
+    nodes = list(form.ids[1:])
+    out._set(nodes, dict(zip(nodes, islice(form.neighbors, 1, None))),
+             dict(zip(nodes, islice(form.clusters, 1, None))), td.graph_n)
+    return out
 
 
 def normalize(td, ops=UNCOUNTED):
     """Contract away nested adjacent clusters; returns a Normalized record.
 
-    One depth-first pass from the smallest node id puts every node in a
-    class, whose cluster is that of the node heading it. Classes never
-    merge: a node either starts a class, folds into its tree parent's class
-    when its cluster adds no vertex unseen before, or takes over as head of
-    that class when the head's cluster is nested in its own. Width never
-    grows and any tree path of the input maps onto a tree path of the
-    output covering at least the same vertices.
+    One depth-first pass over td's positional form from its root, the
+    smallest node id, puts every node in a class, whose cluster is that of
+    the node heading it. Classes never merge: a node either starts a
+    class, folds into its tree parent's class when its cluster adds no
+    vertex unseen before, or takes over as head of that class when the
+    head's cluster is nested in its own. Width never grows and any tree
+    path of the input maps onto a tree path of the output covering at
+    least the same vertices. Classes are numbered from 1 in the order they
+    start, and the pass records each position's class.
 
     The pass keeps, per class, the fresh counts of its members summed
     and the tree parent of the node that started it; these are the
     records of heaviest path's first sweep, which the record keeps as
     `first_sweep`. When no node joined another's class, the record holds
-    `td` itself. Every node then heads its own class and the pass is
+    td's form itself. Every node then heads its own class and the pass is
     exactly that first sweep; of its parents, the record keeps the chain
-    from the pass's endpoint, the heavy end, up to the root, found by one
-    backward scan of the pass order (_chain). If its weight reached
-    graph_n, every node but the root added a vertex unseen before, so all
-    nodes lie on the path from the root to the heavy end: the tree is that
-    path, whether or not cluster connectivity holds, and the pass met the
-    nodes in that path's order and the vertices in its label order. The
-    pass lists the vertices only when the node degrees allow that shape
-    (the root's at most 1, every other at most 2), so other trees pay
-    nothing for it, and such a covering record needs no sweep records.
-    Every container of the pass that the record does not keep dies before
-    normalize returns, and a contraction drops its node-to-class maps
-    before the class weights.
+    from the pass's endpoint, the heavy end, up to the root. If its weight
+    reached graph_n, every node but the root added a vertex unseen before,
+    so all nodes lie on the path from the root to the heavy end: the tree
+    is that path, whether or not cluster connectivity holds, and the pass
+    met the nodes in that path's order and the vertices in its label
+    order. The pass lists the vertices only when the node degrees allow
+    that shape (the root's at most 1, every other at most 2), so other
+    trees pay nothing for it, and such a covering record needs no sweep
+    records. On such a path a class's tree parent is the previous class,
+    so the pass keeps no parents there, and a record that does not cover
+    takes each from the previous class's head. Every container of the
+    pass that the record does not keep dies before normalize returns.
 
-    When some node joined another's class, the record holds a new
-    decomposition with dense node ids 1..k, one per class in the order the
-    classes were started, as id-indexed lists: each class's neighbors in
-    the order of the input's tree edges (each edge `a < b` listed from
-    `a`, nodes in `td.nodes` order), without edges inside a class. Rooted
-    at class 1, the root's, a class's tree parent is the class holding the
+    When some node joined another's class, the record holds a new form
+    with one position per class: each class's neighbors in the order of
+    the input's tree edges (each edge listed from its end of smaller id,
+    nodes in `td.nodes` order), without edges inside a class. Rooted at
+    class 1, the root's, a class's tree parent is the class holding the
     tree parent of the node that started it. Under cluster connectivity a
     folded node adds no vertex, and a vertex of a class's final cluster
     met before the class started lies in that starter's tree parent, so in
@@ -406,22 +434,22 @@ def normalize(td, ops=UNCOUNTED):
     is broken by a sweep over the output's nodes alone (_node_dfs), which
     finds the heavy end where a sweep reading the output's clusters would.
     The record keeps the chain up the class parents from the heavy end to
-    class 1, and the class parents die before normalize returns.
+    class 1.
     """
-    clusters, neighbors = td.clusters, td.neighbors
-    if all(not clusters[i] for i in td.nodes):
+    form = td._form
+    clusters, neighbors = form.clusters, form.neighbors
+    if not any(clusters):
         raise EmptyDecomposition("every cluster is empty")
-    root = min(td.nodes)
-    roots = []     # class index -> node heading the class
-    fresh_of = []  # class index -> vertices its members held first
-    up = []        # class index -> tree parent of the node that started it
-    joined = {}    # node that heads no class -> its class index
-    first = [None] * (td.graph_n + 1)  # vertex -> node that first held it
+    root = form.root
+    roots = [0]     # class -> position heading it; classes count from 1
+    fresh_of = [0]  # class -> vertices its members held first
+    up = [None]     # class -> tree parent of the node that started it
+    at = [0] * len(neighbors)  # position that heads no class -> its class
+    first = [None] * (form.top + 1)  # vertex -> node that first held it
     # vertices in the order first met, kept only when the tree may be a
     # path from the root
-    met = [0] if len(neighbors[root]) <= 1 and all(
-        len(nbrs) <= 2 for nbrs in neighbors.values()) else None
-    work = size = 0
+    met = [0] if len(neighbors[root]) <= 1 and max(map(len, neighbors)) <= 2 \
+        else None
     best, best_w = root, -1  # first node of greatest path weight from root
     stack = [(root, None, 0, None)]  # node, tree parent, weight, its class
     pop, push = stack.pop, stack.append
@@ -441,61 +469,59 @@ def normalize(td, ops=UNCOUNTED):
                     first[v] = i
                     met.append(v)
             fresh = len(met) - before
-        k = len(x)
-        work += k + 1
-        if k > size:
-            size = k
         w += fresh
         if w > best_w:
             best, best_w = i, w
-        if pc is None or fresh and k - fresh != len(clusters[roots[pc]]):
+        if pc is None or fresh and len(x) - fresh != len(clusters[roots[pc]]):
             c = len(roots)
             roots.append(i)
             fresh_of.append(fresh)
-            up.append(tree_parent)
+            if met is None:
+                up.append(tree_parent)
         elif fresh:
-            c = joined[roots[pc]] = pc  # head's cluster nested here: take over
+            c = at[roots[pc]] = pc  # head's cluster nested here: take over
             roots[pc] = i
             fresh_of[pc] += fresh
         else:
-            c = joined[i] = pc  # cluster nested in the head's: fold upward
+            c = at[i] = pc  # cluster nested in the head's: fold upward
         for j in neighbors[i]:
             if j != tree_parent:
                 push((j, i, w, c))
-    ops.add(work)
-    if not joined and best_w == td.graph_n and met is not None:
-        del first, up  # before the ends are built
-        return Normalized(td, td.nodes, size, met, roots,
-                          array("l", accumulate(fresh_of)))
-    del first, met  # the vertex order is read by a covering record alone
-    if not joined:
+    ops.add(sum(map(len, clusters)) + len(neighbors) - 1)
+    del first  # before the outputs are built
+    if met is not None:
+        if len(roots) == len(neighbors) and best_w == td.graph_n:
+            del roots[0], fresh_of[0]
+            return Normalized(form, td.nodes, met, roots,
+                              array("l", accumulate(fresh_of)))
+        up = [None, None, *roots[1:-1]]
+    del met  # the vertex order is read by a covering record alone
+    if len(roots) == len(neighbors):  # every node heads its own class
         # the only parents the second sweep reads: those up from `best`
         chain = _chain(roots, up, roots.index(best))
-        del up
-        # every node heads its class, so the counts by node fill a copy
-        # of `neighbors`, which is sized once; each value is replaced
-        fresh = neighbors.copy()
-        fresh.update(zip(roots, fresh_of))
-        return Normalized(td, td.nodes, size, first_sweep=(fresh, chain))
-    ids = list(range(1, len(roots) + 1))
-    id_of = {i: ids[c] for i, c in joined.items()}
-    del joined
-    id_of.update(zip(roots, ids))
-    out_neighbors = [[] for _ in range(len(roots) + 1)]
-    for a in td.nodes:
-        fa = id_of[a]
-        for b in neighbors[a]:
-            if a < b:
-                fb = id_of[b]
+        del up, at
+        # every node heads its class: the counts by position
+        fresh = [0] * len(neighbors)
+        for i, f in zip(roots, fresh_of):
+            fresh[i] = f
+        return Normalized(form, td.nodes, first_sweep=(fresh, chain))
+    for c, i in enumerate(roots):
+        at[i] = c  # now every position's class
+    ids = form.ids
+    out_neighbors = [[] for _ in roots]
+    for a, nbrs in enumerate(neighbors):
+        fa, ia = at[a], ids[a]
+        for b in nbrs:
+            if ia < ids[b]:
+                fb = at[b]
                 if fa != fb:
                     out_neighbors[fa].append(fb)
                     out_neighbors[fb].append(fa)
     heads = list(map(clusters.__getitem__, roots))
     del roots
-    out = _IdLists(ids, out_neighbors, [None, *heads], td.graph_n)
-    up = [None, None, *map(id_of.__getitem__, up[1:])]
-    del id_of
-    fresh_of = [0, *fresh_of]
+    out = _Form(range(len(heads)), out_neighbors, heads, 1, form.top)
+    up = [0, 0, *map(at.__getitem__, islice(up, 2, None))]
+    del at
     # class ids follow start order, so a parent class precedes its children
     weight = fresh_of[:]
     for c in range(2, len(weight)):
@@ -503,25 +529,14 @@ def normalize(td, ops=UNCOUNTED):
     top = max(weight)
     if weight.count(top) == 1:
         end = weight.index(top)
-        ops.add(len(ids))
+        ops.add(len(heads) - 1)
     else:  # a tie: the node sweep's discovery order breaks it
         end = _node_dfs(out_neighbors, fresh_of, 1, ops)[0]
     chain = [end]
     while chain[-1] != 1:
         chain.append(up[chain[-1]])
-    return Normalized(out, ids, max(map(len, heads)),
+    return Normalized(out, range(1, len(heads)),
                       first_sweep=(fresh_of, chain))
-
-
-@dataclass(slots=True)
-class _IdLists:
-    """A contracted decomposition read like a TreeDecomposition, with
-    `neighbors` and `clusters` as lists indexed by the dense node ids
-    1..k in `nodes`; index 0 is unused."""
-    nodes: list
-    neighbors: list
-    clusters: list
-    graph_n: int
 
 
 @dataclass
@@ -530,43 +545,41 @@ class WeightReport:
     relative_weight: Fraction
 
 
-def _recording_sweep(td, start, ops=UNCOUNTED):
+def _recording_sweep(form, start, ops=UNCOUNTED):
     """The first sweep of the public heaviest_path(td), the one that reads
-    clusters: a DFS from `start`, returning (fresh, chain).
+    clusters: a DFS of td's positional form from position `start`,
+    returning (fresh, chain).
 
-    `fresh` maps each node to the vertices of its cluster that no node met
-    before it held, and `chain` runs from the sweep's endpoint, the first
+    `fresh` holds, by position, the vertices of each cluster that no node
+    met before held, and `chain` runs from the sweep's endpoint, the first
     node in discovery order whose path from `start` holds the most
     vertices, up to `start`. Under cluster connectivity a vertex met
     before also lies in the parent's cluster, so `fresh[i]` is
     |C_i \\ C_parent|. A cut never runs it: normalization's pass hands
     these records on.
     """
-    clusters, neighbors = td.clusters, td.neighbors
-    fresh, parent = {}, {}
-    seen = bytearray(td.graph_n + 1)
+    clusters, neighbors = form.clusters, form.neighbors
+    fresh, parent = [0] * len(neighbors), [0] * len(neighbors)
+    seen = bytearray(form.top + 1)
     best, best_w = start, -1
-    work = 0
-    stack = [(start, None, 0)]
+    stack = [(start, 0, 0)]
     pop, push = stack.pop, stack.append
     while stack:
         i, p, w = pop()
-        cl = clusters[i]
         k = 0
-        for x in cl:
+        for x in clusters[i]:
             if not seen[x]:
                 seen[x] = 1
                 k += 1
         fresh[i] = k
         parent[i] = p
-        work += len(cl) + 1
         w += k
         if w > best_w:
             best, best_w = i, w
         for j in neighbors[i]:
             if j != p:
                 push((j, i, w))
-    ops.add(work)
+    ops.add(sum(map(len, clusters)) + len(neighbors) - 1)
     chain = [best]
     while chain[-1] != start:
         chain.append(parent[chain[-1]])
@@ -602,8 +615,9 @@ def _node_dfs(neighbors, fresh, start, ops=UNCOUNTED):
     return best, best_w, order, parents
 
 
-def _sweep_from(td, fresh, chain, ops=UNCOUNTED):
-    """Heaviest path from `chain[0]`, from a first sweep's records.
+def _sweep_from(form, fresh, chain, ops=UNCOUNTED):
+    """Heaviest path from `chain[0]` over the positional `form`, from a
+    first sweep's records.
 
     `chain` runs from the start up to the first sweep's root, and
     re-rooting at the start changes the tree parent only along it. There,
@@ -616,7 +630,7 @@ def _sweep_from(td, fresh, chain, ops=UNCOUNTED):
     Returns (path, weight, (preorder, parents)). The ops count one per
     chain step and one per node swept.
     """
-    clusters = td.clusters
+    clusters = form.clusters
     start = chain[0]
     below_fresh = fresh[start]
     fresh[start] = len(clusters[start])
@@ -625,7 +639,7 @@ def _sweep_from(td, fresh, chain, ops=UNCOUNTED):
         fresh[j] = len(clusters[j]) - len(clusters[below]) + below_fresh
         below_fresh = was
     ops.add(len(chain) - 1)
-    end, weight, order, parents = _node_dfs(td.neighbors, fresh, start, ops)
+    end, weight, order, parents = _node_dfs(form.neighbors, fresh, start, ops)
     path = _chain(order, parents, order.index(end))
     path.reverse()
     return path, weight, (order, parents)
@@ -666,15 +680,18 @@ def heaviest_path(td):
     heaviest.
     """
     check_decomposition(td)
-    path, weight, _ = _sweep_from(td, *_recording_sweep(td, min(td.nodes)))
+    form = td._form
+    path, weight, _ = _sweep_from(form, *_recording_sweep(form, form.root))
     if not weight:
         raise EmptyDecomposition("every cluster is empty")
-    return path, WeightReport(weight, Fraction(weight, td.graph_n))
+    return (list(map(form.ids.__getitem__, path)),
+            WeightReport(weight, Fraction(weight, td.graph_n)))
 
 
 def _record_path(norm, ops):
     """heaviest_path on normalization's record `norm`, trusted as
-    normalization built it; returns (path, preorder) for the labeling.
+    normalization built it; returns (path, preorder) for the labeling, by
+    position of the record's form.
 
     Normalization's pass was the first sweep, so only the second runs,
     from the heavy end on the record's `first_sweep`, which this takes off
@@ -694,7 +711,7 @@ def _record_path(norm, ops):
         return norm.path, None
     records = norm.first_sweep
     norm.first_sweep = None
-    path, _, preorder = _sweep_from(norm.td, *records, ops)
+    path, _, preorder = _sweep_from(norm.form, *records, ops)
     return path, preorder
 
 

@@ -151,7 +151,15 @@ def restricted_td(pl):
     current = set(current_vertices(pl))
     clusters = {i: [x for x in pl.clusters[i] if x in current]
                 for i in nodes}
-    return TreeDecomposition(nodes, edges, clusters, pl.graph_n)
+    return TreeDecomposition(nodes, edges, clusters, cluster_top(pl.clusters))
+
+
+def cluster_top(clusters):
+    """The largest vertex of any cluster of `clusters`, a list by position
+    or a dict by node (0 when every cluster is empty)."""
+    if isinstance(clusters, dict):
+        clusters = clusters.values()
+    return max((max(c) for c in clusters if c), default=0)
 
 
 def hanging_pairs(pl):
@@ -192,16 +200,18 @@ def ref_hanging_tree(pl, i, a, b):
     local = {i: []}
     for child, _ in pairs:
         local[child] = list(filter(None, map(loc.get, pl.clusters[child])))
-    return rerooted_listing(i, pairs, local)
+    return rerooted_listing(i, pairs, local, pl.ids)
 
 
-def rerooted_listing(root, pairs, clusters):
+def rerooted_listing(root, pairs, clusters, ids=None):
     """(nodes, parent, clusters) by position of the tree `root` plus the
     (child, parent) pairs, every parent listed before its children, rooted
-    at its smallest node: position 0 is the root and the others follow the
-    pairs; `parent` holds positions, 0 for the root."""
-    low = min((i for i, _ in pairs), default=root)
-    if low < root:
+    at its node of smallest id, `ids[i]` for node i, or i itself when
+    `ids` is None: position 0 is the root and the others follow the pairs;
+    `parent` holds positions, 0 for the root."""
+    key = (lambda i: i) if ids is None else ids.__getitem__
+    low = min((i for i, _ in pairs), default=root, key=key)
+    if key(low) < key(root):
         pairs = _rerooted(pairs, root, low)
         root = low
     nodes = [root, *(i for i, _ in pairs)]
@@ -261,11 +271,12 @@ def debug_dump(pl):
 class VertexLabeling:
     """A labeling's state by vertex, the form PLabeling kept before its
     arrays were indexed by label: `label_of`, `is_path_vertex` and
-    `path_node_of` are indexed by vertex, `vertex_of` by label. Entries of
-    vertices that left the instance go stale, as they did then. The
-    reference step and scans below read and shrink this form."""
+    `path_node_of` are indexed by vertex, `vertex_of` by label, each up to
+    the largest cluster vertex. Entries of vertices that left the instance
+    go stale, as they did then. The reference step and scans below read
+    and shrink this form."""
     clusters: object
-    graph_n: int
+    ids: object
     n: int
     label_of: list
     vertex_of: list
@@ -282,7 +293,7 @@ def per_vertex(pl):
     `vertex_of` and `flags`, and the blocks its `ends` bound, turned into
     arrays by vertex, with 0 for every vertex outside the current
     instance. The lists are new, the hanging trees `pl`'s own."""
-    n0 = pl.graph_n
+    n0 = cluster_top(pl.clusters)
     label_of = [0] * (n0 + 1)
     is_pv = bytearray(n0 + 1)
     path_node_of = [0] * (n0 + 1)
@@ -294,7 +305,8 @@ def per_vertex(pl):
         for x in pl.vertex_of[a:b + 1]:
             path_node_of[x] = i
         a = b + 1
-    return VertexLabeling(pl.clusters, n0, pl.n, label_of, list(pl.vertex_of),
+    return VertexLabeling(pl.clusters, pl.ids, pl.n, label_of,
+                          list(pl.vertex_of),
                           is_pv, path_node_of, list(pl.path_nodes), pl.hang,
                           pl.order, pl.parents)
 
@@ -309,7 +321,7 @@ def by_label(ref):
     ends = array("l", [lab for lab in range(1, ref.n + 1)
                        if owner[lab + 1] != owner[lab]])
     assert [owner[lab] for lab in ends] == ref.path_nodes
-    return PLabeling(ref.clusters, ref.graph_n, ref.n, vertex_of,
+    return PLabeling(ref.clusters, ref.ids, ref.n, vertex_of,
                      bytes(map(ref.is_path_vertex.__getitem__, vertex_of)),
                      ref.path_nodes, ends, ref.hang, ref.order, ref.parents)
 
@@ -322,16 +334,20 @@ def two_pass_plabeling(td, path_nodes=None, ops=UNCOUNTED):
     preorder; the differential tests compare the two. The package labels
     only a normalization record, so this also labels a bare decomposition,
     or an explicit path of one, for the tests and the reference drivers.
-    It builds the arrays by vertex and returns them as a PLabeling (see
-    by_label), its hanging trees in the span form over an order made up
-    for them (span_form), checked to give back the DFS pairs."""
+    `td` is a TreeDecomposition or a normalization record's positional
+    form; like the package, this reads the form, and its nodes, the
+    path's included, are the form's positions. It builds the arrays by
+    vertex and returns them as a PLabeling (see by_label), its hanging
+    trees in the span form over an order made up for them (span_form),
+    checked to give back the DFS pairs."""
+    form = td._form if isinstance(td, TreeDecomposition) else td
     if path_nodes is None:
         # the public heaviest_path's two sweeps, counted into `ops`
         path_nodes = treedec._sweep_from(
-            td, *treedec._recording_sweep(td, min(td.nodes), ops), ops)[0]
-    clusters, neighbors = td.clusters, td.neighbors
+            form, *treedec._recording_sweep(form, form.root, ops), ops)[0]
+    clusters, neighbors = form.clusters, form.neighbors
     path_set = set(path_nodes)
-    is_pv = bytearray(td.graph_n + 1)
+    is_pv = bytearray(form.top + 1)
     # hanging trees: components of the tree minus path edges, keyed by the
     # path node they attach to; stored as (child, parent) pairs in DFS order
     hang = {}
@@ -351,16 +367,16 @@ def two_pass_plabeling(td, path_nodes=None, ops=UNCOUNTED):
         hang[i] = pairs
         work += len(clusters[i]) + len(pairs) + 1
     path = list(path_nodes)
-    labels = _two_pass_assign(clusters, td.graph_n, path, is_pv, hang)
+    labels = _two_pass_assign(clusters, form.top, path, is_pv, hang)
     if labels is None:
         path.reverse()
-        labels = _two_pass_assign(clusters, td.graph_n, path, is_pv, hang)
+        labels = _two_pass_assign(clusters, form.top, path, is_pv, hang)
         if labels is None:
             raise RedundantPath("neither end of the path is a nonredundant start")
     ops.add(work)
     label_of, vertex_of, path_node_of = labels
     order, parents, spans = span_form(path, hang)
-    ref = VertexLabeling(clusters, td.graph_n, len(vertex_of) - 1, label_of,
+    ref = VertexLabeling(clusters, form.ids, len(vertex_of) - 1, label_of,
                          vertex_of, is_pv, path_node_of, path, spans, order,
                          parents)
     assert all(span_pairs(ref, i) == hang[i] for i in path)
@@ -415,9 +431,10 @@ def restrict(td, keep_nodes=None, vertex_filter=None):
 
 
 def counted_nonredundant(td, ops):
-    """The public make_nonredundant(td), its normalization counted into
-    `ops`."""
-    return treedec._public(treedec.normalize(td, ops).td)
+    """The public make_nonredundant(td), with the work of its
+    normalization counted into `ops`."""
+    treedec.normalize(td, ops)
+    return make_nonredundant(td)
 
 
 def exact_size_cut(g, td0, m):
@@ -435,7 +452,7 @@ def exact_size_cut(g, td0, m):
     t_start = time.perf_counter()
     td = counted_nonredundant(td0, ops)
     pl = two_pass_plabeling(td, ops=ops)
-    engine._check_coverage(pl, g.n)
+    engine._check_coverage(pl, td._form.top, g.n)
     r0 = pl.relative_weight()
     cur_td = td
     b_total = []
@@ -1002,7 +1019,7 @@ def ref_doubling_step(pl, m, ops=UNCOUNTED):
                     cl.append(lab - a_i + 1)
             local[child] = cl
             ops.add(len(pl.clusters[child]) + 1)
-        _, parent, clusters = rerooted_listing(i, pairs, local)
+        _, parent, clusters = rerooted_listing(i, pairs, local, pl.ids)
         res = approximate_cut(parent, clusters, s_size, mt, c, ops=ops)
         b2 = [av[k + a_i - 1] for k in res.b_vertices]
     b = b1 + b2

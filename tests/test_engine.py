@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import re
+import tracemalloc
 import weakref
 from array import array
 from decimal import Decimal
@@ -187,9 +188,10 @@ def test_a_cut_leaves_its_input_as_it_was(family, params):
     assert _snapshot(td) == before
 
 
-def test_tree_decomposition_holds_exactly_its_four_fields():
+def test_tree_decomposition_holds_its_four_fields_and_its_form():
+    """The four public fields, and the positional form every phase reads."""
     assert TreeDecomposition.__slots__ == ("nodes", "neighbors", "clusters",
-                                           "graph_n")
+                                           "graph_n", "_form")
     assert not hasattr(p6_td(), "__dict__")
 
 
@@ -515,7 +517,8 @@ def _hand_built(blocks):
                 pairs.append((x, pairs[-1][0] if len(pairs) % 2 else i))
         pairs_of[i] = pairs
     order, parents, hang = span_form(path, pairs_of)
-    return VertexLabeling(clusters, n, n, label_of, vertex_of, is_pv, owner,
+    ids = {i: i for i in clusters}  # the nodes are their own ids
+    return VertexLabeling(clusters, ids, n, label_of, vertex_of, is_pv, owner,
                           path, hang, order, parents)
 
 
@@ -747,3 +750,98 @@ def test_a_vertex_outside_the_graph_is_an_invalid_decomposition(m):
     td = TreeDecomposition([1, 2], [(1, 2)], {1: [1, 2], 2: [2, 4]}, 4)
     with pytest.raises(InvalidDecomposition, match="vertex 4 lies outside"):
         exact_size_cut_linear(path_graph(3), td, m)
+
+
+def test_a_graph_n_far_above_the_clusters_sizes_no_array():
+    """Per-vertex arrays span the graph's order and the largest cluster
+    entry, not a graph_n the caller sets: with graph_n = 10**6 over the
+    3-vertex path, validating, cutting, normalizing and the public heaviest
+    path each peak under 1 MB."""
+    g = path_graph(3)
+    td = TreeDecomposition([1, 2], [(1, 2)], {1: [1, 2], 2: [2, 3]}, 10 ** 6)
+    calls = [lambda: validate(g, td), lambda: make_nonredundant(td),
+             lambda: heaviest_path(td), lambda: minimum_bisection(g, td),
+             *(lambda m=m: exact_size_cut_linear(g, td, m) for m in range(4))]
+    for call in calls:
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 ** 6
+
+
+@st.composite
+def relabeled_instances(draw):
+    """A small random-td, random tree or caterpillar instance, and the
+    same decomposition with its node ids mapped through a strictly
+    increasing map into -3k..3k for k nodes, so sparse, zero and negative
+    ids occur, or through a random permutation of such ids."""
+    kind = draw(st.sampled_from(["random-td", "random-tree", "caterpillar"]))
+    if kind == "random-td":
+        g, td = random_graph_with_td(draw(st.integers(3, 40)),
+                                     draw(st.integers(1, 4)),
+                                     draw(st.integers(0, 10 ** 6)))
+    elif kind == "random-tree":
+        g, td = make_instance("random-tree", n=draw(st.integers(2, 60)),
+                              seed=draw(st.integers(0, 10 ** 6)))
+    else:
+        g, td = make_instance("caterpillar", spine=draw(st.integers(1, 15)),
+                              hairs=draw(st.integers(0, 3)))
+    k = len(td.nodes)
+    ids = sorted(draw(st.lists(st.integers(-3 * k, 3 * k), min_size=k,
+                               max_size=k, unique=True)))
+    monotone = draw(st.booleans())
+    if not monotone:
+        ids = draw(st.permutations(ids))
+    new_id = dict(zip(sorted(td.nodes), ids))
+    again = TreeDecomposition([new_id[i] for i in td.nodes],
+                              [(new_id[a], new_id[b]) for a, b in td.edges()],
+                              {new_id[i]: td.clusters[i] for i in td.nodes},
+                              td.graph_n)
+    return g, td, again, new_id, monotone
+
+
+@settings(max_examples=120, deadline=None)
+@given(relabeled_instances())
+def test_node_ids_decide_the_cut_only_through_their_order(inst):
+    """Node ids reach a cut only through the positional form's id list:
+    the root is the smallest id, contracted edges are listed from their
+    end of smaller id, and a hanging tree is re-rooted at its smallest id.
+    A strictly increasing relabel keeps all three, so it gives the same B
+    at every m and the same make_nonredundant output up to the relabel;
+    any other relabel still gives a valid cut of every size."""
+    g, td, again, new_id, monotone = inst
+    if monotone:
+        out, out_again = make_nonredundant(td), make_nonredundant(again)
+        assert (out is td) == (out_again is again)
+        if out is td:
+            out = TreeDecomposition._trusted(
+                [new_id[i] for i in td.nodes],
+                [(new_id[a], new_id[b]) for a, b in td.edges()],
+                {new_id[i]: td.clusters[i] for i in td.nodes}, td.graph_n)
+        assert out_again.nodes == out.nodes
+        assert list(out_again.neighbors.items()) == list(out.neighbors.items())
+        assert list(out_again.clusters.items()) == list(out.clusters.items())
+    for m in range(g.n + 1):
+        b, report = exact_size_cut_linear(g, again, m)
+        if monotone:
+            assert b == exact_size_cut_linear(g, td, m)[0]
+        side = bytearray(g.n + 1)
+        for v in b:
+            side[v] = 1
+        assert len(b) == sum(side) == m
+        assert report.width == cut_width(g, side) <= report.bound
+
+
+def test_relabeled_instances_reach_zero_negative_and_contracted_ids():
+    """The relabel strategy above maps ids to 0 and below 0, and reaches
+    decompositions that contract, under either kind of map."""
+    for reached in (lambda i: 0 in i[3].values(),
+                    lambda i: min(i[3].values()) < 0,
+                    lambda i: i[4] and make_nonredundant(i[1]) is not i[1],
+                    lambda i: not i[4] and len(i[2].nodes) > 5):
+        find(relabeled_instances(), reached,
+             settings=settings(max_examples=2000, database=None,
+                               phases=[Phase.generate]))

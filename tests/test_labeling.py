@@ -196,10 +196,14 @@ def test_restricted_td_reproduces_current_state():
     pl = build_plabeling(normalize(td0))
     again = restricted_td(pl)
     assert set_validate(g, again, vertices=set(current_vertices(pl))).ok
-    # rebuilding on the explicit restriction gives the same assignments
-    fresh = two_pass_plabeling(again, pl.path_nodes)
+    # rebuilding on the explicit restriction gives the same assignments;
+    # its node ids are pl's nodes, the reference's nodes its positions
+    ids = again._form.ids
+    at = {i: p for p, i in enumerate(again.nodes, 1)}
+    fresh = two_pass_plabeling(again, [at[i] for i in pl.path_nodes])
     view, fresh_view = per_vertex(pl), per_vertex(fresh)
-    assert fresh_view.path_node_of == view.path_node_of
+    assert [ids[p] if p else 0 for p in fresh_view.path_node_of] == \
+        view.path_node_of
     assert [bool(b) for b in fresh_view.is_path_vertex] == \
         [bool(b) for b in view.is_path_vertex]
 
@@ -230,13 +234,13 @@ def _labelings_agree(td):
     new_ops, ref_ops = OpsCounter(), OpsCounter()
     pl = build_plabeling(rec, ops=new_ops)
     path, _ = treedec._record_path(twin, ref_ops)
-    ref = two_pass_plabeling(twin.td, path, ops=ref_ops)
+    ref = two_pass_plabeling(twin.form, path, ops=ref_ops)
     _assert_same_arrays(pl, ref)
     if rec.vertex_of is None:
         assert new_ops.total == ref_ops.total
     on_path = set()
     for i in pl.path_nodes:
-        on_path.update(twin.td.clusters[i])
+        on_path.update(twin.form.clusters[i])
     assert {x for x, b in enumerate(per_vertex(pl).is_path_vertex)
             if b} == on_path
     return pl
@@ -269,7 +273,7 @@ def test_hanging_spans_partition_the_preorder_off_the_path():
             assert pl.parents is None and pl.hang == {}
             continue
         path, _ = treedec._record_path(twin, OpsCounter())
-        ref = two_pass_plabeling(twin.td, path)
+        ref = two_pass_plabeling(twin.form, path)
         assert set(pl.hang) == {i for i, pairs in hanging_pairs(ref) if pairs}
         assert len(pl.order) == len(pl.parents) == len(twin.nodes)
         positions = []
@@ -287,34 +291,43 @@ def test_hanging_spans_partition_the_preorder_off_the_path():
     assert shapes == {2, 4}
 
 
+def _hanging_trees_agree(pl, m):
+    """Through the doubling steps of a cut of size m from labeling `pl`,
+    PLabeling.hanging_tree lists each path node's hanging trees as the
+    reference does from the pairs span_pairs rebuilds, re-rooted at the
+    node of smallest id through a node-to-position dict: the same
+    positions, parents and renumbered clusters, so equal reduced weights
+    tie in the same order, and the same count of work; the root is the
+    node of smallest id. Returns whether each tree kept its path node as
+    the root."""
+    kept = set()
+    while m:
+        blocks = pl.blocks()
+        for i in pl.hang:
+            a, r, _ = blocks[i]
+            nodes, parent, clusters = ref_hanging_tree(pl, i, a, r)
+            ops = OpsCounter()
+            assert pl.hanging_tree(i, a, r, ops) == (parent, clusters)
+            assert ops.total == sum(len(pl.clusters[j]) + 1
+                                    for j in nodes if j != i)
+            assert pl.ids[nodes[0]] == min(map(pl.ids.__getitem__, nodes))
+            kept.add(nodes[0] == i)
+        res = doubling_step(pl, m)
+        if res.kind == "direct":
+            break
+        m -= len(res.b_vertices)
+    return kept
+
+
 def test_hanging_tree_matches_the_rerooted_pair_listing():
     """On every corpus decomposition, and on each remainder the doubling
-    steps of a bisection leave, PLabeling.hanging_tree lists each path
-    node's hanging trees as the reference does from the pairs span_pairs
-    rebuilds, re-rooted at the smallest node through a node-to-position
-    dict: the same positions, parents and renumbered clusters, so equal
-    reduced weights tie in the same order, and the same count of work.
-    Trees that keep the path node as their root and trees re-rooted below
-    it both occur."""
-    rerooted = set()
+    steps of a bisection leave, the hanging trees are listed as the
+    reference lists them (see _hanging_trees_agree). Trees that keep the
+    path node as their root and trees re-rooted below it both occur."""
+    kept = set()
     for _, g, td in acceptance_corpus():
-        pl = build_plabeling(normalize(td))
-        m = g.n // 2
-        while m:
-            blocks = pl.blocks()
-            for i in pl.hang:
-                a, r, _ = blocks[i]
-                nodes, parent, clusters = ref_hanging_tree(pl, i, a, r)
-                ops = OpsCounter()
-                assert pl.hanging_tree(i, a, r, ops) == (parent, clusters)
-                assert ops.total == sum(len(pl.clusters[j]) + 1
-                                        for j in nodes if j != i)
-                rerooted.add(nodes[0] != i)
-            res = doubling_step(pl, m)
-            if res.kind == "direct":
-                break
-            m -= len(res.b_vertices)
-    assert rerooted == {False, True}
+        kept |= _hanging_trees_agree(build_plabeling(normalize(td)), g.n // 2)
+    assert kept == {False, True}
 
 
 @st.composite
@@ -344,7 +357,18 @@ def test_labeling_matches_two_pass_reference_random(td):
     path, _ = heaviest_path(td)
     if normalize(td).vertex_of is not None:
         path.reverse()  # a covering path is labeled from its smallest node
-    assert pl.path_nodes == path
+    assert [pl.ids[i] for i in pl.path_nodes] == path
+
+
+@settings(max_examples=150, deadline=None)
+@given(hanging_paths(), st.data())
+def test_hanging_tree_matches_the_rerooted_pair_listing_random(td, data):
+    """With node ids shuffled into a sparse range, so that the smallest id
+    need not sit at the smallest position, the hanging trees of a cut of
+    any size are listed as the reference lists them, rooted at the node of
+    smallest id."""
+    m = data.draw(st.integers(1, td.graph_n))
+    _hanging_trees_agree(build_plabeling(normalize(td)), m)
 
 
 def test_reference_strategy_has_hanging_trees():

@@ -193,10 +193,11 @@ def test_constructor_rejects_structural_errors(args, message):
 
 def test_trusted_decompositions_pass_the_validating_constructor(monkeypatch):
     """Every decomposition the package builds unchecked comes out the same
-    from the validating constructor: those `_trusted` builds, and those the
-    public make_nonredundant converts from normalization's id-indexed
-    lists. The order of a converted decomposition's neighbor lists is that
-    of the contraction's edges, which the union-find reference test pins."""
+    from the validating constructor, the positional form included: those
+    `_trusted` builds, and those the public make_nonredundant wraps around
+    normalization's contracted form. The order of a wrapped decomposition's
+    neighbor lists is that of the contraction's edges, which the
+    union-find reference test pins."""
     trusted = TreeDecomposition._trusted.__func__
     callers = set()
 
@@ -207,6 +208,7 @@ def test_trusted_decompositions_pass_the_validating_constructor(monkeypatch):
         assert again.neighbors == td.neighbors
         assert again.clusters == td.clusters
         assert again.graph_n == td.graph_n
+        assert again._form == td._form
         callers.add(sys._getframe(1).f_code.co_name)
         return td
 
@@ -267,25 +269,26 @@ def _ref_heaviest_path(td):
         weight, Fraction(weight, td.graph_n))
 
 
-def _handed_path(rec):
-    """What heaviest path makes of normalization's record `rec`, in the
-    public heaviest_path's terms: the path from the heavy end, and its
-    weight report. The path is the one the labeling gets, turned around
-    on a covering record, whose walk runs from the smallest node and
-    weighs graph_n; otherwise the weight is that of the second sweep on a
-    copy of the handed records, and the path starts at the head of the
-    handed chain."""
-    td = rec.td
+def _handed_path(rec, graph_n):
+    """What heaviest path makes of normalization's record `rec` of a
+    decomposition over 1..graph_n, in the public heaviest_path's terms:
+    the path from the heavy end, by node id, and its weight report. The
+    path is the one the labeling gets, turned around on a covering
+    record, whose walk runs from the smallest node and weighs graph_n;
+    otherwise the weight is that of the second sweep on a copy of the
+    handed records, and the path starts at the head of the handed chain."""
+    form = rec.form
     if rec.vertex_of is None:
         fresh, chain = rec.first_sweep
-        _, weight, _ = treedec._sweep_from(td, copy.copy(fresh), chain)
+        _, weight, _ = treedec._sweep_from(form, copy.copy(fresh), chain)
     path, preorder = treedec._record_path(rec, OpsCounter())
     assert (preorder is None) == (rec.vertex_of is not None)
     if preorder is None:
-        path, weight = path[::-1], td.graph_n
+        path, weight = path[::-1], graph_n
     else:
         assert path[0] == chain[0]
-    return path, WeightReport(weight, Fraction(weight, td.graph_n))
+    return ([form.ids[i] for i in path],
+            WeightReport(weight, Fraction(weight, graph_n)))
 
 
 def _check_normalized(td):
@@ -299,9 +302,9 @@ def _check_normalized(td):
     for a, b in out.edges():
         ca, cb = set(out.clusters[a]), set(out.clusters[b])
         assert not ca <= cb and not cb <= ca
-    assert (rec.td is td) == (out is td)
+    assert (rec.form is td._form) == (out is td)
     assert (rec.first_sweep is None) == (rec.vertex_of is not None)
-    handed = _handed_path(rec)
+    handed = _handed_path(rec, td.graph_n)
     assert heaviest_path(out) == handed == _ref_heaviest_path(out)
     return out is td
 
@@ -337,8 +340,8 @@ def test_handed_first_sweep_finds_the_reference_path_on_tied_trees(td):
     pass order and its own preorder backward, has the path and weight of
     the two reference sweeps."""
     rec = normalize(td)
-    assert rec.td is td
-    assert _handed_path(rec) == _ref_heaviest_path(td)
+    assert rec.form is td._form
+    assert _handed_path(rec, td.graph_n) == _ref_heaviest_path(td)
 
 
 def test_chain_reads_each_preorder_position_at_most_once():
@@ -363,20 +366,16 @@ def test_chain_reads_each_preorder_position_at_most_once():
 def _check_handed_records(td):
     """On an input with cluster connectivity whose record does not cover,
     the record hands the first sweep over the normalized decomposition:
-    the fresh counts of a recording sweep over it from its smallest node,
-    by id after a contraction, and the chain from that sweep's endpoint up
-    to the smallest node. Returns whether the input contracted."""
+    the fresh counts of a recording sweep over its positional form from
+    its smallest node, by position, and the chain from that sweep's
+    endpoint up to the smallest node. Returns whether the input
+    contracted."""
     rec = normalize(td)
     if rec.vertex_of is not None:
         return False
-    fresh, chain = treedec._recording_sweep(rec.td, min(rec.nodes))
-    handed_fresh, handed_chain = rec.first_sweep
-    assert handed_chain == chain
-    if rec.td is td:
-        assert handed_fresh == fresh
-        return False
-    assert handed_fresh == [0, *map(fresh.get, rec.nodes)]
-    return True
+    assert rec.first_sweep == treedec._recording_sweep(rec.form,
+                                                       rec.form.root)
+    return rec.form is not td._form
 
 
 def test_contracting_records_match_a_recording_sweep_on_the_corpus():
@@ -402,10 +401,10 @@ def _check_heavy_end(td):
     with mock.patch.object(treedec, "_node_dfs",
                            wraps=treedec._node_dfs) as sweep:
         rec = normalize(td)
-    if rec.td is td:
+    if rec.form is td._form:
         return None
     fresh, chain = rec.first_sweep
-    end, top, order, parents = treedec._node_dfs(rec.td.neighbors, fresh, 1)
+    end, top, order, parents = treedec._node_dfs(rec.form.neighbors, fresh, 1)
     assert chain == treedec._chain(order, parents, order.index(end))
     weight = {None: 0}  # by node, from the root's parent on
     for i, p in zip(order, parents):
@@ -458,10 +457,9 @@ def test_a_cut_keeps_no_neighbor_lists_past_the_labeling(inst, data):
 
     def label(norm, ops):
         seen["record"] = weakref.ref(norm)
-        seen["contracted"] = norm.td is not td
-        nbrs = norm.td.neighbors
-        seen["neighbors"] = [nbrs, *(nbrs.values() if isinstance(nbrs, dict)
-                                     else nbrs)]
+        seen["contracted"] = norm.form is not td._form
+        nbrs = norm.form.neighbors
+        seen["neighbors"] = [nbrs, *nbrs]
         return build_plabeling(norm, ops=ops)
 
     def step(pl, m, ops):
@@ -491,26 +489,30 @@ def test_corpus_cuts_run_no_recording_sweep(monkeypatch):
 
 
 def _check_node_sweep(td, rng):
-    """On a decomposition with cluster connectivity, in either form the
-    phases read (a TreeDecomposition, or a contracted output's id-indexed
-    lists): the recording sweep from the smallest node ends where the
-    reference sweep does, with each node's fresh count |C_i \\ C_parent|
-    under the reference's parents, and its chain is the reference's path
-    from its end up to the smallest node. From its end and from a random
-    node, the node sweep on its counts re-rooted along the chain from
-    there finds the reference's endpoint, weight and path, and returns
-    every node once in a preorder with the reference's parents."""
-    root = min(td.nodes)
-    fresh, chain = treedec._recording_sweep(td, root)
+    """On a decomposition with cluster connectivity, through its positional
+    form, its positions read as node ids: the recording sweep from the
+    smallest node ends where the reference sweep does, with each node's
+    fresh count |C_i \\ C_parent| under the reference's parents, and its
+    chain is the reference's path from its end up to the smallest node.
+    From its end and from a random node, the node sweep on its counts
+    re-rooted along the chain from there finds the reference's endpoint,
+    weight and path, and returns every node once in a preorder with the
+    reference's parents."""
+    form, root = td._form, min(td.nodes)
+    ids, at = form.ids, {i: p for p, i in enumerate(td.nodes, 1)}
+    fresh, chain = treedec._recording_sweep(form, form.root)
     end, _, up = ref_weight_sweep(td, root)
-    assert chain == ref_path(root, end, up)[::-1]
-    assert sorted(fresh) == sorted(td.nodes)
+    assert [ids[p] for p in chain] == ref_path(root, end, up)[::-1]
+    assert len(fresh) == len(td.nodes) + 1
     for i in td.nodes:
         above = set(td.clusters[up[i]]) if i != root else set()
-        assert fresh[i] == len(set(td.clusters[i]) - above)
+        assert fresh[at[i]] == len(set(td.clusters[i]) - above)
     for start in (end, rng.choice(td.nodes)):
         path, weight, (order, parents) = treedec._sweep_from(
-            td, copy.copy(fresh), ref_path(root, start, up)[::-1])
+            form, copy.copy(fresh),
+            [at[i] for i in ref_path(root, start, up)[::-1]])
+        path, order = [ids[p] for p in path], [ids[p] for p in order]
+        parents = [None, *(ids[p] for p in parents[1:])]
         ref_end, ref_w, ref_parent = ref_weight_sweep(td, start)
         assert (path[-1], weight) == (ref_end, ref_w)
         assert path == ref_path(start, ref_end, ref_parent)
@@ -523,7 +525,7 @@ def test_node_sweep_matches_the_reference_sweep_on_the_corpus():
     rng = random.Random(16)
     forms = set()
     for _, _, td in acceptance_corpus():
-        out = normalize(td).td
+        out = make_nonredundant(td)
         forms.add(out is td)
         _check_node_sweep(out, rng)
     assert forms == {False, True}
@@ -570,7 +572,7 @@ def path_tds(draw):
                  path_tds()), st.randoms(use_true_random=False))
 def test_node_sweep_matches_the_reference_sweep_random(td, rng):
     _check_node_sweep(td, rng)
-    _check_node_sweep(normalize(td).td, rng)
+    _check_node_sweep(make_nonredundant(td), rng)
 
 
 def _sweeps(td):
@@ -591,7 +593,7 @@ def test_covering_walk_gives_the_swept_path(td):
     """The walk that replaces the second sweep when normalization's sweep
     covered every vertex returns the same nodes and weight as both sweeps
     of the public heaviest_path on the normalized decomposition."""
-    assert _handed_path(normalize(td)) == heaviest_path(
+    assert _handed_path(normalize(td), td.graph_n) == heaviest_path(
         make_nonredundant(td))
 
 
@@ -601,10 +603,11 @@ def test_covering_walk_gives_the_swept_path(td):
      lambda td: _sweeps(td) == (0, 1) and min(td.nodes) not in
      (td.nodes[0], td.nodes[-1])),
     ("sweep, graph_n above the covered vertices",
-     lambda td: _sweeps(td) == (0, 1) and normalize(td).td is td
+     lambda td: _sweeps(td) == (0, 1) and normalize(td).form is td._form
      and td.graph_n > vertex_count(td)),
     ("both sweeps, contracting input",
-     lambda td: _sweeps(td) == (0, 1) and normalize(td).td is not td),
+     lambda td: _sweeps(td) == (0, 1)
+     and normalize(td).form is not td._form),
 ])
 def test_path_tds_reach_walk_and_sweep(name, reached):
     """Path decompositions reach every way heaviest_path can run on a
@@ -675,9 +678,10 @@ def test_covering_labeling_matches_two_pass_reference_from_the_smallest_node(
     if rec.vertex_of is None:
         return
     pl = build_plabeling(rec)
-    ref = two_pass_plabeling(td, _path_from(td, min(td.nodes)))
-    assert pl.clusters is ref.clusters is td.clusters
-    assert pl.graph_n == ref.graph_n == td.graph_n
+    at = {i: p for p, i in enumerate(td.nodes, 1)}
+    ref = two_pass_plabeling(td, [at[i] for i in _path_from(td, min(td.nodes))])
+    assert pl.clusters is ref.clusters is td._form.clusters
+    assert pl.ids is ref.ids is td._form.ids
     assert pl.n == ref.n == td.graph_n
     assert pl.vertex_of == ref.vertex_of
     assert pl.flags == ref.flags
@@ -714,8 +718,8 @@ def test_covering_path_decomposition_cut_reads_no_cluster_in_heaviest_path(
     covering labeling's n label stores against the labeling's cluster
     pass, which reads every cluster entry and every node."""
     g, td = make_instance("grid", k=20)
-    records = (treedec._recording_sweep(td, min(td.nodes))[0],
-               [min(td.nodes)])
+    records = (treedec._recording_sweep(td._form, td._form.root)[0],
+               [td._form.root])
     normalize = engine.make_nonredundant
 
     def with_records(td0, ops):
@@ -810,24 +814,26 @@ def test_make_nonredundant_matches_the_union_find_reference(td):
             make_nonredundant(td)
         return
     rec = normalize(td, ops=ops_new)
-    out = rec.td
-    assert (out is td, rec.vertex_of is not None) == (ref is td, covers)
-    assert rec.nodes is out.nodes
-    assert rec.size == ref.width() + 1
-    assert out.nodes == ref.nodes
-    assert out.graph_n == ref.graph_n
-    heavy_end = (rec.path[-1] if rec.vertex_of is not None
-                 else rec.first_sweep[1][0])
-    if out is td:
+    out = rec.form
+    passed = out is td._form
+    assert (passed, rec.vertex_of is not None) == (ref is td, covers)
+    assert max(map(len, out.clusters)) == ref.width() + 1
+    assert list(rec.nodes) == ref.nodes
+    heavy_end = out.ids[rec.path[-1] if rec.vertex_of is not None
+                        else rec.first_sweep[1][0]]
+    if passed:
+        assert rec.nodes is td.nodes
         assert heavy_end == end
         assert ops_new.total == ops_ref.total
     else:
         if _connected(td):
-            assert heavy_end == ref_weight_sweep(out, 1)[0]
-        assert ops_new.total == ops_ref.total + len(out.nodes)
-        assert out.nodes == list(range(1, len(out.nodes) + 1))
-        assert len(out.neighbors) == len(out.clusters) == len(out.nodes) + 1
-        assert out.neighbors[0] == [] and out.clusters[0] is None
+            assert heavy_end == ref_weight_sweep(ref, 1)[0]
+        k = len(ref.nodes)
+        assert ops_new.total == ops_ref.total + k
+        assert rec.nodes == range(1, k + 1) and out.ids == range(k + 1)
+        assert out.root == 1 and out.top == td._form.top
+        assert len(out.neighbors) == len(out.clusters) == k + 1
+        assert out.neighbors[0] == [] and out.clusters[0] == ()
         assert [out.neighbors[i] for i in ref.nodes] == [
             ref.neighbors[i] for i in ref.nodes]
         assert all(out.clusters[i] is ref.clusters[i] for i in ref.nodes)
