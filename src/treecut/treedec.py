@@ -399,7 +399,7 @@ def normalize(td, ops=UNCOUNTED):
     head's cluster is nested in its own. Width never grows and any tree
     path of the input maps onto a tree path of the output covering at
     least the same vertices. Classes are numbered from 1 in the order they
-    start, and the pass records each position's class.
+    start, and the pass records the class of each node that heads none.
 
     The pass keeps, per class, the fresh counts of its members summed
     and the tree parent of the node that started it; these are the
