@@ -28,12 +28,13 @@ class SubtreeWeights:
     children: list       # child positions, heaviest reduced weight first
 
 
-def compute_subtree_weights(parent, clusters, graph_n, ops=UNCOUNTED):
+def compute_subtree_weights(parent, clusters, n, ops=UNCOUNTED):
     """Vertex counts per subtree, with children pre-sorted for the greedy.
 
     The tree is two lists aligned by position: `parent[k]` is the position
     of k's parent, which comes before k, and `clusters[k]` lists distinct
-    vertices in 1..graph_n; position 0 is the root, whose parent entry is
+    vertices in 1..n, a vertex range that holds every entry, which sizes
+    the one mark array; position 0 is the root, whose parent entry is
     not read. `total[k]` counts distinct vertices in clusters at or below
     position k; `reduced[k]` subtracts those shared with the parent
     cluster, so sibling reduced weights add up disjointly. Sorting uses one
@@ -41,7 +42,7 @@ def compute_subtree_weights(parent, clusters, graph_n, ops=UNCOUNTED):
     position order. The package built the tree, and its shape is trusted."""
     size = len(parent)
     total = list(map(len, clusters))  # plus the children's reduced weights
-    seen = [False] * (graph_n + 1)
+    seen = bytearray(n + 1)
     reduced = []  # the overlap with the parent cluster, then reduced weights
     for cl in clusters:
         c = 0
@@ -49,7 +50,7 @@ def compute_subtree_weights(parent, clusters, graph_n, ops=UNCOUNTED):
             if seen[x]:
                 c += 1  # recurring vertex: already in the parent cluster
             else:
-                seen[x] = True
+                seen[x] = 1
         reduced.append(c)
     del seen
     work = sum(total) + size
@@ -94,9 +95,10 @@ def approximate_cut(td, m, c, g=None):
     Fraction in the open interval (0, 1), else BadFraction. The host graph
     is optional and only used to report the realized boundary width; one
     whose order is not graph_n raises InvalidDecomposition. Every vertex
-    of 1..graph_n must be covered by td. A `g` that is neither None nor a
-    Graph raises GraphFormatError, and a `td` of another type
-    DecompositionFormatError.
+    of 1..graph_n must be covered by td. The per-vertex arrays span the
+    graph's order, or without a graph td's largest cluster entry, never
+    graph_n alone. A `g` that is neither None nor a Graph raises
+    GraphFormatError, and a `td` of another type DecompositionFormatError.
     """
     if g is not None:
         check_graph(g)
@@ -119,13 +121,14 @@ def approximate_cut(td, m, c, g=None):
         stack.extend((j, i, len(parent)) for j in reversed(nbrs[i]) if j != p)
         parent.append(at)
         clusters.append(cls[i])
-    return _cut_tree(parent, clusters, n, m, c, g)
+    return _cut_tree(parent, clusters, form.top if g is None else n, m, c, g)
 
 
 def _cut_tree(parent, clusters, n, m, c, g=None, ops=UNCOUNTED):
     """approximate_cut on a tree the package built, in the form
-    compute_subtree_weights reads, covering vertices 1..n, with m and c
-    already checked; the doubling step calls it on a hanging tree."""
+    compute_subtree_weights reads, its entries in 1..n, which sizes the
+    side array, with m and c already checked; the doubling step calls it
+    on a hanging tree."""
     sw = compute_subtree_weights(parent, clusters, n, ops=ops)
     y, yt, kids = sw.total, sw.reduced, sw.children
     if y[0] < m:

@@ -70,11 +70,15 @@ def _load_valid(graph_path, td_path):
     """Load a graph and a decomposition and refuse a decomposition that
     fails validate: the cut's width bound holds only for a valid one.
     Without a graph path, g is None and the decomposition is checked
-    against the edgeless graph on 1..graph_n (vertex cover and
-    connectivity)."""
+    (vertex cover and connectivity) against the edgeless graph on 1..top,
+    its largest cluster entry; a graph_n above top leaves vertex top + 1
+    in no cluster, the witness the edgeless graph on 1..graph_n gives."""
     g = load_graph(graph_path) if graph_path else None
     td = load_td(td_path)
-    rep = validate(Graph(td.graph_n, []) if g is None else g, td)
+    top = td._form.top
+    rep = validate(Graph(top, []) if g is None else g, td)
+    if g is None and rep.vertex_cover_ok and top < td.graph_n:
+        raise InvalidDecomposition("vertex %d in no cluster" % (top + 1))
     if not rep.ok:
         raise InvalidDecomposition(rep.witness)
     return g, td

@@ -9,7 +9,6 @@ cut read; node ids reach them only through its position-to-id list.
 """
 from __future__ import annotations
 
-import itertools
 import json
 from array import array
 from dataclasses import dataclass
@@ -86,6 +85,7 @@ class TreeDecomposition:
             raise DecompositionFormatError("decomposition tree is not connected")
         del seen  # before the cluster copies
         cl = {}
+        top = 0
         for i in nodes:
             try:
                 c = list(cluster_of(i, ()))
@@ -97,10 +97,12 @@ class TreeDecomposition:
                     raise DecompositionFormatError(
                         "vertex %r in cluster %r is not an int in 1..%r"
                         % (x, i, graph_n))
+                if x > top:
+                    top = x
             if len(set(c)) != len(c):
                 raise DecompositionFormatError("duplicate vertex in cluster %r" % i)
             cl[i] = c
-        self._set(nodes, neighbors, cl, graph_n)
+        self._set(nodes, neighbors, cl, graph_n, top)
 
     @classmethod
     def _trusted(cls, nodes, edges, clusters, graph_n):
@@ -109,32 +111,35 @@ class TreeDecomposition:
         The caller guarantees what __init__ checks: `nodes` is a list of
         distinct ints, `edges` form a tree over them, and `clusters` maps
         every node, in `nodes` order, to a list of distinct ints in
-        1..graph_n. The lists are kept, not copied.
+        1..graph_n, and graph_n itself is in some cluster, so graph_n is the
+        form's largest entry: grid_td, random_graph_with_td and
+        tree_to_width1_td cover every vertex. The lists are kept, not
+        copied.
         """
         td = cls.__new__(cls)
         neighbors = {i: [] for i in nodes}
         for a, b in edges:
             neighbors[a].append(b)
             neighbors[b].append(a)
-        td._set(nodes, neighbors, clusters, graph_n)
+        td._set(nodes, neighbors, clusters, graph_n, graph_n)
         return td
 
-    def _set(self, nodes, neighbors, clusters, graph_n):
+    def _set(self, nodes, neighbors, clusters, graph_n, top):
         """Fill the slots from the neighbor and cluster dicts, both in
         `nodes` order, and build the positional form from them: position p
         holds `nodes[p - 1]` and its lists. Where the ids are 1..k in that
         order they are the positions, and the form holds the neighbor
         dict's own lists; otherwise it maps them through one id to position
-        dict."""
+        dict. `top`, the largest cluster entry, is the caller's: no cluster
+        entry is read here."""
         k = len(nodes)
         if nodes == [*range(1, k + 1)]:
             ids, adj = range(k + 1), [[], *neighbors.values()]
         else:
             ids, at = [None, *nodes], dict(zip(nodes, range(1, k + 1)))
             adj = [[], *([at[j] for j in neighbors[i]] for i in nodes)]
-        by_position = [(), *clusters.values()]
-        top = max(itertools.chain.from_iterable(by_position), default=0)
-        self._form = _Form(ids, adj, by_position, ids.index(min(nodes)), top)
+        self._form = _Form(ids, adj, [(), *clusters.values()],
+                           ids.index(min(nodes)), top)
         self.nodes = nodes
         self.neighbors = neighbors
         self.clusters = clusters
@@ -171,8 +176,9 @@ class TreeDecomposition:
             edges = obj["edges"]
             graph_n = obj.get("graph_n")
             del obj  # its node records, before the copies
-            if graph_n is None:
-                graph_n = max((x for c in clusters.values() for x in c),
+            if graph_n is None:  # the largest int entry, for the checks
+                graph_n = max((x for c in clusters.values() if type(c) is list
+                               for x in c if type(x) is int and x > 0),
                               default=0)
             return cls(nodes, edges, clusters, graph_n)
         except (KeyError, TypeError, ValueError, RecursionError) as exc:
@@ -384,7 +390,8 @@ def make_nonredundant(td):
     out = TreeDecomposition.__new__(TreeDecomposition)
     nodes = list(form.ids[1:])
     out._set(nodes, dict(zip(nodes, islice(form.neighbors, 1, None))),
-             dict(zip(nodes, islice(form.clusters, 1, None))), td.graph_n)
+             dict(zip(nodes, islice(form.clusters, 1, None))), td.graph_n,
+             form.top)
     return out
 
 

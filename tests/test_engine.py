@@ -11,6 +11,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import Phase, find, given, settings, strategies as st
 
 from helpers import (
@@ -29,6 +30,8 @@ from helpers import (
     two_pass_plabeling,
 )
 from treecut import engine, labeling
+from treecut.approxcut import approximate_cut
+from treecut.cli import main
 from treecut.engine import (
     bound_value,
     doubling_step,
@@ -46,6 +49,7 @@ from treecut.errors import (
     InvalidDecomposition,
     TreecutError,
 )
+from treecut.fileio import save_td
 from treecut.generators import (
     grid_graph,
     grid_td,
@@ -752,16 +756,27 @@ def test_a_vertex_outside_the_graph_is_an_invalid_decomposition(m):
         exact_size_cut_linear(path_graph(3), td, m)
 
 
-def test_a_graph_n_far_above_the_clusters_sizes_no_array():
+def test_a_graph_n_far_above_the_clusters_sizes_no_array(tmp_path):
     """Per-vertex arrays span the graph's order and the largest cluster
     entry, not a graph_n the caller sets: with graph_n = 10**6 over the
-    3-vertex path, validating, cutting, normalizing and the public heaviest
-    path each peak under 1 MB."""
+    3-vertex path, validating, cutting, normalizing, the public heaviest
+    path, the public approximate cut and `treecut approx-cut` without a
+    graph, which refuses the uncovered vertex 4, each peak under 1 MB."""
     g = path_graph(3)
     td = TreeDecomposition([1, 2], [(1, 2)], {1: [1, 2], 2: [2, 3]}, 10 ** 6)
+    tp = str(tmp_path / "td.json")
+    save_td(td, tp)
+
+    def approx_cut_cmd():
+        res = CliRunner().invoke(main, ["approx-cut", "--td", tp, "--m", "2",
+                                        "--c", "1/2"])
+        assert res.exit_code == 2, res.output
+        assert "error: vertex 4 in no cluster" in res.output
+
     calls = [lambda: validate(g, td), lambda: make_nonredundant(td),
              lambda: heaviest_path(td), lambda: minimum_bisection(g, td),
-             *(lambda m=m: exact_size_cut_linear(g, td, m) for m in range(4))]
+             *(lambda m=m: exact_size_cut_linear(g, td, m) for m in range(4)),
+             lambda: approximate_cut(td, 2, Fraction(1, 2)), approx_cut_cmd]
     for call in calls:
         tracemalloc.start()
         try:

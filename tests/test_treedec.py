@@ -117,6 +117,24 @@ def test_from_json_rejects_non_int_cluster_entries(entry, graph_n):
         TreeDecomposition.from_json(json.dumps(obj))
 
 
+@pytest.mark.parametrize("cluster, message", [
+    ([1, "a"], "vertex 'a' in cluster 1 is not an int in 1..1"),
+    ([True], "vertex True in cluster 1 is not an int in 1..0"),
+    ([1, 2.5], "vertex 2.5 in cluster 1 is not an int in 1..1"),
+    ([-3], "vertex -3 in cluster 1 is not an int in 1..0"),
+    (5, "cluster 1 is not a list of vertices"),
+])
+def test_from_json_without_graph_n_names_the_bad_cluster(cluster, message):
+    """A file without "graph_n" defaults it to the largest int entry of
+    the list clusters, at least 0, so the constructor, not the default,
+    names what is wrong."""
+    text = json.dumps({"nodes": [{"id": 1, "cluster": cluster}],
+                       "edges": []})
+    with pytest.raises(DecompositionFormatError) as err:
+        TreeDecomposition.from_json(text)
+    assert str(err.value) == message
+
+
 NON_INT_IDS = ["b", 2.0, True, [2]]
 
 
