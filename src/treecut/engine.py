@@ -73,15 +73,18 @@ def legible_bound(t, delta, r):
 
 
 @dataclass
-class StepResult:
+class StepRecord:
+    """One doubling step as the cut's report keeps it: its case, the
+    vertices it added to B, the remainder's size (0 after a direct step)
+    and the path weight share before and after it (None when direct)."""
     kind: str                 # "direct", "back" or "forward"
-    b_vertices: list
-    z_vertices: list
+    b_added: int
+    z_size: int
     w_before: Fraction
     w_after: Fraction | None
 
 
-def doubling_step(pl, m, ops=UNCOUNTED):
+def doubling_step(pl, m, b, ops=UNCOUNTED):
     """One step of the cut construction on the current labeling state.
 
     The step is direct when some path-cluster label has its m-shift in a
@@ -90,13 +93,15 @@ def doubling_step(pl, m, ops=UNCOUNTED):
     enough labels with a path-cluster vertex m labels back or, failing that,
     m labels forward; back is tried before forward at each node.
 
-    Returns the vertices added to B and, unless the step was direct, the
-    remainder set Z. The labeling then shrinks in place to the instance
-    induced by Z (labels reassigned in ascending old-label order, path list
-    pruned, the anchor's hanging trees dropped) by slicing its label
-    arrays, and its path nodes and block ends by block, the blocks of Z's
-    first and last labels found by bisecting the ends; `pl.clusters`,
-    `pl.order` and `pl.parents` are left untouched. A Z whose labels wrap
+    Appends the vertices it cuts to `b`, the cut list of the driver, and
+    returns the step's StepRecord. Unless the step was direct, the
+    labeling then shrinks in place to the instance induced by the
+    remainder set Z (labels reassigned in ascending old-label order, path
+    list pruned, the anchor's hanging trees dropped) by slicing its label
+    arrays, index 0 included, and its path nodes and block ends by block,
+    the blocks of Z's first and last labels found by bisecting the ends;
+    `pl.clusters`, `pl.order` and `pl.parents` are left untouched. After
+    it, `pl.vertex_of[1:]` lists Z. A Z whose labels wrap
     around inside one block raises InternalInvariant, though the step
     rules it out: Z holds no more labels than the split node's hanging
     span, and its first and last labels, za and zb, are path-cluster
@@ -120,8 +125,8 @@ def doubling_step(pl, m, ops=UNCOUNTED):
     if both:
         lab = ((both & -both).bit_length() - 1) // 8 + 1
         ops.add(n + m)
-        return StepResult("direct", _circular(av, n, lab + 1, m), [],
-                          w_before, None)
+        b += _circular(av, n, lab + 1, m)
+        return StepRecord("direct", m, 0, w_before, None)
     # otherwise the path clusters cover at most half the vertices
     if 2 * rtot > n:
         raise InternalInvariant("direct case missed a crowded instance")
@@ -166,8 +171,8 @@ def doubling_step(pl, m, ops=UNCOUNTED):
         parent, local = pl.hanging_tree(i, a_i, rst_i, ops)
         res = approximate_cut(parent, local, s_size, mt, c, ops=ops)
         b2 = [av[k + a_i - 1] for k in res.b_vertices]
-    b = b1 + b2
-    if not len(b) <= m <= len(b) + z_len:
+    cut = b1 + b2
+    if not len(cut) <= m <= len(cut) + z_len:
         raise InternalInvariant("remainder cannot absorb the deficit")
     if 2 * z_len > n:
         raise InternalInvariant("remainder larger than half the instance")
@@ -176,17 +181,17 @@ def doubling_step(pl, m, ops=UNCOUNTED):
         raise InternalInvariant("path weight share failed to double")
     # Z in ascending old-label order: the blocks from za's to zb's or, when
     # its labels wrap around, those up to zb's, then those from za's,
-    # relabelled to follow; zb's block ends at zb. The anchor's hanging
-    # trees go with the blocks outside Z
+    # relabelled to follow; zb's block ends at zb. The first slice starts
+    # at the unused label 0, which holds 0 in both arrays. The anchor's
+    # hanging trees go with the blocks outside Z
     if za <= zb:
-        zverts, zflags = av[za:zb + 1], core[za:zb + 1]
+        head, tail = 1, zb + 1
         kept, gone = nodes[ja:jb + 1], nodes[:ja + 1] + nodes[jb + 1:]
         zends = array("l", [e - za + 1 for e in ends[ja:jb]] + [z_len])
     elif ja == jb:  # ruled out by the step itself: see the docstring
         raise InternalInvariant("remainder wraps inside one block")
     else:
-        zverts = av[1:zb + 1] + av[za:n + 1]
-        zflags = core[1:zb + 1] + core[za:n + 1]
+        head, tail = zb + 1, n + 1
         kept, gone = nodes[:jb + 1] + nodes[ja:], nodes[jb + 1:ja + 1]
         zends = ends[:jb] + array("l", [zb, *(e - za + 1 + zb
                                               for e in ends[ja:])])
@@ -194,11 +199,12 @@ def doubling_step(pl, m, ops=UNCOUNTED):
         pl.hang.pop(p, None)
     pl.path_nodes = kept
     pl.ends = zends
-    pl.vertex_of = [0] + zverts
-    pl.flags = b"\0" + zflags
+    pl.vertex_of = av[:head] + av[za:tail]
+    pl.flags = core[:head] + core[za:tail]
     pl.n = z_len
     ops.add(z_len + len(kept))
-    return StepResult(kind, b, zverts, w_before, w_after)
+    b += cut
+    return StepRecord(kind, len(cut), z_len, w_before, w_after)
 
 
 def _circular(vertex_of, n, start, count):
@@ -210,15 +216,6 @@ def _circular(vertex_of, n, start, count):
     if end <= n + 1:
         return vertex_of[start:end]
     return vertex_of[start:n + 1] + vertex_of[1:end - n]
-
-
-@dataclass
-class StepRecord:
-    kind: str
-    b_added: int
-    z_size: int
-    w_before: Fraction
-    w_after: Fraction | None
 
 
 @dataclass
@@ -270,17 +267,12 @@ def _check_coverage(pl, top, n):
             "clusters cover %d of %d vertices" % (pl.n, n))
 
 
-_FLIP = bytes([1, 0]) + bytes(range(2, 256))  # swaps the two sides
-
-
-def _other_side(side):
-    """The side array of the vertices that `side` leaves unmarked."""
-    other = side.translate(_FLIP)
-    other[0] = 0  # the unused id 0 stays on neither side
-    return other
-
-
 def _finish(g, t, m, b_total, steps, r0, ops, t_start):
+    """The CutReport of the cut `b_total`, once it is checked to hold m
+    distinct vertices of 1..n, the steps to fit log2(1/r0) + 1 and the
+    width to fit the bound; raises InternalInvariant otherwise. The width
+    is that of B's own side array, which cut_width sums over its smaller
+    side."""
     if len(b_total) != m:
         raise InternalInvariant("cut has %d vertices, wanted %d"
                                 % (len(b_total), m))
@@ -295,12 +287,7 @@ def _finish(g, t, m, b_total, steps, r0, ops, t_start):
         if side[v]:
             raise InternalInvariant("duplicate vertices in the cut")
         side[v] = 1
-    width = 0
-    if 0 < m < n:
-        small = side
-        if 2 * m > n:  # the same width, summed over the smaller side
-            small = _other_side(side)
-        width = cut_width(g, small)
+    width = cut_width(g, side)
     delta = max_degree(g)
     bound = bound_value(t, delta, r0)
     if width > bound:
@@ -339,12 +326,8 @@ def exact_size_cut_linear(g, td0, m):
     b_total = []
     steps = []
     while len(b_total) < m:
-        res = doubling_step(pl, m - len(b_total), ops=ops)
-        b_total.extend(res.b_vertices)
-        steps.append(StepRecord(res.kind, len(res.b_vertices),
-                                len(res.z_vertices), res.w_before,
-                                res.w_after))
-        if res.kind == "direct":
+        steps.append(doubling_step(pl, m - len(b_total), b_total, ops=ops))
+        if steps[-1].kind == "direct":
             break
     # the first step counts the path vertices of the whole instance
     r0 = steps[0].w_before if steps else pl.relative_weight()

@@ -77,21 +77,28 @@ def check_graph(g):
         raise GraphFormatError("g must be a Graph, not %s" % type(g).__name__)
 
 
+_FLIP = bytes([1, 0]) + bytes(range(2, 256))  # swaps the two sides
+
+
 def cut_width(g, side):
     """Number of edges of g whose endpoints lie on different sides.
 
     `side` is a bytes or bytearray of length n + 1 holding the side of each
     vertex at its index (index 0 unused): 1 for the vertices of one side B,
     0 for the others. Any other byte at 1..n raises PartitionInvalid. The
-    width is the degree sum over B minus the edge ends inside B, which
-    are the B neighbors of B's vertices.
+    width is the same over either side, so it is summed over the side with
+    fewer vertices, B on a tie: its degree sum minus the edge ends inside
+    it, which are its vertices' neighbors on the same side.
     """
     check_graph(g)
     if not isinstance(side, (bytes, bytearray)) or len(side) != g.n + 1:
         raise PartitionInvalid("side must be bytes or a bytearray of length %d"
                                % (g.n + 1))
-    if side.count(0, 1) + side.count(1, 1) != g.n:
+    ones = side.count(1, 1)
+    if side.count(0, 1) + ones != g.n:
         raise PartitionInvalid("side bytes must be 0 or 1")
+    if 2 * ones > g.n:  # index 0 may flip too: vertex 0 has no edges
+        side = side.translate(_FLIP)
     degrees = sum(map(len, compress(g.adj, side)))
     inside = sum(map(side.__getitem__,
                      chain.from_iterable(compress(g.adj, side))))

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from treecut import engine, treedec
 from treecut.approxcut import _cut_tree as approximate_cut
-from treecut.engine import StepRecord, StepResult, doubling_step
+from treecut.engine import doubling_step
 from treecut.errors import (
     BadSize,
     EmptyDecomposition,
@@ -458,16 +458,12 @@ def exact_size_cut(g, td0, m):
     b_total = []
     steps = []
     while len(b_total) < m:
-        if steps:
+        if steps:  # the last step left Z as its labeling's vertices
             cur_td = counted_nonredundant(
-                restrict(cur_td, None, set(res.z_vertices)), ops)
+                restrict(cur_td, None, set(pl.vertex_of[1:])), ops)
             pl = two_pass_plabeling(cur_td, ops=ops)
-        res = doubling_step(pl, m - len(b_total), ops=ops)
-        b_total.extend(res.b_vertices)
-        steps.append(StepRecord(res.kind, len(res.b_vertices),
-                                len(res.z_vertices), res.w_before,
-                                res.w_after))
-        if res.kind == "direct":
+        steps.append(doubling_step(pl, m - len(b_total), b_total, ops=ops))
+        if steps[-1].kind == "direct":
             break
     report = engine._finish(g, td.width() + 1, m, b_total, steps, r0, ops,
                             t_start)
@@ -493,7 +489,7 @@ def run_checked(g, td0, m):
     b_total = []
     kinds = []
     while m - len(b_total) > 0:
-        res = doubling_step(pl, m - len(b_total))
+        res = step_result(pl, m - len(b_total))
         kinds.append(res.kind)
         rem = m - len(b_total)
         if res.kind == "direct":
@@ -517,6 +513,29 @@ def run_checked(g, td0, m):
     assert len(b_total) == m
     assert len(kinds) <= 1 or Fraction(2) ** (len(kinds) - 1) <= 1 / r0
     return b_total, kinds, r0
+
+
+@dataclass
+class StepResult:
+    """One doubling step as the reference step returns it: the vertices
+    it added to B and, unless the step was direct, the remainder Z."""
+    kind: str                 # "direct", "back" or "forward"
+    b_vertices: list
+    z_vertices: list
+    w_before: Fraction
+    w_after: Fraction | None
+
+
+def step_result(pl, m, ops=UNCOUNTED):
+    """Run engine.doubling_step on `pl` and return it as a StepResult: B
+    read off the cut list handed to the step, Z off the shrunk labeling
+    (none after a direct step). Asserts that the step's record counts
+    both."""
+    b = []
+    rec = doubling_step(pl, m, b, ops=ops)
+    z = [] if rec.kind == "direct" else pl.vertex_of[1:]
+    assert (rec.b_added, rec.z_size) == (len(b), len(z))
+    return StepResult(rec.kind, b, z, rec.w_before, rec.w_after)
 
 
 def acceptance_corpus():

@@ -26,6 +26,7 @@ from helpers import (
     small_fixtures,
     span_form,
     spider_fixture,
+    step_result,
     tricut_width,
     two_pass_plabeling,
 )
@@ -144,7 +145,7 @@ def test_exact_cut_rejects_a_size_that_is_not_an_int(m):
 @pytest.mark.parametrize("m", NON_INT_SIZES)
 def test_doubling_step_rejects_a_size_that_is_not_an_int(m):
     with pytest.raises(BadSize):
-        doubling_step(two_pass_plabeling(p6_td()), m)
+        doubling_step(two_pass_plabeling(p6_td()), m, [])
 
 
 # a graph or decomposition of the wrong kind, not a malformed one
@@ -406,11 +407,11 @@ def test_finish_accepts_a_valid_cut():
 @pytest.mark.parametrize("b_total, width", [
     ([5, 1, 2], 3), ([2, 6, 4, 3], 3), ([6, 1, 3, 5, 4], 2),
     ([1, 2, 3, 4, 5], 1)])
-def test_finish_counts_the_width_over_the_smaller_side(monkeypatch,
-                                                      b_total, width):
-    """A cut of more than half the vertices hands cut_width the other
-    side, with byte 0 still 0; the width and the sorted B are those of
-    the cut itself."""
+def test_finish_hands_cut_width_the_side_of_b(monkeypatch, b_total, width):
+    """_finish hands cut_width B's own side array, with byte 0 still 0,
+    also for a cut of more than half the vertices (cut_width picks the
+    side it sums over: see test_graph.py); the width and the sorted B are
+    those of the cut itself."""
     sides = []
 
     def recording(g, side):
@@ -421,9 +422,7 @@ def test_finish_counts_the_width_over_the_smaller_side(monkeypatch,
     rep = _finish_path6(b_total)
     assert rep.width == width
     assert rep.b_vertices == sorted(b_total)
-    marked = set(b_total) if 2 * len(b_total) <= 6 else \
-        set(range(1, 7)) - set(b_total)
-    assert sides == [bytes(x in marked for x in range(7))]
+    assert sides == [bytes(x in b_total for x in range(7))]
 
 
 @pytest.mark.parametrize("b_total", [[1, 2, 2], [4, 4, 4], [1, 2, 3, 4, 5, 5]])
@@ -444,8 +443,9 @@ def test_finish_rejects_out_of_range_vertices(b_total):
 def _steps_agree(td, m):
     """Run the cut of size m step by step with doubling_step and with the
     reference step on two labelings built alike, the reference's in its
-    per-vertex form, asserting after each step the same StepResult, the
-    same shrunk labeling and the same ops. Returns each step's kind,
+    per-vertex form, asserting after each step the same StepResult (B
+    read off the cut list, Z off the shrunk labeling), the same shrunk
+    labeling and the same ops. Returns each step's kind,
     whether its labels wrapped past n and whether the flags it left read
     differently backwards, where a reversed slice would show."""
     pl = build_plabeling(normalize(td))
@@ -454,7 +454,7 @@ def _steps_agree(td, m):
     while m > 0:
         label_of = per_vertex(pl).label_of
         ops, ops_ref = OpsCounter(), OpsCounter()
-        res = doubling_step(pl, m, ops=ops)
+        res = step_result(pl, m, ops=ops)
         assert res == ref_doubling_step(ref, m, ops=ops_ref)
         shrunk = by_label(ref)
         assert (pl.n, pl.vertex_of, pl.flags, pl.ends, pl.path_nodes,
@@ -541,9 +541,9 @@ def _hand_built_step_agrees(blocks, m):
     except InternalInvariant as exc:
         with pytest.raises(InternalInvariant,
                            match="^%s$" % re.escape(str(exc))):
-            doubling_step(pl, m, ops=ops)
+            doubling_step(pl, m, [], ops=ops)
         return "raise"
-    assert doubling_step(pl, m, ops=ops) == want
+    assert step_result(pl, m, ops=ops) == want
     shrunk = by_label(ref)
     assert (pl.n, pl.vertex_of, pl.flags, pl.ends, pl.path_nodes,
             pl.hang) == (shrunk.n, shrunk.vertex_of, shrunk.flags,

@@ -1,4 +1,5 @@
 from decimal import Decimal
+from itertools import compress
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,7 @@ from helpers import (
     ref_longest_path_in_tree,
     ref_tree_to_width1_td,
 )
+from treecut import graph
 from treecut.errors import (
     BadFraction,
     BadSize,
@@ -104,6 +106,32 @@ def test_cut_width_with_one_side_empty(g):
     assert naive == 0
     assert cut_width(g, bytearray(g.n + 1)) == naive
     assert cut_width(g, bytes([1] * (g.n + 1))) == naive
+
+
+@pytest.mark.parametrize("b, width", [
+    ({5, 1, 2}, 3), ({2, 6, 4, 3}, 3), ({6, 1, 3, 5, 4}, 2),
+    ({1, 2, 3, 4, 5}, 1), (set(), 0), ({1, 2, 3, 4, 5, 6}, 0)])
+@pytest.mark.parametrize("kind", [bytes, bytearray])
+def test_cut_width_sums_over_the_smaller_side(monkeypatch, b, width, kind):
+    """cut_width hands compress the selectors of the side with fewer
+    vertices, the side marked 1 on a tie, and leaves the caller's array as
+    it was; the width is the cut's. The selector at index 0 is not read:
+    vertex 0 has no neighbors."""
+    selectors = []
+
+    def recording(data, sel):
+        selectors.append(bytes(sel[1:]))
+        return compress(data, sel)
+
+    monkeypatch.setattr(graph, "compress", recording)
+    g = path_graph(6)
+    assert g.adj[0] == []
+    side = kind(side_of(g, b))
+    before = bytes(side)
+    assert cut_width(g, side) == width
+    assert bytes(side) == before
+    marked = b if 2 * len(b) <= 6 else set(range(1, 7)) - b
+    assert selectors == [bytes(x in marked for x in range(1, 7))] * 2
 
 
 def test_cut_width_side_array_length_is_checked():

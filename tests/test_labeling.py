@@ -312,10 +312,10 @@ def _hanging_trees_agree(pl, m):
                                     for j in nodes if j != i)
             assert pl.ids[nodes[0]] == min(map(pl.ids.__getitem__, nodes))
             kept.add(nodes[0] == i)
-        res = doubling_step(pl, m)
-        if res.kind == "direct":
+        b = []
+        if doubling_step(pl, m, b).kind == "direct":
             break
-        m -= len(res.b_vertices)
+        m -= len(b)
     return kept
 
 

@@ -32,6 +32,8 @@ def test_tracer_finds_every_layer_and_count(monkeypatch):
     normalized = {}  # family -> counts of its make_nonredundant spans
     per_cut = []  # (non-direct steps, approximate cuts, subtree weights)
     paths = []  # heaviest-path spans per cut
+    widths = []  # cut_width spans per cut
+    directs = []  # (step spans, their direct counts), the same off the report
     try:
         for family, params, m in (
                 ("ternary", {"h": 4}, 60),
@@ -39,7 +41,7 @@ def test_tracer_finds_every_layer_and_count(monkeypatch):
                 ("grid", {"k": 4}, 8)):
             g, td = make_instance(family, **params)
             first = len(tracer.spans)
-            engine.exact_size_cut_linear(g, td, m)
+            _, report = engine.exact_size_cut_linear(g, td, m)
             spans = tracer.spans[first:]
             normalized[family] = [s[8] for s in spans
                                   if s[0] == "treedec.make_nonredundant"]
@@ -51,6 +53,12 @@ def test_tracer_finds_every_layer_and_count(monkeypatch):
                     if s[0] == "approxcut.compute_subtree_weights")))
             paths.append(sum(1 for s in spans
                              if s[0] == "treedec.heaviest_path"))
+            widths.append(sum(1 for s in spans if s[0] == "graph.cut_width"))
+            steps = [s[8]["direct"] for s in spans
+                     if s[0] == "engine.doubling_step"]
+            directs.append(((len(steps), sum(steps)), (
+                len(report.steps),
+                sum(1 for s in report.steps if s.kind == "direct"))))
         assert treedec.validate(g, td).ok  # the grid; ingest times this layer
     finally:
         tracer.uninstall()
@@ -66,6 +74,11 @@ def test_tracer_finds_every_layer_and_count(monkeypatch):
     assert any(cuts for _, cuts, _ in per_cut)
     # every labeling finds its path through the traced name, once per cut
     assert paths == [1, 1, 1]
+    # each cut counts its width once, and the tracer reads each step's
+    # case off the record the step returns
+    assert widths == [1, 1, 1]
+    assert all(spans == steps for spans, steps in directs)
+    assert any(direct for _, (_, direct) in directs)
     seen = {s[0] for s in tracer.spans}
     for name in ("engine.exact_size_cut_linear", "treedec.make_nonredundant",
                  "labeling.build_plabeling", "treedec.heaviest_path",

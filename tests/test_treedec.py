@@ -97,12 +97,31 @@ def test_size_and_width():
     assert single.width() == 6
 
 
+def _public_view(td):
+    return td.nodes, td.neighbors, td.clusters, td.graph_n
+
+
 def test_json_round_trip():
-    td = p6_td()
-    back = TreeDecomposition.from_json(td.to_json())
-    assert back.nodes == td.nodes
-    assert back.clusters == td.clusters
-    assert sorted(back.edges()) == sorted(td.edges())
+    """Saved and loaded again, a decomposition has the same nodes,
+    neighbor lists, clusters and graph_n, also where its edges were given
+    in another order than edges() lists them, some turned."""
+    y = y_shaped_td()
+    edges = [(9, 1), (4, 5), (1, 6), (3, 4), (7, 6), (2, 1), (2, 3), (8, 7)]
+    turned = TreeDecomposition(y.nodes[::-1], edges, y.clusters, y.graph_n)
+    assert turned.neighbors[1] == [9, 6, 2]
+    for td in (p6_td(), y, turned):
+        back = TreeDecomposition.from_json(td.to_json())
+        assert _public_view(back) == _public_view(td)
+        assert sorted(back.edges()) == sorted(td.edges())
+
+
+def test_a_decomposition_needs_a_node():
+    with pytest.raises(DecompositionFormatError,
+                       match="^a decomposition needs at least one node$"):
+        TreeDecomposition([], [], {}, 0)
+    with pytest.raises(DecompositionFormatError,
+                       match="^a decomposition needs at least one node$"):
+        TreeDecomposition.from_json('{"nodes": [], "edges": []}')
 
 
 @pytest.mark.parametrize("entry", ["a", 1.5, True])
@@ -445,6 +464,38 @@ def test_heavy_end_matches_the_node_sweep_random(inst):
     _check_heavy_end(inst[1])
 
 
+@st.composite
+def shuffled_tds(draw):
+    """redundant_tds() instances with their nodes and edges listed in a
+    random order, edges turned at random and, at random, the node ids
+    mapped to sparse negative ones or the decomposition contracted by
+    make_nonredundant; with an m in 1..n."""
+    g, td = draw(redundant_tds())
+    f = (lambda i: 7 * i - 1000) if draw(st.booleans()) else (lambda i: i)
+    edges = [(f(b), f(a)) if draw(st.booleans()) else (f(a), f(b))
+             for a, b in draw(st.permutations(list(td.edges())))]
+    td = TreeDecomposition([f(i) for i in draw(st.permutations(td.nodes))],
+                           edges, {f(i): c for i, c in td.clusters.items()},
+                           td.graph_n)
+    if draw(st.booleans()):
+        td = make_nonredundant(td)
+    return g, td, draw(st.integers(1, g.n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(shuffled_tds())
+def test_json_round_trip_rebuilds_the_neighbor_lists(inst):
+    """from_json(to_json(td)) has td's nodes, neighbor lists, clusters and
+    graph_n, and is cut as td is: the same B and the same step records."""
+    g, td, m = inst
+    back = TreeDecomposition.from_json(td.to_json())
+    assert _public_view(back) == _public_view(td)
+    b, report = exact_size_cut_linear(g, td, m)
+    b_back, report_back = exact_size_cut_linear(g, back, m)
+    assert b_back == b
+    assert report_back.steps == report.steps
+
+
 def _reachable(pl):
     """Ids of the containers reachable from labeling `pl` through its slots
     and through lists, tuples, dicts and sets."""
@@ -480,12 +531,12 @@ def test_a_cut_keeps_no_neighbor_lists_past_the_labeling(inst, data):
         seen["neighbors"] = [nbrs, *nbrs]
         return build_plabeling(norm, ops=ops)
 
-    def step(pl, m, ops):
+    def step(pl, m, b, ops):
         seen["steps"] += 1
         assert seen["record"]() is None
         reachable = _reachable(pl)
         assert not any(id(x) in reachable for x in seen["neighbors"])
-        return doubling_step(pl, m, ops=ops)
+        return doubling_step(pl, m, b, ops=ops)
 
     with mock.patch.object(engine, "build_plabeling", label), \
             mock.patch.object(engine, "doubling_step", step):
