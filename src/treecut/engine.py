@@ -93,16 +93,17 @@ def doubling_step(pl, m, b, ops=UNCOUNTED):
     enough labels with a path-cluster vertex m labels back or, failing that,
     m labels forward; back is tried before forward at each node.
 
-    Appends the vertices it cuts to `b`, the cut list of the driver, and
-    returns the step's StepRecord. Unless the step was direct, the
-    labeling then shrinks in place to the instance induced by the
-    remainder set Z (labels reassigned in ascending old-label order, path
-    list pruned, the anchor's hanging trees dropped) by slicing its label
-    arrays, index 0 included, and its path nodes and block ends by block,
-    the blocks of Z's first and last labels found by bisecting the ends;
-    `pl.clusters`, `pl.order` and `pl.parents` are left untouched. After
-    it, `pl.vertex_of[1:]` lists Z. A Z whose labels wrap
-    around inside one block raises InternalInvariant, though the step
+    Appends the vertices it cuts to `b`, the cut list that
+    exact_size_cut_linear builds, and returns the step's StepRecord.
+    Unless the step was direct, the labeling then shrinks in place to the
+    instance induced by the remainder set Z (labels reassigned in
+    ascending old-label order, path list pruned, the anchor's hanging
+    trees dropped) by slicing its label arrays, index 0 included, and its
+    path nodes and block ends by block, the blocks of Z's first and last
+    labels found by bisecting the ends; `pl.clusters`, `pl.order` and
+    `pl.parents` are left untouched. After it, `pl.vertex_of[1:]` lists
+    Z. A Z whose labels wrap around inside one block raises
+    InternalInvariant, though the step
     rules it out: Z holds no more labels than the split node's hanging
     span, and its first and last labels, za and zb, are path-cluster
     labels, which no hanging span holds. With both in one block and the
