@@ -25,11 +25,11 @@ class SubtreeWeights:
     """Per-node lists indexed by tree position, 0 being the root."""
     total: list          # vertices covered by the subtree at the position
     reduced: list        # total minus the overlap with the parent cluster
-    children: list       # child positions, heaviest reduced weight first
+    children: list       # child positions, highest position first
 
 
 def compute_subtree_weights(parent, clusters, n, ops=UNCOUNTED):
-    """Vertex counts per subtree, with children pre-sorted for the greedy.
+    """Vertex counts per subtree, and each position's children.
 
     The tree is two lists aligned by position: `parent[k]` is the position
     of k's parent, which comes before k, and `clusters[k]` lists distinct
@@ -37,9 +37,10 @@ def compute_subtree_weights(parent, clusters, n, ops=UNCOUNTED):
     the one mark array; position 0 is the root, whose parent entry is
     not read. `total[k]` counts distinct vertices in clusters at or below
     position k; `reduced[k]` subtracts those shared with the parent
-    cluster, so sibling reduced weights add up disjointly. Sorting uses one
-    counting sort over all nodes; equal reduced weights keep reverse
-    position order. The package built the tree, and its shape is trusted."""
+    cluster, so sibling reduced weights add up disjointly. `children[k]`
+    lists k's children unsorted, highest position first: the greedy ranks
+    them only at the nodes it visits. The package built the tree, and its
+    shape is trusted."""
     size = len(parent)
     total = list(map(len, clusters))  # plus the children's reduced weights
     seen = bytearray(n + 1)
@@ -53,29 +54,15 @@ def compute_subtree_weights(parent, clusters, n, ops=UNCOUNTED):
                 seen[x] = 1
         reduced.append(c)
     del seen
-    work = sum(total) + size
+    # the scan: an op per entry and per position; the accumulation: two
+    ops.add(sum(total) + 3 * size - 1)
+    children = [[] for _ in range(size)]
     for k in range(size - 1, 0, -1):
         r = reduced[k] = total[k] - reduced[k]
-        total[parent[k]] += r
+        p = parent[k]
+        total[p] += r
+        children[p].append(k)
     reduced[0] = total[0] - reduced[0]
-    work += 2 * size - 1
-    ops.add(work)
-    top = total[0]
-    # counting sort chained through two int lists: first[val] is the
-    # highest position of reduced weight val and after[k] the next lower
-    # one; 0, the root's position, ends a chain
-    first = [0] * (top + 1)
-    after = [0] * size
-    for k in range(1, size):
-        r = reduced[k]
-        after[k] = first[r]
-        first[r] = k
-    children = [[] for _ in range(size)]
-    for k in reversed(first):
-        while k:
-            children[parent[k]].append(k)
-            k = after[k]
-    ops.add(top + size)
     return SubtreeWeights(total, reduced, children)
 
 
@@ -128,25 +115,36 @@ def _cut_tree(parent, clusters, n, m, c, g=None, ops=UNCOUNTED):
     """approximate_cut on a tree the package built, in the form
     compute_subtree_weights reads, its entries in 1..n, which sizes the
     side array, with m and c already checked; the doubling step calls it
-    on a hanging tree."""
+    on a hanging tree.
+
+    The greedy ranks the children of the nodes it visits, and only those,
+    by reduced weight, then position, both descending; each round takes
+    its node's children in that rank while they fit. Each child ranked or
+    scanned counts one op."""
     sw = compute_subtree_weights(parent, clusters, n, ops=ops)
     y, yt, kids = sw.total, sw.reduced, sw.children
     if y[0] < m:
         raise BadSize("decomposition covers %d < m vertices" % y[0])
-    # deepest node whose subtree still covers m vertices, by position
+
+    def rank(j):
+        return yt[j], j
+
+    # deepest node whose subtree still covers m vertices
     i = 0
     while True:
-        nxt = next((j for j in kids[i] if y[j] >= m), None)
-        if nxt is None:
+        ops.add(len(kids[i]))
+        heavy = [j for j in kids[i] if y[j] >= m]
+        if not heavy:
             break
-        i = nxt
+        i = max(heavy, key=rank)
     in_b = bytearray(n + 1)
     bsize = 0
     rounds = 0
     while bsize <= c * m:
         rounds += 1
         rem = m - bsize
-        siblings = kids[i]
+        siblings = sorted(kids[i], key=rank, reverse=True)
+        ops.add(len(siblings))
         acc = 0
         take = 0
         for j in siblings:
@@ -192,8 +190,8 @@ def _cut_tree(parent, clusters, n, m, c, g=None, ops=UNCOUNTED):
         rem = m - bsize
         while j is not None and y[j] >= rem:
             i = j
-            j = kids[i][0] if kids[i] else None
-            ops.add(1)
+            j = max(kids[i], key=rank, default=None)
+            ops.add(len(kids[i]))
     b = list(compress(range(n + 1), in_b))
     ops.add(n)
     if not b or bsize > m:

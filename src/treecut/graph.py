@@ -22,7 +22,10 @@ class Graph:
             raise GraphFormatError("vertex count %r is not an int" % (n,))
         if n < 0:
             raise GraphFormatError("vertex count must be nonnegative")
-        adj = [[] for _ in range(n + 1)]
+        try:
+            adj = [[] for _ in range(n + 1)]
+        except MemoryError:
+            raise GraphFormatError("no memory for %d vertices" % n) from None
         seen = set()  # edge (u, v), u < v, as u * (n + 1) + v
         span = n + 1
         try:

@@ -572,15 +572,15 @@ class WeightReport:
     relative_weight: Fraction
 
 
-def _recording_sweep(form, start, ops=UNCOUNTED):
+def _recording_sweep(form, ops=UNCOUNTED):
     """The first sweep of the public heaviest_path(td), the one that reads
-    clusters: a DFS of td's positional form from position `start`,
+    clusters: a DFS of td's positional form from its root position,
     returning (fresh, chain).
 
     `fresh` holds, by position, the vertices of each cluster that no node
     met before held, and `chain` runs from the sweep's endpoint, the first
-    node in discovery order whose path from `start` holds the most
-    vertices, up to `start`. Under cluster connectivity a vertex met
+    node in discovery order whose path from the root holds the most
+    vertices, up to the root. Under cluster connectivity a vertex met
     before also lies in the parent's cluster, so `fresh[i]` is
     |C_i \\ C_parent|. A cut never runs it: normalization's pass hands
     these records on.
@@ -588,8 +588,8 @@ def _recording_sweep(form, start, ops=UNCOUNTED):
     clusters, neighbors = form.clusters, form.neighbors
     fresh, parent = [0] * len(neighbors), [0] * len(neighbors)
     seen = bytearray(form.top + 1)
-    best, best_w = start, -1
-    stack = [(start, 0, 0)]
+    best, best_w = form.root, -1
+    stack = [(best, 0, 0)]
     pop, push = stack.pop, stack.append
     while stack:
         i, p, w = pop()
@@ -608,7 +608,7 @@ def _recording_sweep(form, start, ops=UNCOUNTED):
                 push((j, i, w))
     ops.add(sum(map(len, clusters)) + len(neighbors) - 1)
     chain = [best]
-    while chain[-1] != start:
+    while chain[-1] != form.root:
         chain.append(parent[chain[-1]])
     return fresh, chain
 
@@ -708,7 +708,7 @@ def heaviest_path(td):
     """
     check_decomposition(td)
     form = td._form
-    path, weight, _ = _sweep_from(form, *_recording_sweep(form, form.root))
+    path, weight, _ = _sweep_from(form, *_recording_sweep(form))
     if not weight:
         raise EmptyDecomposition("every cluster is empty")
     return (list(map(form.ids.__getitem__, path)),

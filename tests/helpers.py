@@ -7,8 +7,10 @@ import time
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 
 from treecut import engine, treedec
+from treecut.approxcut import ApproxCutResult, SubtreeWeights
 from treecut.approxcut import _cut_tree as approximate_cut
 from treecut.engine import doubling_step
 from treecut.errors import (
@@ -19,7 +21,7 @@ from treecut.errors import (
     TreecutError,
 )
 from treecut.generators import make_instance, random_graph_with_td
-from treecut.graph import max_degree
+from treecut.graph import cut_width, max_degree
 from treecut.labeling import PLabeling
 from treecut.treedec import (
     TreeDecomposition,
@@ -344,7 +346,7 @@ def two_pass_plabeling(td, path_nodes=None, ops=UNCOUNTED):
     if path_nodes is None:
         # the public heaviest_path's two sweeps, counted into `ops`
         path_nodes = treedec._sweep_from(
-            form, *treedec._recording_sweep(form, form.root, ops), ops)[0]
+            form, *treedec._recording_sweep(form, ops), ops)[0]
     clusters, neighbors = form.clusters, form.neighbors
     path_set = set(path_nodes)
     is_pv = bytearray(form.top + 1)
@@ -717,6 +719,139 @@ def dfs_subtree_weights(td, ops=None):
     if ops is not None:
         ops.add(top + len(order))
     return DfsSubtreeWeights(root, order, parent, total, reduced, children)
+
+
+# The approximate cut whose subtree weights sorted every node's children
+# with one counting sort, before approxcut._cut_tree ranked only the
+# children of the nodes it visits, kept verbatim (renamed) as the reference
+# of the differential test in test_approxcut.py.
+def sorting_subtree_weights(parent, clusters, n, ops=UNCOUNTED):
+    """Vertex counts per subtree, with children pre-sorted for the greedy.
+
+    The tree is two lists aligned by position: `parent[k]` is the position
+    of k's parent, which comes before k, and `clusters[k]` lists distinct
+    vertices in 1..n, a vertex range that holds every entry, which sizes
+    the one mark array; position 0 is the root, whose parent entry is
+    not read. `total[k]` counts distinct vertices in clusters at or below
+    position k; `reduced[k]` subtracts those shared with the parent
+    cluster, so sibling reduced weights add up disjointly. Sorting uses one
+    counting sort over all nodes; equal reduced weights keep reverse
+    position order. The package built the tree, and its shape is trusted."""
+    size = len(parent)
+    total = list(map(len, clusters))  # plus the children's reduced weights
+    seen = bytearray(n + 1)
+    reduced = []  # the overlap with the parent cluster, then reduced weights
+    for cl in clusters:
+        c = 0
+        for x in cl:
+            if seen[x]:
+                c += 1  # recurring vertex: already in the parent cluster
+            else:
+                seen[x] = 1
+        reduced.append(c)
+    del seen
+    work = sum(total) + size
+    for k in range(size - 1, 0, -1):
+        r = reduced[k] = total[k] - reduced[k]
+        total[parent[k]] += r
+    reduced[0] = total[0] - reduced[0]
+    work += 2 * size - 1
+    ops.add(work)
+    top = total[0]
+    # counting sort chained through two int lists: first[val] is the
+    # highest position of reduced weight val and after[k] the next lower
+    # one; 0, the root's position, ends a chain
+    first = [0] * (top + 1)
+    after = [0] * size
+    for k in range(1, size):
+        r = reduced[k]
+        after[k] = first[r]
+        first[r] = k
+    children = [[] for _ in range(size)]
+    for k in reversed(first):
+        while k:
+            children[parent[k]].append(k)
+            k = after[k]
+    ops.add(top + size)
+    return SubtreeWeights(total, reduced, children)
+
+
+def sorting_cut_tree(parent, clusters, n, m, c, g=None, ops=UNCOUNTED):
+    """approximate_cut on a tree the package built, in the form
+    compute_subtree_weights reads, its entries in 1..n, which sizes the
+    side array, with m and c already checked; the doubling step calls it
+    on a hanging tree."""
+    sw = sorting_subtree_weights(parent, clusters, n, ops=ops)
+    y, yt, kids = sw.total, sw.reduced, sw.children
+    if y[0] < m:
+        raise BadSize("decomposition covers %d < m vertices" % y[0])
+    # deepest node whose subtree still covers m vertices, by position
+    i = 0
+    while True:
+        nxt = next((j for j in kids[i] if y[j] >= m), None)
+        if nxt is None:
+            break
+        i = nxt
+    in_b = bytearray(n + 1)
+    bsize = 0
+    rounds = 0
+    while bsize <= c * m:
+        rounds += 1
+        rem = m - bsize
+        siblings = kids[i]
+        acc = 0
+        take = 0
+        for j in siblings:
+            if acc + yt[j] <= rem:
+                acc += yt[j]
+                take += 1
+            else:
+                break
+        added = 0
+        for j in siblings[:take]:
+            stack = [j]
+            while stack:
+                h = stack.pop()
+                for x in clusters[h]:
+                    if not in_b[x]:
+                        in_b[x] = 1
+                        added += 1
+                stack.extend(kids[h])
+                ops.add(len(clusters[h]) + 1)
+        # subtree sweeps also collected the current cluster; strip it
+        for x in clusters[i]:
+            if in_b[x]:
+                in_b[x] = 0
+                added -= 1
+        ops.add(len(clusters[i]))
+        if added != acc:
+            raise InternalInvariant("reduced weights out of sync with sweep")
+        bsize += added
+        if take == len(siblings):
+            # everything below fits; settle the difference inside the cluster
+            need = m - bsize
+            for x in clusters[i]:
+                if need == 0:
+                    break
+                if not in_b[x]:
+                    in_b[x] = 1
+                    bsize += 1
+                    need -= 1
+            if need:
+                raise InternalInvariant("cluster too small for the remainder")
+            break
+        j = siblings[take]
+        rem = m - bsize
+        while j is not None and y[j] >= rem:
+            i = j
+            j = kids[i][0] if kids[i] else None
+            ops.add(1)
+    b = list(compress(range(n + 1), in_b))
+    ops.add(n)
+    if not b or bsize > m:
+        raise InternalInvariant("part size %d escaped (0, m]" % bsize)
+    width = None if g is None else cut_width(g, in_b)
+    return ApproxCutResult(b, rounds, width)
 
 
 # The union-find normalization that treedec.normalize replaced, kept as the

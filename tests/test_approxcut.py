@@ -5,7 +5,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import dfs_subtree_weights, p6_td, rerooted_listing
+from helpers import (
+    dfs_subtree_weights,
+    p6_td,
+    rerooted_listing,
+    sorting_cut_tree,
+    vertex_count,
+)
 from treecut import approxcut
 from treecut.approxcut import approximate_cut, compute_subtree_weights
 from treecut.errors import (
@@ -47,10 +53,14 @@ def _public_walk(td):
     return pairs
 
 
+def _listing(td):
+    """(nodes, parent, clusters) of td as the public cut lists it."""
+    return rerooted_listing(min(td.nodes), _public_walk(td), td.clusters)
+
+
 def _weights(td):
     """(nodes, SubtreeWeights) of td as the public cut lists it."""
-    nodes, parent, clusters = rerooted_listing(min(td.nodes), _public_walk(td),
-                                               td.clusters)
+    nodes, parent, clusters = _listing(td)
     return nodes, compute_subtree_weights(parent, clusters, td.graph_n)
 
 
@@ -59,9 +69,13 @@ def _by_node(nodes, values):
     return dict(zip(nodes, values))
 
 
-def _children_by_node(nodes, sw):
-    """SubtreeWeights' child positions as node ids, keyed by node id."""
-    return {nodes[k]: [nodes[j] for j in kids]
+def _ranked_children(nodes, sw):
+    """SubtreeWeights' child positions as node ids, keyed by node id, each
+    list ranked as the greedy ranks it: by reduced weight, then position,
+    both descending."""
+    def rank(j):
+        return sw.reduced[j], j
+    return {nodes[k]: [nodes[j] for j in sorted(kids, key=rank, reverse=True)]
             for k, kids in enumerate(sw.children)}
 
 
@@ -84,11 +98,17 @@ def test_subtree_weights_single_node():
 
 
 def test_children_sorted_by_reduced_weight():
+    """Each position's children are listed highest position first, and the
+    greedy's rank orders them by reduced weight, heaviest first."""
     for seed in range(15):
         _, td0 = random_graph_with_td(22, 3, seed)
         td = make_nonredundant(td0)
-        nodes, sw = _weights(td)
-        children = _children_by_node(nodes, sw)
+        nodes, parent, clusters = _listing(td)
+        sw = compute_subtree_weights(parent, clusters, td.graph_n)
+        for k, kids in enumerate(sw.children):
+            assert kids == [j for j in range(len(parent) - 1, 0, -1)
+                            if parent[j] == k]
+        children = _ranked_children(nodes, sw)
         reduced = _by_node(nodes, sw.reduced)
         for i in td.nodes:
             kids = children[i]
@@ -127,7 +147,10 @@ def _hanging_walk(td, w):
 def _assert_same_weights(ref_td, root, pairs):
     """compute_subtree_weights on the tree `root` plus `pairs` over ref_td's
     clusters, rooted at its smallest node (see rerooted_listing), equals
-    the DFS reference on ref_td, ops included."""
+    the DFS reference on ref_td: the same totals and reduced weights, the
+    children ranked as the greedy ranks them in the reference's bucket
+    order, and the ops of the reference's weights, its bucket sort's
+    (`top + len(order)`) left out."""
     ops_ref, ops_new = OpsCounter(), OpsCounter()
     ref = dfs_subtree_weights(ref_td, ops=ops_ref)
     nodes, parent, clusters = rerooted_listing(root, pairs, ref_td.clusters)
@@ -136,8 +159,9 @@ def _assert_same_weights(ref_td, root, pairs):
     assert nodes[0] == ref.root
     assert _by_node(nodes, new.total) == ref.total
     assert _by_node(nodes, new.reduced) == ref.reduced
-    assert _children_by_node(nodes, new) == ref.children
-    assert ops_new.total == ops_ref.total
+    assert _ranked_children(nodes, new) == ref.children
+    work = ops_ref.total - (ref.total[ref.root] + len(ref.order))
+    assert ops_new.total == work
     return nodes, new
 
 
@@ -169,12 +193,11 @@ def test_public_cut_lists_the_decomposition_as_the_pair_walk_does(td):
     assert handed == [(parent, clusters, td.graph_n, 1, 0.5, None)]
 
 
-def test_children_of_a_tie_heavy_rerooted_tree_follow_the_bucket_order():
-    """Many siblings of equal reduced weight under two hubs, listed from
-    node 100 but re-rooted at node 1 two levels down, and a total far above
-    the node count, so most weights hold no node: the chained counting sort
-    orders children as the reference's buckets do."""
-    clusters = {100: list(range(1, 301))}  # 300 vertices, far above 63 nodes
+def _tie_heavy_td():
+    """Many siblings of equal reduced weight under two hubs, 50 and 100,
+    and under node 1, two levels below node 100; 300 vertices at node 100
+    alone, far above the 63 nodes."""
+    clusters = {100: list(range(1, 301))}
     edges = []
     nxt = 301
 
@@ -194,18 +217,64 @@ def test_children_of_a_tie_heavy_rerooted_tree_follow_the_bucket_order():
     own = nxt - 1
     for k in range(8):                          # ties under the new root too
         add(200 + k, 1, own, 1)
-    td = TreeDecomposition(list(clusters), edges, clusters, nxt - 1)
-    assert validate(Graph(nxt - 1, []), td).ok
+    return TreeDecomposition(list(clusters), edges, clusters, nxt - 1)
+
+
+def test_children_of_a_tie_heavy_rerooted_tree_follow_the_bucket_order():
+    """The tie-heavy tree listed from node 100 but re-rooted at node 1, and
+    a total far above the node count, so most weights hold no node: the
+    greedy's rank orders children as the reference's buckets do."""
+    td = _tie_heavy_td()
+    assert validate(Graph(td.graph_n, []), td).ok
     pairs = _hanging_walk(td, 100)
     ref_td = TreeDecomposition([100] + [c for c, _ in pairs],
-                               [(p, c) for c, p in pairs], clusters, nxt - 1)
+                               [(p, c) for c, p in pairs], td.clusters,
+                               td.graph_n)
     nodes, sw = _assert_same_weights(ref_td, 100, pairs)
     reduced = _by_node(nodes, sw.reduced)
     assert nodes[0] == 1
     assert sw.total[0] > 5 * len(nodes)
     assert len(set(sw.reduced)) < len(nodes) // 4
-    hub = _children_by_node(nodes, sw)[50]
+    hub = _ranked_children(nodes, sw)[50]
     assert [reduced[j] for j in hub] == [5] * 10 + [3] * 20
+
+
+def _cluster_graph(td):
+    """A graph td decomposes: each cluster's sorted entries joined in a
+    path."""
+    edges = set()
+    for cl in td.clusters.values():
+        xs = sorted(cl)
+        edges.update(zip(xs, xs[1:]))
+    return Graph(td.graph_n, edges)
+
+
+@settings(max_examples=100, deadline=None)
+@given(decompositions(), st.randoms(use_true_random=False),
+       st.integers(0, 10 ** 6), st.integers(1, 99))
+def test_cut_matches_the_sorting_reference(td, rnd, m_raw, c_pct):
+    """The greedy, which ranks only the children of the nodes it visits,
+    picks the B, rounds and width of the reference that sorted every
+    node's children: on the public listing, on the trees hanging from
+    drawn nodes, and on the tie-heavy tree, at sizes spread from a drawn
+    one and a drawn c."""
+    c = Fraction(c_pct, 100)
+    tie = _tie_heavy_td()
+    trees = [(td, _listing(td)),
+             (tie, rerooted_listing(100, _hanging_walk(tie, 100),
+                                    tie.clusters))]
+    for w in rnd.sample(td.nodes, min(3, len(td.nodes))):
+        trees.append((td, rerooted_listing(w, _hanging_walk(td, w),
+                                           td.clusters)))
+    for t, (_, parent, clusters) in trees:
+        g = _cluster_graph(t)
+        count = vertex_count(t)
+        step = -(-count // 40)  # up to 40 sizes per tree, from a drawn one
+        for m in range(1 + m_raw % step, count + 1, step):
+            new = approxcut._cut_tree(parent, clusters, t.graph_n, m, c, g)
+            ref = sorting_cut_tree(parent, clusters, t.graph_n, m, c, g)
+            assert new.b_vertices == ref.b_vertices
+            assert (new.rounds, new.width) == (ref.rounds, ref.width)
 
 
 def test_p6_half():

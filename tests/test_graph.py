@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 from decimal import Decimal
 from itertools import compress
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -85,6 +89,38 @@ def test_construction_keeps_its_messages():
         Graph(3, [(1, 2), (2, 1)])
     with pytest.raises(GraphFormatError, match="nonnegative"):
         Graph(-1, [])
+
+
+# a child process under a 1 GiB address space limit builds a graph that
+# names 1e9 vertices and no edge, and prints what the constructor raised
+_HUGE_ORDER = """
+import resource
+from treecut.errors import GraphFormatError
+from treecut.graph import Graph
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+cap = 1 << 30 if hard == resource.RLIM_INFINITY else min(1 << 30, hard)
+resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+try:
+    Graph(10 ** 9, [])
+except GraphFormatError as exc:
+    print(exc)
+"""
+
+
+def test_an_order_beyond_memory_is_a_format_error():
+    """The adjacency lists are built before any edge is read, so the order
+    a file names alone can exhaust memory: that ends as GraphFormatError
+    naming the order, not MemoryError."""
+    resource = pytest.importorskip("resource")
+    if not hasattr(resource, "RLIMIT_AS"):
+        pytest.skip("no address space limit on this platform")
+    src = str(Path(graph.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", _HUGE_ORDER],
+                         capture_output=True, text=True, timeout=120,
+                         env=dict(os.environ, PYTHONPATH=path))
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "no memory for 1000000000 vertices\n"
 
 
 def test_cut_width_star():

@@ -410,8 +410,7 @@ def _check_handed_records(td):
     rec = normalize(td)
     if rec.vertex_of is not None:
         return False
-    assert rec.first_sweep == treedec._recording_sweep(rec.form,
-                                                       rec.form.root)
+    assert rec.first_sweep == treedec._recording_sweep(rec.form)
     return rec.form is not td._form
 
 
@@ -569,7 +568,7 @@ def _check_node_sweep(td, rng):
     reference's parents."""
     form, root = td._form, min(td.nodes)
     ids, at = form.ids, {i: p for p, i in enumerate(td.nodes, 1)}
-    fresh, chain = treedec._recording_sweep(form, form.root)
+    fresh, chain = treedec._recording_sweep(form)
     end, _, up = ref_weight_sweep(td, root)
     assert [ids[p] for p in chain] == ref_path(root, end, up)[::-1]
     assert len(fresh) == len(td.nodes) + 1
@@ -787,7 +786,7 @@ def test_covering_path_decomposition_cut_reads_no_cluster_in_heaviest_path(
     covering labeling's n label stores against the labeling's cluster
     pass, which reads every cluster entry and every node."""
     g, td = make_instance("grid", k=20)
-    records = (treedec._recording_sweep(td._form, td._form.root)[0],
+    records = (treedec._recording_sweep(td._form)[0],
                [td._form.root])
     normalize = engine.make_nonredundant
 
