@@ -18,6 +18,7 @@ from .errors import InvalidDecomposition, TreecutError
 from .fileio import load_graph, load_td, save_graph, save_td
 from .generators import make_instance
 from .graph import Graph
+from . import oracle
 from .oracle import (
     brute_force_min_bisection,
     brute_force_min_cut_size_m,
@@ -225,7 +226,7 @@ def approx_cut_cmd(td_path, m, c_str, graph_path):
 def oracle_cmd(graph_path, m, method):
     """Exact minimum cut width by exhaustive search or tree DP."""
     g = load_graph(graph_path)
-    if method == "tree-dp" or (method == "auto" and g.n > 24):
+    if method == "tree-dp" or method == "auto" and g.n > oracle._BRUTE_LIMIT:
         width = tree_dp_min_bisection(g, m)
         click.echo("min width: %d (tree DP)" % width)
     else:

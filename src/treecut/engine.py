@@ -257,12 +257,10 @@ def _ratio(x):
     return None if x is None else "%d/%d" % (x.numerator, x.denominator)
 
 
-def _check_coverage(pl, top, n):
-    """Raise InvalidDecomposition unless the labeling `pl`, whose largest
-    cluster vertex is `top`, labels exactly the graph's vertices 1..n."""
-    if top > n:
-        raise InvalidDecomposition("vertex %d lies outside the graph's 1..%d"
-                                   % (top, n))
+def _check_coverage(pl, n):
+    """Raise InvalidDecomposition unless the labeling `pl` labels as many
+    vertices as the graph's 1..n; the drivers have already checked that
+    no cluster vertex lies above n."""
     if pl.n != n:
         raise InvalidDecomposition(
             "clusters cover %d of %d vertices" % (pl.n, n))
@@ -316,14 +314,17 @@ def exact_size_cut_linear(g, td0, m):
     check_graph(g)
     check_decomposition(td0)
     check_int(BadSize, "m", m, 0, g.n)
+    if td0._form.top > g.n:  # before normalize sizes arrays by it
+        raise InvalidDecomposition("vertex %d lies outside the graph's 1..%d"
+                                   % (td0._form.top, g.n))
     ops = OpsCounter()
     t_start = time.perf_counter()
     norm = make_nonredundant(td0, ops=ops)
     # t is the normalized decomposition's largest cluster size
-    t, top = max(map(len, norm.form.clusters)), norm.form.top
+    t = max(map(len, norm.form.clusters))
     pl = build_plabeling(norm, ops=ops)
     del norm  # no later phase reads the record
-    _check_coverage(pl, top, g.n)
+    _check_coverage(pl, g.n)
     b_total = []
     steps = []
     while len(b_total) < m:

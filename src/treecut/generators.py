@@ -202,7 +202,8 @@ def make_instance(family, **kw):
     `hairs`, `width` and each leg), a bool or None included, and a `legs`
     that is not a list or tuple raise BadSize, whether the family reads
     them or not. The family functions check the rest: a `seed` raises
-    BadSize and an `edge_prob` BadFraction where the family reads it.
+    BadSize and an `edge_prob` BadFraction where the family reads it. A
+    size whose instance does not fit in memory raises BadSize too.
     """
     size = _SIZE_KEY.get(family) if type(family) is str else None
     if size is not None and kw.get(size) is None:
@@ -211,23 +212,27 @@ def make_instance(family, **kw):
     for key, lo in _SIZES.items():
         if key in kw:
             check_int(BadSize, key, kw[key], lo)
-    if family == "path":
-        g = path_graph(kw["n"])
-    elif family == "star":
-        g = star_graph(kw["n"] - 1)
-    elif family == "spider":
-        g = spider_graph(kw.get("legs", [3, 3, 3]))
-    elif family == "caterpillar":
-        g = caterpillar_graph(kw.get("spine", 5), kw.get("hairs", 2))
-    elif family == "ternary":
-        g = ternary_tree(kw["h"])
-    elif family == "random-tree":
-        g = random_tree(kw["n"], kw.get("seed", 0))
-    elif family == "grid":
-        return grid_graph(kw["k"]), grid_td(kw["k"])
-    elif family == "random-td":
-        return random_graph_with_td(kw["n"], kw.get("width", 3),
-                                    kw.get("seed", 0), kw.get("edge_prob", 0.5))
-    else:
-        raise TreecutError("unknown family %r" % (family,))
-    return g, tree_to_width1_td(g)
+    try:
+        if family == "path":
+            g = path_graph(kw["n"])
+        elif family == "star":
+            g = star_graph(kw["n"] - 1)
+        elif family == "spider":
+            g = spider_graph(kw.get("legs", [3, 3, 3]))
+        elif family == "caterpillar":
+            g = caterpillar_graph(kw.get("spine", 5), kw.get("hairs", 2))
+        elif family == "ternary":
+            g = ternary_tree(kw["h"])
+        elif family == "random-tree":
+            g = random_tree(kw["n"], kw.get("seed", 0))
+        elif family == "grid":
+            return grid_graph(kw["k"]), grid_td(kw["k"])
+        elif family == "random-td":
+            return random_graph_with_td(kw["n"], kw.get("width", 3),
+                                        kw.get("seed", 0),
+                                        kw.get("edge_prob", 0.5))
+        else:
+            raise TreecutError("unknown family %r" % (family,))
+        return g, tree_to_width1_td(g)
+    except MemoryError:
+        raise BadSize("no memory for family %r" % (family,)) from None

@@ -53,11 +53,13 @@ def brute_force_min_bisection(g):
 def tree_dp_min_bisection(g, m=None):
     """Minimum bisection width of a tree by subtree dynamic programming.
 
-    States are (black count in subtree, color of the subtree root); merging
-    works like a knapsack over children. Quadratic overall, capped at
-    n=5000. `m` is the black vertex count, n//2 when omitted; one that is
-    not an int in 0..n raises BadSize, a g that is not a Graph
-    GraphFormatError.
+    Two lists per vertex v: white[v][k] and black[v][k] hold the least
+    width inside v's subtree when it has k black vertices and v is white or
+    black. Each child's lists, folded into their best values under a white
+    and under a black parent, are merged into v's by one knapsack loop.
+    Quadratic overall, capped at n=5000. `m` is the black vertex count,
+    n//2 when omitted; one that is not an int in 0..n raises BadSize, a g
+    that is not a Graph GraphFormatError.
     """
     check_graph(g)
     if not g.is_tree():
@@ -69,48 +71,33 @@ def tree_dp_min_bisection(g, m=None):
         m = n // 2
     check_int(BadSize, "m", m, 0, n)
     inf = float("inf")
-    root = 1
-    parent = [0] * (n + 1)
-    order = [root]
-    parent[root] = -1
-    head = 0
-    while head < len(order):
-        v = order[head]
-        head += 1
+    parent = [0, -1] + [0] * (n - 1)  # the root, vertex 1, has none
+    order = [1]
+    for v in order:  # breadth-first: the list grows while it is walked
         for w in g.adj[v]:
-            if parent[w] == 0 and w != root:
+            if not parent[w]:
                 parent[w] = v
                 order.append(w)
-    tables = {}
-    sizes = {}
+    white, black = [None] * (n + 1), [None] * (n + 1)
     for v in reversed(order):
-        dp = [[0, inf], [inf, 0]]  # dp[k][color], leaf: k matches color
-        size = 1
+        wv, bv = [0, inf], [inf, 0]  # v alone: k = 0 white, k = 1 black
         for c in g.adj[v]:
             if parent[c] != v:
                 continue
-            dc = tables.pop(c)
-            sc = sizes[c]
-            merged = [[inf, inf] for _ in range(size + sc + 1)]
-            for k1 in range(size + 1):
-                row1 = dp[k1]
-                for k2 in range(sc + 1):
-                    row2 = dc[k2]
-                    cell = merged[k1 + k2]
-                    for cv in (0, 1):
-                        a = row1[cv]
-                        if a == inf:
-                            continue
-                        for cc in (0, 1):
-                            b = row2[cc]
-                            if b == inf:
-                                continue
-                            cost = a + b + (cv != cc)
-                            if cost < cell[cv]:
-                                cell[cv] = cost
-            dp = merged
-            size += sc
-        tables[v] = dp
-        sizes[v] = size
-    final = tables[root][m]
-    return int(min(final))
+            # the child's best value under a white and under a black parent
+            cw = [min(w, b + 1) for w, b in zip(white[c], black[c])]
+            cb = [min(w + 1, b) for w, b in zip(white[c], black[c])]
+            white[c] = black[c] = None
+            nw = [inf] * (len(wv) + len(cw) - 1)
+            nb = nw[:]
+            if len(wv) > len(cw):  # the longer pair in the inner loop
+                wv, bv, cw, cb = cw, cb, wv, bv
+            for i, (a, b) in enumerate(zip(wv, bv)):
+                for k, x, y in zip(range(i, i + len(cw)), cw, cb):
+                    if a + x < nw[k]:
+                        nw[k] = a + x
+                    if b + y < nb[k]:
+                        nb[k] = b + y
+            wv, bv = nw, nb
+        white[v], black[v] = wv, bv
+    return int(min(white[1][m], black[1][m]))

@@ -260,16 +260,24 @@ def validate(g, td):
     the other endpoint (Gavril's subtree-intersection lemma); that is tested
     right after the cluster is read. Once connectivity fails, the edge check
     falls back to cluster sets. The walk reads td's positional form, and
-    its stamps span the graph's order and the largest cluster entry, not
-    graph_n. A `g` that is not a Graph raises GraphFormatError, and a `td`
-    that is not a TreeDecomposition DecompositionFormatError.
+    its stamps span the graph's order plus one slot per distinct cluster
+    entry above it, not graph_n or the largest entry; such entries are
+    numbered upward from g.n + 1 on copies of the clusters, and a witness
+    names the original vertex. A `g` that is not a Graph raises
+    GraphFormatError, and a `td` that is not a TreeDecomposition
+    DecompositionFormatError.
     """
     check_graph(g)
     check_decomposition(td)
     gn, adj = g.n, g.adj
     form = td._form
-    n = max(gn, form.top)
     clusters, neighbors = form.clusters, form.neighbors
+    above = ()  # the distinct entries above gn, ascending
+    if form.top > gn:  # entry above[i] is stamped as vertex gn + 1 + i
+        above = sorted({x for c in clusters for x in c if x > gn})
+        rank = dict(zip(above, range(gn + 1, gn + 1 + len(above))))
+        clusters = [[rank.get(x, x) for x in c] for c in clusters]
+    n = gn + len(above)
     top = [0] * (n + 1)   # walk position of the node heading x's first subtree
     mark = [0] * (n + 1)  # position of the parent whose children are scanned
     own = [0] * (n + 1)   # position of the child scanned last
@@ -323,7 +331,7 @@ def validate(g, td):
                        for x in uncovered for w in adj[x]), None)
     if foreign is not None:
         witness = "cluster %r holds foreign vertex %r" % (
-            form.ids[order[top[foreign] - 1]], foreign)
+            form.ids[order[top[foreign] - 1]], above[foreign - gn - 1])
     elif uncovered:
         witness = "vertex %r in no cluster" % (uncovered[0],)
     elif misfit is not None:

@@ -3,12 +3,19 @@ reference driver, the checked step-by-step runner used by several tests,
 and exact references that only tests use."""
 import itertools
 import math
+import os
+import subprocess
+import sys
 import time
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
+from pathlib import Path
 
+import pytest
+
+import treecut
 from treecut import engine, treedec
 from treecut.approxcut import ApproxCutResult, SubtreeWeights
 from treecut.approxcut import _cut_tree as approximate_cut
@@ -17,6 +24,7 @@ from treecut.errors import (
     BadSize,
     EmptyDecomposition,
     InternalInvariant,
+    InvalidDecomposition,
     NotATree,
     TreecutError,
 )
@@ -450,11 +458,14 @@ def exact_size_cut(g, td0, m):
     """
     if not 0 <= m <= g.n:
         raise BadSize("m=%r outside 0..%d" % (m, g.n))
+    if td0._form.top > g.n:
+        raise InvalidDecomposition("vertex %d lies outside the graph's 1..%d"
+                                   % (td0._form.top, g.n))
     ops = OpsCounter()
     t_start = time.perf_counter()
     td = counted_nonredundant(td0, ops)
     pl = two_pass_plabeling(td, ops=ops)
-    engine._check_coverage(pl, td._form.top, g.n)
+    engine._check_coverage(pl, g.n)
     r0 = pl.relative_weight()
     cur_td = td
     b_total = []
@@ -1326,3 +1337,30 @@ def ref_tree_to_width1_td(g):
             edges.append((node_of[v], node_of[p]))
     return TreeDecomposition._trusted(list(range(1, len(order) + 1)), edges,
                                       clusters, g.n)
+
+
+# the prologue of a child process: its address space capped at 1 GiB
+_CAP_AS = """
+import resource
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+cap = 1 << 30 if hard == resource.RLIM_INFINITY else min(1 << 30, hard)
+resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+"""
+
+
+def run_capped(code):
+    """Run the Python source `code` in a child process whose address space
+    is capped at 1 GiB, with this checkout's package importable, and return
+    what it printed; the child can import this module too. A nonzero exit
+    fails the calling test; a platform without the limit skips it."""
+    resource = pytest.importorskip("resource")
+    if not hasattr(resource, "RLIMIT_AS"):
+        pytest.skip("no address space limit on this platform")
+    dirs = [str(Path(treecut.__file__).resolve().parents[1]),
+            str(Path(__file__).resolve().parent), os.environ.get("PYTHONPATH")]
+    path = os.pathsep.join(filter(None, dirs))
+    run = subprocess.run([sys.executable, "-c", _CAP_AS + code],
+                         capture_output=True, text=True, timeout=120,
+                         env=dict(os.environ, PYTHONPATH=path))
+    assert run.returncode == 0, run.stderr
+    return run.stdout

@@ -22,6 +22,7 @@ from helpers import (
     p6_td,
     per_vertex,
     ref_doubling_step,
+    run_capped,
     run_checked,
     small_fixtures,
     span_form,
@@ -754,6 +755,31 @@ def test_a_vertex_outside_the_graph_is_an_invalid_decomposition(m):
     td = TreeDecomposition([1, 2], [(1, 2)], {1: [1, 2], 2: [2, 4]}, 4)
     with pytest.raises(InvalidDecomposition, match="vertex 4 lies outside"):
         exact_size_cut_linear(path_graph(3), td, m)
+
+
+def test_an_entry_far_above_the_graph_is_refused_before_normalizing():
+    """The drivers compare the largest cluster entry with the graph's order
+    before normalization sizes arrays by it: under a 1 GiB address space
+    limit an entry of 1e12 raises InvalidDecomposition, not MemoryError, at
+    every m, from the bisection and from the reference driver too."""
+    out = run_capped("""
+from helpers import exact_size_cut
+from treecut.engine import exact_size_cut_linear, minimum_bisection
+from treecut.errors import InvalidDecomposition
+from treecut.generators import path_graph
+from treecut.treedec import TreeDecomposition
+g = path_graph(3)
+td = TreeDecomposition([1, 2], [(1, 2)], {1: [1, 2], 2: [2, 3, 10 ** 12]},
+                       10 ** 12)
+calls = [lambda m=m: exact_size_cut_linear(g, td, m) for m in range(4)]
+calls += [lambda: minimum_bisection(g, td), lambda: exact_size_cut(g, td, 1)]
+for call in calls:
+    try:
+        call()
+    except InvalidDecomposition as exc:
+        print(exc)
+""")
+    assert out == "vertex 1000000000000 lies outside the graph's 1..3\n" * 6
 
 
 def test_a_graph_n_far_above_the_clusters_sizes_no_array(tmp_path):

@@ -1,9 +1,5 @@
-import os
-import subprocess
-import sys
 from decimal import Decimal
 from itertools import compress
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +10,7 @@ from helpers import (
     ref_is_tree,
     ref_longest_path_in_tree,
     ref_tree_to_width1_td,
+    run_capped,
 )
 from treecut import graph
 from treecut.errors import (
@@ -91,36 +88,32 @@ def test_construction_keeps_its_messages():
         Graph(-1, [])
 
 
-# a child process under a 1 GiB address space limit builds a graph that
-# names 1e9 vertices and no edge, and prints what the constructor raised
-_HUGE_ORDER = """
-import resource
-from treecut.errors import GraphFormatError
-from treecut.graph import Graph
-hard = resource.getrlimit(resource.RLIMIT_AS)[1]
-cap = 1 << 30 if hard == resource.RLIM_INFINITY else min(1 << 30, hard)
-resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
-try:
-    Graph(10 ** 9, [])
-except GraphFormatError as exc:
-    print(exc)
-"""
-
-
 def test_an_order_beyond_memory_is_a_format_error():
     """The adjacency lists are built before any edge is read, so the order
     a file names alone can exhaust memory: that ends as GraphFormatError
     naming the order, not MemoryError."""
-    resource = pytest.importorskip("resource")
-    if not hasattr(resource, "RLIMIT_AS"):
-        pytest.skip("no address space limit on this platform")
-    src = str(Path(graph.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    run = subprocess.run([sys.executable, "-c", _HUGE_ORDER],
-                         capture_output=True, text=True, timeout=120,
-                         env=dict(os.environ, PYTHONPATH=path))
-    assert run.returncode == 0, run.stderr
-    assert run.stdout == "no memory for 1000000000 vertices\n"
+    assert run_capped("""
+from treecut.errors import GraphFormatError
+from treecut.graph import Graph
+try:
+    Graph(10 ** 9, [])
+except GraphFormatError as exc:
+    print(exc)
+""") == "no memory for 1000000000 vertices\n"
+
+
+def test_a_family_beyond_memory_is_a_bad_size():
+    """make_instance turns a MemoryError met while it builds the family
+    into BadSize naming the family; a path of 1e10 vertices does not fit
+    in 1 GiB."""
+    assert run_capped("""
+from treecut.errors import BadSize
+from treecut.generators import make_instance
+try:
+    make_instance("path", n=10 ** 10)
+except BadSize as exc:
+    print(exc)
+""") == "no memory for family 'path'\n"
 
 
 def test_cut_width_star():

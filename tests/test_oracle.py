@@ -11,9 +11,11 @@ from helpers import (
 from treecut import oracle
 from treecut.errors import BadSize, NotATree, TreecutError
 from treecut.generators import (
+    caterpillar_graph,
     make_instance,
     path_graph,
     random_tree,
+    spider_graph,
     star_graph,
     ternary_tree,
 )
@@ -64,11 +66,17 @@ def test_edge_sizes():
 
 
 def test_dp_matches_brute_force():
-    for seed in range(25):
-        g = random_tree(6 + seed % 9, seed)
-        m = (seed * 7) % (g.n + 1)
-        assert tree_dp_min_bisection(g, m) == \
-            brute_force_min_cut_size_m(g, m)[0]
+    """At every m of random trees and of the star, caterpillar, spider and
+    ternary shapes."""
+    trees = [random_tree(6 + seed % 9, seed) for seed in range(25)]
+    trees += [star_graph(k) for k in (0, 1, 5, 12)]
+    trees += [caterpillar_graph(4, 2), caterpillar_graph(7, 1),
+              spider_graph([3, 4, 0, 5]), spider_graph([1, 1, 1, 1, 2])]
+    trees += [ternary_tree(h) for h in (0, 1, 2)]
+    for g in trees:
+        for m in range(g.n + 1):
+            assert tree_dp_min_bisection(g, m) == \
+                brute_force_min_cut_size_m(g, m)[0], (g.n, m)
 
 
 def test_ternary_t2():

@@ -8,8 +8,8 @@ connectivity intact (the lemma's case) and with it broken (the fallback's).
 import pytest
 from hypothesis import Phase, find, given, settings, strategies as st
 
-from helpers import set_validate
-from treecut.generators import make_instance, random_graph_with_td
+from helpers import run_capped, set_validate
+from treecut.generators import make_instance, path_graph, random_graph_with_td
 from treecut.treedec import TreeDecomposition, validate
 
 WITNESS_KINDS = ("foreign vertex", "in no cluster", "fits in no cluster",
@@ -60,6 +60,45 @@ def test_validate_matches_set_reference(inst):
                            want.connectivity_ok, want.width)
     assert witness_kind(got.witness) == witness_kind(want.witness)
     assert (got.witness == "") == want.ok
+
+
+def test_an_entry_far_above_the_graph_is_a_foreign_vertex():
+    """The stamps span the graph's order plus one slot per distinct entry
+    above it, so an entry of 1e12 is reported, not allocated for: under a
+    1 GiB address space limit validate returns the foreign-vertex witness
+    instead of raising MemoryError."""
+    assert run_capped("""
+from treecut.generators import path_graph
+from treecut.treedec import TreeDecomposition, validate
+td = TreeDecomposition([1, 2], [(1, 2)], {1: [1, 2], 2: [2, 3, 10 ** 12]},
+                       10 ** 12)
+print(validate(path_graph(3), td))
+""") == ("ValidityReport(vertex_cover_ok=False, edge_cover_ok=True, "
+         "connectivity_ok=True, witness='cluster 2 holds foreign vertex "
+         "1000000000000', width=2)\n")
+
+
+@pytest.mark.parametrize("clusters, witness", [
+    # 9 in nodes 1 and 3 but not 2 breaks connectivity; 7 is the least
+    ({1: [1, 2, 9], 2: [2, 3, 7], 3: [3, 9]},
+     "cluster 2 holds foreign vertex 7"),
+    ({1: [1, 2], 2: [2, 3, 50, 40], 3: [3, 40]},
+     "cluster 2 holds foreign vertex 40"),
+    # vertex 3 in no cluster, edge (2, 3) in none
+    ({1: [1, 2], 2: [2, 5], 3: [5, 4]}, "cluster 3 holds foreign vertex 4"),
+])
+def test_foreign_entries_are_named_as_given(clusters, witness):
+    """Entries above the graph are numbered upward from n + 1 in their
+    ascending order; the set reference, which reads them as given, agrees,
+    and the witness names the least such entry as it appears in the
+    clusters."""
+    g = path_graph(3)
+    td = TreeDecomposition([1, 2, 3], [(1, 2), (2, 3)], clusters, 50)
+    got, want = validate(g, td), set_validate(g, td)
+    assert (got.vertex_cover_ok, got.edge_cover_ok, got.connectivity_ok,
+            got.width) == (want.vertex_cover_ok, want.edge_cover_ok,
+                           want.connectivity_ok, want.width)
+    assert got.witness == witness
 
 
 @pytest.mark.parametrize("name, broken", [
