@@ -19,11 +19,6 @@ from .fileio import load_graph, load_td, save_graph, save_td
 from .generators import make_instance
 from .graph import Graph
 from . import oracle
-from .oracle import (
-    brute_force_min_bisection,
-    brute_force_min_cut_size_m,
-    tree_dp_min_bisection,
-)
 from .treedec import validate
 
 # a directory where a file belongs is a usage error, exit code 2
@@ -227,13 +222,13 @@ def oracle_cmd(graph_path, m, method):
     """Exact minimum cut width by exhaustive search or tree DP."""
     g = load_graph(graph_path)
     if method == "tree-dp" or method == "auto" and g.n > oracle._BRUTE_LIMIT:
-        width = tree_dp_min_bisection(g, m)
+        width = oracle.tree_dp_min_bisection(g, m)
         click.echo("min width: %d (tree DP)" % width)
     else:
         if m is None:
-            width, bset = brute_force_min_bisection(g)
+            width, bset = oracle.brute_force_min_bisection(g)
         else:
-            width, bset = brute_force_min_cut_size_m(g, m)
+            width, bset = oracle.brute_force_min_cut_size_m(g, m)
         click.echo("min width: %d" % width)
         click.echo("witness B = %s" % " ".join(map(str, sorted(bset))))
 
