@@ -12,12 +12,13 @@ from itertools import compress
 from .errors import (
     BadFraction,
     BadSize,
+    DecompositionFormatError,
     InternalInvariant,
     InvalidDecomposition,
 )
 from .graph import check_graph, cut_width
 from .treedec import check_decomposition
-from .util import UNCOUNTED, check_int, holds, no_gc
+from .util import UNCOUNTED, check_int, holds, no_gc, vertex_array
 
 
 @dataclass
@@ -34,8 +35,9 @@ def compute_subtree_weights(parent, clusters, n, ops=UNCOUNTED):
     The tree is two lists aligned by position: `parent[k]` is the position
     of k's parent, which comes before k, and `clusters[k]` lists distinct
     vertices in 1..n, a vertex range that holds every entry, which sizes
-    the one mark array; position 0 is the root, whose parent entry is
-    not read. `total[k]` counts distinct vertices in clusters at or below
+    the one mark array (an n beyond memory raises
+    DecompositionFormatError); position 0 is the root, whose parent entry
+    is not read. `total[k]` counts distinct vertices in clusters at or below
     position k; `reduced[k]` subtracts those shared with the parent
     cluster, so sibling reduced weights add up disjointly. `children[k]`
     lists k's children unsorted, highest position first: the greedy ranks
@@ -43,7 +45,7 @@ def compute_subtree_weights(parent, clusters, n, ops=UNCOUNTED):
     shape is trusted."""
     size = len(parent)
     total = list(map(len, clusters))  # plus the children's reduced weights
-    seen = bytearray(n + 1)
+    seen = vertex_array(bytearray, n, DecompositionFormatError)
     reduced = []  # the overlap with the parent cluster, then reduced weights
     for cl in clusters:
         c = 0
@@ -85,7 +87,8 @@ def approximate_cut(td, m, c, g=None):
     of 1..graph_n must be covered by td. The per-vertex arrays span the
     graph's order, or without a graph td's largest cluster entry, never
     graph_n alone. A `g` that is neither None nor a Graph raises
-    GraphFormatError, and a `td` of another type DecompositionFormatError.
+    GraphFormatError, and a `td` of another type, or without a graph one
+    whose largest entry is beyond memory, DecompositionFormatError.
     """
     if g is not None:
         check_graph(g)
@@ -137,7 +140,7 @@ def _cut_tree(parent, clusters, n, m, c, g=None, ops=UNCOUNTED):
         if not heavy:
             break
         i = max(heavy, key=rank)
-    in_b = bytearray(n + 1)
+    in_b = vertex_array(bytearray, n, DecompositionFormatError)
     bsize = 0
     rounds = 0
     while bsize <= c * m:

@@ -8,7 +8,7 @@ from __future__ import annotations
 from itertools import chain, compress
 
 from .errors import GraphFormatError, NotATree, PartitionInvalid
-from .util import no_gc
+from .util import no_gc, vertex_array
 
 
 class Graph:
@@ -22,10 +22,8 @@ class Graph:
             raise GraphFormatError("vertex count %r is not an int" % (n,))
         if n < 0:
             raise GraphFormatError("vertex count must be nonnegative")
-        try:
-            adj = [[] for _ in range(n + 1)]
-        except MemoryError:
-            raise GraphFormatError("no memory for %d vertices" % n) from None
+        adj = vertex_array(lambda k: [[] for _ in range(k)], n,
+                           GraphFormatError)
         seen = set()  # edge (u, v), u < v, as u * (n + 1) + v
         span = n + 1
         try:

@@ -17,7 +17,7 @@ from itertools import accumulate, islice, pairwise
 
 from .errors import DecompositionFormatError, EmptyDecomposition
 from .graph import _tree_path, check_graph
-from .util import UNCOUNTED, check_int, no_gc
+from .util import UNCOUNTED, check_int, no_gc, vertex_array
 
 
 class TreeDecomposition:
@@ -407,7 +407,8 @@ def make_nonredundant(td):
     not mutate the result. Otherwise returns a new TreeDecomposition with
     dense node ids 1..k around normalization's contracted form, whose
     neighbor and cluster dicts hold the form's own lists. The input is
-    never written to. A `td` that is not a TreeDecomposition raises
+    never written to. A `td` that is not a TreeDecomposition, or whose
+    largest cluster entry is beyond memory, raises
     DecompositionFormatError, and one whose clusters are all empty, the
     empty graph's included, EmptyDecomposition.
     """
@@ -426,34 +427,50 @@ def make_nonredundant(td):
 def normalize(td, ops=UNCOUNTED):
     """Contract away nested adjacent clusters; returns a Normalized record.
 
-    One depth-first pass over td's positional form from its root, the
-    smallest node id, puts every node in a class, whose cluster is that of
-    the node heading it. Classes never merge: a node either starts a
-    class, folds into its tree parent's class when its cluster adds no
-    vertex unseen before, or takes over as head of that class when the
-    head's cluster is nested in its own. Width never grows and any tree
-    path of the input maps onto a tree path of the output covering at
-    least the same vertices. Classes are numbered from 1 in the order they
-    start, and the pass records the class of each node that heads none.
+    Each input takes one of two routes, both from td's positional form and
+    its root, the smallest node id. A tree whose node degrees do not allow
+    a path from the root (a root of degree 2 or more, or another node of
+    degree 3 or more) first gets heaviest path's recording sweep
+    (_recording_sweep), set to stop at the first node whose cluster adds no
+    vertex unseen before or holds its tree parent's: the nodes where the
+    class loop below would contract. Run to its end, the sweep found
+    nothing to contract, so the record holds td's form itself and the
+    sweep's records as `first_sweep`: each position's fresh count and the
+    chain from the sweep's endpoint, the heavy end, up to the root. A tree's
+    width-1 decomposition takes this route. A stopped sweep counts no ops
+    and keeps nothing, and the class loop runs from the start; it also
+    runs at once on a tree that may be a path from the root, whose
+    covering walk only it records.
 
-    The pass keeps, per class, the fresh counts of its members summed
-    and the tree parent of the node that started it; these are the
+    The class loop, one depth-first pass, puts every node in a class,
+    whose cluster is that of the node heading it. Classes never merge: a
+    node either starts a class, folds into its tree parent's class when its
+    cluster adds no vertex unseen before, or takes over as head of that
+    class when the head's cluster is nested in its own. Width never grows
+    and any tree path of the input maps onto a tree path of the output
+    covering at least the same vertices. Classes are numbered from 1 in
+    the order they start, and the pass records the class of each node that
+    heads none. The pass keeps, per class, the fresh counts of its members
+    summed and the tree parent of the node that started it; these are the
     records of heaviest path's first sweep, which the record keeps as
-    `first_sweep`. When no node joined another's class, the record holds
-    td's form itself. Every node then heads its own class and the pass is
-    exactly that first sweep; of its parents, the record keeps the chain
-    from the pass's endpoint, the heavy end, up to the root. If its weight
-    reached graph_n, every node but the root added a vertex unseen before,
-    so all nodes lie on the path from the root to the heavy end: the tree
-    is that path, whether or not cluster connectivity holds, and the pass
-    met the nodes in that path's order and the vertices in its label
-    order. The pass lists the vertices only when the node degrees allow
-    that shape (the root's at most 1, every other at most 2), so other
-    trees pay nothing for it, and such a covering record needs no sweep
-    records. On such a path a class's tree parent is the previous class,
-    so the pass keeps no parents there, and a record that does not cover
-    takes each from the previous class's head. Every container of the
-    pass that the record does not keep dies before normalize returns.
+    `first_sweep`.
+
+    When no node joined another's class (after a stopped sweep some node
+    always does), the record holds td's form itself. Every node then heads
+    its own class and the pass is exactly that first sweep; of its
+    parents, the record keeps the chain from the pass's endpoint, the
+    heavy end, up to the root. If its weight reached graph_n, every node
+    but the root added a vertex unseen before, so all nodes lie on the
+    path from the root to the heavy end: the tree is that path, whether or
+    not cluster connectivity holds, and the pass met the nodes in that
+    path's order and the vertices in its label order. The pass lists the
+    vertices only on a tree that may be a path from the root, and such a
+    covering record needs no sweep records. On such a path a class's tree
+    parent is the previous class, so the pass keeps no parents there, and
+    a record that does not cover takes each from the previous class's
+    head. Every container of the pass that the record does not keep dies
+    before normalize returns. Arrays by vertex span the largest cluster
+    entry; one beyond memory raises DecompositionFormatError.
 
     When some node joined another's class, the record holds a new form
     with one position per class: each class's neighbors in the order of
@@ -476,15 +493,20 @@ def normalize(td, ops=UNCOUNTED):
     if not any(clusters):
         raise EmptyDecomposition("every cluster is empty")
     root = form.root
+    if len(neighbors[root]) <= 1 and max(map(len, neighbors)) <= 2:
+        met = [0]  # vertices in the order first met: the tree may be a path
+    else:
+        met = None
+        records = _recording_sweep(form, ops, stop=True)
+        if records is not None:  # nothing nests: a pass-through
+            return Normalized(form, td.nodes, first_sweep=records)
     roots = [0]     # class -> position heading it; classes count from 1
     fresh_of = [0]  # class -> vertices its members held first
     up = [None]     # class -> tree parent of the node that started it
     at = [0] * len(neighbors)  # position that heads no class -> its class
-    first = [None] * (form.top + 1)  # vertex -> node that first held it
-    # vertices in the order first met, kept only when the tree may be a
-    # path from the root
-    met = [0] if len(neighbors[root]) <= 1 and max(map(len, neighbors)) <= 2 \
-        else None
+    # vertex -> node that first held it
+    first = vertex_array(lambda k: [None] * k, form.top,
+                         DecompositionFormatError)
     best, best_w = root, -1  # first node of greatest path weight from root
     stack = [(root, None, 0, None)]  # node, tree parent, weight, its class
     pop, push = stack.pop, stack.append
@@ -580,32 +602,40 @@ class WeightReport:
     relative_weight: Fraction
 
 
-def _recording_sweep(form, ops=UNCOUNTED):
-    """The first sweep of the public heaviest_path(td), the one that reads
-    clusters: a DFS of td's positional form from its root position,
-    returning (fresh, chain).
+def _recording_sweep(form, ops=UNCOUNTED, stop=False):
+    """The first sweep of heaviest path, the one that reads clusters: a
+    DFS of a positional form from its root position, returning (fresh,
+    chain).
 
     `fresh` holds, by position, the vertices of each cluster that no node
     met before held, and `chain` runs from the sweep's endpoint, the first
     node in discovery order whose path from the root holds the most
     vertices, up to the root. Under cluster connectivity a vertex met
     before also lies in the parent's cluster, so `fresh[i]` is
-    |C_i \\ C_parent|. A cut never runs it: normalization's pass hands
-    these records on.
+    |C_i \\ C_parent|. The public heaviest_path runs it to its end.
+    normalize runs it first with `stop` set: it then returns None, counting
+    no ops, at the first node other than the root whose cluster adds no
+    vertex or holds its tree parent's (`len(C_i) - fresh[i] ==
+    len(C_parent)`), where normalization's class loop would contract; run
+    to its end, it returns the records that loop would. An entry beyond
+    memory raises DecompositionFormatError.
     """
     clusters, neighbors = form.clusters, form.neighbors
     fresh, parent = [0] * len(neighbors), [0] * len(neighbors)
-    seen = bytearray(form.top + 1)
+    seen = vertex_array(bytearray, form.top, DecompositionFormatError)
     best, best_w = form.root, -1
     stack = [(best, 0, 0)]
     pop, push = stack.pop, stack.append
     while stack:
         i, p, w = pop()
+        c = clusters[i]
         k = 0
-        for x in clusters[i]:
+        for x in c:
             if not seen[x]:
                 seen[x] = 1
                 k += 1
+        if stop and (not k or len(c) - k == len(clusters[p])) and p:
+            return None
         fresh[i] = k
         parent[i] = p
         w += k
@@ -702,12 +732,16 @@ def heaviest_path(td):
     from its endpoint up to the smallest node. The second runs from that
     endpoint over the nodes alone, with the records re-rooted there (see
     _sweep_from), and its endpoint closes the path. Ties stick with the
-    first maximum in discovery order. Returns the node sequence, from the
-    second sweep's start, and a weight report relative to the host graph
-    order. A `td` that is not a TreeDecomposition, normalization's record
-    included, raises DecompositionFormatError, and one whose clusters are
-    all empty, the empty graph's included (its relative weight is
-    undefined), EmptyDecomposition.
+    first maximum in discovery order. The first sweep is the one
+    normalization runs first on a tree that is not a path from its root
+    (see normalize), there set to stop where a cluster nests; here it
+    always runs to its end. Returns the node sequence, from the second
+    sweep's start, and a weight report relative to the host graph order. A
+    `td` that is not a TreeDecomposition, normalization's record included,
+    or whose largest cluster entry is beyond memory raises
+    DecompositionFormatError, and one whose clusters are all empty, the
+    empty graph's included (its relative weight is undefined),
+    EmptyDecomposition.
 
     Both sweeps count a node's vertices met before as already on its path;
     cluster connectivity makes that exact. Without it the counts can

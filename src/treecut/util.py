@@ -39,6 +39,16 @@ def check_int(error, name, value, lo, hi=None):
         raise error("%s=%r is not an int %s" % (name, value, span))
 
 
+def vertex_array(make, n, error):
+    """make(n + 1), an array indexed by the vertices 1..n. An n beyond
+    memory raises `error` naming it instead of MemoryError: a vertex count
+    or cluster entry alone can ask for more than the machine holds."""
+    try:
+        return make(n + 1)
+    except MemoryError:
+        raise error("no memory for %d vertices" % n) from None
+
+
 def holds(test):
     """test(), or False where it raises TypeError, as a comparison with a
     str, None or a complex number does, or ArithmeticError, as one with a

@@ -18,6 +18,7 @@ from helpers import (
     VertexLabeling,
     acceptance_corpus,
     by_label,
+    connectivity_breaking_instances,
     exact_size_cut,
     p6_td,
     per_vertex,
@@ -640,35 +641,6 @@ def test_doubling_step_matches_the_reference_on_small_random_instances():
                 asymmetric.update(flip for kind, _, flip in _steps_agree(td, m)
                                   if kind != "direct")
     assert True in asymmetric
-
-
-@st.composite
-def connectivity_breaking_instances(draw):
-    """A random graph with a decomposition (random-td, or the width-1
-    decomposition of a random tree), node ids shuffled, with one to three
-    cluster edits that add a vertex to a cluster or drop one from it. An
-    added vertex often lies in clusters far away, which breaks cluster
-    connectivity; a dropped one can leave a vertex or an edge uncovered.
-    Returns (graph, decomposition, m)."""
-    n = draw(st.integers(2, 40))
-    seed = draw(st.integers(0, 10 ** 6))
-    if draw(st.booleans()):
-        g, td = random_graph_with_td(n, draw(st.integers(1, 4)), seed)
-    else:
-        g, td = make_instance("random-tree", n=n, seed=seed)
-    clusters = {i: list(c) for i, c in td.clusters.items()}
-    for _ in range(draw(st.integers(1, 3))):
-        c = clusters[draw(st.sampled_from(td.nodes))]
-        x = draw(st.integers(1, g.n))
-        if x in c:
-            c.remove(x)
-        else:
-            c.append(x)
-    new_id = dict(zip(td.nodes, draw(st.permutations(td.nodes))))
-    td = TreeDecomposition([new_id[i] for i in td.nodes],
-                           [(new_id[a], new_id[b]) for a, b in td.edges()],
-                           {new_id[i]: c for i, c in clusters.items()}, g.n)
-    return g, td, draw(st.integers(0, g.n))
 
 
 def _cut_or_treecut_error(g, td, m):

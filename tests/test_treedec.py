@@ -21,6 +21,7 @@ from hypothesis import (
 from helpers import (
     acceptance_corpus,
     brute_force_heaviest_path,
+    connectivity_breaking_instances,
     hanging_pairs,
     is_nonredundant_path,
     orient_path,
@@ -31,6 +32,7 @@ from helpers import (
     ref_path,
     ref_weight_sweep,
     restrict,
+    run_capped,
     run_checked,
     set_validate,
     two_pass_plabeling,
@@ -545,15 +547,72 @@ def test_a_cut_keeps_no_neighbor_lists_past_the_labeling(inst, data):
     assert (td.nodes, td.neighbors, td.clusters, td.graph_n) == before
 
 
-def test_corpus_cuts_run_no_recording_sweep(monkeypatch):
-    """Normalization hands every cut its first sweep, so no cut reads the
-    clusters again for one."""
-    def refuse(*args, **kwargs):
-        raise AssertionError("a cut ran a recording sweep")
+def test_corpus_cuts_read_the_clusters_in_one_first_sweep(monkeypatch):
+    """Each corpus cut reads the clusters for heaviest path's first sweep
+    in normalization alone, in one of three ways, all of which occur: the
+    recording sweep run to its end, whose records the cut keeps; the class
+    loop alone, on a tree shaped like a path; or a recording sweep stopped
+    where a cluster nests, then the class loop. They are told apart by the
+    array each sizes by vertex: the sweep's bytearray, the class loop's
+    list. Nothing after normalization sizes one in this module."""
+    sweep, stamps, normalized = (treedec._recording_sweep,
+                                 treedec.vertex_array, engine.make_nonredundant)
+    log = []
 
-    monkeypatch.setattr(treedec, "_recording_sweep", refuse)
+    def recording(*args, **kwargs):
+        out = sweep(*args, **kwargs)
+        log.append(("stopped",) if out is None else ("swept", out))
+        return out
+
+    def sized(make, n, error):
+        out = stamps(make, n, error)
+        log.append((type(out).__name__,))
+        return out
+
+    def normalizing(td, ops):
+        rec = normalized(td, ops=ops)
+        log.append(("normalized", rec.first_sweep, rec.form is td._form))
+        return rec
+
+    monkeypatch.setattr(treedec, "_recording_sweep", recording)
+    monkeypatch.setattr(treedec, "vertex_array", sized)
+    monkeypatch.setattr(engine, "make_nonredundant", normalizing)
+    ways = set()
     for _, g, td in acceptance_corpus():
+        log.clear()
         exact_size_cut_linear(g, td, g.n // 2)
+        (*way, (_, records, passed)), kinds = log, [e[0] for e in log]
+        if kinds[:2] == ["bytearray", "swept"]:
+            assert way[1][1] is records and passed
+        ways.add(tuple(kinds[:-1]))
+    assert ways == {("bytearray", "swept"), ("list",),
+                    ("bytearray", "stopped", "list")}
+
+
+def test_an_entry_beyond_memory_is_a_format_error():
+    """heaviest_path, make_nonredundant and the public approximate_cut
+    without a graph size arrays by the largest cluster entry: under a 1 GiB
+    address space limit an entry of 1e12 raises DecompositionFormatError
+    naming it, not MemoryError, from the recording sweep (the star),
+    normalization's class loop (the path) and the approximate cut."""
+    out = run_capped("""
+from fractions import Fraction
+from treecut.approxcut import approximate_cut
+from treecut.errors import DecompositionFormatError
+from treecut.treedec import TreeDecomposition, heaviest_path, make_nonredundant
+big = 10 ** 12
+path = TreeDecomposition([1, 2], [(1, 2)], {1: [1, 2], 2: [2, 3, big]}, big)
+star = TreeDecomposition([1, 2, 3], [(1, 2), (1, 3)],
+                         {1: [1, 2], 2: [2, 3], 3: [1, big]}, big)
+for td in (path, star):
+    for call in (heaviest_path, make_nonredundant,
+                 lambda td: approximate_cut(td, 2, Fraction(1, 2))):
+        try:
+            call(td)
+        except DecompositionFormatError as exc:
+            print(exc)
+""")
+    assert out == "no memory for 1000000000000 vertices\n" * 6
 
 
 def _check_node_sweep(td, rng):
@@ -641,6 +700,45 @@ def path_tds(draw):
 def test_node_sweep_matches_the_reference_sweep_random(td, rng):
     _check_node_sweep(td, rng)
     _check_node_sweep(make_nonredundant(td), rng)
+
+
+def _class_loop_alone(td, ops):
+    """normalize with its recording sweep stopped at once, so its class
+    loop runs alone on every input, as it did before the sweep ran first."""
+    with mock.patch.object(treedec, "_recording_sweep", return_value=None):
+        return normalize(td, ops=ops)
+
+
+def _check_same_record(td):
+    """normalize returns the record its class loop alone returns: the same
+    form (td's own, or an equal contracted one), nodes, covering walk and
+    first sweep, or the same error, and adds the same ops."""
+    ops, ops_alone = OpsCounter(), OpsCounter()
+    try:
+        rec = normalize(td, ops=ops)
+    except EmptyDecomposition:
+        with pytest.raises(EmptyDecomposition):
+            _class_loop_alone(td, ops_alone)
+        return
+    alone = _class_loop_alone(td, ops_alone)
+    assert (rec.form is td._form) == (alone.form is td._form)
+    assert rec.form == alone.form
+    assert (rec.nodes, rec.vertex_of, rec.path, rec.ends, rec.first_sweep) \
+        == (alone.nodes, alone.vertex_of, alone.path, alone.ends,
+            alone.first_sweep)
+    assert ops.total == ops_alone.total
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(redundant_tds(), path_tds().map(lambda td: (None, td)),
+                 connectivity_breaking_instances()))
+def test_normalize_hands_on_the_class_loops_record(inst):
+    _check_same_record(inst[1])
+
+
+def test_normalize_hands_on_the_class_loops_record_on_the_corpus():
+    for _, _, td in acceptance_corpus():
+        _check_same_record(td)
 
 
 def _sweeps(td):
