@@ -581,10 +581,12 @@ def test_corpus_cuts_read_the_clusters_in_one_first_sweep(monkeypatch):
     for _, g, td in acceptance_corpus():
         log.clear()
         exact_size_cut_linear(g, td, g.n // 2)
-        (*way, (_, records, passed)), kinds = log, [e[0] for e in log]
-        if kinds[:2] == ["bytearray", "swept"]:
-            assert way[1][1] is records and passed
-        ways.add(tuple(kinds[:-1]))
+        assert log[-1][0] == "normalized"  # no first sweep after it
+        *events, (_, records, passed) = log
+        kinds = tuple(event[0] for event in events)
+        if kinds == ("bytearray", "swept"):
+            assert events[1][1] is records and passed
+        ways.add(kinds)
     assert ways == {("bytearray", "swept"), ("list",),
                     ("bytearray", "stopped", "list")}
 
